@@ -27,7 +27,6 @@ from fractions import Fraction
 from .cyclotomic import (
     CycElem,
     complex_conj,
-    cyclotomic_poly,
     is_odd_prime,
     is_totally_positive,
     norm_to_Q,
@@ -36,13 +35,7 @@ from .cyclotomic import (
     restrict_to_real,
 )
 from .galmod import build_ptorsion, composition_factors, filtration_dims, polarization_parity
-from .intlinalg import (
-    Matrix,
-    det,
-    leading_principal_minors,
-    matrix_to_json,
-    minpoly,
-)
+from .intlinalg import Matrix, det, matrix_to_json
 from .kergroup import (
     KerClass,
     ModelDescriptor,
@@ -53,17 +46,12 @@ from .kergroup import (
     parity_hom,
     twist_model,
 )
-from .intlinalg import col_lattice_eq
 from .twist import (
+    CONSTRUCTION_CHECKS,
     TwistData,
     centralizer_basis,
     endo_degree,
     endo_descends,
-    flatten_matrices,
-    pol_descends,
-    reduce_shift,
-    rosati,
-    zeta_power_lattice,
 )
 
 DEFAULT_SEED = 1729
@@ -120,24 +108,9 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     rng = random.Random(seed)
     n = p - 1
     t = TwistData.for_prime(p, validate=False)
-    z, b = t.zeta, t.b
-
-    mp = minpoly(z)
-    rep.record("zeta_minpoly_is_cyclotomic", mp == cyclotomic_poly(p))
-    rep.record("zeta_order_p", z ** p == Matrix.identity(n))
-    rep.record("shift_reduction_matches", reduce_shift(p) == z)
-    rep.record("b_determinant_is_p", endo_degree(b) == p * p)
-    rep.record("b_positive_definite",
-               b.is_symmetric() and all(m > 0 for m in leading_principal_minors(b)))
-    rep.record("polarization_descends", pol_descends(t))
-    rep.record("polarization_degree_p_squared", endo_degree(b) == p * p)
-    rep.record("rosati_inverts_zeta", rosati(z, t) == z ** (p - 1))
-
-    cent = centralizer_basis(p)
-    rep.record("centralizer_rank", len(cent) == n)
-    rep.record("centralizer_equals_zeta_powers",
-               col_lattice_eq(flatten_matrices(cent),
-                              flatten_matrices(zeta_power_lattice(p))))
+    z = t.zeta
+    for name, holds in CONSTRUCTION_CHECKS:
+        rep.record(name, holds(t))
 
     samples = 10 if p <= 13 else 3
     good = True
@@ -323,11 +296,15 @@ def _cmd_sweep(args) -> int:
     if args.pmax < 3:
         print("error: --pmax must be at least 3", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
     primes = [p for p in range(3, args.pmax + 1) if is_odd_prime(p)]
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(primes), os.cpu_count() or 1)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, primes))
     else:
         rows = [_sweep_row(p) for p in primes]

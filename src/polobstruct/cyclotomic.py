@@ -6,9 +6,9 @@ cyclotomic polynomial. The real subfield K+ = Q(eta), eta = zeta + zeta^{-1},
 uses the eta-power basis 1, eta, ..., eta^{(p-3)/2}.
 
 Norms are determinants of regular representation matrices. Total positivity
-is decided exactly by a Sturm sign-variation count on the characteristic
-polynomial of the multiplication map, so no floating point enters the
-verification path.
+is decided exactly by the signs of the coefficients of the characteristic
+polynomial of the multiplication map (Descartes' rule, exact because K+ is
+totally real), so no floating point enters the verification path.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .intlinalg import (
     Matrix,
     _charpoly_coeffs,
     _q_divmod,
-    _q_gcd,
     _q_strip,
     det,
     invert,
@@ -446,54 +445,17 @@ def norm_real_to_Q(a: RealElem):
 
 
 # ---------------------------------------------------------------------------
-# total positivity by exact Sturm counts
-
-
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _sturm_variations(chain, at_zero):
-    """Sign variations of the chain at 0, or at -infinity when at_zero is False."""
-    signs = []
-    for f in chain:
-        if at_zero:
-            s = _sign(f[0])
-        else:
-            s = _sign(f[-1]) * (1 if (len(f) - 1) % 2 == 0 else -1)
-        if s:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_negative_roots(coeffs):
-    """Number of distinct real roots of the polynomial in (-inf, 0).
-
-    coeffs are exact rationals, low-degree first, nonzero constant term
-    required (the callers guarantee no root at zero).
-    """
-    f = _q_strip([Fraction(c) for c in coeffs])
-    if len(f) <= 1:
-        return 0
-    if f[0] == 0:
-        raise ValueError("polynomial vanishes at zero")
-    g = _q_gcd(f, [i * c for i, c in enumerate(f)][1:])
-    f, _ = _q_divmod(f, g)  # squarefree part, same root set
-    chain = [f, _q_strip([i * c for i, c in enumerate(f)][1:])]
-    while chain[-1] and len(chain[-1]) > 1:
-        _, r = _q_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return _sturm_variations(chain, False) - _sturm_variations(chain, True)
+# total positivity by Descartes' rule of signs
 
 
 def is_totally_positive(a: RealElem) -> bool:
     """Is every real embedding of a strictly positive?
 
     Decided exactly: the embeddings of a are the roots of the characteristic
-    polynomial of multiplication by a, all real; a is totally positive iff
-    that polynomial has no root in (-inf, 0] .
+    polynomial of multiplication by a, all real because K+ is totally real
+    (repeated when a lies in a proper subfield). For a real-rooted
+    polynomial Descartes' rule of signs is exact, so every root is positive
+    iff the coefficients are nonzero and strictly alternate in sign.
     """
     if not isinstance(a, RealElem):
         raise TypeError("is_totally_positive expects a RealElem")
@@ -503,7 +465,7 @@ def is_totally_positive(a: RealElem) -> bool:
     if coeffs[0] == 0:
         # constant term is +/- the norm, nonzero for nonzero a
         raise AssertionError("nonzero element with vanishing norm")
-    return _count_negative_roots(coeffs) == 0
+    return all(c * d < 0 for c, d in zip(coeffs, coeffs[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from polobstruct import cli
 from polobstruct.intlinalg import matrix_from_json
 from polobstruct.kergroup import twist_model
-from polobstruct.twist import build_b, build_zeta
+from polobstruct.twist import CONSTRUCTION_CHECKS, build_b, build_zeta
 
 
 def _run(capsys, argv):
@@ -43,6 +43,10 @@ def test_verify_p3_all_pass(capsys):
     assert rep["seed"] == cli.DEFAULT_SEED
     assert [c["name"] for c in rep["checks"]] == EXPECTED_CHECKS
     assert all(c["passed"] for c in rep["checks"])
+
+
+def test_construction_catalogue_leads_the_verify_report():
+    assert [name for name, _ in CONSTRUCTION_CHECKS] == EXPECTED_CHECKS[:10]
 
 
 def test_verify_rejects_bad_prime(capsys):
@@ -183,6 +187,47 @@ def test_sweep_deterministic(capsys):
     _, out1, _ = _run(capsys, ["sweep", "--pmax", "5"])
     _, out2, _ = _run(capsys, ["sweep", "--pmax", "5"])
     assert out1 == out2
+
+
+def test_sweep_rejects_nonpositive_jobs(capsys):
+    for jobs in ("0", "-3"):
+        rc, out, err = _run(capsys, ["sweep", "--pmax", "7", "--jobs", jobs])
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and "--jobs" in err
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, spawns nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_clamps_jobs(capsys, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    _, serial, _ = _run(capsys, ["sweep", "--pmax", "7"])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    rc, out, _ = _run(capsys, ["sweep", "--pmax", "7", "--jobs", "1000"])
+    assert rc == 0 and out == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rc, out, _ = _run(capsys, ["sweep", "--pmax", "7", "--jobs", "1000"])
+    assert rc == 0 and out == serial
+    # three primes up to 7, then two CPUs
+    assert _SerialPool.sizes == [3, 2]
 
 
 def test_console_entry_rejects_no_command():

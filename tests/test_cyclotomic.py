@@ -308,6 +308,24 @@ def test_totally_positive_against_embedding_oracle():
             done += 1
 
 
+def test_totally_positive_on_proper_subfield_element():
+    # the Gaussian period over the order-4 subgroup {1, 5, 8, 12} of
+    # (Z/13)^* lies in the cubic subfield of K+, so its characteristic
+    # polynomial on K+ is its minimal polynomial squared: repeated roots
+    p = 13
+    z = CycElem.zeta(p)
+    period = restrict_to_real(sum((z ** k for k in (1, 5, 8, 12)), CycElem.zero(p)))
+    emb = _embeddings_real(period)
+    assert len({mpmath.nstr(v, 20) for v in emb}) == 3
+    for shift in (-3, -1, 0, 1, 2, 3):
+        a = period + shift
+        vals = _embeddings_real(a)
+        assert min(abs(v) for v in vals) > mpmath.mpf("1e-30")
+        assert is_totally_positive(a) == all(v > 0 for v in vals)
+    assert is_totally_positive(period + 3)
+    assert not is_totally_positive(period)
+
+
 # ---------------------------------------------------------------------------
 # text format
 
