@@ -6,6 +6,9 @@ matrix and the degree-p^2 polarization form attached to the twist of a
 (p-1)-st power of an elliptic curve, verifies the descent identities behind
 the construction, and carries out the kernel-class calculus that shows the
 resulting isogeny class admits no principal polarization.
+
+The command line lives in polobstruct.cli and is not imported here, so
+``python -m polobstruct.cli`` runs without runpy's already-imported warning.
 """
 
 from .intlinalg import (
@@ -95,7 +98,6 @@ from .kergroup import (
     twist_labels,
     twist_model,
 )
-from .cli import DEFAULT_SEED, VerifyReport, main, run_verify_suite
 
 __version__ = "0.1.0"
 
@@ -120,6 +122,5 @@ __all__ = [
     "is_square_in_Qp", "nrd_dagger_status", "parity_hom", "phi_p_part",
     "prin_p_part", "quaternion_positive", "quaternion_witness_check",
     "quotient_group", "r_membership", "twist_labels", "twist_model",
-    "DEFAULT_SEED", "VerifyReport", "main", "run_verify_suite",
     "__version__",
 ]

@@ -10,7 +10,11 @@ an explicit --seed wins, then the POLOBSTRUCT_SEED environment variable,
 then the built-in default. All output is deterministic for a fixed seed.
 
 Exit codes: 0 success, 1 a verification or attainability query answered
-"no" where the command promises failure status, 2 bad input.
+"no" where the command promises failure status, 2 bad input. A -p or
+--pmax above MAX_P is bad input, rejected before any primality test or
+allocation; so is an element whose field tag exceeds it.
+
+Run as ``polobstruct <command>`` or ``python -m polobstruct.cli <command>``.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ from .twist import (
 
 DEFAULT_SEED = 1729
 _SEED_ENV = "POLOBSTRUCT_SEED"
+# the largest prime any command accepts: work grows polynomially in p, and
+# the cap turns an absurd p into a one-line error instead of a hang
+MAX_P = 1000
 
 
 def _resolve_seed(explicit):
@@ -152,7 +159,16 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
 # subcommand handlers
 
 
+def _within_cap(name, p) -> bool:
+    if p > MAX_P:
+        print(f"error: {name} must be at most {MAX_P}, got {p}", file=sys.stderr)
+        return False
+    return True
+
+
 def _require_odd_prime_arg(p) -> bool:
+    if not _within_cap("p", p):
+        return False
     if not is_odd_prime(p):
         print(f"error: p must be an odd prime, got {p}", file=sys.stderr)
         return False
@@ -200,10 +216,11 @@ def _cmd_parity(args) -> int:
 
 def _parse_element_arg(text):
     try:
-        return parse_element(text)
+        a = parse_element(text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+    return a if _within_cap("the field tag p", a.p) else None
 
 
 def _cmd_norm(args) -> int:
@@ -295,6 +312,8 @@ def _sweep_row(p):
 def _cmd_sweep(args) -> int:
     if args.pmax < 3:
         print("error: --pmax must be at least 3", file=sys.stderr)
+        return 2
+    if not _within_cap("--pmax", args.pmax):
         return 2
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)

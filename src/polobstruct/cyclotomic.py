@@ -3,7 +3,9 @@
 Elements of K = Q(zeta_p) are coordinate vectors over the power basis
 1, zeta, ..., zeta^{p-2}; products are reduced eagerly mod the p-th
 cyclotomic polynomial. The real subfield K+ = Q(eta), eta = zeta + zeta^{-1},
-uses the eta-power basis 1, eta, ..., eta^{(p-3)/2}.
+uses the eta-power basis 1, eta, ..., eta^{(p-3)/2}; restriction to it reads
+the symmetric coordinates through the Dickson polynomials
+zeta^k + zeta^{-k} = D_k(eta).
 
 Norms are determinants of regular representation matrices. Total positivity
 is decided exactly by the signs of the coefficients of the characteristic
@@ -14,7 +16,6 @@ totally real), so no floating point enters the verification path.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .intlinalg import (
     IntPoly,
@@ -23,7 +24,6 @@ from .intlinalg import (
     _q_divmod,
     _q_strip,
     det,
-    invert,
 )
 
 
@@ -397,32 +397,34 @@ def eta(p) -> CycElem:
     return z + z.conj()
 
 
-@lru_cache(maxsize=None)
-def _real_solver(p):
-    """(E, S): E has columns eta^k in zeta-coordinates, S*E = identity."""
-    m = (p - 1) // 2
-    e = eta(p)
-    cols = []
-    power = CycElem.one(p)
-    for _ in range(m):
-        cols.append(power.coords)
-        power = power * e
-    E = Matrix.from_columns(cols)
-    S = invert(E.transpose() * E) * E.transpose()
-    return E, S
-
-
 def restrict_to_real(a: CycElem) -> RealElem:
-    """Express a conjugation-fixed element in the eta-power basis."""
-    if a.conj() != a:
-        raise ValueError("element is not fixed by conjugation")
+    """Express a conjugation-fixed element in the eta-power basis.
+
+    Pad the coordinates with c_(p-1) = 0. Conjugation sends zeta^j to
+    zeta^(p-j), so a is fixed exactly when c_j = c_(p-j) for every j, and
+    then a = c_0 + sum_(k=1..m) c_k D_k with m = (p-1)/2 and
+    D_k = zeta^k + zeta^(-k). Eliminating D_m by 1 + D_1 + ... + D_m = 0
+    leaves a = (c_0 - c_m) + sum_(k=1..m-1) (c_k - c_m) D_k, and the
+    Dickson polynomials D_0 = 2, D_1 = eta, D_(k+1) = eta D_k - D_(k-1)
+    write each D_k in the eta-power basis.
+    """
     p = a.p
-    E, S = _real_solver(p)
-    v = Matrix.from_columns([a.coords])
-    c = S * v
-    if E * c != v:
-        raise AssertionError("conjugation-fixed element failed to restrict")
-    return RealElem(p, c.column(0))
+    c = a.coords + (0,)
+    if any(c[j] != c[p - j] for j in range(1, p)):
+        raise ValueError("element is not fixed by conjugation")
+    m = (p - 1) // 2
+    out = [c[0] - c[m]] + [0] * (m - 1)
+    prev, cur = [2], [0, 1]  # D_0 and D_1 in the eta-power basis
+    for k in range(1, m):
+        d = c[k] - c[m]
+        if d:
+            for i, x in enumerate(cur):
+                out[i] += d * x
+        nxt = [0] + cur
+        for i, x in enumerate(prev):
+            nxt[i] -= x
+        prev, cur = cur, nxt
+    return RealElem(p, out)
 
 
 def real_mult_matrix(a: RealElem) -> Matrix:
@@ -483,6 +485,10 @@ def parse_element(text) -> CycElem:
     parts = [t.strip() for t in tail.split(",")]
     if parts == [""]:
         raise ValueError("no coordinates given")
+    if len(parts) != p - 1:
+        # before CycElem tests p for primality, which is slow for a huge tag
+        raise ValueError(f"{len(parts)} coordinates do not fit the field tag "
+                         f"p = {p}, which needs p - 1")
     try:
         coords = [Fraction(t) for t in parts]
     except (ValueError, ZeroDivisionError):

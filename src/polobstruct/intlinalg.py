@@ -19,8 +19,9 @@ The main operations:
                    canonicalized by column HNF.
   * charpoly       characteristic polynomial via Hessenberg reduction and
                    the standard Hessenberg recurrence.
-  * minpoly        minimal polynomial by factor testing against the
-                   squarefree structure of charpoly.
+  * minpoly        minimal polynomial: charpoly when it is squarefree mod
+                   a prime, otherwise the lcm of the Krylov annihilators
+                   of the unit vectors; nothing is factored.
 
 Dense integer matrix products route through numpy int64 when a conservative
 bound proves no intermediate can overflow; otherwise plain bigint loops run.
@@ -894,8 +895,8 @@ class IntPoly:
         return "IntPoly(" + " ".join(terms) + ")"
 
 
-# rational coefficient lists (low-degree first) back the charpoly, gcd and
-# squarefree machinery; they stay private to this module and cyclotomic
+# rational coefficient lists (low-degree first) back the charpoly and
+# division machinery; they stay private to this module and cyclotomic
 
 
 def _q_strip(c):
@@ -923,33 +924,6 @@ def _q_divmod(num, den):
         if not rem:
             break
     return quo, rem
-
-
-def _q_gcd(a, b):
-    """Monic gcd over Q."""
-    a = [Fraction(x) for x in _q_strip(a)]
-    b = [Fraction(x) for x in _q_strip(b)]
-    while b:
-        _, r = _q_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _q_derivative(c):
-    return [i * x for i, x in enumerate(c)][1:]
-
-
-def _int_from_q(c):
-    """Clear denominators and return the primitive integer poly (positive lead)."""
-    c = _q_strip(c)
-    if not c:
-        return IntPoly([])
-    den = lcm(*(x.denominator for x in c))
-    ints = [int(x * den) for x in c]
-    return IntPoly(ints).primitive_part()
 
 
 def _hessenberg(rows):
@@ -1054,8 +1028,7 @@ def _is_squarefree_int(f: IntPoly) -> bool:
 
     If gcd(f, f') is constant modulo some prime not dividing the leading
     coefficient, then gcd over Q is constant too, so f is squarefree. A
-    False return is inconclusive and callers must fall through to the exact
-    decomposition.
+    False return is inconclusive.
     """
     if f.degree <= 1:
         return True
@@ -1066,93 +1039,60 @@ def _is_squarefree_int(f: IntPoly) -> bool:
     return False
 
 
-def _squarefree_decomposition(f: IntPoly):
-    """Yun's algorithm on a monic integer polynomial.
+def _vector_minpoly(a: Matrix, w):
+    """Monic generator of {f : f(a) w = 0}, as rational coefficients.
 
-    Returns [(g, multiplicity)] with g monic integer, squarefree, pairwise
-    coprime, and f = prod g^multiplicity.
+    Reduces w, a w, a^2 w, ... against the earlier Krylov vectors, carrying
+    each reduced vector's polynomial along; the first vector that reduces
+    to zero gives the first Q-linear dependence.
     """
-    fq = [Fraction(x) for x in f.coeffs]
-    g = _q_gcd(fq, _q_derivative(fq))
-    if len(g) <= 1:
-        return [(f, 1)]
-    b, _ = _q_divmod(fq, g)
-    c, _ = _q_divmod(_q_derivative(fq), g)
-    d = _q_strip([x - y for x, y in
-                  zip(c + [Fraction(0)] * len(b), _q_derivative(b) + [Fraction(0)] * len(c))])
-    out = []
-    i = 1
-    while len(b) > 1:
-        a = _q_gcd(b, d)
-        if len(a) > 1:
-            out.append((_int_from_q(a), i))
-        b, _ = _q_divmod(b, a)
-        c, _ = _q_divmod(d, a)
-        d = _q_strip([x - y for x, y in
-                      zip(c + [Fraction(0)] * len(b), _q_derivative(b) + [Fraction(0)] * len(c))])
-        i += 1
-    return out
-
-
-def _irreducible_factors(g: IntPoly):
-    """Irreducible monic factors of a squarefree monic integer polynomial."""
-    from sympy import Poly, symbols
-
-    x = symbols("x")
-    poly = Poly(list(reversed(g.coeffs)), x, domain="ZZ")
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        assert mult == 1, "squarefree input factored with multiplicity"
-        coeffs = [int(c) for c in reversed(fac.all_coeffs())]
-        out.append(IntPoly(coeffs))
-    prod = IntPoly([1])
-    for q in out:
-        prod = prod * q
-    assert prod == g, "factorization does not multiply back"
-    return out
+    basis = []  # (pivot, reduced vector v, polynomial f with v = f(a) w)
+    krylov = w
+    while True:
+        v = [Fraction(x) for x in krylov]
+        f = [Fraction(0)] * len(basis) + [Fraction(1)]
+        for piv, bv, bf in basis:
+            if v[piv]:
+                c = v[piv] / bv[piv]
+                v = [x - c * y for x, y in zip(v, bv)]
+                for i, y in enumerate(bf):
+                    f[i] -= c * y
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return f
+        basis.append((piv, v, f))
+        krylov = a.mul_vector(krylov)
 
 
 def minpoly(a: Matrix) -> IntPoly:
     """Minimal polynomial of an integer matrix, monic.
 
-    Strategy: take the squarefree decomposition of charpoly; every block of
-    multiplicity 1 enters the minimal polynomial as is (each irreducible
-    factor of charpoly divides minpoly). Blocks of multiplicity >= 2 are
-    split into irreducibles, whose exponents are then minimized greedily by
-    evaluating candidate products at the matrix.
+    Strategy: a charpoly that is squarefree modulo a prime is its own
+    radical, hence the minimal polynomial. Otherwise take the Krylov lcm
+    over the unit vectors: q starts at 1 and, for each e_i with
+    w = q(a) e_i nonzero, q <- q * mu_w, where mu_w generates the
+    annihilator of w; q * mu_w = lcm(q, mu_(e_i)). It stops once
+    deg q = n. Every mu_w divides charpoly, a monic integer polynomial, so
+    by Gauss's lemma its coefficients are integers. No factoring is needed.
     """
     cp = charpoly(a)
     if _is_squarefree_int(cp):
-        # a squarefree charpoly is its own radical, hence the minimal polynomial
         return cp
-    blocks = _squarefree_decomposition(cp)
-    if all(mult == 1 for _, mult in blocks):
-        return cp
-    factors = []
-    for g, mult in blocks:
-        if mult == 1:
-            factors.append([g, 1])
-        else:
-            for q in _irreducible_factors(g):
-                factors.append([q, mult])
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-
-    def product(fs):
-        out = IntPoly([1])
-        for q, e in fs:
-            out = out * q ** e
-        return out
-
-    for item in factors:
-        while item[1] > 1:
-            item[1] -= 1
-            if not product(factors).eval_matrix(a) == Matrix.zero(a.nrows, a.nrows):
-                item[1] += 1
-                break
-    result = product(factors)
-    assert result.eval_matrix(a) == Matrix.zero(a.nrows, a.nrows)
-    return result
+    n = a.nrows
+    q = IntPoly([1])
+    for i in range(n):
+        if q.degree == n:
+            break
+        w = [0] * n  # q(a) e_i by Horner's rule
+        for c in reversed(q.coeffs):
+            w = list(a.mul_vector(w))
+            w[i] += c
+        if any(w):
+            mu = _vector_minpoly(a, w)
+            if any(c.denominator != 1 for c in mu):
+                raise AssertionError("integer matrix produced a fractional minpoly")
+            q = q * IntPoly([int(c) for c in mu])
+    return q
 
 
 # ---------------------------------------------------------------------------

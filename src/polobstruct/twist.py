@@ -14,22 +14,26 @@ zeta^0 .. zeta^(p-2), the image of the ring of integers of Q(zeta_p),
 exactly when T = [e_1, zeta e_1, ..., zeta^(p-2) e_1] is unimodular.
 
 CONSTRUCTION_CHECKS lists every identity of the construction once; both
-TwistData.check and the verify suite run that list.
+TwistData.check and the verify suite run that list. The four questions about
+zeta itself (its minimal polynomial, its order and its commutant) are read
+off one certificate, the orbit e_1, zeta e_1, ..., zeta^(p-1) e_1 that
+TwistData.orbit computes once per instance.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .cyclotomic import CycElem, _require_odd_prime, cyclotomic_poly, regular_rep
+from .cyclotomic import CycElem, _require_odd_prime, regular_rep
 from .intlinalg import (
     Matrix,
     _kernel_sparse_columns,
     col_hnf,
     det,
     leading_principal_minors,
-    minpoly,
 )
 
 
@@ -79,6 +83,9 @@ def build_b(p) -> Matrix:
     return Matrix([[2 if i == j else 1 for j in range(n)] for i in range(n)])
 
 
+Orbit = namedtuple("Orbit", "vectors T det_T")
+
+
 @dataclass(frozen=True)
 class TwistData:
     """A prime p together with its cocycle matrix and polarization form."""
@@ -97,9 +104,22 @@ class TwistData:
         return data
 
     def __post_init__(self):
+        # the orbit certificate reads 1 + x + ... + x^(p-1) as Phi_p
+        _require_odd_prime(self.p)
         n = self.p - 1
         if self.zeta.shape != (n, n) or self.b.shape != (n, n):
             raise ValueError(f"expected {n} by {n} matrices for p = {self.p}")
+
+    @cached_property
+    def orbit(self) -> Orbit:
+        """The orbit e1, zeta e1, ..., zeta^(p-1) e1 of the cyclic vector,
+        T with its first p - 1 vectors as columns, and det T."""
+        n = self.p - 1
+        vecs = [tuple(1 if i == 0 else 0 for i in range(n))]
+        for _ in range(n):
+            vecs.append(self.zeta.mul_vector(vecs[-1]))
+        t = Matrix.from_columns(vecs[:n])
+        return Orbit(vecs, t, det(t))
 
     def check(self):
         """Run CONSTRUCTION_CHECKS in order; raises naming the first failure."""
@@ -266,17 +286,6 @@ def flatten_matrices(mats):
     return Matrix.from_columns(cols, nrows=n * n)
 
 
-def _cyclic_vector_matrix(zeta: Matrix) -> Matrix:
-    """T with columns e1, zeta e1, ..., zeta^(n-1) e1."""
-    n = zeta.nrows
-    cols = []
-    v = tuple(1 if i == 0 else 0 for i in range(n))
-    for _ in range(n):
-        cols.append(v)
-        v = zeta.mul_vector(v)
-    return Matrix.from_columns(cols)
-
-
 def power_basis_transform(p) -> Matrix:
     """Unimodular T with zeta T = T C, C the multiplication-by-zeta matrix
     on the power basis of Q(zeta_p).
@@ -285,12 +294,11 @@ def power_basis_transform(p) -> Matrix:
     change of basis reconciling the matrix construction with the field
     picture, verified rather than assumed.
     """
-    zeta = build_zeta(p)
-    t = _cyclic_vector_matrix(zeta)
-    c = regular_rep(CycElem.zeta(p))
-    if zeta * t != t * c:
+    data = TwistData.for_prime(p, validate=False)
+    t = data.orbit.T
+    if data.zeta * t != t * regular_rep(CycElem.zeta(p)):
         raise AssertionError("cyclic-vector transform failed to intertwine")
-    if det(t) not in (1, -1):
+    if data.orbit.det_T not in (1, -1):
         raise AssertionError("cyclic-vector transform is not unimodular")
     return t
 
@@ -301,26 +309,36 @@ def power_basis_transform(p) -> Matrix:
 # Each predicate names the module functions it calls at call time, so a
 # wrapper installed on one of them (a tracer, a test double) sees the call.
 #
-# The two centralizer checks use the cyclic vector e1: if X commutes with
-# zeta then X zeta^k e1 = zeta^k X e1, so X is determined by X e1 once
+# Four checks read TwistData.orbit. If X commutes with zeta then
+# X zeta^k e1 = zeta^k X e1, so X is determined by X e1 once
 # T = [e1, zeta e1, ...] is invertible. det T != 0 therefore bounds the
 # commutant's rank by p - 1, which the powers of zeta attain, and
 # det T = +-1 makes the coordinates T^(-1) X e1 of every integral X in
 # the commutant integral, so the commutant is the span of the powers.
+# The orbit's sum is Phi_p(zeta) e1; Phi_p(zeta) commutes with zeta and e1
+# is cyclic, so a zero sum gives Phi_p(zeta) = 0. Cyclicity also forces
+# deg minpoly >= p - 1, so minpoly = Phi_p, and (x - 1) Phi_p = x^p - 1
+# gives zeta^p = I: with zeta != I the order is the prime p.
+
+
+def _phi_p_annihilates_zeta(t) -> bool:
+    return t.orbit.det_T != 0 and not any(map(sum, zip(*t.orbit.vectors)))
+
 
 CONSTRUCTION_CHECKS = (
-    ("zeta_minpoly_is_cyclotomic",
-     lambda t: minpoly(t.zeta) == cyclotomic_poly(t.p)),
-    ("zeta_order_p", lambda t: t.zeta ** t.p == Matrix.identity(t.p - 1)),
+    ("zeta_minpoly_is_cyclotomic", lambda t: _phi_p_annihilates_zeta(t)),
+    ("zeta_order_p",
+     lambda t: _phi_p_annihilates_zeta(t)
+     and t.zeta != Matrix.identity(t.p - 1)),
     ("shift_reduction_matches", lambda t: reduce_shift(t.p) == t.zeta),
     ("b_determinant_is_p", lambda t: det(t.b) == t.p),
     ("b_positive_definite",
      lambda t: t.b.is_symmetric()
      and all(m > 0 for m in leading_principal_minors(t.b))),
     ("polarization_descends", lambda t: pol_descends(t)),
-    ("polarization_degree_p_squared", lambda t: endo_degree(t.b) == t.p ** 2),
-    ("rosati_inverts_zeta", lambda t: rosati(t.zeta, t) == t.zeta ** (t.p - 1)),
-    ("centralizer_rank", lambda t: det(_cyclic_vector_matrix(t.zeta)) != 0),
-    ("centralizer_equals_zeta_powers",
-     lambda t: det(_cyclic_vector_matrix(t.zeta)) in (1, -1)),
+    ("polarization_degree_p_squared", lambda t: endo_degree(t.b) == t.p * t.p),
+    ("rosati_inverts_zeta",
+     lambda t: rosati(t.zeta, t) * t.zeta == Matrix.identity(t.p - 1)),
+    ("centralizer_rank", lambda t: t.orbit.det_T != 0),
+    ("centralizer_equals_zeta_powers", lambda t: t.orbit.det_T in (1, -1)),
 )

@@ -1,7 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import polobstruct
 
 from polobstruct import cli
 from polobstruct.intlinalg import matrix_from_json
@@ -233,3 +238,57 @@ def test_sweep_clamps_jobs(capsys, monkeypatch):
 def test_console_entry_rejects_no_command():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+HUGE_P = "1000000000000000000000000000057"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-p", HUGE_P],
+    ["construct", "-p", HUGE_P],
+    ["parity", "-p", HUGE_P, "-n", "2"],
+    ["sweep", "--pmax", HUGE_P],
+    ["norm", HUGE_P + "; 1, 2"],
+    ["tp", HUGE_P + "; 1, 2"],
+])
+def test_absurd_prime_is_rejected_at_once(capsys, monkeypatch, argv):
+    # trial division of a 31-digit p would not finish: no primality test
+    # may run, and the command must return 2 with one line at once
+    import polobstruct.cyclotomic as cyc
+
+    def no_primality_test(p):
+        raise AssertionError(f"primality tested for p = {p}")
+
+    monkeypatch.setattr(cli, "is_odd_prime", no_primality_test)
+    monkeypatch.setattr(cyc, "is_odd_prime", no_primality_test)
+    start = time.monotonic()
+    rc, out, err = _run(capsys, argv)
+    assert time.monotonic() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_cap_is_max_p(capsys):
+    assert cli.MAX_P == 1000
+    rc, _, err = _run(capsys, ["verify", "-p", str(cli.MAX_P + 9)])
+    assert rc == 2 and str(cli.MAX_P) in err
+    rc, _, err = _run(capsys, ["sweep", "--pmax", str(cli.MAX_P + 1)])
+    assert rc == 2 and "--pmax" in err
+    # an element whose tag and coordinate count agree is capped too
+    tag = 1009
+    rc, _, err = _run(capsys, ["norm", f"{tag}; " + ", ".join(["0"] * (tag - 1))])
+    assert rc == 2 and str(cli.MAX_P) in err
+
+
+def test_module_run_prints_no_runtime_warning():
+    # the package must not import cli, or runpy warns that polobstruct.cli
+    # was already imported when run as a module
+    src = os.path.dirname(os.path.dirname(polobstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "polobstruct.cli",
+         "parity", "-p", "3", "-n", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["parity"] == 1

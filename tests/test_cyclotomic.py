@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from polobstruct.intlinalg import IntPoly, Matrix
+from polobstruct.intlinalg import IntPoly, Matrix, solve_exact
 from polobstruct.cyclotomic import (
     CycElem,
     RealElem,
@@ -220,6 +220,28 @@ def test_restrict_frozen():
         restrict_to_real(z)
 
 
+def test_restrict_closed_form_matches_generic_solve():
+    # the generic route: solve E c = a with E = [1, eta, ..., eta^(m-1)]
+    # in zeta-coordinates; the Dickson closed form must give the same c
+    rng = random.Random(61)
+    for p in (3, 5, 7, 11, 13):
+        m = (p - 1) // 2
+        powers = [CycElem.one(p)]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * eta(p))
+        e = Matrix.from_columns([x.coords for x in powers])
+        for rational in (False, True, True):
+            x = _rand_elem(rng, p, rational=rational)
+            for a in (x + x.conj(), x * x.conj()):
+                c = solve_exact(e, Matrix.from_columns([a.coords])).column(0)
+                r = restrict_to_real(a)
+                assert r.coords == c
+                assert [type(v) for v in r.coords] == [type(v) for v in c]
+            if x.conj() != x:
+                with pytest.raises(ValueError):
+                    restrict_to_real(x)
+
+
 def test_eta_relation_p5():
     # eta = zeta + zeta^4 satisfies x^2 + x - 1, so eta^2 = 1 - eta
     e = restrict_to_real(eta(5))
@@ -343,3 +365,16 @@ def test_parse_errors():
     for bad in ("5", "4; 1, 2, 3", "5; 1, 2", "5; a, b, c, d", "x; 1, 1"):
         with pytest.raises(ValueError):
             parse_element(bad)
+
+
+def test_parse_checks_coordinate_count_before_primality(monkeypatch):
+    # trial division of a 31-digit tag would not finish; the count check
+    # rejects it first
+    import polobstruct.cyclotomic as cyc
+
+    def no_primality_test(p):
+        raise AssertionError("primality tested")
+
+    monkeypatch.setattr(cyc, "is_odd_prime", no_primality_test)
+    with pytest.raises(ValueError, match="coordinates"):
+        parse_element("1000000000000000000000000000057; 1, 2")

@@ -379,14 +379,82 @@ def test_minpoly_frozen():
 
 
 def test_minpoly_mixed_multiplicities():
-    # charpoly x^2 (x-1)^2 but minpoly x^2 (x-1): the squarefree structure
-    # alone cannot see this, the irreducible refinement must kick in
+    # charpoly x^2 (x-1)^2 but minpoly x^2 (x-1): charpoly is not
+    # squarefree, so the Krylov lcm must find the smaller polynomial
     a = Matrix([[0, 1, 0, 0],
                 [0, 0, 0, 0],
                 [0, 0, 1, 0],
                 [0, 0, 0, 1]])
     assert charpoly(a) == IntPoly([0, 0, 1]) * IntPoly([-1, 1]) ** 2
     assert minpoly(a) == IntPoly([0, 0, 1]) * IntPoly([-1, 1])
+
+
+def _unimodular(rng, n, steps=6):
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return Matrix(rows)
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            rows[k + i][k:k + len(r)] = r
+        k += len(b)
+    return Matrix(rows)
+
+
+def _minimality_oracle(a: Matrix, m: IntPoly):
+    """m annihilates a, and no m / f does for an irreducible factor f of m
+    (sympy factoring); m divides sympy's charpoly."""
+    import sympy
+
+    x = sympy.symbols("x")
+    n = a.nrows
+    assert m.is_monic()
+    assert m.eval_matrix(a) == Matrix.zero(n, n)
+    cp = sympy.Matrix(a.to_lists()).charpoly(x).as_expr()
+    as_poly = sympy.Poly(list(reversed(m.coeffs)), x)
+    assert sympy.rem(cp, as_poly.as_expr(), x) == 0
+    for f, _ in as_poly.factor_list()[1]:
+        smaller = sympy.quo(as_poly, f)
+        coeffs = [int(c) for c in reversed(smaller.all_coeffs())]
+        assert IntPoly(coeffs).eval_matrix(a) != Matrix.zero(n, n)
+    return cp
+
+
+def test_minpoly_non_squarefree_charpoly_against_sympy():
+    # U diag(blocks) U^(-1) with U unimodular: Jordan blocks, repeated
+    # scalars and a repeated companion block of x^2 + 1, so charpoly has
+    # repeated factors and minpoly must take the Krylov route
+    import sympy
+
+    jordan2 = [[2, 1], [0, 2]]
+    rot = [[0, -1], [1, 0]]
+    cases = [
+        [jordan2, [[2]], [[-1]]],
+        [rot, rot, [[3]]],
+        [rot, [[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1]]],
+        [[[0, 1], [0, 0]], [[0]], rot],
+        [[[5]], [[5]], [[5]]],
+    ]
+    rng = random.Random(67)
+    x = sympy.symbols("x")
+    for blocks in cases:
+        d = _block_diagonal(blocks)
+        u = _unimodular(rng, d.nrows)
+        a = u * d * invert(u)
+        assert a.is_integral()
+        cp = _minimality_oracle(a, minpoly(a))
+        assert any(k > 1 for _, k in sympy.sqf_list(cp, x)[1])
+    # repeated rotation blocks: minpoly x^2 + 1 although charpoly has degree 4
+    a = _block_diagonal([rot, rot])
+    assert minpoly(a) == IntPoly([1, 0, 1])
 
 
 def test_minpoly_properties_random():

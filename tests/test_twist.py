@@ -59,11 +59,19 @@ def test_reduce_shift_matches_direct_construction():
 
 
 def test_zeta_has_order_p_and_cyclotomic_minpoly():
+    # the generic routes (minpoly, matrix powers) agree with the orbit
+    # certificate that the two catalogue checks read
     for p in PRIMES:
         z = build_zeta(p)
         assert minpoly(z) == cyclotomic_poly(p)
         assert z ** p == Matrix.identity(p - 1)
         assert z ** 1 != Matrix.identity(p - 1)
+        t = TwistData.for_prime(p)
+        assert len(t.orbit.vectors) == p
+        assert t.orbit.vectors[-1] == (z ** (p - 1)).column(0)
+        assert t.orbit.det_T == det(t.orbit.T)
+        assert _holds("zeta_minpoly_is_cyclotomic", t)
+        assert _holds("zeta_order_p", t)
 
 
 def test_build_b_frozen():
@@ -83,6 +91,9 @@ def test_twist_data_validates():
         broken.check()
     with pytest.raises(ValueError):
         TwistData(5, build_zeta(3), build_b(3))
+    # for p = 9, 1 + x + ... + x^8 is not the cyclotomic polynomial
+    with pytest.raises(ValueError):
+        TwistData(9, Matrix.identity(8), Matrix.identity(8))
 
 
 def _holds(name, t):
@@ -107,6 +118,37 @@ def test_centralizer_certificate_rejects_non_cyclic_matrix():
     t = TwistData(5, Matrix.identity(4).scale(2), build_b(5))
     assert not _holds("centralizer_rank", t)
     assert not _holds("centralizer_equals_zeta_powers", t)
+
+
+def test_orbit_certificate_rejects_foreign_zeta():
+    # changing one first-row entry keeps e1 cyclic (T stays unit upper
+    # triangular) but Phi_5(zeta) e1 != 0, so zeta is no longer a 5th root
+    rows = [list(r) for r in build_zeta(5).rows]
+    rows[0][3] = -2
+    t = TwistData(5, Matrix(rows), build_b(5))
+    assert t.orbit.det_T in (1, -1)
+    assert any(map(sum, zip(*t.orbit.vectors)))
+    assert minpoly(t.zeta) != cyclotomic_poly(5)
+    assert t.zeta ** 5 != Matrix.identity(4)
+    assert not _holds("zeta_minpoly_is_cyclotomic", t)
+    assert not _holds("zeta_order_p", t)
+    assert _holds("centralizer_rank", t)
+    assert _holds("centralizer_equals_zeta_powers", t)
+    with pytest.raises(AssertionError, match="zeta_minpoly_is_cyclotomic"):
+        t.check()
+
+
+def test_rosati_check_rejects_non_isometry():
+    # rosati(zeta) zeta = I says zeta^t b zeta = b; a zeta that keeps Phi_p but
+    # breaks the isometry (here zeta^t) must fail it
+    p = 5
+    t = TwistData(p, build_zeta(p).transpose(), build_b(p))
+    assert not pol_descends(t)
+    assert not _holds("rosati_inverts_zeta", t)
+    # rosati(2 zeta) = 2 zeta^(-1) is integral but no inverse of 2 zeta
+    doubled = TwistData(p, build_zeta(p).scale(2), build_b(p))
+    assert rosati(doubled.zeta, doubled).is_integral()
+    assert not _holds("rosati_inverts_zeta", doubled)
 
 
 # ---------------------------------------------------------------------------
