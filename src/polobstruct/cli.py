@@ -12,7 +12,8 @@ then the built-in default. All output is deterministic for a fixed seed.
 Exit codes: 0 success, 1 a verification or attainability query answered
 "no" where the command promises failure status, 2 bad input. A -p or
 --pmax above MAX_P is bad input, rejected before any primality test or
-allocation; so is an element whose field tag exceeds it.
+allocation; so is an element whose field tag exceeds it, and a model
+file whose center prime or ramified entries do.
 
 Run as ``polobstruct <command>`` or ``python -m polobstruct.cli <command>``.
 """
@@ -250,7 +251,7 @@ def _cmd_tp(args) -> int:
 def _load_model(path):
     try:
         with open(path) as fh:
-            return ModelDescriptor.from_json(fh.read())
+            return ModelDescriptor.from_json(fh.read(), max_p=MAX_P)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load model: {exc}", file=sys.stderr)
         return None

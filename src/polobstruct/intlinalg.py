@@ -19,8 +19,7 @@ The main operations:
                    canonicalized by column HNF.
   * charpoly       characteristic polynomial via Hessenberg reduction and
                    the standard Hessenberg recurrence.
-  * minpoly        minimal polynomial: charpoly when it is squarefree mod
-                   a prime, otherwise the lcm of the Krylov annihilators
+  * minpoly        minimal polynomial: the lcm of the Krylov annihilators
                    of the unit vectors; nothing is factored.
 
 Dense integer matrix products route through numpy int64 when a conservative
@@ -995,50 +994,6 @@ def charpoly(a: Matrix) -> IntPoly:
     return IntPoly(out)
 
 
-def _gcd_degree_mod(coeffs, q):
-    """deg gcd(f, f') over F_q, or None when the reduction is degenerate."""
-    f = [c % q for c in coeffs]
-    while f and f[-1] == 0:
-        f.pop()
-    if len(f) != len(coeffs):  # leading coefficient vanished
-        return None
-    df = [(i * c) % q for i, c in enumerate(f)][1:]
-    while df and df[-1] == 0:
-        df.pop()
-    if not df:
-        return None
-    a, b = f, df
-    while b:
-        inv = pow(b[-1], -1, q)
-        r = list(a)
-        while len(r) >= len(b):
-            c = (r[-1] * inv) % q
-            k = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[k + i] = (r[k + i] - c * bc) % q
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, r
-    return len(a) - 1
-
-
-def _is_squarefree_int(f: IntPoly) -> bool:
-    """One-sided squarefree certificate for a monic integer polynomial.
-
-    If gcd(f, f') is constant modulo some prime not dividing the leading
-    coefficient, then gcd over Q is constant too, so f is squarefree. A
-    False return is inconclusive.
-    """
-    if f.degree <= 1:
-        return True
-    for q in (2147483647, 2147483629, 2147483587):
-        d = _gcd_degree_mod(list(f.coeffs), q)
-        if d == 0:
-            return True
-    return False
-
-
 def _vector_minpoly(a: Matrix, w):
     """Monic generator of {f : f(a) w = 0}, as rational coefficients.
 
@@ -1067,17 +1022,17 @@ def _vector_minpoly(a: Matrix, w):
 def minpoly(a: Matrix) -> IntPoly:
     """Minimal polynomial of an integer matrix, monic.
 
-    Strategy: a charpoly that is squarefree modulo a prime is its own
-    radical, hence the minimal polynomial. Otherwise take the Krylov lcm
-    over the unit vectors: q starts at 1 and, for each e_i with
-    w = q(a) e_i nonzero, q <- q * mu_w, where mu_w generates the
-    annihilator of w; q * mu_w = lcm(q, mu_(e_i)). It stops once
-    deg q = n. Every mu_w divides charpoly, a monic integer polynomial, so
-    by Gauss's lemma its coefficients are integers. No factoring is needed.
+    Strategy: the Krylov lcm over the unit vectors. q starts at 1 and, for
+    each e_i with w = q(a) e_i nonzero, q <- q * mu_w, where mu_w generates
+    the annihilator of w; q * mu_w = lcm(q, mu_(e_i)). It stops once
+    deg q = n, so a cyclic e_1 (a companion matrix) takes one pass. Every
+    mu_w divides the charpoly, a monic integer polynomial, so by Gauss's
+    lemma its coefficients are integers. No factoring is needed.
     """
-    cp = charpoly(a)
-    if _is_squarefree_int(cp):
-        return cp
+    if not a.is_square():
+        raise ValueError("minpoly of a non-square matrix")
+    if not a.is_integral():
+        raise TypeError("minpoly requires an integer matrix")
     n = a.nrows
     q = IntPoly([1])
     for i in range(n):

@@ -326,7 +326,9 @@ class CenterField:
             raise ValueError("cyclotomic centers need an odd prime")
 
     @classmethod
-    def parse(cls, text: str) -> "CenterField":
+    def parse(cls, text: str, max_p=None) -> "CenterField":
+        """Read "Q", "Q(zeta_p)" or "Q(zeta_p)+". A p above max_p raises
+        ValueError before it is tested for primality."""
         text = text.strip()
         if text == "Q":
             return cls("Q")
@@ -335,6 +337,8 @@ class CenterField:
             text = text[:-1]
         if text.startswith("Q(zeta_") and text.endswith(")"):
             p = int(text[len("Q(zeta_"):-1])
+            if max_p is not None and p > max_p:
+                raise ValueError(f"center prime {p} exceeds {max_p}")
             return cls("real_cyclotomic" if plus else "cyclotomic", p)
         raise ValueError(f"cannot parse center {text!r}")
 
@@ -738,15 +742,25 @@ class ModelDescriptor:
         return json.dumps(data, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "ModelDescriptor":
+    def from_json(cls, text: str, max_p=None) -> "ModelDescriptor":
+        """Parse and validate a model. With max_p set, a center prime or a
+        ramified entry above it raises ValueError before any primality
+        test, so an absurd prime cannot stall the trial division."""
         data = json.loads(text)
+
+        def ramified(d):
+            ram = tuple(d.get("ramified", ()))
+            if max_p is not None and any(ell > max_p for ell in ram):
+                raise ValueError(f"ramified entries must be at most {max_p}")
+            return ram
+
         labels = LabelSet(
             SimpleLabel(d["name"], d["rank"], d["dual"], bool(d.get("alt_pairing")))
             for d in data["labels"]
         )
         algebra = AlgebraDescriptor(tuple(
-            AlgebraFactor(d["type"], CenterField.parse(d["center"]),
-                          d.get("n", 1), tuple(d.get("ramified", ())))
+            AlgebraFactor(d["type"], CenterField.parse(d["center"], max_p),
+                          d.get("n", 1), ramified(d))
             for d in data["algebra"]["factors"]
         ))
         factor = algebra.cyclotomic_factor()

@@ -318,7 +318,8 @@ def power_basis_transform(p) -> Matrix:
 # The orbit's sum is Phi_p(zeta) e1; Phi_p(zeta) commutes with zeta and e1
 # is cyclic, so a zero sum gives Phi_p(zeta) = 0. Cyclicity also forces
 # deg minpoly >= p - 1, so minpoly = Phi_p, and (x - 1) Phi_p = x^p - 1
-# gives zeta^p = I: with zeta != I the order is the prime p.
+# gives zeta^p = I. Phi_p(1) = p, so Phi_p(zeta) = 0 also excludes
+# zeta = I, and the order is the prime p.
 
 
 def _phi_p_annihilates_zeta(t) -> bool:
@@ -327,16 +328,14 @@ def _phi_p_annihilates_zeta(t) -> bool:
 
 CONSTRUCTION_CHECKS = (
     ("zeta_minpoly_is_cyclotomic", lambda t: _phi_p_annihilates_zeta(t)),
-    ("zeta_order_p",
-     lambda t: _phi_p_annihilates_zeta(t)
-     and t.zeta != Matrix.identity(t.p - 1)),
+    ("zeta_order_p", lambda t: _phi_p_annihilates_zeta(t)),
     ("shift_reduction_matches", lambda t: reduce_shift(t.p) == t.zeta),
     ("b_determinant_is_p", lambda t: det(t.b) == t.p),
     ("b_positive_definite",
      lambda t: t.b.is_symmetric()
      and all(m > 0 for m in leading_principal_minors(t.b))),
     ("polarization_descends", lambda t: pol_descends(t)),
-    ("polarization_degree_p_squared", lambda t: endo_degree(t.b) == t.p * t.p),
+    ("polarization_degree_p_squared", lambda t: endo_degree(t.b) == t.p ** 2),
     ("rosati_inverts_zeta",
      lambda t: rosati(t.zeta, t) * t.zeta == Matrix.identity(t.p - 1)),
     ("centralizer_rank", lambda t: t.orbit.det_T != 0),

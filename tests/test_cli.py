@@ -268,6 +268,36 @@ def test_absurd_prime_is_rejected_at_once(capsys, monkeypatch, argv):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["bgroup"], ["attainable", "--class", "0"]])
+@pytest.mark.parametrize("field", ["center", "ramified"])
+def test_absurd_model_prime_is_rejected_at_once(capsys, monkeypatch, tmp_path,
+                                                command, field):
+    # a model file's center prime and ramified entries are capped like -p;
+    # only the small center prime of the ramified case may be tested
+    import polobstruct.kergroup as kg
+
+    def no_primality_test(p):
+        if p > cli.MAX_P:
+            raise AssertionError(f"primality tested for p = {p}")
+        return p == 5
+
+    data = json.loads(twist_model(5, samples=3).to_json())
+    factor = data["algebra"]["factors"][0]
+    if field == "center":
+        factor["center"] = f"Q(zeta_{HUGE_P})"
+    else:
+        factor["ramified"] = [int(HUGE_P)]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(kg, "is_odd_prime", no_primality_test)
+    monkeypatch.setattr(kg, "_is_prime", no_primality_test)
+    start = time.monotonic()
+    rc, out, err = _run(capsys, [command[0], "--model", str(path)] + command[1:])
+    assert time.monotonic() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and str(cli.MAX_P) in err
+
+
 def test_cap_is_max_p(capsys):
     assert cli.MAX_P == 1000
     rc, _, err = _run(capsys, ["verify", "-p", str(cli.MAX_P + 9)])

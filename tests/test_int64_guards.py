@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 from polobstruct.intlinalg import Matrix, _hnf_np, _matmul, _NpOverflow, hnf_row
 
-_SETTINGS = settings(max_examples=200, deadline=None)
+# derandomized and without an example database, so every run draws the
+# same examples and leaves nothing behind
+_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None)
 
 
 def _near(magnitude):
@@ -53,9 +56,13 @@ def test_matmul_matches_bigint_at_the_guard(pair):
 
 @st.composite
 def _hnf_input(draw):
+    # a row step multiplies a quotient up to max|entry| by a row up to
+    # max|entry|, so entries near 2^31 put it at the 2^62 guard; smaller
+    # magnitudes keep most matrices on the int64 path through the entry
+    # growth of a full reduction
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    magnitude = draw(st.sampled_from([2 ** 31, 2 ** 40, 2 ** 61, 2 ** 62 - 4]))
-    return _grid(draw, m, n, _near(magnitude).filter(lambda x: abs(x) < 2 ** 62))
+    magnitude = draw(st.sampled_from([2 ** 16, 2 ** 24, 2 ** 30, 2 ** 31]))
+    return _grid(draw, m, n, _near(magnitude))
 
 
 @_SETTINGS
