@@ -39,7 +39,7 @@ from .cyclotomic import (
     regular_rep,
     restrict_to_real,
 )
-from .galmod import build_ptorsion, composition_factors, filtration_dims, polarization_parity
+from .galmod import build_ptorsion, filtration_dims, polarization_parity
 from .intlinalg import Matrix, det, matrix_to_json
 from .kergroup import (
     KerClass,
@@ -137,17 +137,17 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     found = 0
     while found < samples:
         m = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-        if m * z == z * m:
+        if all(z.mul_vector(m.column(j)) == m.mul_vector(z.column(j))
+               for j in range(n)):
             continue
         found += 1
         rejected = rejected and not endo_descends(m, t)
     rep.record("noncommuting_rejected", rejected)
 
-    mod = build_ptorsion(p)
-    rep.record("filtration_dims",
-               filtration_dims(mod) == list(range(2 * n, -2, -2)))
-    rep.record("composition_factors",
-               composition_factors(mod) == [f"E[{p}]"] * n)
+    # one certificate decides the filtration and its factors (see galmod)
+    two_blocks = build_ptorsion(p).two_jordan_blocks
+    rep.record("filtration_dims", two_blocks)
+    rep.record("composition_factors", two_blocks)
 
     parities = [polarization_parity(p, m).parity for m in range(1, 20)]
     parities += [polarization_parity(p, rng.randint(1, 10 ** 6)).parity
@@ -228,7 +228,11 @@ def _cmd_norm(args) -> int:
     a = _parse_element_arg(args.element)
     if a is None:
         return 2
-    print(str(Fraction(norm_to_Q(a))))
+    try:
+        print(Fraction(norm_to_Q(a)))
+    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
+        print("error: the norm has too many digits to print", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -252,7 +256,8 @@ def _load_model(path):
     try:
         with open(path) as fh:
             return ModelDescriptor.from_json(fh.read(), max_p=MAX_P)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    # json.loads raises RecursionError on arrays nested past the limit
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"error: cannot load model: {exc}", file=sys.stderr)
         return None
 

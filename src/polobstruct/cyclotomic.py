@@ -15,6 +15,7 @@ totally real), so no floating point enters the verification path.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .intlinalg import (
@@ -474,6 +475,17 @@ def is_totally_positive(a: RealElem) -> bool:
 # the shared element text format: "p; c0, c1, ..." with rationals as "a/b"
 
 
+def parse_rational(token) -> Fraction:
+    """An integer or a fraction a/b in plain digits. Fraction() alone also
+    reads exponents: "1e999999999" would build a billion-digit integer."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token):
+        raise ValueError("expected an integer or a fraction a/b in plain digits")
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):  # or past int()'s digit limit
+        raise ValueError("a rational has a zero denominator or too many digits") from None
+
+
 def parse_element(text) -> CycElem:
     head, sep, tail = text.partition(";")
     if not sep:
@@ -489,11 +501,7 @@ def parse_element(text) -> CycElem:
         # before CycElem tests p for primality, which is slow for a huge tag
         raise ValueError(f"{len(parts)} coordinates do not fit the field tag "
                          f"p = {p}, which needs p - 1")
-    try:
-        coords = [Fraction(t) for t in parts]
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("coordinates must be integers or fractions a/b") from None
-    return CycElem(p, coords)
+    return CycElem(p, [parse_rational(t) for t in parts])
 
 
 def format_element(a: CycElem) -> str:

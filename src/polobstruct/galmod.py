@@ -6,6 +6,12 @@ torsion of a single elliptic curve factor). The filtration by images of
 (zeta - 1)^i drops by 2 each step and exhibits p - 1 composition factors,
 each a copy of E[p] with trivial induced action.
 
+One certificate decides all of it. With N = action - 1 mod p, n = p - 1 and
+e_0, e_1 the first unit vectors, V = N^(n-1) [e_0 e_1] has independent
+columns and N V = 0. Then the 2n vectors N^i e_j are independent (apply
+N^(n-1-i) to a dependency at its smallest i), so N ~ J_n + J_n: each step
+has dimension 2 and trivial action, and (1 + N)^p = 1 + N^p = 1.
+
 Kernel sizes of isogenies between powers of E are measured by their
 E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
 All arithmetic is exact: numpy int64 matrices with entries reduced mod p,
@@ -15,6 +21,7 @@ with accumulation bounds asserted before any product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,39 +30,9 @@ from .twist import build_zeta
 
 
 def _check_modp_bounds(dim, p):
-    # int64 accumulator: dim * (p-1)^2 must stay below 2^63
+    # int64: dim terms of at most (p-1)^2 must sum below 2^63; 2^62 spares a bit
     if dim * (p - 1) ** 2 >= 2 ** 62:
         raise ValueError(f"p = {p} too large for the int64 mod-p fast path")
-
-
-def _matmul_mod(a, b, p):
-    return (a @ b) % p
-
-
-def _rank_mod_p(mat, p):
-    """Row rank over F_p by Gaussian elimination on an int64 copy."""
-    m = np.array(mat % p, dtype=np.int64)
-    rows, cols = m.shape
-    rank = 0
-    for j in range(cols):
-        if rank == rows:
-            break
-        piv = None
-        for i in range(rank, rows):
-            if m[i, j] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, j]), -1, p)
-        m[rank] = (m[rank] * inv) % p
-        below = m[rank + 1:, j].copy()
-        if below.any():
-            m[rank + 1:] = (m[rank + 1:] - np.outer(below, m[rank])) % p
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -67,60 +44,53 @@ class TorsionModule:
     action: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.action.shape != (self.dim, self.dim):
-            raise ValueError("action has the wrong shape")
+        if self.dim != 2 * (self.p - 1) or self.action.shape != (self.dim, self.dim):
+            raise ValueError("X[p] needs dimension 2(p - 1) and an action of that size")
+
+    @cached_property
+    def two_jordan_blocks(self) -> bool:
+        """Is action - 1 mod p two Jordan blocks of size p - 1, by the module
+        docstring's certificate? Sufficient, and met by build_ptorsion's module:
+        det T = +-1 (see twist) keeps zeta's cyclic first unit vector cyclic mod p."""
+        p = self.p
+        _check_modp_bounds(self.dim, p)
+        nil = (self.action - np.eye(self.dim, dtype=np.int64)) % p
+        v = np.eye(self.dim, 2, dtype=np.int64)
+        for _ in range(p - 2):
+            v = (nil @ v) % p
+        minors = np.outer(v[:, 0], v[:, 1]) - np.outer(v[:, 1], v[:, 0])
+        return bool((minors % p).any()) and not ((nil @ v) % p).any()
 
 
 def build_ptorsion(p) -> TorsionModule:
     """The twist action on X[p]: cocycle matrix mod p on a 2-dimensional fiber."""
     _require_odd_prime(p)
-    n = p - 1
-    dim = 2 * n
-    _check_modp_bounds(dim, p)
     zp = np.array(build_zeta(p).to_lists(), dtype=np.int64) % p
     action = np.kron(zp, np.eye(2, dtype=np.int64)) % p
-    # (action - 1)^(p-1) = 0: the action is unipotent of the right depth
-    nil = (action - np.eye(dim, dtype=np.int64)) % p
-    power = np.eye(dim, dtype=np.int64)
-    for _ in range(n):
-        power = _matmul_mod(power, nil, p)
-    if power.any():
-        raise AssertionError("twist action on the p-torsion is not unipotent")
-    return TorsionModule(p, dim, action)
+    return TorsionModule(p, 2 * (p - 1), action)
 
 
 def filtration_dims(m: TorsionModule):
     """Dimensions of (zeta - 1)^i X[p] for i = 0 .. p-1.
 
-    Starts at 2(p-1), ends at 0, and drops by exactly 2 at each step.
+    Starts at 2(p-1), ends at 0, and drops by exactly 2 at each step. Raises
+    AssertionError when the certificate fails (a construction bug).
     """
-    p = m.p
-    nil = (m.action - np.eye(m.dim, dtype=np.int64)) % p
-    dims = []
-    cur = np.eye(m.dim, dtype=np.int64)
-    for _ in range(p):
-        dims.append(_rank_mod_p(cur, p))
-        cur = _matmul_mod(nil, cur, p)
-    return dims
+    if not m.two_jordan_blocks:
+        raise AssertionError(
+            f"twist action on X[{m.p}] is not two Jordan blocks of size {m.p - 1}")
+    return list(range(m.dim, -2, -2))
 
 
 def composition_factors(m: TorsionModule):
     """Labels of the filtration factors, validating the structure on the way.
 
     zeta - 1 maps (zeta - 1)^i X[p] onto (zeta - 1)^(i+1) X[p], so the twist
-    acts trivially on every graded piece by construction; what can go wrong
-    is a piece's dimension. Each must be 2, and the label "E[p]" records one
-    elliptic-curve torsion factor per step. Raises if any step has the wrong
-    dimension (a construction bug).
+    acts trivially on every graded piece, and filtration_dims makes each
+    piece 2-dimensional: the label "E[p]" records one elliptic-curve torsion
+    factor per step. Raises AssertionError when the certificate fails.
     """
-    dims = filtration_dims(m)
-    labels = []
-    for i, (cur, nxt) in enumerate(zip(dims, dims[1:])):
-        if cur - nxt != 2:
-            raise AssertionError(
-                f"filtration step {i} has dimension {cur - nxt}, expected 2")
-        labels.append(f"E[{m.p}]")
-    return labels
+    return [f"E[{m.p}]"] * (len(filtration_dims(m)) - 1)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .cyclotomic import (
     is_odd_prime,
     is_totally_positive,
     norm_to_Q,
+    parse_rational,
     restrict_to_real,
 )
 from .galmod import e_rank_of_order
@@ -743,23 +744,25 @@ class ModelDescriptor:
 
     @classmethod
     def from_json(cls, text: str, max_p=None) -> "ModelDescriptor":
-        """Parse and validate a model. With max_p set, a center prime or a
-        ramified entry above it raises ValueError before any primality
-        test, so an absurd prime cannot stall the trial division."""
+        """Parse and validate a model; a string, integer or rational of the
+        wrong JSON type (a float, say) raises ValueError. With max_p set, a
+        center prime or a ramified entry above it raises ValueError before
+        any primality test, so an absurd prime cannot stall trial division."""
         data = json.loads(text)
 
         def ramified(d):
-            ram = tuple(d.get("ramified", ()))
+            ram = tuple(_json_value(ell, int) for ell in d.get("ramified", ()))
             if max_p is not None and any(ell > max_p for ell in ram):
                 raise ValueError(f"ramified entries must be at most {max_p}")
             return ram
 
         labels = LabelSet(
-            SimpleLabel(d["name"], d["rank"], d["dual"], bool(d.get("alt_pairing")))
+            SimpleLabel(_json_value(d["name"], str), d["rank"],
+                        _json_value(d["dual"], str), bool(d.get("alt_pairing")))
             for d in data["labels"]
         )
         algebra = AlgebraDescriptor(tuple(
-            AlgebraFactor(d["type"], CenterField.parse(d["center"], max_p),
+            AlgebraFactor(d["type"], CenterField.parse(_json_value(d["center"], str), max_p),
                           d.get("n", 1), ramified(d))
             for d in data["algebra"]["factors"]
         ))
@@ -768,12 +771,25 @@ class ModelDescriptor:
         for d in data.get("phi_samples", ()):
             if factor is None:
                 raise ValueError("phi samples need a cyclotomic factor")
-            coords = tuple(Fraction(c) for c in d["alpha_coords"])
-            samples.append(PhiSample(Fraction(d["norm"]), CycElem(factor.center.p, coords)))
-        model = cls(labels, tuple(tuple(g) for g in data["z_gens"]), algebra,
-                    tuple(samples), tuple(tuple(s) for s in data["s_c"]))
+            # str() writes a JSON int in the plain digits parse_rational reads
+            coords = tuple(parse_rational(str(_json_value(c, int, str)))
+                           for c in d["alpha_coords"])
+            norm = parse_rational(str(_json_value(d["norm"], int, str)))
+            samples.append(PhiSample(norm, CycElem(factor.center.p, coords)))
+        z_gens, s_c = ([[_json_value(x, int) for x in row] for row in data[key]]
+                       for key in ("z_gens", "s_c"))
+        model = cls(labels, z_gens, algebra, tuple(samples), s_c)
         model.validate()
         return model
+
+
+def _json_value(value, *kinds):
+    """value if its JSON type is one of kinds, else ValueError. json.loads
+    gives bool and float (Infinity among them) types apart from int."""
+    if type(value) not in kinds:
+        raise ValueError(f"expected a JSON {' or '.join(k.__name__ for k in kinds)}"
+                         f", got {type(value).__name__}")
+    return value
 
 
 def _relation_columns(model: ModelDescriptor):

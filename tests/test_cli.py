@@ -10,7 +10,7 @@ import polobstruct
 
 from polobstruct import cli
 from polobstruct.intlinalg import matrix_from_json
-from polobstruct.kergroup import twist_model
+from polobstruct.kergroup import ModelDescriptor, twist_model
 from polobstruct.twist import CONSTRUCTION_CHECKS, build_b, build_zeta
 
 
@@ -322,3 +322,111 @@ def test_module_run_prints_no_runtime_warning():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["parity"] == 1
+
+
+def test_verify_reports_broken_torsion_without_traceback(capsys, monkeypatch):
+    # both torsion checks read one certificate; a module that fails it
+    # turns both false and verify exits 1 with a report, not a traceback
+    import numpy as np
+
+    from polobstruct.galmod import TorsionModule
+
+    def broken_ptorsion(p):
+        return TorsionModule(p, 2 * (p - 1), np.eye(2 * (p - 1), dtype=np.int64))
+
+    monkeypatch.setattr(cli, "build_ptorsion", broken_ptorsion)
+    rc, out, err = _run(capsys, ["verify", "-p", "7"])
+    assert rc == 1 and err == ""
+    passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert not passed["filtration_dims"] and not passed["composition_factors"]
+    assert all(v for k, v in passed.items()
+               if k not in ("filtration_dims", "composition_factors"))
+
+
+def test_verify_reports_noncommuting_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "endo_descends", lambda m, t: True)
+    rc, out, _ = _run(capsys, ["verify", "-p", "5"])
+    assert rc == 1
+    passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert passed["noncommuting_rejected"] is False
+
+
+# (where in a valid model file, the JSON text put there, what from_json
+# raises); an empty path replaces the whole file, with MODEL standing for
+# the valid model. A string, integer or rational of the wrong JSON type is
+# a ValueError; a wrong container type stays a TypeError, which the
+# loader reports the same way.
+MALFORMED_MODELS = {
+    "center_not_a_string": (("algebra", "factors", 0, "center"), "5", ValueError),
+    "infinite_alpha_coordinate": (("phi_samples", 0, "alpha_coords", 0), "1e999",
+                                  ValueError),
+    "infinite_norm": (("phi_samples", 0, "norm"), "1e999", ValueError),
+    "float_norm": (("phi_samples", 0, "norm"), "0.5", ValueError),
+    "exponent_string_coordinate": (("phi_samples", 0, "alpha_coords", 0),
+                                   '"1e999999999"', ValueError),
+    "decimal_string_norm": (("phi_samples", 0, "norm"), '"2.5"', ValueError),
+    "zero_denominator": (("phi_samples", 0, "norm"), '"1/0"', ValueError),
+    "infinite_z_gen": (("z_gens", 0, 0), "1e999", ValueError),
+    "float_z_gen": (("z_gens", 0, 0), "1.0", ValueError),
+    "bool_s_c": (("s_c", 0, 0), "true", ValueError),
+    "label_name_not_a_string": (("labels", 0, "name"), "[1]", ValueError),
+    "non_integer_ramified_entry": (("algebra", "factors", 0, "ramified"), '["3"]',
+                                   ValueError),
+    "labels_not_a_list": (("labels",), "5", TypeError),
+    "null_z_gen": (("z_gens", 0), "null", TypeError),
+    "top_level_list": ((), "[MODEL]", TypeError),
+    "nested_past_the_recursion_limit": ((), "[" * 100000 + "]" * 100000,
+                                        RecursionError),
+}
+
+
+def _model_text_with(path, literal):
+    data = json.loads(twist_model(5, samples=2).to_json())
+    if not path:
+        return literal.replace("MODEL", json.dumps(data))
+    *head, last = path
+    node = data
+    for key in head:
+        node = node[key]
+    node[last] = "@HOLE@"
+    return json.dumps(data).replace('"@HOLE@"', literal)
+
+
+@pytest.mark.parametrize("command", [["bgroup"], ["attainable", "--class", "1"]])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_is_rejected_in_one_line(capsys, tmp_path, command, case):
+    where, literal, raised = MALFORMED_MODELS[case]
+    text = _model_text_with(where, literal)
+    with pytest.raises(raised):
+        ModelDescriptor.from_json(text, max_p=cli.MAX_P)
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    start = time.monotonic()
+    rc, out, err = _run(capsys, [command[0], "--model", str(path)] + command[1:])
+    assert time.monotonic() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot load model")
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "5; 1e999999999, 1, 1, 1"],  # Fraction() builds a billion digits
+    ["tp", "5; 1e5000, 0, 0, 0"],
+    ["norm", "5; 0.5, 1, 1, 1"],
+    ["norm", "5; 1_000, 1, 1, 1"],
+    ["norm", "5; 1/0, 1, 1, 1"],
+    ["norm", "5; " + "7" * 5000 + ", 1, 1, 1"],  # past int()'s digit limit
+    ["norm", "5; " + "7" * 2000 + ", 1, 0, 0"],  # in the grammar; its norm is not printable
+], ids=["exponent", "tp_exponent", "decimal", "underscore", "zero_denominator",
+        "too_many_digits", "norm_too_long_to_print"])
+def test_bad_element_is_rejected_at_once(capsys, argv):
+    start = time.monotonic()
+    rc, out, err = _run(capsys, argv)
+    assert time.monotonic() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_element_grammar_keeps_signs_and_fractions(capsys):
+    # N(2 - zeta/2) = Phi_5(4) / 2^4
+    rc, out, _ = _run(capsys, ["norm", "5; +2, -1/2, 0, 0"])
+    assert rc == 0 and out.strip() == "341/16"

@@ -6,7 +6,6 @@ import pytest
 from polobstruct.galmod import (
     EpRank,
     TorsionModule,
-    _rank_mod_p,
     build_ptorsion,
     composition_factors,
     e_rank_of_order,
@@ -58,23 +57,77 @@ def test_filtration_dims_shape():
         assert dims == list(range(2 * (p - 1), -2, -2))
 
 
+def _powers_mod(nil, p):
+    """nil^0 .. nil^(p-1) mod p."""
+    power = np.eye(nil.shape[0], dtype=np.int64)
+    for _ in range(p):
+        yield power
+        power = (nil @ power) % p
+
+
+def _dual(mod):
+    # Cartier duality sends the action to its inverse transpose; the
+    # inverse of an order-p action is its (p-1)-st power
+    inv = np.eye(mod.dim, dtype=np.int64)
+    for _ in range(mod.p - 1):
+        inv = (inv @ mod.action) % mod.p
+    assert ((inv @ mod.action) % mod.p == np.eye(mod.dim, dtype=np.int64)).all()
+    return TorsionModule(mod.p, mod.dim, inv.T % mod.p)
+
+
 def test_filtration_matches_integer_snf_oracle():
-    for p in (3, 5, 7):
+    # the certificate against ranks of the actual powers, from the integer
+    # SNF: on zeta - 1 itself (n x n), on the full 2n x 2n action, and on
+    # the Cartier dual module
+    for p in (3, 5, 7, 11, 13):
         z = build_zeta(p)
         nil = z - Matrix.identity(p - 1)
         power = Matrix.identity(p - 1)
-        dims = filtration_dims(build_ptorsion(p))
+        mod = build_ptorsion(p)
+        dims = filtration_dims(mod)
         for i in range(p):
             facs = snf(power).invariant_factors
             rank = sum(1 for d in facs if d % p != 0)
             assert dims[i] == 2 * rank
             power = nil * power
+        for m in (mod, _dual(mod)):
+            eye = np.eye(m.dim, dtype=np.int64)
+            ranks = [_rank_mod_p_oracle(pw, p)
+                     for pw in _powers_mod((m.action - eye) % p, p)]
+            assert filtration_dims(m) == ranks == dims
 
 
 def test_composition_factors():
     for p in (3, 5, 11):
         labels = composition_factors(build_ptorsion(p))
         assert labels == [f"E[{p}]"] * (p - 1)
+
+
+def _one_dimensional_steps(p):
+    # zeta - 1 on the first fiber coordinate, zero on the second: unipotent,
+    # but every filtration step has dimension 1
+    zp = np.array(build_zeta(p).to_lists(), dtype=np.int64) % p
+    eye = np.eye(p - 1, dtype=np.int64)
+    return (np.kron(zp, np.diag([1, 0])) + np.kron(eye, np.diag([0, 1]))) % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("broken", [
+    lambda p: np.eye(2 * (p - 1), dtype=np.int64),  # first step is everything
+    _one_dimensional_steps,
+    lambda p: 2 * np.eye(2 * (p - 1), dtype=np.int64),  # not unipotent
+], ids=["identity", "one_dimensional_steps", "scalar_two"])
+def test_certificate_rejects_wrong_structure(p, broken):
+    mod = TorsionModule(p, 2 * (p - 1), broken(p))
+    eye = np.eye(mod.dim, dtype=np.int64)
+    ranks = [_rank_mod_p_oracle(pw, p)
+             for pw in _powers_mod((mod.action - eye) % p, p)]
+    assert ranks != list(range(mod.dim, -2, -2))  # the oracle agrees it is broken
+    assert not mod.two_jordan_blocks
+    with pytest.raises(AssertionError):
+        filtration_dims(mod)
+    with pytest.raises(AssertionError):
+        composition_factors(mod)
 
 
 def test_composition_factors_rejects_wrong_steps():
@@ -84,30 +137,17 @@ def test_composition_factors_rejects_wrong_steps():
         composition_factors(broken)
 
 
+def test_torsion_module_needs_dimension_2_p_minus_1():
+    with pytest.raises(ValueError):
+        TorsionModule(5, 6, np.eye(6, dtype=np.int64))
+    with pytest.raises(ValueError):
+        TorsionModule(5, 8, np.eye(6, dtype=np.int64))
+
+
 def test_dual_module_has_same_filtration():
-    # Cartier duality sends the action to its inverse transpose; the
-    # filtration dimensions are unchanged.
     for p in (3, 5, 7):
         mod = build_ptorsion(p)
-        inv = np.eye(mod.dim, dtype=np.int64)
-        for _ in range(p - 1):
-            inv = (inv @ mod.action) % p
-        assert ((inv @ mod.action) % p == np.eye(mod.dim, dtype=np.int64)).all()
-        dual = TorsionModule(p, mod.dim, inv.T % p)
-        assert filtration_dims(dual) == filtration_dims(mod)
-
-
-def test_rank_mod_p_against_snf_oracle():
-    rng = random.Random(7)
-    for p in (3, 5, 7):
-        for _ in range(12):
-            rows = rng.randint(1, 6)
-            cols = rng.randint(1, 6)
-            m = np.array(
-                [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)],
-                dtype=np.int64,
-            )
-            assert _rank_mod_p(m, p) == _rank_mod_p_oracle(m, p)
+        assert filtration_dims(_dual(mod)) == filtration_dims(mod)
 
 
 def test_e_rank_of_order_frozen():

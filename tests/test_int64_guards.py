@@ -1,9 +1,10 @@
 """Property tests at the int64 guard boundaries.
 
 _matmul takes numpy's int64 product only when max|A| * max|B| * inner_dim
-< 2^62, and _hnf_np raises _NpOverflow before any row operation that could
-leave that range. Near those bounds both must agree exactly with plain
-Python bigint arithmetic.
+< 2^62, _hnf_np raises _NpOverflow before any row operation that could
+leave that range, and galmod._check_modp_bounds admits the mod-p certificate
+only when dim * (p-1)^2 < 2^62. Near those bounds all must agree exactly
+with plain Python bigint arithmetic.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from polobstruct.galmod import _check_modp_bounds
 from polobstruct.intlinalg import Matrix, _hnf_np, _matmul, _NpOverflow, hnf_row
 
 # derandomized and without an example database, so every run draws the
@@ -87,3 +89,45 @@ def test_hnf_np_guard_trips_before_wrapping():
     with pytest.raises(_NpOverflow):
         _hnf_np(np.array(rows, dtype=np.int64))
     assert hnf_row(Matrix(rows)).rows == ((1, 2 ** 62 - 1), (0, 3 * 2 ** 62 - 3))
+
+
+@st.composite
+def _modp_shape(draw):
+    # p - 1 near a power of two up to 2^31, and dim putting the worst-case
+    # accumulator dim * (p-1)^2 within a factor 4 of 2^62 on both sides
+    q = max(1, draw(_near(2 ** draw(st.integers(0, 31)))))
+    dim = 2 ** draw(st.integers(60, 64)) // (q * q) + draw(st.integers(-2, 2))
+    assume(dim >= 1 and 2 ** 60 <= dim * q * q <= 2 ** 64)
+    return dim, q + 1
+
+
+def _admitted(dim, p):
+    try:
+        _check_modp_bounds(dim, p)
+    except ValueError:
+        return False
+    return True
+
+
+@_SETTINGS
+@given(_modp_shape())
+@example((1, 2 ** 31))  # (2^31 - 1)^2 < 2^62: admitted
+@example((1, 2 ** 31 + 1))  # (p - 1)^2 = 2^62: refused
+@example((4, 2 ** 30 + 1))  # 4 * 2^60 = 2^62: refused
+@example((3, 2 ** 30 + 1))
+def test_modp_guard_admits_exactly_the_safe_accumulators(shape):
+    # the certificate multiplies dim x dim by dim x 2 with entries in
+    # [0, p), so one product entry sums dim terms of at most (p-1)^2
+    dim, p = shape
+    assert _admitted(dim, p) == (dim * (p - 1) ** 2 < 2 ** 62)
+
+
+@_SETTINGS
+@given(st.integers(1, 8), _near(2 ** 31) | _near(2 ** 30) | _near(2 ** 29))
+@example(1, 2 ** 31)
+@example(3, 2 ** 30 + 1)
+def test_modp_product_matches_bigint_when_admitted(dim, p):
+    assume(p >= 2 and _admitted(dim, p))
+    a = np.full((dim, dim), p - 1, dtype=np.int64)
+    b = np.full((dim, 2), p - 1, dtype=np.int64)
+    assert ((a @ b) % p).tolist() == [[dim * (p - 1) ** 2 % p] * 2] * dim
