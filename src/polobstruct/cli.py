@@ -266,12 +266,9 @@ def _cmd_bgroup(args) -> int:
     model = _load_model(args.model)
     if model is None:
         return 2
-    from .kergroup import _relation_columns
-
     b1 = b1_group(model)
     b2 = b2_group(model)
-    dual_pairs = len(b_subgroup_gens(model.labels))
-    used = len(_relation_columns(model)) - dual_pairs
+    used = model.relations.ncols - len(b_subgroup_gens(model.labels))
     ic = KerClass(model.labels, model.s_c[0])
     print(json.dumps({
         "b1": str(b1),

@@ -28,15 +28,22 @@ from .intlinalg import (
 )
 
 
-def is_odd_prime(p) -> bool:
-    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+def is_prime(n) -> bool:
+    """Trial division; 2 counts, and anything but an int is not a prime."""
+    if not isinstance(n, int) or n < 2:
         return False
+    if n % 2 == 0:
+        return n == 2
     d = 3
-    while d * d <= p:
-        if p % d == 0:
+    while d * d <= n:
+        if n % d == 0:
             return False
         d += 2
     return True
+
+
+def is_odd_prime(p) -> bool:
+    return p != 2 and is_prime(p)
 
 
 def _require_odd_prime(p):

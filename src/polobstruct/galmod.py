@@ -108,11 +108,13 @@ class EpRank:
         return self.value % 2
 
 
-def _valuation(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+def valuation(q, p) -> int:
+    """The p-adic valuation of a nonzero int or Fraction."""
+    num, den, v = abs(q.numerator), q.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
     return v
 
 
@@ -125,7 +127,7 @@ def e_rank_of_order(order, p) -> EpRank:
     _require_odd_prime(p)
     if not isinstance(order, int) or order < 1:
         raise ValueError("order must be a positive integer")
-    v = _valuation(order, p)
+    v = valuation(order, p)
     if v % 2:
         raise ValueError(
             f"order has odd p-adic valuation {v}; not a sum of E[{p}] factors")
@@ -143,4 +145,4 @@ def polarization_parity(p, n) -> EpRank:
     _require_odd_prime(p)
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    return EpRank(1 + 2 * _valuation(n, p))
+    return EpRank(1 + 2 * valuation(n, p))

@@ -556,23 +556,26 @@ def col_lattice_eq(a: Matrix, b: Matrix) -> bool:
 
 def col_lattice_contains(a: Matrix, v) -> bool:
     """Is the integer vector v in the column lattice spanned by a?"""
+    return _hnf_coords(col_hnf(a), v) is not None
+
+
+def _hnf_coords(h: Matrix, v):
+    """Integer coordinates of v in the columns of the column HNF h, or None
+    if v is outside their lattice. Each later column is zero on an earlier
+    column's pivot row, so reducing v pivot by pivot reads the coordinates."""
     v = [int(_norm_scalar(x)) for x in v]
-    if len(v) != a.nrows:
+    if len(v) != h.nrows:
         raise ValueError("vector length mismatch")
-    h = col_hnf(a)
-    cols = h.columns()
-    pivots = []
-    for j, c in enumerate(cols):
+    coords = []
+    for c in h.columns():
         i = next(i for i, x in enumerate(c) if x != 0)
-        pivots.append((i, j))
-    for i, j in pivots:
-        p = h[i, j]
-        if v[i] % p != 0:
-            return False
-        q = v[i] // p
+        q, r = divmod(v[i], c[i])
+        if r:
+            return None
         if q:
-            v = [x - q * y for x, y in zip(v, h.column(j))]
-    return all(x == 0 for x in v)
+            v = [x - q * y for x, y in zip(v, c)]
+        coords.append(q)
+    return None if any(v) else coords
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import (
@@ -32,40 +32,15 @@ from .cyclotomic import (
     RealElem,
     complex_conj,
     is_odd_prime,
+    is_prime,
     is_totally_positive,
     norm_to_Q,
     parse_rational,
     restrict_to_real,
 )
-from .galmod import e_rank_of_order
-from .intlinalg import Matrix, col_hnf, col_lattice_contains, snf, solve_exact
+from .galmod import e_rank_of_order, valuation
+from .intlinalg import Matrix, _hnf_coords, col_hnf, col_lattice_contains, snf
 from .twist import build_b, endo_degree
-
-
-def _is_prime(n) -> bool:
-    if not isinstance(n, int) or n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _fraction_valuation(q: Fraction, p) -> int:
-    def vp(n):
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return vp(abs(q.numerator)) - vp(q.denominator)
 
 
 def _is_perfect_square(n) -> bool:
@@ -270,10 +245,10 @@ def quotient_group(gens, rels) -> AbGroupPresentation:
         return quotient_group([], rels)
     cols = []
     for rel in rels:
-        if not col_lattice_contains(basis, rel):
+        coords = _hnf_coords(basis, rel)
+        if coords is None:
             raise ValueError("relation outside the generated subgroup")
-        sol = solve_exact(basis, Matrix.from_columns([rel], nrows=n))
-        cols.append([int(sol[i, 0]) for i in range(r)])
+        cols.append(coords)
     if not cols:
         return AbGroupPresentation((), r)
     facs = snf(Matrix.from_columns(cols, nrows=r)).invariant_factors
@@ -292,12 +267,12 @@ def is_square_in_Qp(q, p) -> bool:
     p, congruent to 1 mod 8 for p = 2. Signs are folded into the unit part,
     so negative inputs are handled correctly.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
     q = Fraction(q)
     if q == 0:
         raise ValueError("zero is not in the unit-times-power-of-p group")
-    v = _fraction_valuation(q, p)
+    v = valuation(q, p)
     if v % 2:
         return False
     u = q / Fraction(p) ** v
@@ -371,7 +346,7 @@ class AlgebraFactor:
             raise ValueError("n must be a positive integer")
         ram = tuple(sorted(set(self.ramified)))
         for ell in ram:
-            if not _is_prime(ell):
+            if not is_prime(ell):
                 raise ValueError(f"ramified entry {ell} is not prime")
         object.__setattr__(self, "ramified", ram)
         if self.type in ("I", "II", "III") and not self.center.is_totally_real:
@@ -508,7 +483,7 @@ def prin_p_part(alpha: CycElem, p, labels=None) -> KerClass:
     a = Fraction(norm_to_Q(alpha))
     if a == 0:
         raise ValueError("zero is not an isogeny")
-    return KerClass.single(labels, f"E[{p}]", _fraction_valuation(a, p))
+    return KerClass.single(labels, f"E[{p}]", valuation(a, p))
 
 
 def phi_p_part(a, alpha: CycElem, p, labels=None) -> KerClass:
@@ -526,7 +501,7 @@ def phi_p_part(a, alpha: CycElem, p, labels=None) -> KerClass:
         raise ValueError("certificate does not have the claimed norm")
     if labels is None:
         labels = twist_labels(p)
-    return KerClass.single(labels, f"E[{p}]", _fraction_valuation(a, p))
+    return KerClass.single(labels, f"E[{p}]", valuation(a, p))
 
 
 def parity_hom(c: KerClass, p) -> int:
@@ -655,6 +630,11 @@ class ModelDescriptor:
     z_gens span the lattice of realizable kernel classes, phi_samples are
     verified degree values of central endomorphisms, and s_c lists the
     known polarization kernel classes (all congruent modulo relations).
+
+    Construction validates the model, checking every certificate once, and
+    keeps what the queries read: span, the column HNF of z_gens, and
+    relations, the dual-pair columns followed by the classes of the level-2
+    samples. Neither takes part in ==, hash or to_json.
     """
 
     labels: LabelSet
@@ -662,11 +642,14 @@ class ModelDescriptor:
     algebra: AlgebraDescriptor
     phi_samples: tuple
     s_c: tuple
+    span: Matrix = field(init=False, repr=False, compare=False)
+    relations: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z_gens", tuple(tuple(int(x) for x in g) for g in self.z_gens))
         object.__setattr__(self, "s_c", tuple(tuple(int(x) for x in s) for s in self.s_c))
         object.__setattr__(self, "phi_samples", tuple(self.phi_samples))
+        self.validate()
 
     @property
     def p(self):
@@ -676,6 +659,9 @@ class ModelDescriptor:
         return f.center.p
 
     def validate(self):
+        """Raise ValueError unless the model is consistent; otherwise set
+        span and relations. One pass over phi_samples verifies each
+        certificate and tests each for level-2 membership once."""
         n = len(self.labels)
         for g in self.z_gens:
             if len(g) != n:
@@ -699,6 +685,7 @@ class ModelDescriptor:
                 if any(g[i] for g in self.z_gens):
                     raise ValueError(
                         f"self-dual label {lbl.name} without a pairing in the span")
+        rels = [list(g.coeffs) for g in b_subgroup_gens(self.labels)]
         if self.phi_samples:
             factor = self.algebra.cyclotomic_factor()
             if factor is None:
@@ -707,17 +694,19 @@ class ModelDescriptor:
             if f"E[{pp}]" not in [l.name for l in self.labels]:
                 raise ValueError("phi samples need the E[p] label")
             for s in self.phi_samples:
-                # re-verifies every certificate
-                phi_p_part(s.norm, s.alpha, pp, self.labels)
+                cls = phi_p_part(s.norm, s.alpha, pp, self.labels)
+                if r_membership(s.alpha, 2, factor):
+                    rels.append(list(cls.coeffs))
         for s in self.s_c:
             if not col_lattice_contains(span, list(s)):
                 raise ValueError("s_c entry outside the realizable span")
-        rels = _relation_columns(self)
-        relmat = Matrix.from_columns(rels, nrows=n) if rels else Matrix.zero(n, 0)
+        relations = Matrix.from_columns(rels, nrows=n)
         for s in self.s_c[1:]:
             diff = [a - b for a, b in zip(s, self.s_c[0])]
-            if not col_lattice_contains(relmat, diff):
+            if not col_lattice_contains(relations, diff):
                 raise ValueError("s_c entries disagree modulo the relations")
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "relations", relations)
 
     def to_json(self) -> str:
         data = {
@@ -744,65 +733,69 @@ class ModelDescriptor:
 
     @classmethod
     def from_json(cls, text: str, max_p=None) -> "ModelDescriptor":
-        """Parse and validate a model; a string, integer or rational of the
-        wrong JSON type (a float, say) raises ValueError. With max_p set, a
-        center prime or a ramified entry above it raises ValueError before
+        """Parse a model, which its construction validates. A value of the
+        wrong JSON type (a float for an integer, an array for an object) or
+        a missing field raises ValueError naming the field. With max_p set,
+        a center prime or a ramified entry above it raises ValueError before
         any primality test, so an absurd prime cannot stall trial division."""
-        data = json.loads(text)
+        data = _json_value(json.loads(text), "the model", dict)
 
         def ramified(d):
-            ram = tuple(_json_value(ell, int) for ell in d.get("ramified", ()))
+            ram = tuple(_json_array(d, "ramified", int, default=[]))
             if max_p is not None and any(ell > max_p for ell in ram):
                 raise ValueError(f"ramified entries must be at most {max_p}")
             return ram
 
         labels = LabelSet(
-            SimpleLabel(_json_value(d["name"], str), d["rank"],
-                        _json_value(d["dual"], str), bool(d.get("alt_pairing")))
-            for d in data["labels"]
+            SimpleLabel(_json_field(d, "name", str), _json_field(d, "rank", int),
+                        _json_field(d, "dual", str),
+                        _json_field(d, "alt_pairing", bool, default=False))
+            for d in _json_array(data, "labels", dict)
         )
         algebra = AlgebraDescriptor(tuple(
-            AlgebraFactor(d["type"], CenterField.parse(_json_value(d["center"], str), max_p),
-                          d.get("n", 1), ramified(d))
-            for d in data["algebra"]["factors"]
+            AlgebraFactor(_json_field(d, "type", str),
+                          CenterField.parse(_json_field(d, "center", str), max_p),
+                          _json_field(d, "n", int, default=1), ramified(d))
+            for d in _json_array(_json_field(data, "algebra", dict), "factors", dict)
         ))
         factor = algebra.cyclotomic_factor()
         samples = []
-        for d in data.get("phi_samples", ()):
+        for d in _json_array(data, "phi_samples", dict, default=[]):
             if factor is None:
                 raise ValueError("phi samples need a cyclotomic factor")
             # str() writes a JSON int in the plain digits parse_rational reads
-            coords = tuple(parse_rational(str(_json_value(c, int, str)))
-                           for c in d["alpha_coords"])
-            norm = parse_rational(str(_json_value(d["norm"], int, str)))
+            coords = tuple(parse_rational(str(c))
+                           for c in _json_array(d, "alpha_coords", int, str))
+            norm = parse_rational(str(_json_field(d, "norm", int, str)))
             samples.append(PhiSample(norm, CycElem(factor.center.p, coords)))
-        z_gens, s_c = ([[_json_value(x, int) for x in row] for row in data[key]]
+        z_gens, s_c = ([[_json_value(x, f"an entry of {key}", int) for x in row]
+                        for row in _json_array(data, key, list)]
                        for key in ("z_gens", "s_c"))
-        model = cls(labels, z_gens, algebra, tuple(samples), s_c)
-        model.validate()
-        return model
+        return cls(labels, z_gens, algebra, tuple(samples), s_c)
 
 
-def _json_value(value, *kinds):
-    """value if its JSON type is one of kinds, else ValueError. json.loads
-    gives bool and float (Infinity among them) types apart from int."""
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+def _json_value(value, what, *kinds):
+    """value if its JSON type is one of kinds, else ValueError naming what.
+    json.loads gives bool and float (Infinity among them) types apart from int."""
     if type(value) not in kinds:
-        raise ValueError(f"expected a JSON {' or '.join(k.__name__ for k in kinds)}"
-                         f", got {type(value).__name__}")
+        expected = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise ValueError(f"{what}: expected a JSON {expected}, got {_JSON_TYPES[type(value)]}")
     return value
 
 
-def _relation_columns(model: ModelDescriptor):
-    """Columns spanning the congruence relations: dual pairs plus the
-    classes of level-2 degree values."""
-    cols = [list(g.coeffs) for g in b_subgroup_gens(model.labels)]
-    factor = model.algebra.cyclotomic_factor()
-    if factor is not None and model.phi_samples:
-        pp = factor.center.p
-        for s in model.phi_samples:
-            if r_membership(s.alpha, 2, factor):
-                cols.append(list(phi_p_part(s.norm, s.alpha, pp, model.labels).coeffs))
-    return cols
+def _json_field(obj, key, *kinds, default=None):
+    """obj[key] checked by _json_value; a missing key reads as default."""
+    return _json_value(obj.get(key, default), key, *kinds)
+
+
+def _json_array(obj, key, *kinds, default=None):
+    """The JSON array obj[key] with each entry checked by _json_value."""
+    return [_json_value(x, f"an entry of {key}", *kinds)
+            for x in _json_field(obj, key, list, default=default)]
 
 
 def b1_group(model: ModelDescriptor) -> AbGroupPresentation:
@@ -813,16 +806,17 @@ def b1_group(model: ModelDescriptor) -> AbGroupPresentation:
 
 def b2_group(model: ModelDescriptor) -> AbGroupPresentation:
     """Realizable span modulo dual pairs and central norm classes."""
-    return quotient_group([list(g) for g in model.z_gens], _relation_columns(model))
+    return quotient_group([list(g) for g in model.z_gens], model.relations.columns())
 
 
 def attainable(P, model: ModelDescriptor) -> AttainabilityResult:
     """Decide whether the class P is the kernel class of a polarization.
 
     P must be effective, must lie in the realizable span, and must agree
-    with a known polarization class modulo the congruence relations.
+    with a known polarization class modulo the congruence relations. The
+    span and the relations are the ones the model kept when it was built,
+    so no certificate is checked again.
     """
-    model.validate()
     n = len(model.labels)
     if isinstance(P, KerClass):
         if P.labels != model.labels:
@@ -834,14 +828,11 @@ def attainable(P, model: ModelDescriptor) -> AttainabilityResult:
             raise ValueError("class vector has the wrong length")
     if any(x < 0 for x in vec):
         return AttainabilityResult(False, "not_effective")
-    span = col_hnf(Matrix.from_columns([list(g) for g in model.z_gens], nrows=n))
-    if not col_lattice_contains(span, vec):
+    if not col_lattice_contains(model.span, vec):
         return AttainabilityResult(False, "not_in_z_span")
-    rels = _relation_columns(model)
-    relmat = Matrix.from_columns(rels, nrows=n) if rels else Matrix.zero(n, 0)
     for s in model.s_c:
         diff = [a - b for a, b in zip(vec, s)]
-        if col_lattice_contains(relmat, diff):
+        if col_lattice_contains(model.relations, diff):
             return AttainabilityResult(True, "ok")
     return AttainabilityResult(False, "b2_image_not_in_s_c")
 
@@ -875,6 +866,4 @@ def twist_model(p, seed=1729, samples=8) -> ModelDescriptor:
     algebra = AlgebraDescriptor((
         AlgebraFactor("IV", CenterField("cyclotomic", p), 1, ()),
     ))
-    model = ModelDescriptor(labels, ((1,),), algebra, tuple(pairs), ((mult,),))
-    model.validate()
-    return model
+    return ModelDescriptor(labels, ((1,),), algebra, tuple(pairs), ((mult,),))

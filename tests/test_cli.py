@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -290,7 +291,7 @@ def test_absurd_model_prime_is_rejected_at_once(capsys, monkeypatch, tmp_path,
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))
     monkeypatch.setattr(kg, "is_odd_prime", no_primality_test)
-    monkeypatch.setattr(kg, "_is_prime", no_primality_test)
+    monkeypatch.setattr(kg, "is_prime", no_primality_test)
     start = time.monotonic()
     rc, out, err = _run(capsys, [command[0], "--model", str(path)] + command[1:])
     assert time.monotonic() - start < 1.0
@@ -353,9 +354,8 @@ def test_verify_reports_noncommuting_accepted(capsys, monkeypatch):
 
 # (where in a valid model file, the JSON text put there, what from_json
 # raises); an empty path replaces the whole file, with MODEL standing for
-# the valid model. A string, integer or rational of the wrong JSON type is
-# a ValueError; a wrong container type stays a TypeError, which the
-# loader reports the same way.
+# the valid model, and a None text deletes the field. A value of the wrong
+# JSON type, a container among them, or a missing field is a ValueError.
 MALFORMED_MODELS = {
     "center_not_a_string": (("algebra", "factors", 0, "center"), "5", ValueError),
     "infinite_alpha_coordinate": (("phi_samples", 0, "alpha_coords", 0), "1e999",
@@ -372,11 +372,27 @@ MALFORMED_MODELS = {
     "label_name_not_a_string": (("labels", 0, "name"), "[1]", ValueError),
     "non_integer_ramified_entry": (("algebra", "factors", 0, "ramified"), '["3"]',
                                    ValueError),
-    "labels_not_a_list": (("labels",), "5", TypeError),
-    "null_z_gen": (("z_gens", 0), "null", TypeError),
-    "top_level_list": ((), "[MODEL]", TypeError),
+    "labels_not_a_list": (("labels",), "5", ValueError),
+    "z_gens_not_a_list": (("z_gens",), "3", ValueError),
+    "factors_not_a_list": (("algebra", "factors"), '"x"', ValueError),
+    "phi_sample_not_an_object": (("phi_samples",), "[5]", ValueError),
+    "missing_z_gens": (("z_gens",), None, ValueError),
+    "null_z_gen": (("z_gens", 0), "null", ValueError),
+    "top_level_list": ((), "[MODEL]", ValueError),
     "nested_past_the_recursion_limit": ((), "[" * 100000 + "]" * 100000,
                                         RecursionError),
+}
+
+# what the message says for a wrong container type or a missing field:
+# it names the field and the JSON type expected there
+CONTAINER_MESSAGES = {
+    "labels_not_a_list": "labels: expected a JSON array, got integer",
+    "z_gens_not_a_list": "z_gens: expected a JSON array, got integer",
+    "factors_not_a_list": "factors: expected a JSON array, got string",
+    "phi_sample_not_an_object": "an entry of phi_samples: expected a JSON object",
+    "missing_z_gens": "z_gens: expected a JSON array, got null",
+    "null_z_gen": "an entry of z_gens: expected a JSON array, got null",
+    "top_level_list": "the model: expected a JSON object, got array",
 }
 
 
@@ -388,6 +404,9 @@ def _model_text_with(path, literal):
     node = data
     for key in head:
         node = node[key]
+    if literal is None:
+        del node[last]
+        return json.dumps(data)
     node[last] = "@HOLE@"
     return json.dumps(data).replace('"@HOLE@"', literal)
 
@@ -397,7 +416,8 @@ def _model_text_with(path, literal):
 def test_malformed_model_is_rejected_in_one_line(capsys, tmp_path, command, case):
     where, literal, raised = MALFORMED_MODELS[case]
     text = _model_text_with(where, literal)
-    with pytest.raises(raised):
+    message = CONTAINER_MESSAGES.get(case)
+    with pytest.raises(raised, match=message and re.escape(message)):
         ModelDescriptor.from_json(text, max_p=cli.MAX_P)
     path = tmp_path / "model.json"
     path.write_text(text)

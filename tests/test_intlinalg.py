@@ -29,6 +29,7 @@ from polobstruct.intlinalg import (
     minpoly,
     snf,
     solve_exact,
+    _hnf_coords,
     _kernel_sparse_columns,
 )
 
@@ -256,6 +257,27 @@ def test_col_lattice_membership():
     assert col_lattice_contains(basis, (0, 0, 0))
     assert not col_lattice_contains(basis, (1, 0, 0))
     assert not col_lattice_contains(basis, (2, 3, 1))
+
+
+def test_hnf_coords_match_solve_exact():
+    # the pivot-by-pivot reduction reads the same coordinates a Fraction
+    # solve finds, and None exactly when they are not all integers
+    rng = random.Random(31)
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        h = col_hnf(_random_matrix(rng, m, rng.randint(1, 4), bound=6))
+        if h.ncols == 0:
+            continue
+        for _ in range(4):
+            v = [rng.randint(-12, 12) for _ in range(m)]
+            if rng.random() < 0.5:  # a lattice vector, often
+                v = list(h.mul_vector([rng.randint(-3, 3) for _ in range(h.ncols)]))
+            coords = _hnf_coords(h, v)
+            sol = solve_exact(h, Matrix.from_columns([v], nrows=m))
+            integral = sol is not None and all(x.denominator == 1 for x in sol.column(0))
+            assert (coords is not None) == integral == col_lattice_contains(h, v)
+            if coords is not None:
+                assert coords == [int(x) for x in sol.column(0)]
 
 
 def test_col_lattice_eq_detects_index():

@@ -10,6 +10,7 @@ from polobstruct.cyclotomic import (
     complex_conj,
     norm_to_Q,
 )
+from polobstruct.intlinalg import Matrix
 from polobstruct.kergroup import (
     AbGroupPresentation,
     AlgebraDescriptor,
@@ -514,7 +515,6 @@ def test_attainable_frozen():
 def test_attainable_z_span():
     m0 = twist_model(3, samples=2)
     m = ModelDescriptor(m0.labels, ((2,),), m0.algebra, m0.phi_samples, ((2,),))
-    m.validate()
     assert attainable([1], m) == AttainabilityResult(False, "not_in_z_span")
     assert attainable([2], m).ok
     assert attainable([4], m).ok
@@ -525,29 +525,67 @@ def test_attainable_z_span():
 
 
 def test_model_validation_errors():
+    # construction alone validates: none of these calls .validate()
     m = twist_model(3, samples=2)
     bad_cert = PhiSample(Fraction(7), m.phi_samples[0].alpha)
     with pytest.raises(ValueError):
-        ModelDescriptor(m.labels, m.z_gens, m.algebra, (bad_cert,), m.s_c).validate()
+        ModelDescriptor(m.labels, m.z_gens, m.algebra, (bad_cert,), m.s_c)
     with pytest.raises(ValueError):
-        ModelDescriptor(m.labels, m.z_gens, m.algebra, m.phi_samples,
-                        ((1,), (2,))).validate()
+        ModelDescriptor(m.labels, m.z_gens, m.algebra, m.phi_samples, ((1,), (2,)))
     with pytest.raises(ValueError):
-        ModelDescriptor(m.labels, ((2,),), m.algebra, m.phi_samples, ((1,),)).validate()
+        ModelDescriptor(m.labels, ((2,),), m.algebra, m.phi_samples, ((1,),))
     with pytest.raises(ValueError):
-        ModelDescriptor(m.labels, (), m.algebra, m.phi_samples, m.s_c).validate()
+        ModelDescriptor(m.labels, (), m.algebra, m.phi_samples, m.s_c)
     # a span touching a self-dual label that cannot pair with itself
     plain = LabelSet([SimpleLabel("G", 4, "G")])
     alg = m.algebra
     with pytest.raises(ValueError):
-        ModelDescriptor(plain, ((1,),), alg, (), ()).validate()
+        ModelDescriptor(plain, ((1,),), alg, (), ())
     # rank 2 is the allowed exception
     tiny = LabelSet([SimpleLabel("H", 2, "H")])
-    ModelDescriptor(tiny, ((1,),), alg, (), ()).validate()
+    ModelDescriptor(tiny, ((1,),), alg, (), ())
     # duality-unstable span
     pair = LabelSet([SimpleLabel("A", 5, "B"), SimpleLabel("B", 5, "A")])
     with pytest.raises(ValueError):
-        ModelDescriptor(pair, ((1, 0),), alg, (), ()).validate()
+        ModelDescriptor(pair, ((1, 0),), alg, (), ())
+
+
+def test_model_checks_each_sample_once(monkeypatch):
+    import polobstruct.kergroup as kg
+
+    calls = {"norm_to_Q": 0, "is_totally_positive": 0}
+
+    def counted(name):
+        real = getattr(kg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    text = twist_model(5, samples=3).to_json()
+    for name in calls:
+        monkeypatch.setattr(kg, name, counted(name))
+    m = ModelDescriptor.from_json(text)
+    # four samples: the distinguished one and three drawn ones
+    assert calls == {"norm_to_Q": 4, "is_totally_positive": 4}
+    for k in range(-1, 4):
+        attainable([k], m)
+    b1_group(m)
+    b2_group(m)
+    assert calls == {"norm_to_Q": 4, "is_totally_positive": 4}
+
+
+def test_model_relations_hold_level_two_classes_only():
+    # -x conj(x) has the same norm as x conj(x) (p - 1 is even) but is not
+    # totally positive, so its class is no relation
+    m = twist_model(5, samples=1)
+    neg = PhiSample(m.phi_samples[1].norm, -m.phi_samples[1].alpha)
+    grown = ModelDescriptor(m.labels, m.z_gens, m.algebra, m.phi_samples + (neg,), m.s_c)
+    assert m.relations.ncols == grown.relations.ncols == 1 + 2
+    assert grown.span == m.span == Matrix([[1]])
+    assert grown == ModelDescriptor.from_json(grown.to_json())
 
 
 def test_model_from_json_rejects_garbage():
