@@ -54,7 +54,6 @@ from .kergroup import (
 from .twist import (
     CONSTRUCTION_CHECKS,
     TwistData,
-    centralizer_basis,
     endo_degree,
     endo_descends,
 )
@@ -301,12 +300,15 @@ def _cmd_attainable(args) -> int:
 
 def _sweep_row(p):
     t = TwistData.for_prime(p, validate=False)
+    # det T != 0 for the orbit of e1 proves the commutant has rank p - 1
+    if not dict(CONSTRUCTION_CHECKS)["centralizer_rank"](t):
+        raise AssertionError(f"the orbit certificate fails at p = {p}")
     model = twist_model(p, samples=2)
     return (
         p,
         det(t.b),
         endo_degree(t.b),
-        len(centralizer_basis(p)),
+        p - 1,
         len(filtration_dims(build_ptorsion(p))),
         parity_hom(KerClass(model.labels, model.s_c[0]), p),
     )

@@ -7,10 +7,13 @@ uses the eta-power basis 1, eta, ..., eta^{(p-3)/2}; restriction to it reads
 the symmetric coordinates through the Dickson polynomials
 zeta^k + zeta^{-k} = D_k(eta).
 
-Norms are determinants of regular representation matrices. Total positivity
-is decided exactly by the signs of the coefficients of the characteristic
-polynomial of the multiplication map (Descartes' rule, exact because K+ is
-totally real), so no floating point enters the verification path.
+Norms and total positivity come from one routine. For x in K+, the power
+sums of its (p-1)/2 real embeddings are halved traces Tr_(K/Q)(x^k), read
+off the power basis by Tr(zeta^j) = p [j = 0] - 1, and Newton's identities
+turn them into the elementary symmetric functions e_k. The norm to Q is the
+last of them, and x is totally positive iff every e_k is positive (its
+embeddings are real because K+ is totally real). No matrix and no floating
+point enters the verification path.
 """
 
 from __future__ import annotations
@@ -18,14 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .intlinalg import (
-    IntPoly,
-    Matrix,
-    _charpoly_coeffs,
-    _q_divmod,
-    _q_strip,
-    det,
-)
+from .intlinalg import IntPoly, Matrix, _q_divmod, _q_strip
 
 
 def is_prime(n) -> bool:
@@ -281,8 +277,8 @@ def regular_rep(a: CycElem) -> Matrix:
 
 
 def norm_to_Q(a: CycElem):
-    """Field norm from Q(zeta_p) down to Q."""
-    return det(regular_rep(a))
+    """Field norm from Q(zeta_p) down to Q: N_(K+/Q)(a conj(a))."""
+    return _real_elementary(a * a.conj())[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -451,31 +447,57 @@ def real_mult_matrix(a: RealElem) -> Matrix:
 
 def norm_real_to_Q(a: RealElem):
     """Field norm from the real subfield down to Q."""
-    return det(real_mult_matrix(a))
+    return _real_elementary(a.lift())[-1]
 
 
 # ---------------------------------------------------------------------------
-# total positivity by Descartes' rule of signs
+# norms and total positivity by power sums
+
+
+def _real_elementary(x: CycElem):
+    """e_0, ..., e_m of the m = (p-1)/2 real embeddings of a
+    conjugation-fixed x, integral values as int.
+
+    Each real embedding of x extends to two complex ones, so the power sums
+    are s_k = Tr_(K/Q)(x^k) / 2, with Tr(sum c_j zeta^j) = p c_0 - sum c_j.
+    Newton's identities give k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i.
+    """
+    p = x.p
+    m = (p - 1) // 2
+    s = [0]
+    power = x
+    for k in range(1, m + 1):
+        if k > 1:
+            power = power * x
+        c = power.coords
+        s.append(_coerce_coord(Fraction(p * c[0] - sum(c), 2)))
+    e = [1]
+    for k in range(1, m + 1):
+        acc = sum(e[k - i] * s[i] if i % 2 else -e[k - i] * s[i]
+                  for i in range(1, k + 1))
+        e.append(_coerce_coord(Fraction(acc, k)))
+    return e
 
 
 def is_totally_positive(a: RealElem) -> bool:
     """Is every real embedding of a strictly positive?
 
-    Decided exactly: the embeddings of a are the roots of the characteristic
-    polynomial of multiplication by a, all real because K+ is totally real
-    (repeated when a lies in a proper subfield). For a real-rooted
-    polynomial Descartes' rule of signs is exact, so every root is positive
-    iff the coefficients are nonzero and strictly alternate in sign.
+    Decided exactly from the elementary symmetric functions e_k of the
+    embeddings a_1, ..., a_m, which are real because K+ is totally real
+    (repeated when a lies in a proper subfield). Positive a_i give positive
+    e_k. Conversely, if every e_k > 0, then at any x <= 0 each term of
+    prod (x - a_i) = sum_k (-1)^k e_k x^(m-k) has the sign (-1)^m and the
+    constant term is nonzero, so no a_i is <= 0.
     """
     if not isinstance(a, RealElem):
         raise TypeError("is_totally_positive expects a RealElem")
     if a.is_zero():
         raise ValueError("total positivity is undefined for zero")
-    coeffs = _charpoly_coeffs(real_mult_matrix(a).to_lists())
-    if coeffs[0] == 0:
-        # constant term is +/- the norm, nonzero for nonzero a
+    e = _real_elementary(a.lift())
+    if e[-1] == 0:
+        # e_m is the norm, nonzero for nonzero a
         raise AssertionError("nonzero element with vanishing norm")
-    return all(c * d < 0 for c, d in zip(coeffs, coeffs[1:]))
+    return all(c > 0 for c in e[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -898,7 +898,7 @@ class IntPoly:
 
 
 # rational coefficient lists (low-degree first) back the charpoly and
-# division machinery; they stay private to this module and cyclotomic
+# division machinery; cyclotomic's inverse reuses _q_strip and _q_divmod
 
 
 def _q_strip(c):

@@ -629,7 +629,9 @@ class ModelDescriptor:
 
     z_gens span the lattice of realizable kernel classes, phi_samples are
     verified degree values of central endomorphisms, and s_c lists the
-    known polarization kernel classes (all congruent modulo relations).
+    known polarization kernel classes (at least one, all congruent modulo
+    relations). The algebra has a cyclotomic factor Q(zeta_p), and the
+    labels hold a self-dual E[p], which the parity of a class reads.
 
     Construction validates the model, checking every certificate once, and
     keeps what the queries read: span, the column HNF of z_gens, and
@@ -671,6 +673,17 @@ class ModelDescriptor:
                 raise ValueError("s_c entry has the wrong length")
         if not self.z_gens:
             raise ValueError("need at least one z generator")
+        if not self.s_c:
+            raise ValueError("need at least one s_c entry")
+        factor = self.algebra.cyclotomic_factor()
+        if factor is None:
+            raise ValueError("model has no cyclotomic factor")
+        pp = factor.center.p
+        e_p = f"E[{pp}]"
+        if e_p not in [l.name for l in self.labels]:
+            raise ValueError(f"model has no {e_p} label")
+        if self.labels[self.labels.index(e_p)].dual != e_p:
+            raise ValueError(f"the {e_p} label is not self-dual")
         span = col_hnf(Matrix.from_columns([list(g) for g in self.z_gens], nrows=n))
         # the realizable span must be stable under Cartier duality
         perm = self.labels.dual_perm()
@@ -686,17 +699,10 @@ class ModelDescriptor:
                     raise ValueError(
                         f"self-dual label {lbl.name} without a pairing in the span")
         rels = [list(g.coeffs) for g in b_subgroup_gens(self.labels)]
-        if self.phi_samples:
-            factor = self.algebra.cyclotomic_factor()
-            if factor is None:
-                raise ValueError("phi samples need a cyclotomic factor")
-            pp = factor.center.p
-            if f"E[{pp}]" not in [l.name for l in self.labels]:
-                raise ValueError("phi samples need the E[p] label")
-            for s in self.phi_samples:
-                cls = phi_p_part(s.norm, s.alpha, pp, self.labels)
-                if r_membership(s.alpha, 2, factor):
-                    rels.append(list(cls.coeffs))
+        for s in self.phi_samples:
+            cls = phi_p_part(s.norm, s.alpha, pp, self.labels)
+            if r_membership(s.alpha, 2, factor):
+                rels.append(list(cls.coeffs))
         for s in self.s_c:
             if not col_lattice_contains(span, list(s)):
                 raise ValueError("s_c entry outside the realizable span")

@@ -209,52 +209,21 @@ def _centralizer_kernel_vectors(zeta: Matrix):
     return [tuple(c.get(i, 0) for i in range(n * n)) for c in kernel]
 
 
-def _centralizer_structural_vectors(zeta: Matrix):
-    """Flattened commutant basis by solving the commutator system in closed
-    form, using the column structure of the cocycle matrix.
-
-    zeta e_j = -e_0 + e_(j+1) for j < n-1 and zeta e_(n-1) = -e_0 (checked
-    below). Commutation forces the columns of X to satisfy
-    x_(j+1) = zeta x_j + x_0, so x_j = (zeta^j + ... + zeta + 1) x_0, and the
-    closing condition is Phi_p(zeta) x_0 = 0, true for every x_0. The
-    commutant is therefore the free lattice on the first column x_0.
-    """
-    n = zeta.nrows
-    for j in range(n):
-        expect = tuple((-1 if i == 0 else 0) + (1 if i == j + 1 else 0)
-                       for i in range(n))
-        if zeta.column(j) != expect:
-            raise AssertionError("cocycle matrix lost its defining column shape")
-    sums = [Matrix.identity(n)]
-    for _ in range(n - 1):
-        sums.append(sums[-1] * zeta + Matrix.identity(n))
-    vecs = []
-    for r in range(n):
-        x = Matrix.from_columns([s.column(r) for s in sums])
-        vecs.append(tuple(v for row in x.rows for v in row))
-    return vecs
-
-
-def centralizer_basis(p, method="structural"):
+def centralizer_basis(p, method="kernel"):
     """Basis of the lattice of integer matrices commuting with the cocycle.
 
     Returned as a list of p - 1 matrices, the column-HNF-canonical basis of
-    the kernel of the commutator map. This lattice is the image of
-    Z[zeta_p]; every returned matrix is re-checked to commute.
-
-    method: "structural" solves the commutator system in closed form;
-    "kernel" runs the generic sparse integer-kernel engine on the commutator
-    matrix and is kept as the independent reference the tests compare
-    against. Both routes canonicalize the same lattice.
+    the kernel of the commutator map, found by the generic sparse
+    integer-kernel engine. This lattice is the image of Z[zeta_p]; every
+    returned matrix is re-checked to commute. It is the independent
+    reference for the orbit certificate that the checks and the sweep read
+    (see CONSTRUCTION_CHECKS); "kernel" is the only method.
     """
-    if method not in ("kernel", "structural"):
+    if method != "kernel":
         raise ValueError(f"unknown method {method!r}")
     zeta = build_zeta(p)
     n = p - 1
-    if method == "kernel":
-        vecs = _centralizer_kernel_vectors(zeta)
-    else:
-        vecs = _centralizer_structural_vectors(zeta)
+    vecs = _centralizer_kernel_vectors(zeta)
     if not vecs:
         return []
     canon = col_hnf(Matrix.from_columns(vecs))

@@ -175,18 +175,36 @@ def test_attainable_command(capsys, model_file):
     assert rc == 2 and "coefficients" in err
 
 
-def test_sweep_csv(capsys):
-    rc, out, _ = _run(capsys, ["sweep", "--pmax", "7"])
+def _no_commutant_basis(*args, **kwargs):
+    raise AssertionError("the sweep reads the orbit certificate, not the basis")
+
+
+def test_sweep_csv(capsys, monkeypatch):
+    import polobstruct.twist as twist
+
+    monkeypatch.setattr(twist, "centralizer_basis", _no_commutant_basis)
+    rc, out, _ = _run(capsys, ["sweep", "--pmax", "31"])
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "p,det_b,pol_degree,centralizer_rank,filtration_length,i_c_parity"
     rows = [line.split(",") for line in lines[1:]]
-    assert [r[0] for r in rows] == ["3", "5", "7"]
+    assert [r[0] for r in rows] == ["3", "5", "7", "11", "13", "17", "19", "23",
+                                    "29", "31"]
     for r in rows:
         p = int(r[0])
         assert r == [str(p), str(p), str(p * p), str(p - 1), str(p), "1"]
     rc, _, _ = _run(capsys, ["sweep", "--pmax", "2"])
     assert rc == 2
+
+
+def test_sweep_prints_no_rank_the_certificate_did_not_prove(capsys, monkeypatch):
+    import polobstruct.twist as twist
+
+    # e1 is no cyclic vector of the identity: the orbit matrix is singular
+    monkeypatch.setattr(twist, "build_zeta", lambda p: twist.Matrix.identity(p - 1))
+    with pytest.raises(AssertionError, match="orbit certificate fails at p = 3"):
+        cli.main(["sweep", "--pmax", "7"])
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_deterministic(capsys):
@@ -352,10 +370,19 @@ def test_verify_reports_noncommuting_accepted(capsys, monkeypatch):
     assert passed["noncommuting_rejected"] is False
 
 
+def _model_json_with(**fields):
+    """The valid model's JSON text with top-level fields replaced."""
+    data = json.loads(twist_model(5, samples=2).to_json())
+    data.update(fields)
+    return json.dumps(data)
+
+
 # (where in a valid model file, the JSON text put there, what from_json
 # raises); an empty path replaces the whole file, with MODEL standing for
 # the valid model, and a None text deletes the field. A value of the wrong
-# JSON type, a container among them, or a missing field is a ValueError.
+# JSON type, a container among them, or a missing field is a ValueError,
+# and so is a model without the parts bgroup reads: an s_c entry, a
+# cyclotomic factor and a self-dual E[p] label.
 MALFORMED_MODELS = {
     "center_not_a_string": (("algebra", "factors", 0, "center"), "5", ValueError),
     "infinite_alpha_coordinate": (("phi_samples", 0, "alpha_coords", 0), "1e999",
@@ -379,13 +406,27 @@ MALFORMED_MODELS = {
     "missing_z_gens": (("z_gens",), None, ValueError),
     "null_z_gen": (("z_gens", 0), "null", ValueError),
     "top_level_list": ((), "[MODEL]", ValueError),
+    "empty_s_c": (("s_c",), "[]", ValueError),
+    "no_e_p_label": ((), _model_json_with(
+        phi_samples=[],
+        labels=[{"name": "G", "rank": 25, "dual": "G", "alt_pairing": True}]),
+        ValueError),
+    "no_cyclotomic_factor": ((), _model_json_with(
+        phi_samples=[], algebra={"factors": [{"type": "I", "center": "Q"}]}),
+        ValueError),
+    "e_p_label_not_self_dual": ((), _model_json_with(
+        phi_samples=[], z_gens=[[1, 1]], s_c=[[1, 1]],
+        labels=[{"name": "E[5]", "rank": 25, "dual": "F"},
+                {"name": "F", "rank": 25, "dual": "E[5]"}]),
+        ValueError),
     "nested_past_the_recursion_limit": ((), "[" * 100000 + "]" * 100000,
                                         RecursionError),
 }
 
-# what the message says for a wrong container type or a missing field:
-# it names the field and the JSON type expected there
-CONTAINER_MESSAGES = {
+# what the message says: for a wrong container type or a missing field it
+# names the field and the JSON type expected there, and for a missing part
+# of the model it names that part
+MESSAGES = {
     "labels_not_a_list": "labels: expected a JSON array, got integer",
     "z_gens_not_a_list": "z_gens: expected a JSON array, got integer",
     "factors_not_a_list": "factors: expected a JSON array, got string",
@@ -393,6 +434,10 @@ CONTAINER_MESSAGES = {
     "missing_z_gens": "z_gens: expected a JSON array, got null",
     "null_z_gen": "an entry of z_gens: expected a JSON array, got null",
     "top_level_list": "the model: expected a JSON object, got array",
+    "empty_s_c": "need at least one s_c entry",
+    "no_e_p_label": "model has no E[5] label",
+    "no_cyclotomic_factor": "model has no cyclotomic factor",
+    "e_p_label_not_self_dual": "the E[5] label is not self-dual",
 }
 
 
@@ -416,7 +461,7 @@ def _model_text_with(path, literal):
 def test_malformed_model_is_rejected_in_one_line(capsys, tmp_path, command, case):
     where, literal, raised = MALFORMED_MODELS[case]
     text = _model_text_with(where, literal)
-    message = CONTAINER_MESSAGES.get(case)
+    message = MESSAGES.get(case)
     with pytest.raises(raised, match=message and re.escape(message)):
         ModelDescriptor.from_json(text, max_p=cli.MAX_P)
     path = tmp_path / "model.json"

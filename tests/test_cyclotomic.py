@@ -1,8 +1,11 @@
 """Cyclotomic field arithmetic against independent oracles.
 
 Norms are cross-checked with a resultant computed by a textbook Euclidean
-recurrence (N(a) = Res(Phi_p, f_a) for monic Phi_p), and total positivity is
-cross-checked against high-precision numeric embeddings via mpmath.
+recurrence (N(a) = Res(Phi_p, f_a) for monic Phi_p) and with the Bareiss
+determinant of the regular representation; the power-sum symmetric
+functions behind norms and total positivity with the Hessenberg
+characteristic polynomial of the multiplication matrix on K+; and total
+positivity with high-precision numeric embeddings via mpmath.
 """
 
 import random
@@ -11,9 +14,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from polobstruct.intlinalg import IntPoly, Matrix, solve_exact
+import polobstruct.intlinalg as intlinalg
+from polobstruct.intlinalg import IntPoly, Matrix, _charpoly_coeffs, det, solve_exact
 from polobstruct.cyclotomic import (
     CycElem,
+    _real_elementary,
     RealElem,
     complex_conj,
     cyclotomic_poly,
@@ -330,13 +335,16 @@ def test_totally_positive_against_embedding_oracle():
             done += 1
 
 
-def test_totally_positive_on_proper_subfield_element():
+def _gaussian_period_13():
     # the Gaussian period over the order-4 subgroup {1, 5, 8, 12} of
     # (Z/13)^* lies in the cubic subfield of K+, so its characteristic
     # polynomial on K+ is its minimal polynomial squared: repeated roots
-    p = 13
-    z = CycElem.zeta(p)
-    period = restrict_to_real(sum((z ** k for k in (1, 5, 8, 12)), CycElem.zero(p)))
+    z = CycElem.zeta(13)
+    return restrict_to_real(sum((z ** k for k in (1, 5, 8, 12)), CycElem.zero(13)))
+
+
+def test_totally_positive_on_proper_subfield_element():
+    period = _gaussian_period_13()
     emb = _embeddings_real(period)
     assert len({mpmath.nstr(v, 20) for v in emb}) == 3
     for shift in (-3, -1, 0, 1, 2, 3):
@@ -346,6 +354,76 @@ def test_totally_positive_on_proper_subfield_element():
         assert is_totally_positive(a) == all(v > 0 for v in vals)
     assert is_totally_positive(period + 3)
     assert not is_totally_positive(period)
+
+
+# ---------------------------------------------------------------------------
+# the power-sum route against the matrix routes
+
+PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def _real_samples(rng, p):
+    x = _rand_elem(rng, p, bound=3)
+    y = _rand_elem(rng, p, bound=3, rational=True)
+    out = [restrict_to_real(x * x.conj()), restrict_to_real(y + y.conj()),
+           RealElem.zero(p)]
+    if p == 13:
+        out.append(_gaussian_period_13())
+    return out
+
+
+def test_elementary_functions_frozen():
+    e5, e7 = restrict_to_real(eta(5)), restrict_to_real(eta(7))
+    # eta_5 has minimal polynomial x^2 + x - 1, eta_7 has x^3 + x^2 - 2x - 1
+    assert _real_elementary(e5.lift()) == [1, -1, -1]
+    assert _real_elementary((e5 + 2).lift()) == [1, 3, 1]
+    assert _real_elementary(e7.lift()) == [1, -1, -2, 1]
+    half = _real_elementary((e5 * Fraction(1, 2)).lift())
+    assert half == [1, Fraction(-1, 2), Fraction(-1, 4)]
+    assert [type(v) for v in half] == [int, Fraction, Fraction]
+    # the period's minimal polynomial x^3 + x^2 - 4x + 1, squared
+    assert _real_elementary(_gaussian_period_13().lift()) == [1, -2, -7, 6, 18, 8, 1]
+    assert _real_elementary(CycElem.zero(7)) == [1, 0, 0, 0]
+
+
+def test_elementary_functions_match_hessenberg_charpoly():
+    # prod (x - a_i) = sum_k (-1)^k e_k x^(m-k), and the Hessenberg route
+    # lists the characteristic polynomial of multiplication low degree first
+    rng = random.Random(31)
+    for p in PRIMES_TO_31:
+        m = (p - 1) // 2
+        for r in _real_samples(rng, p):
+            coeffs = _charpoly_coeffs(real_mult_matrix(r).to_lists())
+            e = _real_elementary(r.lift())
+            assert e == [(-1) ** k * coeffs[m - k] for k in range(m + 1)]
+            assert all(type(v) is int for v in e) == r.is_integral()
+            assert norm_real_to_Q(r) == det(real_mult_matrix(r))
+
+
+def test_norm_matches_bareiss_determinant():
+    rng = random.Random(37)
+    for p in PRIMES_TO_31:
+        samples = [_rand_elem(rng, p), _rand_elem(rng, p, bound=2, rational=True),
+                   CycElem.zero(p)]
+        if p == 13:
+            samples.append(_gaussian_period_13().lift())
+        for a in samples:
+            assert norm_to_Q(a) == det(regular_rep(a))
+
+
+def test_norms_and_positivity_use_no_determinant_or_charpoly(monkeypatch):
+    # the degree checks compare det(regular_rep(a))^2 with norm_to_Q(a)^2:
+    # two independent computations only if the norm takes no determinant
+    def refuse(*args):
+        raise AssertionError("reached a generic determinant or charpoly")
+
+    monkeypatch.setattr(intlinalg, "_bareiss_det", refuse)
+    monkeypatch.setattr(intlinalg, "_hessenberg", refuse)
+    e = restrict_to_real(eta(5))
+    assert norm_to_Q(CycElem.one(5) - CycElem.zeta(5)) == 5
+    assert norm_real_to_Q(e) == -1
+    assert is_totally_positive(e + 2)
+    assert not is_totally_positive(e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -528,26 +529,41 @@ def test_model_validation_errors():
     # construction alone validates: none of these calls .validate()
     m = twist_model(3, samples=2)
     bad_cert = PhiSample(Fraction(7), m.phi_samples[0].alpha)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="certificate does not have the claimed norm"):
         ModelDescriptor(m.labels, m.z_gens, m.algebra, (bad_cert,), m.s_c)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="s_c entries disagree"):
         ModelDescriptor(m.labels, m.z_gens, m.algebra, m.phi_samples, ((1,), (2,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="s_c entry outside the realizable span"):
         ModelDescriptor(m.labels, ((2,),), m.algebra, m.phi_samples, ((1,),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one z generator"):
         ModelDescriptor(m.labels, (), m.algebra, m.phi_samples, m.s_c)
-    # a span touching a self-dual label that cannot pair with itself
-    plain = LabelSet([SimpleLabel("G", 4, "G")])
+    # what parity and bgroup read: an s_c entry, the cyclotomic factor and
+    # a self-dual E[p] label
+    with pytest.raises(ValueError, match="need at least one s_c entry"):
+        ModelDescriptor(m.labels, m.z_gens, m.algebra, m.phi_samples, ())
+    rational = AlgebraDescriptor((AlgebraFactor("I", CenterField("Q"), 1, ()),))
+    with pytest.raises(ValueError, match="no cyclotomic factor"):
+        ModelDescriptor(m.labels, m.z_gens, rational, (), m.s_c)
+    other = LabelSet([SimpleLabel("G", 9, "G", True)])
+    with pytest.raises(ValueError, match=re.escape("no E[3] label")):
+        ModelDescriptor(other, m.z_gens, m.algebra, (), m.s_c)
+    swapped = LabelSet([SimpleLabel("E[3]", 9, "F"), SimpleLabel("F", 9, "E[3]")])
+    with pytest.raises(ValueError, match=re.escape("E[3] label is not self-dual")):
+        ModelDescriptor(swapped, ((1, 1),), m.algebra, (), ((1, 1),))
+    # the labels below sit beside E[3], with its class as the known s_c
+    e3 = m.labels[0]
     alg = m.algebra
-    with pytest.raises(ValueError):
-        ModelDescriptor(plain, ((1,),), alg, (), ())
+    # a span touching a self-dual label that cannot pair with itself
+    plain = LabelSet([e3, SimpleLabel("G", 4, "G")])
+    with pytest.raises(ValueError, match="self-dual label G without a pairing"):
+        ModelDescriptor(plain, ((1, 0), (0, 1)), alg, (), ((1, 0),))
     # rank 2 is the allowed exception
-    tiny = LabelSet([SimpleLabel("H", 2, "H")])
-    ModelDescriptor(tiny, ((1,),), alg, (), ())
+    tiny = LabelSet([e3, SimpleLabel("H", 2, "H")])
+    ModelDescriptor(tiny, ((1, 0), (0, 1)), alg, (), ((1, 0),))
     # duality-unstable span
-    pair = LabelSet([SimpleLabel("A", 5, "B"), SimpleLabel("B", 5, "A")])
-    with pytest.raises(ValueError):
-        ModelDescriptor(pair, ((1, 0),), alg, (), ())
+    pair = LabelSet([e3, SimpleLabel("A", 5, "B"), SimpleLabel("B", 5, "A")])
+    with pytest.raises(ValueError, match="not duality stable"):
+        ModelDescriptor(pair, ((1, 0, 0), (0, 1, 0)), alg, (), ((1, 0, 0),))
 
 
 def test_model_checks_each_sample_once(monkeypatch):
