@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import (
+    MAX_P,
     CycElem,
     complex_conj,
     is_odd_prime,
@@ -60,9 +61,6 @@ from .twist import (
 
 DEFAULT_SEED = 1729
 _SEED_ENV = "POLOBSTRUCT_SEED"
-# the largest prime any command accepts: work grows polynomially in p, and
-# the cap turns an absurd p into a one-line error instead of a hang
-MAX_P = 1000
 
 
 def _resolve_seed(explicit):
@@ -254,7 +252,7 @@ def _cmd_tp(args) -> int:
 def _load_model(path):
     try:
         with open(path) as fh:
-            return ModelDescriptor.from_json(fh.read(), max_p=MAX_P)
+            return ModelDescriptor.from_json(fh.read())
     # json.loads raises RecursionError on arrays nested past the limit
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"error: cannot load model: {exc}", file=sys.stderr)

@@ -20,8 +20,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .intlinalg import IntPoly, Matrix, _q_divmod, _q_strip
+
+
+# the largest prime any command or model file accepts: work grows
+# polynomially in p, and the cap turns an absurd p into a one-line error
+# instead of a hang
+MAX_P = 1000
 
 
 def is_prime(n) -> bool:
@@ -322,16 +329,16 @@ class RealElem:
         return all(isinstance(c, int) for c in self.coords)
 
     def lift(self) -> CycElem:
-        """The same element viewed inside Q(zeta_p)."""
+        """The same element viewed inside Q(zeta_p): each eta^k expands as
+        (zeta + zeta^(-1))^k = sum_j C(k, j) zeta^(k - 2j), so the exponents
+        are collected mod p and reduced once."""
         p = self.p
-        e = eta(p)
-        acc = CycElem.zero(p)
-        power = CycElem.one(p)
-        for c in self.coords:
+        acc = [0] * p
+        for k, c in enumerate(self.coords):
             if c:
-                acc = acc + power * c
-            power = power * e
-        return acc
+                for j in range(k + 1):
+                    acc[(k - 2 * j) % p] += comb(k, j) * c
+        return CycElem(p, _reduce_mod_cyclotomic(acc, p))
 
     def _same_field(self, other):
         if not isinstance(other, RealElem):

@@ -13,25 +13,28 @@ The main operations:
                    that U*A*V = D.  Pivot rule: smallest absolute nonzero
                    value, ties broken by lowest row then lowest column.
   * hnf_row        canonical row Hermite normal form (positive pivots,
-                   entries above a pivot reduced into [0, pivot)).
+                   entries above a pivot reduced into [0, pivot)), by one
+                   bigint row elimination.
   * col_hnf        column HNF, the canonical form used for column lattices.
   * int_kernel     basis of the integer kernel {x : A x = 0}, saturated,
-                   canonicalized by column HNF.
+                   canonicalized by column HNF. One sparse column
+                   elimination serves it and the commutant of zeta.
   * charpoly       characteristic polynomial via Hessenberg reduction and
                    the standard Hessenberg recurrence.
   * minpoly        minimal polynomial: the lcm of the Krylov annihilators
                    of the unit vectors; nothing is factored.
 
-Dense integer matrix products route through numpy int64 when a conservative
-bound proves no intermediate can overflow; otherwise plain bigint loops run.
-Results are identical either way.
+Dense integer matrix products (_matmul) route through numpy int64 when a
+conservative bound proves no intermediate can overflow; otherwise plain
+bigint loops run. Results are identical either way. This is the module's
+only int64 path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -43,7 +46,7 @@ def _norm_scalar(x):
     """Coerce an exact scalar; reject floats so no precision loss can sneak in."""
     if isinstance(x, bool):
         raise TypeError("bool is not a matrix entry")
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, int):
         return int(x)
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
@@ -442,57 +445,6 @@ def snf(a: Matrix) -> SnfResult:
 # Hermite normal form and lattice predicates
 
 
-class _NpOverflow(Exception):
-    """Raised when a numpy int64 fast path cannot prove a bound; callers
-    rerun the exact bigint code."""
-
-
-def _hnf_np(arr):
-    """hnf_row inner loop on an int64 array; guards every operation."""
-    m, n = arr.shape
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        while True:
-            nz = np.nonzero(arr[r:, j])[0]
-            if nz.size == 0:
-                break
-            k = int(nz[np.argmin(np.abs(arr[r + nz, j]))])
-            i0 = r + k
-            if i0 != r:
-                arr[[r, i0]] = arr[[i0, r]]
-            pv = int(arr[r, j])
-            prmax = int(np.abs(arr[r]).max())
-            done = True
-            for i in range(r + 1, m):
-                aij = int(arr[i, j])
-                if aij == 0:
-                    continue
-                q = aij // pv
-                if q:
-                    if abs(q) * prmax + int(np.abs(arr[i]).max()) >= _NP_SAFE:
-                        raise _NpOverflow
-                    arr[i] -= q * arr[r]
-                if arr[i, j] != 0:
-                    done = False
-            if done:
-                break
-        if r < m and arr[r, j] != 0:
-            if arr[r, j] < 0:
-                arr[r] = -arr[r]
-            pv = int(arr[r, j])
-            prmax = int(np.abs(arr[r]).max())
-            for i in range(r):
-                q = int(arr[i, j]) // pv
-                if q:
-                    if abs(q) * prmax + int(np.abs(arr[i]).max()) >= _NP_SAFE:
-                        raise _NpOverflow
-                    arr[i] -= q * arr[r]
-            r += 1
-    return [[int(x) for x in row] for row in arr[:r]]
-
-
 def hnf_row(a: Matrix) -> Matrix:
     """Canonical row HNF of the row lattice of a. Zero rows are dropped.
 
@@ -503,12 +455,6 @@ def hnf_row(a: Matrix) -> Matrix:
     if not a.is_integral():
         raise TypeError("hnf_row requires an integer matrix")
     m, n = a.shape
-    if m * n >= 4000 and m > 0 and a.max_abs() < _NP_SAFE:
-        try:
-            rows = _hnf_np(np.array(a.to_lists(), dtype=np.int64))
-            return Matrix(rows, ncols=n) if rows else Matrix.zero(0, n)
-        except _NpOverflow:
-            pass
     rows = [list(r) for r in a.rows]
     r = 0
     for j in range(n):
@@ -583,71 +529,23 @@ def _hnf_coords(h: Matrix, v):
 
 
 def int_kernel(a: Matrix) -> Matrix:
-    """Basis for {x in Z^n : A x = 0} as matrix columns.
-
-    The returned lattice is saturated (it is the full kernel, not a finite
-    index sublattice): column elimination keeps the transform unimodular, so
-    any integer kernel vector has integer coordinates in the returned basis.
-    Output is canonicalized by column HNF. Kernel of an injective map is the
-    n-by-0 matrix.
-    """
+    """Saturated basis for {x in Z^n : A x = 0} as matrix columns,
+    canonicalized by column HNF. Kernel of an injective map is the n-by-0
+    matrix."""
     if not a.is_integral():
         raise TypeError("int_kernel requires an integer matrix")
-    m, n = a.shape
-    if n == 0:
-        return Matrix.zero(0, 0)
-    if m * n <= 90_000:
-        kernel_cols = _kernel_dense(a.columns(), m)
-    else:
-        sparse_cols = []
-        for j in range(n):
-            col = {}
-            for i, x in enumerate(a.column(j)):
-                if x != 0:
-                    col[i] = x
-            sparse_cols.append(col)
-        kernel_cols = _kernel_sparse_columns(sparse_cols, m)
-        kernel_cols = [tuple(c.get(i, 0) for i in range(n)) for c in kernel_cols]
-    if not kernel_cols:
-        return Matrix.zero(n, 0)
-    return col_hnf(Matrix.from_columns(kernel_cols))
+    cols = [{i: x for i, x in enumerate(a.column(j)) if x} for j in range(a.ncols)]
+    return _sparse_kernel(cols, a.nrows)
 
 
-def _kernel_dense(cols, m):
-    """Column elimination with an identity transform tracked alongside."""
-    n = len(cols)
-    work = [list(c) for c in cols]
-    v = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # v[j] = column j
-    active = list(range(n))
-    for i in range(m):
-        while True:
-            live = [c for c in active if work[c][i] != 0]
-            if len(live) <= 1:
-                break
-            cp = min(live, key=lambda c: (abs(work[c][i]), c))
-            p = work[cp][i]
-            for c in live:
-                if c == cp:
-                    continue
-                q = work[c][i] // p
-                if q:
-                    wc, wp = work[c], work[cp]
-                    for r in range(i, m):
-                        wc[r] -= q * wp[r]
-                    vc, vp = v[c], v[cp]
-                    for r in range(n):
-                        vc[r] -= q * vp[r]
-        live = [c for c in active if work[c][i] != 0]
-        if live:
-            active.remove(live[0])
-    return [tuple(v[c]) for c in active]
+def _sparse_kernel(cols, m) -> Matrix:
+    """Column-HNF basis of the integer kernel of the columns cols, each a
+    dict {row: nonzero int} on rows 0..m-1.
 
-
-def _kernel_sparse_columns(cols, m):
-    """Same elimination on dict-of-row sparse columns; for large thin systems.
-
-    cols: list of {row: nonzero int}. Returns kernel vectors as dicts keyed
-    by original column index.
+    Column elimination tracks the unimodular transform alongside, so the
+    columns it leaves zero span the saturated kernel (the full kernel, not
+    a finite index sublattice): any integer kernel vector has integer
+    coordinates in the returned basis.
     """
     n = len(cols)
     work = [dict(c) for c in cols]
@@ -699,7 +597,8 @@ def _kernel_sparse_columns(cols, m):
             live = sorted(c for c in here if c in active)
             if live:
                 active.discard(live[0])
-    return [v[c] for c in sorted(active)]
+    kernel = [tuple(v[c].get(j, 0) for j in range(n)) for c in sorted(active)]
+    return col_hnf(Matrix.from_columns(kernel)) if kernel else Matrix.zero(n, 0)
 
 
 def solve_exact(a: Matrix, b: Matrix):
@@ -780,10 +679,6 @@ class IntPoly:
     def degree(self):
         return len(self._c) - 1  # zero polynomial has degree -1
 
-    @property
-    def leading(self):
-        return self._c[-1] if self._c else 0
-
     def is_zero(self):
         return not self._c
 
@@ -835,28 +730,6 @@ class IntPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def derivative(self):
-        return IntPoly([i * x for i, x in enumerate(self._c)][1:])
-
-    def content(self):
-        g = 0
-        for x in self._c:
-            g = gcd(g, x)
-        return g
-
-    def primitive_part(self):
-        c = self.content()
-        if c == 0:
-            return self
-        sign = 1 if self.leading > 0 else -1
-        return IntPoly([sign * x // c for x in self._c])
-
-    def eval_at(self, x):
-        acc = 0
-        for c in reversed(self._c):
-            acc = acc * x + c
-        return acc
 
     def eval_matrix(self, a: Matrix) -> Matrix:
         if not a.is_square():

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import (
+    MAX_P,
     CycElem,
     RealElem,
     complex_conj,
@@ -302,8 +303,8 @@ class CenterField:
             raise ValueError("cyclotomic centers need an odd prime")
 
     @classmethod
-    def parse(cls, text: str, max_p=None) -> "CenterField":
-        """Read "Q", "Q(zeta_p)" or "Q(zeta_p)+". A p above max_p raises
+    def parse(cls, text: str) -> "CenterField":
+        """Read "Q", "Q(zeta_p)" or "Q(zeta_p)+". A p above MAX_P raises
         ValueError before it is tested for primality."""
         text = text.strip()
         if text == "Q":
@@ -313,8 +314,8 @@ class CenterField:
             text = text[:-1]
         if text.startswith("Q(zeta_") and text.endswith(")"):
             p = int(text[len("Q(zeta_"):-1])
-            if max_p is not None and p > max_p:
-                raise ValueError(f"center prime {p} exceeds {max_p}")
+            if p > MAX_P:
+                raise ValueError(f"center prime {p} exceeds {MAX_P}")
             return cls("real_cyclotomic" if plus else "cyclotomic", p)
         raise ValueError(f"cannot parse center {text!r}")
 
@@ -738,18 +739,18 @@ class ModelDescriptor:
         return json.dumps(data, indent=2)
 
     @classmethod
-    def from_json(cls, text: str, max_p=None) -> "ModelDescriptor":
+    def from_json(cls, text: str) -> "ModelDescriptor":
         """Parse a model, which its construction validates. A value of the
         wrong JSON type (a float for an integer, an array for an object) or
-        a missing field raises ValueError naming the field. With max_p set,
-        a center prime or a ramified entry above it raises ValueError before
-        any primality test, so an absurd prime cannot stall trial division."""
+        a missing field raises ValueError naming the field. A center prime or
+        a ramified entry above MAX_P raises ValueError before any primality
+        test, so an absurd prime cannot stall trial division."""
         data = _json_value(json.loads(text), "the model", dict)
 
         def ramified(d):
             ram = tuple(_json_array(d, "ramified", int, default=[]))
-            if max_p is not None and any(ell > max_p for ell in ram):
-                raise ValueError(f"ramified entries must be at most {max_p}")
+            if any(ell > MAX_P for ell in ram):
+                raise ValueError(f"ramified entries must be at most {MAX_P}")
             return ram
 
         labels = LabelSet(
@@ -760,7 +761,7 @@ class ModelDescriptor:
         )
         algebra = AlgebraDescriptor(tuple(
             AlgebraFactor(_json_field(d, "type", str),
-                          CenterField.parse(_json_field(d, "center", str), max_p),
+                          CenterField.parse(_json_field(d, "center", str)),
                           _json_field(d, "n", int, default=1), ramified(d))
             for d in _json_array(_json_field(data, "algebra", dict), "factors", dict)
         ))

@@ -30,8 +30,7 @@ from functools import cached_property
 from .cyclotomic import CycElem, _require_odd_prime, regular_rep
 from .intlinalg import (
     Matrix,
-    _kernel_sparse_columns,
-    col_hnf,
+    _sparse_kernel,
     det,
     leading_principal_minors,
 )
@@ -201,14 +200,6 @@ def _commutator_columns(zeta: Matrix):
     return cols
 
 
-def _centralizer_kernel_vectors(zeta: Matrix):
-    """Flattened commutant basis via the integer kernel of the commutator."""
-    n = zeta.nrows
-    cols = _commutator_columns(zeta)
-    kernel = _kernel_sparse_columns(cols, n * n)
-    return [tuple(c.get(i, 0) for i in range(n * n)) for c in kernel]
-
-
 def centralizer_basis(p, method="kernel"):
     """Basis of the lattice of integer matrices commuting with the cocycle.
 
@@ -223,10 +214,7 @@ def centralizer_basis(p, method="kernel"):
         raise ValueError(f"unknown method {method!r}")
     zeta = build_zeta(p)
     n = p - 1
-    vecs = _centralizer_kernel_vectors(zeta)
-    if not vecs:
-        return []
-    canon = col_hnf(Matrix.from_columns(vecs))
+    canon = _sparse_kernel(_commutator_columns(zeta), n * n)
     out = []
     for j in range(canon.ncols):
         flat = canon.column(j)

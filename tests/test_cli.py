@@ -463,7 +463,7 @@ def test_malformed_model_is_rejected_in_one_line(capsys, tmp_path, command, case
     text = _model_text_with(where, literal)
     message = MESSAGES.get(case)
     with pytest.raises(raised, match=message and re.escape(message)):
-        ModelDescriptor.from_json(text, max_p=cli.MAX_P)
+        ModelDescriptor.from_json(text)
     path = tmp_path / "model.json"
     path.write_text(text)
     start = time.monotonic()

@@ -265,6 +265,32 @@ def test_lift_restrict_round_trip():
             assert restrict_to_real(s).lift() == s
 
 
+def test_lift_closed_form_matches_eta_products():
+    # the binomial expansion of eta^k against sum c_k eta^k built from
+    # CycElem products, and back through the Dickson restriction
+    rng = random.Random(43)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        m = (p - 1) // 2
+        e = eta(p)
+        for rational in (False, True):
+            for _ in range(3):
+                if rational:
+                    coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(m)]
+                else:
+                    coords = [rng.randint(-5, 5) for _ in range(m)]
+                r = RealElem(p, coords)
+                expected = CycElem.zero(p)
+                power = CycElem.one(p)
+                for c in r.coords:
+                    expected = expected + power * c
+                    power = power * e
+                lifted = r.lift()
+                assert lifted.coords == expected.coords
+                assert [type(x) for x in lifted.coords] == [type(x) for x in expected.coords]
+                assert restrict_to_real(lifted) == r
+
+
 def test_real_norm_frozen():
     e = restrict_to_real(eta(5))
     two_plus_eta = RealElem.from_rational(2, 5) + e

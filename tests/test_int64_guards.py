@@ -1,19 +1,18 @@
 """Property tests at the int64 guard boundaries.
 
-_matmul takes numpy's int64 product only when max|A| * max|B| * inner_dim
-< 2^62, _hnf_np raises _NpOverflow before any row operation that could
-leave that range, and galmod._check_modp_bounds admits the mod-p certificate
-only when dim * (p-1)^2 < 2^62. Near those bounds all must agree exactly
-with plain Python bigint arithmetic.
+The package has two int64 paths. intlinalg._matmul takes numpy's int64
+product only when max|A| * max|B| * inner_dim < 2^62, and
+galmod._check_modp_bounds admits the mod-p certificate only when
+dim * (p-1)^2 < 2^62. Near those bounds both must agree exactly with plain
+Python bigint arithmetic.
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polobstruct.galmod import _check_modp_bounds
-from polobstruct.intlinalg import Matrix, _hnf_np, _matmul, _NpOverflow, hnf_row
+from polobstruct.intlinalg import Matrix, _matmul
 
 # derandomized and without an example database, so every run draws the
 # same examples and leaves nothing behind
@@ -54,41 +53,6 @@ def _bigint_product(a, b):
 def test_matmul_matches_bigint_at_the_guard(pair):
     a, b = pair
     assert _matmul(Matrix(a), Matrix(b)).rows == _bigint_product(a, b)
-
-
-@st.composite
-def _hnf_input(draw):
-    # a row step multiplies a quotient up to max|entry| by a row up to
-    # max|entry|, so entries near 2^31 put it at the 2^62 guard; smaller
-    # magnitudes keep most matrices on the int64 path through the entry
-    # growth of a full reduction
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    magnitude = draw(st.sampled_from([2 ** 16, 2 ** 24, 2 ** 30, 2 ** 31]))
-    return _grid(draw, m, n, _near(magnitude))
-
-
-@_SETTINGS
-@given(_hnf_input())
-@example([[2 ** 31, 1], [2 ** 31 + 1, 1]])
-@example([[2 ** 62 - 1, 0], [2 ** 62 - 2, 1]])
-def test_hnf_np_matches_bigint_loop(rows):
-    # hnf_row takes its bigint loop below 4000 entries, so on these small
-    # matrices it is the exact reference
-    expected = [list(r) for r in hnf_row(Matrix(rows)).rows]
-    try:
-        got = _hnf_np(np.array(rows, dtype=np.int64))
-    except _NpOverflow:
-        assume(False)
-    assert got == expected
-
-
-def test_hnf_np_guard_trips_before_wrapping():
-    # row 2 + 2 * row 1 would put 3 * 2^62 - 3 in the second column, past
-    # int64; the guard must raise instead of letting it wrap
-    rows = [[1, 2 ** 62 - 1], [-2, 2 ** 62 - 1]]
-    with pytest.raises(_NpOverflow):
-        _hnf_np(np.array(rows, dtype=np.int64))
-    assert hnf_row(Matrix(rows)).rows == ((1, 2 ** 62 - 1), (0, 3 * 2 ** 62 - 3))
 
 
 @st.composite

@@ -30,7 +30,6 @@ from polobstruct.intlinalg import (
     snf,
     solve_exact,
     _hnf_coords,
-    _kernel_sparse_columns,
 )
 
 
@@ -97,6 +96,12 @@ def _minor_gcds(a: Matrix):
 
 def _random_matrix(rng, m, n, bound=20):
     return Matrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
+
+
+def _rank_deficient(rng, m, n):
+    """A product through an inner dimension below min(m, n) when there is one."""
+    k = rng.randint(1, max(1, min(m, n) - 1))
+    return _random_matrix(rng, m, k, bound=4) * _random_matrix(rng, k, n, bound=4)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +255,75 @@ def test_hnf_drops_zero_rows():
     assert h == Matrix([[3, 1]])
 
 
+def test_hnf_row_beyond_int64():
+    # row 2 + 2 * row 1 puts 3 * 2^62 - 3 in the second column, past int64
+    rows = [[1, 2 ** 62 - 1], [-2, 2 ** 62 - 1]]
+    assert hnf_row(Matrix(rows)).rows == ((1, 2 ** 62 - 1), (0, 3 * 2 ** 62 - 3))
+
+
+def _hnf_inputs(rng):
+    """Random integer matrices up to 6 x 6: any shape, square,
+    rank-deficient (a product through a thinner inner dimension) and with
+    zero rows."""
+    for _ in range(30):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.choice(["any", "square", "deficient", "zero_rows"])
+        if kind == "square":
+            n = m
+        if kind == "deficient":
+            a = _rank_deficient(rng, m, n)
+        else:
+            a = _random_matrix(rng, m, n, bound=9)
+        if kind == "zero_rows":
+            rows = [list(r) for r in a.rows]
+            for i in rng.sample(range(m), rng.randint(1, m)):
+                rows[i] = [0] * n
+            a = Matrix(rows, ncols=n)
+        yield a
+    yield Matrix.zero(3, 4)
+
+
+def _random_unimodular(rng, m):
+    """A product of random elementary row operations: swaps, negations
+    and additions of a multiple of one row to another."""
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.randrange(m), rng.randrange(m)
+        op = rng.choice(["swap", "negate", "add"])
+        if op == "swap":
+            u[i], u[j] = u[j], u[i]
+        elif op == "negate":
+            u[i] = [-x for x in u[i]]
+        elif i != j:
+            q = rng.choice([-3, -2, -1, 1, 2, 3])
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    return Matrix(u, ncols=m)
+
+
+def test_hnf_row_properties_random():
+    rng = random.Random(37)
+    for a in _hnf_inputs(rng):
+        m, n = a.shape
+        h = hnf_row(a)
+        assert h.ncols == n
+        pivots = []
+        for r, row in enumerate(h.rows):
+            j = next(j for j, x in enumerate(row) if x != 0)  # no zero rows
+            assert row[j] > 0
+            assert all(h[i, j] == 0 for i in range(r + 1, h.nrows))
+            assert all(0 <= h[i, j] < row[j] for i in range(r))
+            assert not pivots or j > pivots[-1]
+            pivots.append(j)
+        assert hnf_row(_random_unimodular(rng, m) * a) == h
+        d = _cofactor_det([list(r) for r in a.rows]) if m == n else 0
+        if d:
+            prod = 1
+            for r, j in enumerate(pivots):
+                prod *= h[r, j]
+            assert prod == abs(d)
+        assert h.nrows == sum(1 for d in snf(a).invariant_factors if d != 0)
+
+
 def test_col_lattice_membership():
     basis = Matrix.from_columns([(2, 0, 1), (0, 3, 1)])
     assert col_lattice_contains(basis, (2, 0, 1))
@@ -323,22 +397,27 @@ def test_kernel_properties_random():
             assert col_hnf(k) == k
 
 
-def test_kernel_dense_sparse_agree():
+def test_kernel_is_saturated_random():
+    # unit invariant factors make the kernel basis saturated: a lattice of
+    # finite index > 1 in the kernel would show a factor > 1
     rng = random.Random(29)
-    for _ in range(10):
-        m, n = 6, 7
-        a = _random_matrix(rng, m, n, bound=5)
-        dense = int_kernel(a)
-        cols = []
-        for j in range(n):
-            col = {i: a[i, j] for i in range(m) if a[i, j] != 0}
-            cols.append(col)
-        sparse = _kernel_sparse_columns(cols, m)
-        vecs = [tuple(c.get(i, 0) for i in range(n)) for c in sparse]
-        if vecs:
-            assert col_hnf(Matrix.from_columns(vecs)) == dense
+    cases = [Matrix.zero(3, 4), Matrix([[2, 4, 6, -8]])]
+    cases += [_random_matrix(rng, 1, rng.randint(2, 6), bound=12) for _ in range(5)]
+    for _ in range(20):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        if rng.random() < 0.5:
+            cases.append(_rank_deficient(rng, m, n))
         else:
-            assert dense.ncols == 0
+            cases.append(_random_matrix(rng, m, n, bound=5))
+    for a in cases:
+        m, n = a.shape
+        k = int_kernel(a)
+        assert a * k == Matrix.zero(m, k.ncols)
+        rank = sum(1 for d in snf(a).invariant_factors if d != 0)
+        assert k.shape == (n, n - rank)
+        assert col_hnf(k) == k
+        assert all(d == 1 for d in snf(k).invariant_factors)
+    assert int_kernel(Matrix.zero(3, 4)) == Matrix.identity(4)
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +578,6 @@ def test_intpoly_basics():
     g = IntPoly([-1, 1])
     assert f * g == IntPoly([-1, 0, 0, 1])
     assert (f + g).coeffs == (0, 2, 1)
-    assert f.derivative() == IntPoly([1, 2])
-    assert f.eval_at(2) == 7
-    assert IntPoly([2, 4]).primitive_part() == IntPoly([1, 2])
-    # primitive part is canonicalized to a positive leading coefficient
-    assert IntPoly([-2, -4]).primitive_part() == IntPoly([1, 2])
     assert IntPoly([]).degree == -1
     assert g.divides(IntPoly([1, -2, 1]))
     assert not g.divides(f)
