@@ -9,18 +9,20 @@ zeta^k + zeta^{-k} = D_k(eta).
 
 Norms and total positivity come from one routine. For x in K+, the power
 sums of its (p-1)/2 real embeddings are halved traces Tr_(K/Q)(x^k), read
-off the power basis by Tr(zeta^j) = p [j = 0] - 1, and Newton's identities
-turn them into the elementary symmetric functions e_k. The norm to Q is the
-last of them, and x is totally positive iff every e_k is positive (its
-embeddings are real because K+ is totally real). No matrix and no floating
-point enters the verification path.
+off by Tr(zeta^j) = p [j = 0] - 1, and Newton's identities turn them into
+the elementary symmetric functions e_k. The norm to Q is the last of them,
+and x is totally positive iff every e_k is positive (its embeddings are
+real because K+ is totally real). The powers of x are packed integers
+whose digit width is proven never to carry (Kronecker substitution). No
+matrix and no floating point enters the verification path.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from .intlinalg import IntPoly, Matrix, _q_divmod, _q_strip
 
@@ -272,14 +274,15 @@ def complex_conj(a: CycElem) -> CycElem:
 
 
 def regular_rep(a: CycElem) -> Matrix:
-    """Matrix of multiplication by a on the power basis, columns a * zeta^j."""
-    p = a.p
-    cols = []
-    cur = a
-    z = CycElem.zeta(p)
-    for _ in range(p - 1):
-        cols.append(cur.coords)
-        cur = cur * z
+    """Matrix of multiplication by a on the power basis, columns a * zeta^j;
+    zeta maps (c_0, ..., c_(p-2)) to (-c_(p-2), c_0 - c_(p-2), ...,
+    c_(p-3) - c_(p-2)) because zeta^(p-1) = -(1 + ... + zeta^(p-2))."""
+    c = a.coords
+    cols = [c]
+    for _ in range(a.p - 2):
+        top = c[-1]
+        c = (-top,) + tuple(x - top for x in c[:-1])
+        cols.append(c)
     return Matrix.from_columns(cols)
 
 
@@ -465,25 +468,66 @@ def _real_elementary(x: CycElem):
     """e_0, ..., e_m of the m = (p-1)/2 real embeddings of a
     conjugation-fixed x, integral values as int.
 
-    Each real embedding of x extends to two complex ones, so the power sums
-    are s_k = Tr_(K/Q)(x^k) / 2, with Tr(sum c_j zeta^j) = p c_0 - sum c_j.
-    Newton's identities give k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i.
+    The power sums are s_k = Tr_(K/Q)(x^k) / 2. X = d x, d the lcm of the
+    denominators, has e_k(x) = e_k(X) / d^k. Padded with c_(p-1) = 0 and
+    shifted by o (1 + zeta + ... + zeta^(p-1)) = 0 to digits a_j >= 0, X
+    lives in Z[t]/(t^p - 1), where Tr(sum a_j zeta^j) = p a_0 - sum a_j.
+    The digits of X^k are nonnegative with sum S^k, S = sum a_j, so for
+    k <= h = ceil(m/2) digits of w bits, 2^w > S^h, never carry: X^k is one
+    packed integer product and one fold. For k > h, a_0(X^k) =
+    sum_t u_t v_(p-t) for u, v the digits of X^h and X^(k-h). Newton's
+    identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i run in integers;
+    an inexact halving or division raises AssertionError.
     """
     p = x.p
     m = (p - 1) // 2
-    s = [0]
-    power = x
-    for k in range(1, m + 1):
-        if k > 1:
-            power = power * x
-        c = power.coords
-        s.append(_coerce_coord(Fraction(p * c[0] - sum(c), 2)))
+    d = lcm(*(c.denominator for c in x.coords))
+    c = [int(v * d) for v in x.coords] + [0]
+    shift = -min(c)  # >= 0 because of the padded c_(p-1) = 0
+    a = [v + shift for v in c]
+    total = sum(a)
+    h = (m + 1) // 2
+    nbytes = (total ** h).bit_length() // 8 + 1  # 2^(8 nbytes) > S^h
+    nbits = 8 * nbytes * p  # p digits
+
+    def unpack(v):
+        b = v.to_bytes(nbytes * p, "little")
+        return [int.from_bytes(b[i:i + nbytes], "little")
+                for i in range(0, nbytes * p, nbytes)]
+
+    powers = [int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in a),
+                             "little")]
+    for _ in range(h - 1):
+        prod = powers[-1] * powers[0]
+        powers.append((prod & ((1 << nbits) - 1)) + (prod >> nbits))
+    # a_0 of X^1, ..., X^h, then of X^(h+1), ..., X^m by dot products
+    digit = (1 << 8 * nbytes) - 1
+    const = [v & digit for v in powers]
+    u = unpack(powers[-1])
+    u[1:] = u[:0:-1]  # u_0, u_(p-1), ..., u_1
+    const += [sum(map(mul, u, unpack(v))) for v in powers[:m - h]]
+    s, power = [0], 1
+    for a0 in const:
+        power *= total
+        s.append(_exact_div(p * a0 - power, 2))
     e = [1]
     for k in range(1, m + 1):
         acc = sum(e[k - i] * s[i] if i % 2 else -e[k - i] * s[i]
                   for i in range(1, k + 1))
-        e.append(_coerce_coord(Fraction(acc, k)))
-    return e
+        e.append(_exact_div(acc, k))
+    out, scale = [], 1
+    for v in e:
+        q, r = divmod(v, scale)
+        out.append(Fraction(v, scale) if r else q)
+        scale *= d
+    return out
+
+
+def _exact_div(n, k):
+    q, r = divmod(n, k)
+    if r:
+        raise AssertionError(f"inexact division by {k}")
+    return q
 
 
 def is_totally_positive(a: RealElem) -> bool:

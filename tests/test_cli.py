@@ -1,15 +1,18 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import polobstruct
 
 from polobstruct import cli
+from polobstruct.cyclotomic import CycElem, complex_conj, format_element
 from polobstruct.intlinalg import matrix_from_json
 from polobstruct.kergroup import ModelDescriptor, twist_model
 from polobstruct.twist import CONSTRUCTION_CHECKS, build_b, build_zeta
@@ -137,6 +140,56 @@ def test_tp_command(capsys):
     assert rc == 2 and "conjugation" in err
     rc, _, _ = _run(capsys, ["tp", "5; 0, 0, 0, 0"])
     assert rc == 2
+
+
+def _seeded_fixed_elements(p):
+    """x conj(x), its negation, and y conj(y) for y with Fraction coordinates."""
+    rng = random.Random(p)
+    x = CycElem(p, [rng.randint(-1, 1) for _ in range(p - 1)])
+    y = CycElem(p, [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(p - 1)])
+    a = x * complex_conj(x)
+    return a, -a, y * complex_conj(y)
+
+
+# norms as the product-chain power sums printed them, at primes past those
+# where the test suite runs the Hessenberg and Bareiss oracles
+FROZEN_NORMS = {
+    61: (
+        "5188371114112718605850127127756355423931427083808476188453495456"
+        "1030269740633681",
+        "9537884702078921622408939636815537207792856335204942250930768101"
+        "8059484157008970642846471601621763173824774612181436223298835455"
+        "5514926132427987608698567446059732568036656427841/23886363993601"
+        "0997755740204171813308082942915984475750764206319935952963252246"
+        "7783435119230976",
+    ),
+    101: (
+        "1002363944586335786908746699351933038444113205763595231713821385"
+        "8702070405930640015807900828963727686172442055250986394929631581"
+        "9275698819948597104259329",
+        "5679114232155882477459580755230572930229465389678334009889456166"
+        "9974788978152478424704014043665663489817558470440680060469174357"
+        "5688185940453314476437004090151536630021863095771145751392448978"
+        "1295036958559866043688236895085531579931127177796939940878729183"
+        "5659296394787849369404157784217086085466830830344951941169121606"
+        "2601/42682522381202740079697489151877373234298874535448942949547"
+        "9078935112929549619739019072139340757097296812815466676129830954"
+        "465240517595242384015591919845376",
+    ),
+}
+
+
+@pytest.mark.parametrize("p", sorted(FROZEN_NORMS))
+def test_norm_and_tp_frozen_at_large_primes(capsys, p):
+    a, neg, frac = _seeded_fixed_elements(p)
+    norm, frac_norm = FROZEN_NORMS[p]
+    for elem, expected_norm, verdict in ((a, norm, "totally positive"),
+                                         (neg, norm, "not totally positive"),
+                                         (frac, frac_norm, "totally positive")):
+        rc, out, _ = _run(capsys, ["norm", format_element(elem)])
+        assert rc == 0 and out == expected_norm + "\n"
+        rc, out, _ = _run(capsys, ["tp", format_element(elem)])
+        assert rc == 0 and out == verdict + "\n"
 
 
 @pytest.fixture

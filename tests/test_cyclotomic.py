@@ -10,9 +10,12 @@ positivity with high-precision numeric embeddings via mpmath.
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polobstruct.intlinalg as intlinalg
 from polobstruct.intlinalg import IntPoly, Matrix, _charpoly_coeffs, det, solve_exact
@@ -183,12 +186,15 @@ def test_regular_rep_frozen():
 
 
 def test_regular_rep_is_ring_homomorphism():
+    # regular_rep shifts coordinates by the closed form for multiplication
+    # by zeta and takes no CycElem product, so this checks __mul__ too
     rng = random.Random(5)
-    for p in PRIMES:
-        a = _rand_elem(rng, p)
-        b = _rand_elem(rng, p)
-        assert regular_rep(a * b) == regular_rep(a) * regular_rep(b)
-        assert regular_rep(a + b) == regular_rep(a) + regular_rep(b)
+    for p in PRIMES + [13]:
+        for rational in (False, True):
+            a = _rand_elem(rng, p, rational=rational)
+            b = _rand_elem(rng, p)
+            assert regular_rep(a * b) == regular_rep(a) * regular_rep(b)
+            assert regular_rep(a + b) == regular_rep(a) + regular_rep(b)
 
 
 def test_norm_frozen():
@@ -410,6 +416,123 @@ def test_elementary_functions_frozen():
     # the period's minimal polynomial x^3 + x^2 - 4x + 1, squared
     assert _real_elementary(_gaussian_period_13().lift()) == [1, -2, -7, 6, 18, 8, 1]
     assert _real_elementary(CycElem.zero(7)) == [1, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# packed powers against the product chain
+
+
+def _elementary_by_products(x: CycElem):
+    """The power sums by m - 1 schoolbook CycElem products, then Newton's
+    identities over Q: the route _real_elementary replaced."""
+    p = x.p
+    m = (p - 1) // 2
+    s = [0]
+    power = x
+    for k in range(1, m + 1):
+        if k > 1:
+            power = power * x
+        c = power.coords
+        s.append(Fraction(p * c[0] - sum(c), 2))
+    e = [Fraction(1)]
+    for k in range(1, m + 1):
+        acc = sum(e[k - i] * s[i] if i % 2 else -e[k - i] * s[i]
+                  for i in range(1, k + 1))
+        e.append(acc / k)
+    return [int(v) if v.denominator == 1 else v for v in e]
+
+
+PRIMES_TO_61 = PRIMES_TO_31 + [37, 41, 43, 47, 53, 59, 61]
+
+
+def _negative_fixed_elem(rng, p):
+    # c_1 = c_(p-1) = 0 for a conjugation-fixed element; every other
+    # coordinate is negative, so only the shift makes the digits nonnegative
+    half = [-rng.randint(1, 3) for _ in range(p // 2 + 1)]
+    return CycElem(p, [half[0], 0] + [half[min(j, p - j)] for j in range(2, p - 1)])
+
+
+def _fixed_samples(rng, p):
+    x = _rand_elem(rng, p, bound=3)
+    # three Fraction coordinates, c_0 and c_2 = c_(p-2): the product chain
+    # over a dense Fraction element is too slow at p = 61 to run every time
+    z = CycElem.zeta(p)
+    sparse = (z ** 2 + z ** (p - 2)) * Fraction(5, 6) + Fraction(rng.randint(-9, 9), 4)
+    out = [x * x.conj(), -(x * x.conj()), sparse, _negative_fixed_elem(rng, p),
+           CycElem.zero(p), CycElem.from_rational(5, p), CycElem.from_rational(-5, p),
+           CycElem.from_rational(Fraction(-7, 3), p)]
+    if p <= 31:
+        y = _rand_elem(rng, p, bound=2, rational=True)
+        out.append(y * y.conj())
+    if p == 13:
+        out.append(_gaussian_period_13().lift())
+    return out
+
+
+def test_packed_powers_match_product_chain():
+    rng = random.Random(61)
+    for p in PRIMES_TO_61:
+        for x in _fixed_samples(rng, p):
+            e, expected = _real_elementary(x), _elementary_by_products(x)
+            assert e == expected
+            assert [type(v) for v in e] == [type(v) for v in expected]
+
+
+def test_packed_powers_read_the_trace_of_an_unfixed_element():
+    # off the fixed field the digits of X^h are not palindromic, so only
+    # the reversed dot product a_0(X^h X^j) = sum_t u_t v_(p-t) gives the
+    # halved traces; scaling by 2 m! keeps every power sum and Newton step
+    # integral (the elementary functions of the halved traces have
+    # denominators dividing 2^k k!)
+    rng = random.Random(67)
+    for p in (5, 7, 11, 13):
+        scale = 2 * factorial((p - 1) // 2)
+        for _ in range(3):
+            x = _rand_elem(rng, p, bound=3) * scale
+            assert x != x.conj()
+            e = _real_elementary(x)
+            assert e == _elementary_by_products(x)
+            assert all(type(v) is int for v in e)
+    # unscaled, Tr(zeta) = -1 is odd, and 2 e_2 = 3 for 2 zeta at p = 5
+    for x in (CycElem.zeta(5), CycElem.zeta(5) * 2):
+        with pytest.raises(AssertionError, match="inexact division"):
+            _real_elementary(x)
+
+
+def _constant_elementary(c, p):
+    # all m real embeddings of a rational c equal c: e_k = C(m, k) c^k
+    m = (p - 1) // 2
+    e = [comb(m, k) * Fraction(c) ** k for k in range(m + 1)]
+    return [int(v) if v.denominator == 1 else v for v in e]
+
+
+@st.composite
+def _constant_near_byte_boundary(draw):
+    # a constant c > 0 puts all of c^k in digit 0, so that digit reaches the
+    # guard's bound S^k exactly; -c moves all the mass into the shifted
+    # digits 1, ..., p-1. |c| = 2^e + delta crosses byte boundaries of c^h.
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19]))
+    c = (1 << draw(st.integers(0, 40))) + draw(st.integers(-2, 2))
+    c = Fraction(max(c, 1), draw(st.sampled_from([1, 1, 3, 4])))
+    return p, c if draw(st.booleans()) else -c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_constant_near_byte_boundary())
+@example((7, Fraction(256)))  # c^h = 2^(8h): one bit past h bytes, h = 2
+@example((13, Fraction(256)))
+@example((13, Fraction(-256)))
+@example((5, Fraction(256)))  # h = 1: the digit c itself needs two bytes
+@example((11, Fraction(255)))
+@example((19, Fraction(1 << 16, 3)))
+@example((3, Fraction(-1)))
+def test_digit_width_guard_at_its_bound(case):
+    p, c = case
+    x = CycElem.from_rational(c, p)
+    e = _real_elementary(x)
+    expected = _constant_elementary(c, p)
+    assert e == expected
+    assert [type(v) for v in e] == [type(v) for v in expected]
 
 
 def test_elementary_functions_match_hessenberg_charpoly():
