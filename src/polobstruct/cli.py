@@ -178,13 +178,18 @@ def _cmd_construct(args) -> int:
         return 2
     t = TwistData.for_prime(args.p)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for name, mat in (("zeta.json", t.zeta), ("b.json", t.b)):
-            path = os.path.join(args.out, name)
-            with open(path, "w") as fh:
-                json.dump(matrix_to_json(mat), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(path)
+        paths = []
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for name, mat in (("zeta.json", t.zeta), ("b.json", t.b)):
+                paths.append(os.path.join(args.out, name))
+                with open(paths[-1], "w") as fh:
+                    json.dump(matrix_to_json(mat), fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write to --out: {exc}", file=sys.stderr)
+            return 2
+        print("\n".join(paths))
     else:
         print(json.dumps({"p": args.p,
                           "zeta": matrix_to_json(t.zeta),

@@ -12,10 +12,13 @@ columns and N V = 0. Then the 2n vectors N^i e_j are independent (apply
 N^(n-1-i) to a dependency at its smallest i), so N ~ J_n + J_n: each step
 has dimension 2 and trivial action, and (1 + N)^p = 1 + N^p = 1.
 
+The certificate runs on Python ints: the nonzero entries of N are
+collected once, column by column, and N is applied to e_0 and e_1 together,
+reducing mod p after each application. Each application costs one pass over
+those entries, and independence mod p is one 2 x 2 minor test per row.
+
 Kernel sizes of isogenies between powers of E are measured by their
 E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
-All arithmetic is exact: numpy int64 matrices with entries reduced mod p,
-with accumulation bounds asserted before any product.
 """
 
 from __future__ import annotations
@@ -23,51 +26,77 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .cyclotomic import _require_odd_prime
+from .intlinalg import Matrix
 from .twist import build_zeta
-
-
-def _check_modp_bounds(dim, p):
-    # int64: dim terms of at most (p-1)^2 must sum below 2^63; 2^62 spares a bit
-    if dim * (p - 1) ** 2 >= 2 ** 62:
-        raise ValueError(f"p = {p} too large for the int64 mod-p fast path")
 
 
 @dataclass(frozen=True)
 class TorsionModule:
-    """X[p] with its twist action; dim = 2(p-1)."""
+    """X[p] with its twist action, an integer Matrix; dim = 2(p-1)."""
 
     p: int
     dim: int
-    action: np.ndarray = field(repr=False)
+    action: Matrix = field(repr=False)
 
     def __post_init__(self):
-        if self.dim != 2 * (self.p - 1) or self.action.shape != (self.dim, self.dim):
-            raise ValueError("X[p] needs dimension 2(p - 1) and an action of that size")
+        if (self.dim != 2 * (self.p - 1) or not isinstance(self.action, Matrix)
+                or self.action.shape != (self.dim, self.dim)
+                or not self.action.is_integral()):
+            raise ValueError("X[p] needs dimension 2(p - 1) and an integer "
+                             "Matrix action of that size")
 
     @cached_property
     def two_jordan_blocks(self) -> bool:
         """Is action - 1 mod p two Jordan blocks of size p - 1, by the module
-        docstring's certificate? Sufficient, and met by build_ptorsion's module:
-        det T = +-1 (see twist) keeps zeta's cyclic first unit vector cyclic mod p."""
-        p = self.p
-        _check_modp_bounds(self.dim, p)
-        nil = (self.action - np.eye(self.dim, dtype=np.int64)) % p
-        v = np.eye(self.dim, 2, dtype=np.int64)
+        docstring's certificate? N = action - 1 mod p is applied p - 2 times
+        to e_0 and e_1 together; the certificate holds iff the two results
+        are independent mod p and one more application gives zero.
+        Sufficient, and met by build_ptorsion's module: det T = +-1 (see
+        twist) keeps zeta's cyclic first unit vector cyclic mod p."""
+        p, dim = self.p, self.dim
+        # column k of N as its nonzero (row, entry) pairs mod p
+        cols = [[] for _ in range(dim)]
+        for i, row in enumerate(self.action.rows):
+            for k, x in enumerate(row):
+                if x or k == i:
+                    x = (x - (k == i)) % p
+                    if x:
+                        cols[k].append((i, x))
+
+        def apply(u, w):
+            nu, nw = [0] * dim, [0] * dim
+            for col, a, b in zip(cols, u, w):
+                if a or b:
+                    for i, x in col:
+                        nu[i] += x * a
+                        nw[i] += x * b
+            return [y % p for y in nu], [y % p for y in nw]
+
+        u, w = [0] * dim, [0] * dim
+        u[0] = w[1] = 1
         for _ in range(p - 2):
-            v = (nil @ v) % p
-        minors = np.outer(v[:, 0], v[:, 1]) - np.outer(v[:, 1], v[:, 0])
-        return bool((minors % p).any()) and not ((nil @ v) % p).any()
+            u, w = apply(u, w)
+        # u, w are independent iff u != 0 and some u_i w_j - u_j w_i != 0
+        # for the first i with u_i != 0
+        i = next((i for i, y in enumerate(u) if y), None)
+        if i is None or not any((u[i] * wj - uj * w[i]) % p
+                                for uj, wj in zip(u, w)):
+            return False
+        u, w = apply(u, w)
+        return not any(u) and not any(w)
 
 
 def build_ptorsion(p) -> TorsionModule:
-    """The twist action on X[p]: cocycle matrix mod p on a 2-dimensional fiber."""
+    """The twist action on X[p]: kron(zeta mod p, I_2), the cocycle matrix
+    mod p on a 2-dimensional fiber."""
     _require_odd_prime(p)
-    zp = np.array(build_zeta(p).to_lists(), dtype=np.int64) % p
-    action = np.kron(zp, np.eye(2, dtype=np.int64)) % p
-    return TorsionModule(p, 2 * (p - 1), action)
+    rows = []
+    for r in build_zeta(p).rows:
+        reduced = [x % p for x in r]
+        for f in (0, 1):
+            rows.append([x if g == f else 0 for x in reduced for g in (0, 1)])
+    return TorsionModule(p, 2 * (p - 1), Matrix(rows))
 
 
 def filtration_dims(m: TorsionModule):

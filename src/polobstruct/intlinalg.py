@@ -24,10 +24,12 @@ The main operations:
   * minpoly        minimal polynomial: the lcm of the Krylov annihilators
                    of the unit vectors; nothing is factored.
 
-Dense integer matrix products (_matmul) route through numpy int64 when a
-conservative bound proves no intermediate can overflow; otherwise plain
-bigint loops run. Results are identical either way. This is the module's
-only int64 path.
+Matrix products (_matmul) are one exact loop for int and Fraction entries
+alike: each row of the left factor adds up multiples of the rows of the
+right factor, skipping zero entries on both sides. The construction's
+products all have the sparse cocycle matrix zeta or its transpose as a
+factor, so this beats a dense product. There is no fixed-width path and
+no overflow guard: Python ints are exact at every size.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-import numpy as np
-
-# numpy int64 products are safe when max|A| * max|B| * inner_dim < 2^62.
-_NP_SAFE = 2 ** 62
 
 
 def _norm_scalar(x):
@@ -146,15 +143,6 @@ class Matrix:
             self._rows[i][j] == self._rows[j][i]
             for i in range(self._m) for j in range(i))
 
-    def max_abs(self):
-        best = 0
-        for r in self._rows:
-            for x in r:
-                a = abs(x)
-                if a > best:
-                    best = a
-        return best
-
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self):
@@ -242,17 +230,18 @@ class Matrix:
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.ncols != b.nrows:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    if a.nrows == 0 or b.ncols == 0 or a.ncols == 0:
-        return Matrix.zero(a.nrows, b.ncols)
-    if a.is_integral() and b.is_integral():
-        amax, bmax = a.max_abs(), b.max_abs()
-        if amax < _NP_SAFE and bmax < _NP_SAFE and amax * bmax * a.ncols < _NP_SAFE:
-            prod = np.array(a.to_lists(), dtype=np.int64) @ np.array(
-                b.to_lists(), dtype=np.int64)
-            return Matrix([[int(x) for x in row] for row in prod], ncols=b.ncols)
-    bt = b.transpose().rows
-    return Matrix([[sum(x * y for x, y in zip(row, col)) for col in bt]
-                   for row in a.rows], ncols=b.ncols)
+    n = b.ncols
+    # row k of b as its nonzero (column, entry) pairs, listed once
+    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b.rows]
+    out = []
+    for row in a.rows:
+        acc = [0] * n
+        for x, nonzeros in zip(row, b_nonzeros):
+            if x:
+                for j, y in nonzeros:
+                    acc[j] += x * y
+        out.append(acc)
+    return Matrix(out, ncols=n)
 
 
 # ---------------------------------------------------------------------------

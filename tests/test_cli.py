@@ -102,6 +102,31 @@ def test_construct_writes_files(capsys, tmp_path):
         assert matrix_from_json(json.load(fh)) == build_b(5)
 
 
+def _out_is_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file"  # FileExistsError
+
+
+def _out_under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "x"  # NotADirectoryError
+
+
+def _zeta_json_is_a_directory(tmp_path):
+    (tmp_path / "out" / "zeta.json").mkdir(parents=True)
+    return tmp_path / "out"  # IsADirectoryError
+
+
+@pytest.mark.parametrize("make_out", [
+    _out_is_a_file, _out_under_a_file, _zeta_json_is_a_directory,
+], ids=["out_is_a_file", "out_under_a_file", "zeta_json_is_a_directory"])
+def test_construct_unwritable_out_is_bad_input(capsys, tmp_path, make_out):
+    rc, out, err = _run(capsys, ["construct", "-p", "5", "--out",
+                                 str(make_out(tmp_path))])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_construct_stdout(capsys):
     rc, out, _ = _run(capsys, ["construct", "-p", "3"])
     assert rc == 0
@@ -396,15 +421,29 @@ def test_module_run_prints_no_runtime_warning():
     assert json.loads(proc.stdout)["parity"] == 1
 
 
+def test_no_numpy_at_runtime():
+    # the package is exact Python integers only; numpy must not creep back
+    src = os.path.dirname(os.path.dirname(polobstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "polobstruct.cli", "verify", "-p", "5"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["ok"]
+    probe = ("import sys; import polobstruct, polobstruct.cli; "
+             "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
 def test_verify_reports_broken_torsion_without_traceback(capsys, monkeypatch):
     # both torsion checks read one certificate; a module that fails it
     # turns both false and verify exits 1 with a report, not a traceback
-    import numpy as np
-
     from polobstruct.galmod import TorsionModule
+    from polobstruct.intlinalg import Matrix
 
     def broken_ptorsion(p):
-        return TorsionModule(p, 2 * (p - 1), np.eye(2 * (p - 1), dtype=np.int64))
+        return TorsionModule(p, 2 * (p - 1), Matrix.identity(2 * (p - 1)))
 
     monkeypatch.setattr(cli, "build_ptorsion", broken_ptorsion)
     rc, out, err = _run(capsys, ["verify", "-p", "7"])

@@ -1,6 +1,6 @@
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from polobstruct.galmod import (
@@ -19,16 +19,31 @@ from polobstruct.twist import build_zeta
 def _rank_mod_p_oracle(mat, p):
     # rank over F_p = number of invariant factors of the integer matrix
     # that are not divisible by p
-    m = Matrix([[int(x) for x in row] for row in mat])
-    facs = snf(m).invariant_factors
+    facs = snf(mat).invariant_factors
     return sum(1 for d in facs if d % p != 0)
+
+
+def _mod(mat, p):
+    return Matrix([[x % p for x in row] for row in mat.rows])
+
+
+def _kron(a, b):
+    """Kronecker product of two integer matrices, written out."""
+    return Matrix([[x * y for x in ra for y in rb]
+                   for ra in a.rows for rb in b.rows])
 
 
 def test_build_ptorsion_p3():
     mod = build_ptorsion(3)
     assert mod.p == 3 and mod.dim == 4
-    expected = np.kron(np.array([[2, 2], [1, 0]]), np.eye(2, dtype=np.int64))
-    assert (mod.action == expected).all()
+    assert mod.action == Matrix([[2, 0, 2, 0], [0, 2, 0, 2],
+                                 [1, 0, 0, 0], [0, 1, 0, 0]])
+
+
+def test_build_ptorsion_is_kron_of_zeta_mod_p():
+    for p in (3, 5, 7, 11):
+        zp = _mod(build_zeta(p), p)
+        assert build_ptorsion(p).action == _kron(zp, Matrix.identity(2))
 
 
 def test_build_ptorsion_rejects_bad_p():
@@ -40,10 +55,10 @@ def test_build_ptorsion_rejects_bad_p():
 def test_action_has_order_p():
     for p in (3, 5, 7):
         mod = build_ptorsion(p)
-        power = np.eye(mod.dim, dtype=np.int64)
+        power = Matrix.identity(mod.dim)
         for _ in range(p):
-            power = (power @ mod.action) % p
-        assert (power == np.eye(mod.dim, dtype=np.int64)).all()
+            power = _mod(power * mod.action, p)
+        assert power == Matrix.identity(mod.dim)
 
 
 def test_filtration_dims_frozen():
@@ -59,20 +74,20 @@ def test_filtration_dims_shape():
 
 def _powers_mod(nil, p):
     """nil^0 .. nil^(p-1) mod p."""
-    power = np.eye(nil.shape[0], dtype=np.int64)
+    power = Matrix.identity(nil.nrows)
     for _ in range(p):
         yield power
-        power = (nil @ power) % p
+        power = _mod(nil * power, p)
 
 
 def _dual(mod):
     # Cartier duality sends the action to its inverse transpose; the
     # inverse of an order-p action is its (p-1)-st power
-    inv = np.eye(mod.dim, dtype=np.int64)
+    inv = Matrix.identity(mod.dim)
     for _ in range(mod.p - 1):
-        inv = (inv @ mod.action) % mod.p
-    assert ((inv @ mod.action) % mod.p == np.eye(mod.dim, dtype=np.int64)).all()
-    return TorsionModule(mod.p, mod.dim, inv.T % mod.p)
+        inv = _mod(inv * mod.action, mod.p)
+    assert _mod(inv * mod.action, mod.p) == Matrix.identity(mod.dim)
+    return TorsionModule(mod.p, mod.dim, inv.transpose())
 
 
 def test_filtration_matches_integer_snf_oracle():
@@ -91,9 +106,9 @@ def test_filtration_matches_integer_snf_oracle():
             assert dims[i] == 2 * rank
             power = nil * power
         for m in (mod, _dual(mod)):
-            eye = np.eye(m.dim, dtype=np.int64)
+            eye = Matrix.identity(m.dim)
             ranks = [_rank_mod_p_oracle(pw, p)
-                     for pw in _powers_mod((m.action - eye) % p, p)]
+                     for pw in _powers_mod(_mod(m.action - eye, p), p)]
             assert filtration_dims(m) == ranks == dims
 
 
@@ -106,22 +121,36 @@ def test_composition_factors():
 def _one_dimensional_steps(p):
     # zeta - 1 on the first fiber coordinate, zero on the second: unipotent,
     # but every filtration step has dimension 1
-    zp = np.array(build_zeta(p).to_lists(), dtype=np.int64) % p
-    eye = np.eye(p - 1, dtype=np.int64)
-    return (np.kron(zp, np.diag([1, 0])) + np.kron(eye, np.diag([0, 1]))) % p
+    zp = _mod(build_zeta(p), p)
+    eye = Matrix.identity(p - 1)
+    return (_kron(zp, Matrix.diagonal([1, 0]))
+            + _kron(eye, Matrix.diagonal([0, 1])))
+
+
+def _parallel_tails(p):
+    # e_0 -> e_2 -> ... -> e_(2n-2) -> 0 is one Jordan block and e_1 -> e_2
+    # joins it, so N^(n-1) e_0 = N^(n-1) e_1 is killed by N: the certificate's
+    # last product vanishes, and only the minor test sees the dependency
+    dim = 2 * (p - 1)
+    rows = Matrix.identity(dim).to_lists()
+    for k in range(0, dim - 2, 2):
+        rows[k + 2][k] = 1
+    rows[2][1] = 1
+    return Matrix(rows)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 @pytest.mark.parametrize("broken", [
-    lambda p: np.eye(2 * (p - 1), dtype=np.int64),  # first step is everything
+    lambda p: Matrix.identity(2 * (p - 1)),  # first step is everything
     _one_dimensional_steps,
-    lambda p: 2 * np.eye(2 * (p - 1), dtype=np.int64),  # not unipotent
-], ids=["identity", "one_dimensional_steps", "scalar_two"])
+    lambda p: 2 * Matrix.identity(2 * (p - 1)),  # not unipotent
+    _parallel_tails,
+], ids=["identity", "one_dimensional_steps", "scalar_two", "parallel_tails"])
 def test_certificate_rejects_wrong_structure(p, broken):
     mod = TorsionModule(p, 2 * (p - 1), broken(p))
-    eye = np.eye(mod.dim, dtype=np.int64)
+    eye = Matrix.identity(mod.dim)
     ranks = [_rank_mod_p_oracle(pw, p)
-             for pw in _powers_mod((mod.action - eye) % p, p)]
+             for pw in _powers_mod(_mod(mod.action - eye, p), p)]
     assert ranks != list(range(mod.dim, -2, -2))  # the oracle agrees it is broken
     assert not mod.two_jordan_blocks
     with pytest.raises(AssertionError):
@@ -132,16 +161,45 @@ def test_certificate_rejects_wrong_structure(p, broken):
 
 def test_composition_factors_rejects_wrong_steps():
     # identity action: (A - 1) is zero, first step drops by the full dimension
-    broken = TorsionModule(3, 4, np.eye(4, dtype=np.int64))
+    broken = TorsionModule(3, 4, Matrix.identity(4))
     with pytest.raises(AssertionError):
         composition_factors(broken)
 
 
 def test_torsion_module_needs_dimension_2_p_minus_1():
     with pytest.raises(ValueError):
-        TorsionModule(5, 6, np.eye(6, dtype=np.int64))
+        TorsionModule(5, 6, Matrix.identity(6))
     with pytest.raises(ValueError):
-        TorsionModule(5, 8, np.eye(6, dtype=np.int64))
+        TorsionModule(5, 8, Matrix.identity(6))
+
+
+class _ArrayLike:
+    """Has the shape and rows of an 8 x 8 matrix, but is no Matrix."""
+
+    shape = (8, 8)
+    rows = Matrix.identity(8).rows
+
+
+def _with_fraction_entry():
+    rows = Matrix.identity(8).to_lists()
+    rows[0][1] = Fraction(1, 2)
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize("action", [
+    Matrix.identity(8).to_lists(),
+    _ArrayLike(),
+    _with_fraction_entry(),
+], ids=["list", "array_like", "fraction_entry"])
+def test_torsion_module_needs_an_integer_matrix(action):
+    with pytest.raises(ValueError):
+        TorsionModule(5, 8, action)
+
+
+def test_torsion_module_rejects_a_numpy_array():
+    np = pytest.importorskip("numpy")
+    with pytest.raises(ValueError):
+        TorsionModule(5, 8, np.eye(8, dtype=np.int64))
 
 
 def test_dual_module_has_same_filtration():

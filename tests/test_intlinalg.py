@@ -30,7 +30,9 @@ from polobstruct.intlinalg import (
     snf,
     solve_exact,
     _hnf_coords,
+    _matmul,
 )
+from polobstruct.twist import build_zeta
 
 
 def _cofactor_det(rows):
@@ -118,6 +120,12 @@ def test_entry_normalization_and_float_rejection():
         Matrix([[True]])
 
 
+def _naive_product(a, b):
+    m, k, n = a.nrows, a.ncols, b.ncols
+    return Matrix([[sum(a[i, t] * b[t, j] for t in range(k)) for j in range(n)]
+                   for i in range(m)], ncols=n)
+
+
 def test_matmul_matches_naive_and_big_entries():
     rng = random.Random(101)
     for _ in range(20):
@@ -130,6 +138,47 @@ def test_matmul_matches_naive_and_big_entries():
     big = 10 ** 30
     a = Matrix([[big, 1], [0, big]])
     assert (a * a)[0, 1] == 2 * big
+
+    cases = []
+    # entries at +-2^63 and beyond, where a fixed-width product would wrap
+    edge = [2 ** 63, -2 ** 63, 2 ** 63 - 1, -2 ** 63 + 1, 2 ** 64 + 1, -10 ** 30,
+            0, 1, -1]
+    for _ in range(20):
+        m, k, n = (rng.randint(1, 4) for _ in range(3))
+        cases.append((Matrix([[rng.choice(edge) for _ in range(k)] for _ in range(m)]),
+                      Matrix([[rng.choice(edge) for _ in range(n)] for _ in range(k)])))
+    # Fraction entries, alone and mixed with big ints
+    for _ in range(10):
+        cases.append((
+            Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+                    for _ in range(2)]),
+            Matrix([[rng.choice([Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                                 rng.choice(edge)]) for _ in range(4)]
+                    for _ in range(3)])))
+    # zero rows and columns on either side
+    c = _random_matrix(rng, 4, 4)
+    zero_row = Matrix([[0] * 4] + c.to_lists()[1:])
+    zero_col = Matrix([[0] + r[1:] for r in c.to_lists()])
+    cases += [(zero_row, c), (c, zero_row), (zero_col, c), (c, zero_col),
+              (Matrix.zero(3, 4), c), (c, Matrix.zero(4, 2))]
+    # empty shapes: 0 x k times k x n, and m x 0 times 0 x n
+    cases += [(Matrix.zero(0, 3), _random_matrix(rng, 3, 2)),
+              (Matrix.zero(3, 0), Matrix.zero(0, 2)),
+              (Matrix.zero(0, 0), Matrix.zero(0, 4)),
+              (_random_matrix(rng, 2, 3), Matrix.zero(3, 0))]
+    # zeta and its transpose against a dense factor, as the construction uses them
+    z = build_zeta(13)
+    dense = _random_matrix(rng, 12, 12)
+    cases += [(z, dense), (dense, z), (z.transpose(), dense), (dense, z.transpose())]
+    for a, b in cases:
+        prod = _matmul(a, b)
+        assert prod == _naive_product(a, b) and prod.shape == (a.nrows, b.ncols)
+    assert _matmul(Matrix.zero(0, 3), Matrix.zero(3, 2)) == Matrix.zero(0, 2)
+    assert _matmul(Matrix.zero(3, 0), Matrix.zero(0, 2)) == Matrix.zero(3, 2)
+    # a Fraction product that is integral comes back as int entries
+    half = Matrix([[Fraction(1, 2)]])
+    assert _matmul(half, Matrix([[2]])).rows == ((1,),)
+    assert type(_matmul(half, Matrix([[2]]))[0, 0]) is int
 
 
 def test_pow_binary():
