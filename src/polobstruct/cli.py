@@ -40,8 +40,8 @@ from .cyclotomic import (
     regular_rep,
     restrict_to_real,
 )
-from .galmod import build_ptorsion, filtration_dims, polarization_parity
-from .intlinalg import Matrix, det, matrix_to_json
+from .galmod import build_ptorsion, e_rank_of_order, filtration_dims, polarization_parity
+from .intlinalg import Matrix, matrix_to_json
 from .kergroup import (
     KerClass,
     ModelDescriptor,
@@ -146,10 +146,16 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     rep.record("filtration_dims", two_blocks)
     rep.record("composition_factors", two_blocks)
 
-    parities = [polarization_parity(p, m).parity for m in range(1, 20)]
-    parities += [polarization_parity(p, rng.randint(1, 10 ** 6)).parity
-                 for _ in range(samples)]
-    rep.record("parity_odd", all(q == 1 for q in parities))
+    # the E[p]-rank of a kernel of order deg(b) n^4, read off that order,
+    # must be the closed form 1 + 2 v_p(n), and odd
+    deg_b = t.b_minors[-1] ** 2
+
+    def parity_holds(n):
+        rank = e_rank_of_order(deg_b * n ** 4, p)
+        return rank == polarization_parity(p, n) and rank.parity == 1
+
+    ns = list(range(1, 20)) + [rng.randint(1, 10 ** 6) for _ in range(samples)]
+    rep.record("parity_odd", deg_b != 0 and all(map(parity_holds, ns)))
     return rep
 
 
@@ -309,8 +315,8 @@ def _sweep_row(p):
     model = twist_model(p, samples=2)
     return (
         p,
-        det(t.b),
-        endo_degree(t.b),
+        t.b_minors[-1],
+        t.b_minors[-1] ** 2,
         p - 1,
         len(filtration_dims(build_ptorsion(p))),
         parity_hom(KerClass(model.labels, model.s_c[0]), p),

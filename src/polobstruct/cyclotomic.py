@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul
 
-from .intlinalg import IntPoly, Matrix, _q_divmod, _q_strip
+from .intlinalg import IntPoly, Matrix, _norm_scalar, _power, _q_divmod, _q_strip
 
 
 # the largest prime any command or model file accepts: work grows
@@ -62,50 +62,39 @@ def cyclotomic_poly(p) -> IntPoly:
     return IntPoly([1] * p)
 
 
-def _coerce_coord(x):
-    if isinstance(x, bool):
-        raise TypeError("bool is not a coordinate")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    raise TypeError(f"coordinates must be int or Fraction, got {type(x).__name__}")
-
-
-class CycElem:
-    """Element of Q(zeta_p) in the power basis 1, zeta, ..., zeta^(p-2)."""
+class _FieldElem:
+    """An immutable vector of _dim(p) exact coordinates: construction, the
+    additive group, scalar multiples and equality, shared by the elements
+    of Q(zeta_p) and of its real subfield. Elements of different classes
+    never compare equal, and arithmetic between them raises TypeError."""
 
     __slots__ = ("p", "coords")
 
     def __init__(self, p, coords):
         _require_odd_prime(p)
-        coords = tuple(_coerce_coord(c) for c in coords)
-        if len(coords) != p - 1:
-            raise ValueError(f"need {p - 1} coordinates for p = {p}, got {len(coords)}")
+        coords = tuple(_norm_scalar(c) for c in coords)
+        if len(coords) != self._dim(p):
+            raise ValueError(
+                f"need {self._dim(p)} coordinates for p = {p}, got {len(coords)}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, *args):
-        raise AttributeError("CycElem is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p):
-        return cls(p, (0,) * (p - 1))
+        return cls(p, (0,) * cls._dim(p))
 
     @classmethod
     def one(cls, p):
-        return cls(p, (1,) + (0,) * (p - 2))
-
-    @classmethod
-    def zeta(cls, p):
-        return cls(p, (0, 1) + (0,) * (p - 3))
+        return cls(p, (1,) + (0,) * (cls._dim(p) - 1))
 
     @classmethod
     def from_rational(cls, q, p):
-        q = _coerce_coord(Fraction(q))
-        return cls(p, (q,) + (0,) * (p - 2))
+        return cls(p, (Fraction(q),) + (0,) * (cls._dim(p) - 1))
 
     # -- predicates --------------------------------------------------------
 
@@ -115,6 +104,61 @@ class CycElem:
     def is_integral(self):
         return all(isinstance(c, int) for c in self.coords)
 
+    # -- the additive group and scalars ------------------------------------
+
+    def _same_field(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if other.p != self.p:
+            raise ValueError(f"mixed fields p = {self.p} and p = {other.p}")
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.from_rational(other, self.p)
+        self._same_field(other)
+        return type(self)(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.p, tuple(-c for c in self.coords))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, c):
+        c = _norm_scalar(Fraction(c))
+        return type(self)(self.p, tuple(c * x for x in self.coords))
+
+    # -- comparison --------------------------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.from_rational(other, self.p)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.p == other.p and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.p, self.coords))
+
+
+class CycElem(_FieldElem):
+    """Element of Q(zeta_p) in the power basis 1, zeta, ..., zeta^(p-2)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _dim(p):
+        return p - 1
+
+    @classmethod
+    def zeta(cls, p):
+        return cls(p, (0, 1) + (0,) * (p - 3))
+
     def is_rational(self):
         return all(c == 0 for c in self.coords[1:])
 
@@ -123,38 +167,11 @@ class CycElem:
             raise ValueError("element is not rational")
         return self.coords[0]
 
-    # -- ring operations ---------------------------------------------------
-
-    def _same_field(self, other):
-        if not isinstance(other, CycElem):
-            raise TypeError("expected a CycElem")
-        if other.p != self.p:
-            raise ValueError(f"mixed fields p = {self.p} and p = {other.p}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycElem.from_rational(other, self.p)
-        self._same_field(other)
-        return CycElem(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycElem(self.p, tuple(-c for c in self.coords))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycElem.from_rational(other, self.p)
-        self._same_field(other)
-        return CycElem(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # -- field operations --------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce_coord(Fraction(other))
-            return CycElem(self.p, tuple(c * x for x in self.coords))
+            return self._scale(other)
         self._same_field(other)
         p = self.p
         a, b = self.coords, other.coords
@@ -184,10 +201,7 @@ class CycElem:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError
-            return self * (1 / q)
+            return self * (1 / Fraction(other))
         self._same_field(other)
         return self * other.inverse()
 
@@ -195,15 +209,7 @@ class CycElem:
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = CycElem.one(self.p)
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _power(base, abs(k), CycElem.one(self.p))
 
     def conj(self):
         """Complex conjugation, zeta -> zeta^(p-1)."""
@@ -213,18 +219,6 @@ class CycElem:
         for i in range(1, p - 1):
             acc[p - i] += self.coords[i]
         return CycElem(p, _reduce_mod_cyclotomic(acc, p))
-
-    # -- comparison --------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycElem.from_rational(other, self.p)
-        if not isinstance(other, CycElem):
-            return NotImplemented
-        return self.p == other.p and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.p, self.coords))
 
     def __repr__(self):
         return f"CycElem({format_element(self)!r})"
@@ -245,8 +239,7 @@ def _reduce_mod_cyclotomic(conv, p):
     if top:
         for e in range(p - 1):
             conv[e] -= top
-    return tuple(_coerce_coord(Fraction(c)) if isinstance(c, Fraction) else c
-                 for c in conv[:p - 1])
+    return conv[:p - 1]
 
 
 def _xgcd_poly(a, b):
@@ -257,14 +250,10 @@ def _xgcd_poly(a, b):
         q, r = _q_divmod(r0, r1)
         r0, r1 = r1, r
         # u_new = u0 - q * u1
-        prod = [Fraction(0)] * (len(q) + len(u1) - 1 if q and u1 else 0)
+        new = u0 + [0] * max(0, len(q) + len(u1) - 1 - len(u0))
         for i, qc in enumerate(q):
-            if qc:
-                for j, uc in enumerate(u1):
-                    prod[i + j] += qc * uc
-        width = max(len(u0), len(prod))
-        new = [(u0[i] if i < len(u0) else Fraction(0)) -
-               (prod[i] if i < len(prod) else Fraction(0)) for i in range(width)]
+            for j, uc in enumerate(u1):
+                new[i + j] -= qc * uc
         u0, u1 = u1, _q_strip(new)
     return r0, u0
 
@@ -295,41 +284,14 @@ def norm_to_Q(a: CycElem):
 # the real subfield
 
 
-class RealElem:
+class RealElem(_FieldElem):
     """Element of K+ = Q(eta) in the basis 1, eta, ..., eta^((p-3)/2)."""
 
-    __slots__ = ("p", "coords")
+    __slots__ = ()
 
-    def __init__(self, p, coords):
-        _require_odd_prime(p)
-        coords = tuple(_coerce_coord(c) for c in coords)
-        if len(coords) != (p - 1) // 2:
-            raise ValueError(
-                f"need {(p - 1) // 2} coordinates for p = {p}, got {len(coords)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RealElem is immutable")
-
-    @classmethod
-    def zero(cls, p):
-        return cls(p, (0,) * ((p - 1) // 2))
-
-    @classmethod
-    def one(cls, p):
-        return cls(p, (1,) + (0,) * ((p - 1) // 2 - 1))
-
-    @classmethod
-    def from_rational(cls, q, p):
-        q = _coerce_coord(Fraction(q))
-        return cls(p, (q,) + (0,) * ((p - 1) // 2 - 1))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def is_integral(self):
-        return all(isinstance(c, int) for c in self.coords)
+    @staticmethod
+    def _dim(p):
+        return (p - 1) // 2
 
     def lift(self) -> CycElem:
         """The same element viewed inside Q(zeta_p): each eta^k expands as
@@ -343,36 +305,9 @@ class RealElem:
                     acc[(k - 2 * j) % p] += comb(k, j) * c
         return CycElem(p, _reduce_mod_cyclotomic(acc, p))
 
-    def _same_field(self, other):
-        if not isinstance(other, RealElem):
-            raise TypeError("expected a RealElem")
-        if other.p != self.p:
-            raise ValueError(f"mixed fields p = {self.p} and p = {other.p}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RealElem.from_rational(other, self.p)
-        self._same_field(other)
-        return RealElem(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RealElem(self.p, tuple(-c for c in self.coords))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RealElem.from_rational(other, self.p)
-        self._same_field(other)
-        return RealElem(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce_coord(Fraction(other))
-            return RealElem(self.p, tuple(c * x for x in self.coords))
+            return self._scale(other)
         self._same_field(other)
         return restrict_to_real(self.lift() * other.lift())
 
@@ -381,25 +316,7 @@ class RealElem:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = RealElem.one(self.p)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RealElem.from_rational(other, self.p)
-        if not isinstance(other, RealElem):
-            return NotImplemented
-        return self.p == other.p and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(("real", self.p, self.coords))
+        return _power(self, k, RealElem.one(self.p))
 
     def __repr__(self):
         return f"RealElem(p={self.p}, coords={self.coords})"

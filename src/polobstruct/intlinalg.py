@@ -41,13 +41,27 @@ from math import lcm
 
 def _norm_scalar(x):
     """Coerce an exact scalar; reject floats so no precision loss can sneak in."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool):
-        raise TypeError("bool is not a matrix entry")
+        raise TypeError("bool is not an exact scalar")
     if isinstance(x, int):
         return int(x)
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
+    raise TypeError(f"exact scalars are int or Fraction, got {type(x).__name__}")
+
+
+def _power(base, k, one):
+    """base^k by repeated squaring for an int k >= 0, one the identity."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
 
 
 class Matrix:
@@ -89,7 +103,10 @@ class Matrix:
         cols = list(cols)
         if not cols:
             return cls.zero(0 if nrows is None else nrows, 0)
-        m = len(cols[0])
+        m = len(cols[0]) if nrows is None else nrows
+        if any(len(c) != m for c in cols):
+            raise ValueError("ragged columns" if nrows is None
+                             else "nrows disagrees with column length")
         return cls([[c[i] for c in cols] for i in range(m)])
 
     @classmethod
@@ -194,15 +211,7 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Matrix.identity(self._m)
-        base = self
-        while k:
-            if k & 1:
-                result = _matmul(result, base)
-            k >>= 1
-            if k:
-                base = _matmul(base, base)
-        return result
+        return _power(self, k, Matrix.identity(self._m))
 
     def mul_vector(self, v):
         v = [_norm_scalar(x) for x in v]
@@ -256,28 +265,34 @@ def det(a: Matrix):
     if n == 0:
         return 1
     if a.is_integral():
-        return _bareiss_det([list(r) for r in a.rows])
-    dens = lcm(*(x.denominator if isinstance(x, Fraction) else 1
-                 for r in a.rows for x in r))
-    scaled = [[int(x * dens) for x in r] for r in a.rows]
-    return _norm_scalar(Fraction(_bareiss_det(scaled), dens ** n))
+        dens, rows = 1, [list(r) for r in a.rows]
+    else:
+        dens = lcm(*(x.denominator if isinstance(x, Fraction) else 1
+                     for r in a.rows for x in r))
+        rows = [[int(x * dens) for x in r] for r in a.rows]
+    swaps, pivots = _bareiss_det(rows)
+    if len(pivots) < n:
+        return 0
+    return _norm_scalar(Fraction((-1) ** swaps * pivots[-1], dens ** n))
 
 
 def _bareiss_det(m):
-    """Bareiss on a mutable list-of-lists of ints. All divisions are exact."""
+    """Bareiss elimination in place on a list-of-lists of ints; all
+    divisions are exact. Returns the number of row swaps and the pivots,
+    stopping early when a column has no pivot (then det = 0). The last of
+    n pivots is +-det, and with no swap pivot k is the k-th leading
+    principal minor."""
     n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    swaps, pivots, prev = 0, [], 1
+    for k in range(n):
         if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            r = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if r is None:
+                return swaps, pivots
+            m[k], m[r] = m[r], m[k]
+            swaps += 1
         pivot = m[k][k]
+        pivots.append(pivot)
         for i in range(k + 1, n):
             mik = m[i][k]
             row_i, row_k = m[i], m[k]
@@ -285,7 +300,7 @@ def _bareiss_det(m):
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return swaps, pivots
 
 
 def leading_principal_minors(a: Matrix):
@@ -297,23 +312,11 @@ def leading_principal_minors(a: Matrix):
     if not a.is_square():
         raise ValueError("principal minors of a non-square matrix")
     n = a.nrows
-    if not a.is_integral():
-        return [det(Matrix([r[:k] for r in a.rows[:k]])) for k in range(1, n + 1)]
-    m = [list(r) for r in a.rows]
-    minors = []
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            return [det(Matrix([r[:j] for r in a.rows[:j]])) for j in range(1, n + 1)]
-        minors.append(m[k][k])
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - mik * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return minors
+    if a.is_integral():
+        swaps, pivots = _bareiss_det([list(r) for r in a.rows])
+        if not swaps and len(pivots) == n:
+            return pivots
+    return [det(Matrix([r[:k] for r in a.rows[:k]])) for k in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +537,9 @@ def _sparse_kernel(cols, m) -> Matrix:
     Column elimination tracks the unimodular transform alongside, so the
     columns it leaves zero span the saturated kernel (the full kernel, not
     a finite index sublattice): any integer kernel vector has integer
-    coordinates in the returned basis.
+    coordinates in the returned basis. Each row's pivot is its smallest
+    nonzero |entry|, ties going to the column that is sparsest together
+    with its transform (Markowitz-style), which keeps fill-in down.
     """
     n = len(cols)
     work = [dict(c) for c in cols]
@@ -573,7 +578,7 @@ def _sparse_kernel(cols, m) -> Matrix:
             live = sorted(c for c in here if c in active)
             if len(live) <= 1:
                 break
-            cp = min(live, key=lambda c: (abs(work[c][i]), c))
+            cp = min(live, key=lambda c: (abs(work[c][i]), len(work[c]) + len(v[c]), c))
             p = work[cp][i]
             for c in live:
                 if c == cp:
@@ -639,13 +644,6 @@ def invert(a: Matrix) -> Matrix:
 # polynomials
 
 
-def _strip(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 class IntPoly:
     """Polynomial with integer coefficients, stored low-degree first."""
 
@@ -658,7 +656,7 @@ class IntPoly:
             if not isinstance(x, int):
                 raise TypeError("IntPoly coefficients must be integers")
             c.append(x)
-        self._c = tuple(_strip(c))
+        self._c = tuple(_q_strip(c))
 
     @property
     def coeffs(self):
@@ -715,10 +713,7 @@ class IntPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = IntPoly([1])
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(self, k, IntPoly([1]))
 
     def eval_matrix(self, a: Matrix) -> Matrix:
         if not a.is_square():
@@ -760,7 +755,7 @@ class IntPoly:
 
 
 # rational coefficient lists (low-degree first) back the charpoly and
-# division machinery; cyclotomic's inverse reuses _q_strip and _q_divmod
+# division machinery; IntPoly reuses _q_strip, cyclotomic's inverse both
 
 
 def _q_strip(c):

@@ -462,6 +462,20 @@ def test_verify_reports_noncommuting_accepted(capsys, monkeypatch):
     assert passed["noncommuting_rejected"] is False
 
 
+def test_parity_check_reads_the_kernel_order(monkeypatch):
+    # a form of determinant p^2 gives kernels of even E[p]-rank, which the
+    # closed form 1 + 2 v_p(n) alone cannot see
+    import polobstruct.twist as twist
+    from polobstruct.intlinalg import Matrix
+
+    p = 5
+    assert cli.run_verify_suite(p).checks[-1] == ("parity_odd", True)
+    monkeypatch.setattr(twist, "build_b",
+                        lambda p: Matrix.diagonal([p, p] + [1] * (p - 3)))
+    rep = cli.run_verify_suite(p)
+    assert dict(rep.checks)["parity_odd"] is False
+
+
 def _model_json_with(**fields):
     """The valid model's JSON text with top-level fields replaced."""
     data = json.loads(twist_model(5, samples=2).to_json())

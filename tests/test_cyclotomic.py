@@ -8,6 +8,7 @@ characteristic polynomial of the multiplication matrix on K+; and total
 positivity with high-precision numeric embeddings via mpmath.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -122,6 +123,10 @@ def test_cyclotomic_poly():
             cyclotomic_poly(bad)
 
 
+# the coordinate count of each element class at p
+ELEMENT_DIMS = {CycElem: lambda p: p - 1, RealElem: lambda p: (p - 1) // 2}
+
+
 def test_constructor_guards():
     with pytest.raises(ValueError):
         CycElem(4, (0, 0, 0))
@@ -129,6 +134,18 @@ def test_constructor_guards():
         CycElem(5, (0, 1))
     with pytest.raises(TypeError):
         CycElem(3, (0.5, 0))
+    for cls, dim in ELEMENT_DIMS.items():
+        with pytest.raises(ValueError):
+            cls(9, (0,) * dim(9))
+        with pytest.raises(ValueError):
+            cls(7, (0,) * (dim(7) + 1))
+        for bad in (0.5, True):
+            with pytest.raises(TypeError):
+                cls(7, (bad,) + (0,) * (dim(7) - 1))
+        x = cls.one(7)
+        for attr in ("p", "coords", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +176,43 @@ def test_inverse_and_division():
 def test_mixed_fields_rejected():
     with pytest.raises(ValueError):
         CycElem.zeta(3) + CycElem.zeta(5)
+    for cls in ELEMENT_DIMS:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(cls.one(5), cls.one(7))
+    c, r = CycElem.one(7), RealElem.one(7)
+    for op in (operator.add, operator.sub, operator.mul):
+        for x, y in ((c, r), (r, c)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    assert c != r and r != c
+    assert CycElem.zero(7) != RealElem.zero(7)
+    assert r.lift() == c and restrict_to_real(c) == r
+
+
+@pytest.mark.parametrize("cls", list(ELEMENT_DIMS), ids=lambda c: c.__name__)
+def test_element_classes_share_scalars_and_powers(cls):
+    p = 7
+    rng = random.Random(61)
+    x = cls(p, [rng.randint(-3, 3) for _ in range(ELEMENT_DIMS[cls](p))])
+    for s in (3, -2, Fraction(5, 4)):
+        as_elem = cls.from_rational(s, p)
+        assert x + s == s + x == x + as_elem
+        assert x - s == x - as_elem and s - x == as_elem - x
+        assert x * s == s * x == x * as_elem
+        assert (x * s).coords == tuple(s * c for c in x.coords)
+    assert x + 0 == x and hash(x + 0) == hash(x)
+    assert cls.from_rational(Fraction(6, 3), p).coords[0] == 2
+    assert isinstance(cls.from_rational(Fraction(6, 3), p).coords[0], int)
+    assert x ** 0 == cls.one(p)
+    assert x ** 5 == x * x * x * x * x
+    if cls is CycElem:
+        assert x ** -1 == x.inverse()
+        with pytest.raises(TypeError):
+            x ** 1.5
+    else:
+        with pytest.raises(ValueError):
+            x ** -1
 
 
 def test_conj_frozen_and_properties():

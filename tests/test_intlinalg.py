@@ -120,6 +120,20 @@ def test_entry_normalization_and_float_rejection():
         Matrix([[True]])
 
 
+def test_from_columns_rejects_ragged_columns_and_disagreeing_nrows():
+    assert Matrix.from_columns([(1, 2), (3, 4)]) == Matrix([[1, 3], [2, 4]])
+    assert Matrix.from_columns([(1, 2)], nrows=2) == Matrix([[1], [2]])
+    assert Matrix.from_columns([], nrows=3).shape == (3, 0)
+    # a short later column once dropped the extra entry of a long one, or
+    # raised IndexError; nrows was ignored whenever columns were given
+    with pytest.raises(ValueError, match="ragged columns"):
+        Matrix.from_columns([(1,), (3, 4)])
+    with pytest.raises(ValueError, match="ragged columns"):
+        Matrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ValueError, match="nrows"):
+        Matrix.from_columns([(1, 2)], nrows=3)
+
+
 def _naive_product(a, b):
     m, k, n = a.nrows, a.ncols, b.ncols
     return Matrix([[sum(a[i, t] * b[t, j] for t in range(k)) for j in range(n)]

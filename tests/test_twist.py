@@ -113,6 +113,14 @@ def test_b_determinant_check_rejects_minus_p():
         t.check()
 
 
+def test_b_checks_reject_a_singular_form_without_raising():
+    t = TwistData(3, build_zeta(3), Matrix([[1, 1], [1, 1]]))
+    assert t.b_minors[-1] == det(t.b) == 0
+    for name in ("b_determinant_is_p", "b_positive_definite",
+                 "polarization_degree_p_squared"):
+        assert not _holds(name, t)
+
+
 def test_centralizer_certificate_rejects_non_cyclic_matrix():
     # every vector is an eigenvector of a scalar matrix, so e1 is not cyclic
     t = TwistData(5, Matrix.identity(4).scale(2), build_b(5))
@@ -286,6 +294,19 @@ def test_centralizer_equals_power_span():
         h_basis = col_hnf(flatten_matrices(centralizer_basis(p)))
         h_powers = col_hnf(flatten_matrices(zeta_power_lattice(p)))
         assert h_basis == h_powers
+
+
+@pytest.mark.parametrize("p", [37, 43])
+def test_kernel_route_matches_certificate_at_larger_primes(p):
+    # the sweep prints centralizer_rank at these primes on the orbit
+    # certificate alone; the generic kernel route confirms the lattice
+    basis = centralizer_basis(p)
+    assert len(basis) == p - 1
+    assert col_hnf(flatten_matrices(basis)) == \
+        col_hnf(flatten_matrices(zeta_power_lattice(p)))
+    t = TwistData.for_prime(p, validate=False)
+    assert _holds("centralizer_rank", t)
+    assert _holds("centralizer_equals_zeta_powers", t)
 
 
 def test_noncommuting_matrix_outside_lattice():
