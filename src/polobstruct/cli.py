@@ -309,7 +309,7 @@ def _cmd_attainable(args) -> int:
 
 def _sweep_row(p):
     t = TwistData.for_prime(p, validate=False)
-    # det T != 0 for the orbit of e1 proves the commutant has rank p - 1
+    # a unit upper triangular T for the orbit of e1 proves rank p - 1
     if not dict(CONSTRUCTION_CHECKS)["centralizer_rank"](t):
         raise AssertionError(f"the orbit certificate fails at p = {p}")
     model = twist_model(p, samples=2)

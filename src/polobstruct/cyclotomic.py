@@ -104,6 +104,9 @@ class _FieldElem:
     def is_integral(self):
         return all(isinstance(c, int) for c in self.coords)
 
+    def is_rational(self):
+        return not any(self.coords[1:])
+
     # -- the additive group and scalars ------------------------------------
 
     def _same_field(self, other):
@@ -143,6 +146,9 @@ class _FieldElem:
         return self.p == other.p and self.coords == other.coords
 
     def __hash__(self):
+        # a rational element equals its int or Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash((self.p, self.coords))
 
 
@@ -158,14 +164,6 @@ class CycElem(_FieldElem):
     @classmethod
     def zeta(cls, p):
         return cls(p, (0, 1) + (0,) * (p - 3))
-
-    def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coords[0]
 
     # -- field operations --------------------------------------------------
 

@@ -12,10 +12,10 @@ columns and N V = 0. Then the 2n vectors N^i e_j are independent (apply
 N^(n-1-i) to a dependency at its smallest i), so N ~ J_n + J_n: each step
 has dimension 2 and trivial action, and (1 + N)^p = 1 + N^p = 1.
 
-The certificate runs on Python ints: the nonzero entries of N are
-collected once, column by column, and N is applied to e_0 and e_1 together,
-reducing mod p after each application. Each application costs one pass over
-those entries, and independence mod p is one 2 x 2 minor test per row.
+The certificate runs on Python ints: N u is action.mul_vector(u) - u
+reduced mod p, so each application is one pass over the nonzero entries
+that the action lists once (Matrix.row_nonzeros), and independence mod p
+is one 2 x 2 minor test per row.
 
 Kernel sizes of isogenies between powers of E are measured by their
 E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
@@ -50,41 +50,26 @@ class TorsionModule:
     def two_jordan_blocks(self) -> bool:
         """Is action - 1 mod p two Jordan blocks of size p - 1, by the module
         docstring's certificate? N = action - 1 mod p is applied p - 2 times
-        to e_0 and e_1 together; the certificate holds iff the two results
-        are independent mod p and one more application gives zero.
-        Sufficient, and met by build_ptorsion's module: det T = +-1 (see
-        twist) keeps zeta's cyclic first unit vector cyclic mod p."""
-        p, dim = self.p, self.dim
-        # column k of N as its nonzero (row, entry) pairs mod p
-        cols = [[] for _ in range(dim)]
-        for i, row in enumerate(self.action.rows):
-            for k, x in enumerate(row):
-                if x or k == i:
-                    x = (x - (k == i)) % p
-                    if x:
-                        cols[k].append((i, x))
+        to e_0 and e_1; the certificate holds iff the two results are
+        independent mod p and one more application gives zero. Sufficient,
+        and met by build_ptorsion's module: det T = 1 (T is unit upper
+        triangular, see twist) keeps zeta's cyclic e_1 cyclic mod p."""
+        p = self.p
 
-        def apply(u, w):
-            nu, nw = [0] * dim, [0] * dim
-            for col, a, b in zip(cols, u, w):
-                if a or b:
-                    for i, x in col:
-                        nu[i] += x * a
-                        nw[i] += x * b
-            return [y % p for y in nu], [y % p for y in nw]
+        def apply(u):
+            return [(y - x) % p for y, x in zip(self.action.mul_vector(u), u)]
 
-        u, w = [0] * dim, [0] * dim
+        u, w = [0] * self.dim, [0] * self.dim
         u[0] = w[1] = 1
         for _ in range(p - 2):
-            u, w = apply(u, w)
+            u, w = apply(u), apply(w)
         # u, w are independent iff u != 0 and some u_i w_j - u_j w_i != 0
         # for the first i with u_i != 0
         i = next((i for i, y in enumerate(u) if y), None)
         if i is None or not any((u[i] * wj - uj * w[i]) % p
                                 for uj, wj in zip(u, w)):
             return False
-        u, w = apply(u, w)
-        return not any(u) and not any(w)
+        return not any(apply(u)) and not any(apply(w))
 
 
 def build_ptorsion(p) -> TorsionModule:

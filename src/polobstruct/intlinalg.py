@@ -24,12 +24,13 @@ The main operations:
   * minpoly        minimal polynomial: the lcm of the Krylov annihilators
                    of the unit vectors; nothing is factored.
 
-Matrix products (_matmul) are one exact loop for int and Fraction entries
-alike: each row of the left factor adds up multiples of the rows of the
-right factor, skipping zero entries on both sides. The construction's
-products all have the sparse cocycle matrix zeta or its transpose as a
-factor, so this beats a dense product. There is no fixed-width path and
-no overflow guard: Python ints are exact at every size.
+A Matrix lists its nonzero entries by row once (row_nonzeros), and every
+sparse loop reads that listing: _matmul adds multiples of the listed rows
+of its right factor, mul_vector sums each listed row, int_kernel reads the
+transpose's. The construction's products all have the sparse cocycle
+matrix zeta or its transpose as a factor, so this beats a dense product.
+Int and Fraction entries share one exact loop: Python ints are exact at
+every size, so there is no fixed-width path and no overflow guard.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _power(base, k, one):
 class Matrix:
     """Immutable exact matrix. Entries are int or Fraction."""
 
-    __slots__ = ("_rows", "_m", "_n")
+    __slots__ = ("_rows", "_m", "_n", "_nonzeros")
 
     def __init__(self, rows, ncols=None):
         rows = [tuple(_norm_scalar(x) for x in r) for r in rows]
@@ -149,6 +150,16 @@ class Matrix:
     def to_lists(self):
         return [list(r) for r in self._rows]
 
+    def row_nonzeros(self):
+        """Each row's nonzero entries as (column, entry) pairs, listed on
+        the first call and kept; equality, hash and repr ignore it."""
+        try:
+            return self._nonzeros
+        except AttributeError:
+            self._nonzeros = tuple(tuple((j, x) for j, x in enumerate(r) if x)
+                                   for r in self._rows)
+            return self._nonzeros
+
     def is_square(self):
         return self._m == self._n
 
@@ -217,7 +228,7 @@ class Matrix:
         v = [_norm_scalar(x) for x in v]
         if len(v) != self._n:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(r, v)) for r in self._rows)
+        return tuple(sum(x * v[j] for j, x in r) for r in self.row_nonzeros())
 
     # -- comparison --------------------------------------------------------
 
@@ -240,12 +251,10 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.ncols != b.nrows:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
     n = b.ncols
-    # row k of b as its nonzero (column, entry) pairs, listed once
-    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b.rows]
     out = []
     for row in a.rows:
         acc = [0] * n
-        for x, nonzeros in zip(row, b_nonzeros):
+        for x, nonzeros in zip(row, b.row_nonzeros()):
             if x:
                 for j, y in nonzeros:
                     acc[j] += x * y
@@ -526,13 +535,12 @@ def int_kernel(a: Matrix) -> Matrix:
     matrix."""
     if not a.is_integral():
         raise TypeError("int_kernel requires an integer matrix")
-    cols = [{i: x for i, x in enumerate(a.column(j)) if x} for j in range(a.ncols)]
-    return _sparse_kernel(cols, a.nrows)
+    return _sparse_kernel(a.transpose().row_nonzeros(), a.nrows)
 
 
 def _sparse_kernel(cols, m) -> Matrix:
     """Column-HNF basis of the integer kernel of the columns cols, each a
-    dict {row: nonzero int} on rows 0..m-1.
+    dict {row: nonzero int}, or its (row, entry) pairs, on rows 0..m-1.
 
     Column elimination tracks the unimodular transform alongside, so the
     columns it leaves zero span the saturated kernel (the full kernel, not

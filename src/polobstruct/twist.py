@@ -11,7 +11,8 @@ twisted variety.
 Endomorphisms descend iff they commute with zeta. e_1 is a cyclic vector of
 zeta, so the commutant lattice equals the span of the powers
 zeta^0 .. zeta^(p-2), the image of the ring of integers of Q(zeta_p),
-exactly when T = [e_1, zeta e_1, ..., zeta^(p-2) e_1] is unimodular.
+exactly when T = [e_1, zeta e_1, ..., zeta^(p-2) e_1] is unimodular; for
+the cocycle T is unit upper triangular, so det T = 1.
 
 CONSTRUCTION_CHECKS lists every identity of the construction once; both
 TwistData.check and the verify suite run that list. The four questions about
@@ -82,7 +83,7 @@ def build_b(p) -> Matrix:
     return Matrix([[2 if i == j else 1 for j in range(n)] for i in range(n)])
 
 
-Orbit = namedtuple("Orbit", "vectors T det_T")
+Orbit = namedtuple("Orbit", "vectors unit_triangular")
 
 
 @dataclass(frozen=True)
@@ -112,13 +113,13 @@ class TwistData:
     @cached_property
     def orbit(self) -> Orbit:
         """The orbit e1, zeta e1, ..., zeta^(p-1) e1 of the cyclic vector,
-        T with its first p - 1 vectors as columns, and det T."""
+        and whether T (its first p - 1 vectors) is unit upper triangular."""
         n = self.p - 1
         vecs = [tuple(1 if i == 0 else 0 for i in range(n))]
         for _ in range(n):
             vecs.append(self.zeta.mul_vector(vecs[-1]))
-        t = Matrix.from_columns(vecs[:n])
-        return Orbit(vecs, t, det(t))
+        return Orbit(vecs, all(v[k] == 1 and not any(v[k + 1:])
+                               for k, v in enumerate(vecs[:n])))
 
     @cached_property
     def b_minors(self):
@@ -185,10 +186,7 @@ def rosati(x: Matrix, t: TwistData) -> Matrix:
 def _commutator_columns(zeta: Matrix):
     """Sparse columns of X -> zeta X - X zeta on row-major n^2 coordinates."""
     n = zeta.nrows
-    colnz = [[(i, zeta[i, k]) for i in range(n) if zeta[i, k] != 0]
-             for k in range(n)]
-    rownz = [[(j, zeta[l, j]) for j in range(n) if zeta[l, j] != 0]
-             for l in range(n)]
+    colnz, rownz = zeta.transpose().row_nonzeros(), zeta.row_nonzeros()
     cols = []
     for k in range(n):
         for l in range(n):
@@ -258,10 +256,10 @@ def power_basis_transform(p) -> Matrix:
     picture, verified rather than assumed.
     """
     data = TwistData.for_prime(p, validate=False)
-    t = data.orbit.T
+    t = Matrix.from_columns(data.orbit.vectors[:p - 1])
     if data.zeta * t != t * regular_rep(CycElem.zeta(p)):
         raise AssertionError("cyclic-vector transform failed to intertwine")
-    if data.orbit.det_T not in (1, -1):
+    if det(t) not in (1, -1):
         raise AssertionError("cyclic-vector transform is not unimodular")
     return t
 
@@ -274,10 +272,11 @@ def power_basis_transform(p) -> Matrix:
 #
 # Four checks read TwistData.orbit. If X commutes with zeta then
 # X zeta^k e1 = zeta^k X e1, so X is determined by X e1 once
-# T = [e1, zeta e1, ...] is invertible. det T != 0 therefore bounds the
+# T = [e1, zeta e1, ...] is invertible. The orbit certificate asks T to be
+# unit upper triangular, so det T = 1: T is invertible, which bounds the
 # commutant's rank by p - 1, which the powers of zeta attain, and
-# det T = +-1 makes the coordinates T^(-1) X e1 of every integral X in
-# the commutant integral, so the commutant is the span of the powers.
+# unimodular, which makes the coordinates T^(-1) X e1 of every integral X
+# in the commutant integral, so the commutant is the span of the powers.
 # The orbit's sum is Phi_p(zeta) e1; Phi_p(zeta) commutes with zeta and e1
 # is cyclic, so a zero sum gives Phi_p(zeta) = 0. Cyclicity also forces
 # deg minpoly >= p - 1, so minpoly = Phi_p, and (x - 1) Phi_p = x^p - 1
@@ -290,7 +289,7 @@ def power_basis_transform(p) -> Matrix:
 
 
 def _phi_p_annihilates_zeta(t) -> bool:
-    return t.orbit.det_T != 0 and not any(map(sum, zip(*t.orbit.vectors)))
+    return t.orbit.unit_triangular and not any(map(sum, zip(*t.orbit.vectors)))
 
 
 CONSTRUCTION_CHECKS = (
@@ -304,6 +303,6 @@ CONSTRUCTION_CHECKS = (
     ("polarization_degree_p_squared", lambda t: t.b_minors[-1] ** 2 == t.p ** 2),
     ("rosati_inverts_zeta",
      lambda t: rosati(t.zeta, t) * t.zeta == Matrix.identity(t.p - 1)),
-    ("centralizer_rank", lambda t: t.orbit.det_T != 0),
-    ("centralizer_equals_zeta_powers", lambda t: t.orbit.det_T in (1, -1)),
+    ("centralizer_rank", lambda t: t.orbit.unit_triangular),
+    ("centralizer_equals_zeta_powers", lambda t: t.orbit.unit_triangular),
 )

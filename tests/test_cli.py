@@ -79,6 +79,29 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
+def test_generic_eliminations_on_the_production_path(monkeypatch):
+    # the certificates take no Bareiss elimination; verify -p 43 takes one
+    # for b_minors and one per sampled degree (three samples above p = 13)
+    import polobstruct.intlinalg as intlinalg
+    from polobstruct.galmod import build_ptorsion
+    from polobstruct.twist import TwistData
+
+    sizes = []
+    bareiss = intlinalg._bareiss_det
+
+    def counted(m):
+        sizes.append(len(m))
+        return bareiss(m)
+
+    monkeypatch.setattr(intlinalg, "_bareiss_det", counted)
+    for p in (5, 43):
+        assert TwistData.for_prime(p, validate=False).orbit.unit_triangular
+        assert build_ptorsion(p).two_jordan_blocks
+    assert sizes == []
+    assert cli.run_verify_suite(43).ok
+    assert sizes == [42] * 4
+
+
 def test_seed_resolution(monkeypatch):
     assert cli._resolve_seed(None) == cli.DEFAULT_SEED
     monkeypatch.setenv("POLOBSTRUCT_SEED", "99")

@@ -215,6 +215,21 @@ def test_element_classes_share_scalars_and_powers(cls):
             x ** -1
 
 
+@pytest.mark.parametrize("cls", list(ELEMENT_DIMS), ids=lambda c: c.__name__)
+def test_rational_elements_hash_like_the_rationals_they_equal(cls):
+    p = 7
+    for q in (3, -2, 0, Fraction(3, 5), Fraction(-9, 4)):
+        elem = cls.from_rational(q, p)
+        assert elem.is_rational() and elem == q and hash(elem) == hash(q)
+        assert len({q, elem}) == 1 and len({elem, q}) == 1
+        assert {q: "q"}[elem] == "q" and {elem: "e"}[q] == "e"
+        table = {q: 1}
+        table[elem] = 2
+        assert table == {q: 2}
+    x = cls(p, (3, 1) + (0,) * (ELEMENT_DIMS[cls](p) - 2))
+    assert not x.is_rational() and x != 3 and len({3, x}) == 2
+
+
 def test_conj_frozen_and_properties():
     z5 = CycElem.zeta(5)
     assert z5.conj() == CycElem(5, (-1, -1, -1, -1))

@@ -184,15 +184,55 @@ def test_matmul_matches_naive_and_big_entries():
     z = build_zeta(13)
     dense = _random_matrix(rng, 12, 12)
     cases += [(z, dense), (dense, z), (z.transpose(), dense), (dense, z.transpose())]
+    vector_entries = edge + [2 ** 64, -2 ** 64, Fraction(-7, 3), Fraction(1, 2)]
     for a, b in cases:
         prod = _matmul(a, b)
         assert prod == _naive_product(a, b) and prod.shape == (a.nrows, b.ncols)
+        for mat in (a, b, prod):
+            _check_listing_and_mul_vector(
+                mat, [rng.choice(vector_entries) for _ in range(mat.ncols)])
     assert _matmul(Matrix.zero(0, 3), Matrix.zero(3, 2)) == Matrix.zero(0, 2)
     assert _matmul(Matrix.zero(3, 0), Matrix.zero(0, 2)) == Matrix.zero(3, 2)
     # a Fraction product that is integral comes back as int entries
     half = Matrix([[Fraction(1, 2)]])
     assert _matmul(half, Matrix([[2]])).rows == ((1,),)
     assert type(_matmul(half, Matrix([[2]]))[0, 0]) is int
+
+
+def _check_listing_and_mul_vector(a, v):
+    # the listing holds exactly the nonzero entries, by increasing column
+    listed = {}
+    for i, row in enumerate(a.row_nonzeros()):
+        assert [j for j, _ in row] == sorted(j for j, _ in row)
+        listed.update(((i, j), x) for j, x in row)
+    assert len(a.row_nonzeros()) == a.nrows
+    assert listed == {(i, j): a[i, j] for i in range(a.nrows)
+                      for j in range(a.ncols) if a[i, j] != 0}
+    naive = tuple(sum(a[i, j] * v[j] for j in range(a.ncols)) for i in range(a.nrows))
+    assert a.mul_vector(v) == naive
+
+
+def test_row_nonzeros_is_listed_once_and_ignored_by_comparison():
+    rows = [[0, 2 ** 64, 0], [0, 0, 0], [Fraction(1, 3), 0, -2 ** 64]]
+    a, fresh = Matrix(rows), Matrix(rows)
+    listing = a.row_nonzeros()
+    assert listing == (((1, 2 ** 64),), (), ((0, Fraction(1, 3)), (2, -2 ** 64)))
+    assert a.row_nonzeros() is listing
+    assert a == fresh and fresh == a
+    assert hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    assert len({a, fresh}) == 1
+    # constructors that bypass __init__ list on first use as well
+    for m, want in ((Matrix.identity(2), (((0, 1),), ((1, 1),))),
+                    (Matrix.zero(2, 3), ((), ())),
+                    (Matrix.zero(0, 3), ()), (Matrix.zero(3, 0), ((), (), ()))):
+        assert m.row_nonzeros() == want and m.row_nonzeros() is m.row_nonzeros()
+    assert Matrix.zero(0, 3).mul_vector([1, 2, 3]) == ()
+    assert Matrix.zero(3, 0).mul_vector([]) == (0, 0, 0)
+    # mul_vector still validates its vector
+    with pytest.raises(TypeError):
+        a.mul_vector([1, 0.5, 0])
+    with pytest.raises(ValueError):
+        a.mul_vector([1, 2])
 
 
 def test_pow_binary():

@@ -69,7 +69,8 @@ def test_zeta_has_order_p_and_cyclotomic_minpoly():
         t = TwistData.for_prime(p)
         assert len(t.orbit.vectors) == p
         assert t.orbit.vectors[-1] == (z ** (p - 1)).column(0)
-        assert t.orbit.det_T == det(t.orbit.T)
+        assert t.orbit.unit_triangular
+        assert det(Matrix.from_columns(t.orbit.vectors[:p - 1])) == 1
         assert _holds("zeta_minpoly_is_cyclotomic", t)
         assert _holds("zeta_order_p", t)
 
@@ -128,13 +129,44 @@ def test_centralizer_certificate_rejects_non_cyclic_matrix():
     assert not _holds("centralizer_equals_zeta_powers", t)
 
 
+def test_unit_triangular_certificate_is_sound():
+    # the flag reads det T = 1 off T's shape; Bareiss is the oracle
+    for p in [q for q in range(3, 62) if all(q % d for d in range(2, q))]:
+        t = TwistData.for_prime(p, validate=False)
+        assert t.orbit.unit_triangular
+        assert det(Matrix.from_columns(t.orbit.vectors[:p - 1])) == 1
+    # foreign zeta': upper Hessenberg with a unit subdiagonal (the flag
+    # holds), half of them with one entry at or below the subdiagonal
+    # redrawn (the flag may fail)
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(200):
+        p = rng.choice([3, 5, 7])
+        n = p - 1
+        rows = [[rng.randint(-2, 2) if j >= i else int(j == i - 1) for j in range(n)]
+                for i in range(n)]
+        if rng.random() < 0.5:
+            i = rng.randrange(1, n)
+            rows[i][rng.randrange(i)] = rng.randint(-2, 2)
+        t = TwistData(p, Matrix(rows), build_b(p))
+        tmat = Matrix.from_columns(t.orbit.vectors[:n])
+        shape = all(tmat[i, j] == (i == j) for i in range(n) for j in range(i + 1))
+        assert t.orbit.unit_triangular == shape
+        if shape:
+            assert det(tmat) == 1
+            assert _holds("centralizer_equals_zeta_powers", t)
+        outcomes.add(shape)
+    assert outcomes == {True, False}
+
+
 def test_orbit_certificate_rejects_foreign_zeta():
     # changing one first-row entry keeps e1 cyclic (T stays unit upper
     # triangular) but Phi_5(zeta) e1 != 0, so zeta is no longer a 5th root
     rows = [list(r) for r in build_zeta(5).rows]
     rows[0][3] = -2
     t = TwistData(5, Matrix(rows), build_b(5))
-    assert t.orbit.det_T in (1, -1)
+    assert t.orbit.unit_triangular
+    assert det(Matrix.from_columns(t.orbit.vectors[:4])) == 1
     assert any(map(sum, zip(*t.orbit.vectors)))
     assert minpoly(t.zeta) != cyclotomic_poly(5)
     assert t.zeta ** 5 != Matrix.identity(4)
