@@ -33,15 +33,15 @@ from .cyclotomic import (
     MAX_P,
     CycElem,
     complex_conj,
+    cyclotomic_poly,
     is_odd_prime,
     is_totally_positive,
     norm_to_Q,
     parse_element,
-    regular_rep,
     restrict_to_real,
 )
 from .galmod import build_ptorsion, e_rank_of_order, filtration_dims, polarization_parity
-from .intlinalg import Matrix, matrix_to_json
+from .intlinalg import Matrix, matrix_to_json, resultant
 from .kergroup import (
     KerClass,
     ModelDescriptor,
@@ -55,7 +55,6 @@ from .kergroup import (
 from .twist import (
     CONSTRUCTION_CHECKS,
     TwistData,
-    endo_degree,
     endo_descends,
 )
 
@@ -108,6 +107,15 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
 
     Sample counts shrink as p grows so the suite stays fast at large p
     without losing the exhaustive matrix identities.
+
+    No check takes a generic determinant. The construction checks read
+    certificates (see CONSTRUCTION_CHECKS). degree_equals_norm_squared
+    compares two independent computations for each sampled
+    a = sum c_k zeta^k: the degree det a(zeta)^2 of the matrix a(zeta),
+    taken as Res(Phi_p, a)^2 by the sub-resultant algorithm, and the
+    square of the power-sum norm N(a). The resultant is det a(zeta)
+    because the orbit certificate proves chi_zeta = Phi_p, so the degree
+    check fails whenever that certificate does.
     """
     rep = VerifyReport(p, seed)
     rng = random.Random(seed)
@@ -118,7 +126,8 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
         rep.record(name, holds(t))
 
     samples = 10 if p <= 13 else 3
-    good = True
+    phi_p = cyclotomic_poly(p).coeffs
+    good = dict(rep.checks)["zeta_minpoly_is_cyclotomic"]
     for _ in range(samples):
         coords = [rng.randint(-3, 3) for _ in range(n)]
         a = CycElem(p, tuple(coords))
@@ -127,7 +136,7 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
         nm = Fraction(norm_to_Q(a))
         if nm == 0:
             continue
-        good = good and endo_degree(regular_rep(a)) == nm * nm
+        good = good and resultant(phi_p, coords) ** 2 == nm * nm
     rep.record("degree_equals_norm_squared", good)
 
     rejected = True

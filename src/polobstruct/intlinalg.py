@@ -8,7 +8,12 @@ integer matrices stay integer through arithmetic).
 The main operations:
 
   * det            Bareiss fraction-free elimination (rational input handled
-                   by clearing denominators).
+                   by clearing denominators); the reference route the tests
+                   compare the certificates and the resultant against.
+  * resultant      Res(f, g) of integer polynomials by the sub-resultant
+                   remainder sequence; for a monic f it is det g(M) for a
+                   matrix M with characteristic polynomial f, with no
+                   elimination.
   * snf            Smith normal form with unimodular transforms U, V such
                    that U*A*V = D.  Pivot rule: smallest absolute nonzero
                    value, ties broken by lowest row then lowest column.
@@ -30,14 +35,16 @@ of its right factor, mul_vector sums each listed row, int_kernel reads the
 transpose's. The construction's products all have the sparse cocycle
 matrix zeta or its transpose as a factor, so this beats a dense product.
 Int and Fraction entries share one exact loop: Python ints are exact at
-every size, so there is no fixed-width path and no overflow guard.
+every size, so there is no fixed-width path and no overflow guard. A row
+(or vector) whose entries are all of type exactly int is taken as it is;
+any other is coerced entry by entry, which rejects floats and bools.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def _norm_scalar(x):
@@ -51,6 +58,13 @@ def _norm_scalar(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     raise TypeError(f"exact scalars are int or Fraction, got {type(x).__name__}")
+
+
+def _norm_row(r):
+    """A sequence of exact scalars as a tuple; a row whose entries are all
+    of type exactly int is already normal and is kept as it is."""
+    r = tuple(r)
+    return r if set(map(type, r)) <= {int} else tuple(map(_norm_scalar, r))
 
 
 def _power(base, k, one):
@@ -71,7 +85,7 @@ class Matrix:
     __slots__ = ("_rows", "_m", "_n", "_nonzeros")
 
     def __init__(self, rows, ncols=None):
-        rows = [tuple(_norm_scalar(x) for x in r) for r in rows]
+        rows = [_norm_row(r) for r in rows]
         self._m = len(rows)
         if rows:
             self._n = len(rows[0])
@@ -225,7 +239,7 @@ class Matrix:
         return _power(self, k, Matrix.identity(self._m))
 
     def mul_vector(self, v):
-        v = [_norm_scalar(x) for x in v]
+        v = _norm_row(v)
         if len(v) != self._n:
             raise ValueError("vector length mismatch")
         return tuple(sum(x * v[j] for j, x in r) for r in self.row_nonzeros())
@@ -760,6 +774,62 @@ class IntPoly:
             else:
                 terms.append(("+ " if c > 0 else "- ") + mono)
         return "IntPoly(" + " ".join(terms) + ")"
+
+
+def resultant(f, g):
+    """Res(f, g) of two integer polynomials given as coefficient sequences,
+    low degree first: lc(f)^deg(g) times the product of g over the roots of
+    f, and 0 when either is zero. For a monic f this is det g(M) for every
+    matrix M with characteristic polynomial f.
+
+    The sub-resultant remainder sequence (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7): each division in it is exact, so
+    it runs in the integers with coefficients polynomially bounded, and it
+    takes no determinant.
+    """
+    a, b = IntPoly(f).coeffs, IntPoly(g).coeffs
+    if not a or not b:
+        return 0
+    ca, cb = gcd(*a), gcd(*b)
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    da, db = len(a) - 1, len(b) - 1
+    t = ca ** db * cb ** da
+    s = 1
+    if da < db:
+        # Res(g, f) = (-1)^(deg f deg g) Res(f, g)
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            s = -1
+    lg = h = 1
+    while db > 0:
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        r = _q_strip(_pseudo_rem(a, b))
+        if not r:
+            return 0
+        div = lg * h ** delta
+        a, da = b, db
+        b, db = [x // div for x in r], len(r) - 1
+        lg = a[-1]
+        if delta:
+            h = lg ** delta // h ** (delta - 1)
+    return s * t * (b[0] ** da // h ** (da - 1) if da else h)
+
+
+def _pseudo_rem(a, b):
+    """The remainder of lc(b)^(deg a - deg b + 1) a by b, for int
+    coefficient lists with deg a >= deg b >= 1: one step per quotient
+    term, each multiplying by lc(b) and cancelling the top coefficient."""
+    r, lb, low = list(a), b[-1], b[:-1]
+    for k in range(len(a) - len(b), -1, -1):
+        q = r.pop()
+        if lb != 1:
+            r = [x * lb for x in r]
+        if q:
+            for i, y in enumerate(low, k):
+                r[i] -= q * y
+    return r
 
 
 # rational coefficient lists (low-degree first) back the charpoly and

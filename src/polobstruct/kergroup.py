@@ -32,6 +32,7 @@ from .cyclotomic import (
     CycElem,
     RealElem,
     complex_conj,
+    cyclotomic_poly,
     is_odd_prime,
     is_prime,
     is_totally_positive,
@@ -40,8 +41,15 @@ from .cyclotomic import (
     restrict_to_real,
 )
 from .galmod import e_rank_of_order, valuation
-from .intlinalg import Matrix, _hnf_coords, col_hnf, col_lattice_contains, snf
-from .twist import build_b, endo_degree
+from .intlinalg import (
+    Matrix,
+    _hnf_coords,
+    col_hnf,
+    col_lattice_contains,
+    resultant,
+    snf,
+)
+from .twist import TwistData
 
 
 def _is_perfect_square(n) -> bool:
@@ -852,23 +860,29 @@ def twist_model(p, seed=1729, samples=8) -> ModelDescriptor:
     seed plus the distinguished value norm((1-zeta)(1-conj zeta)); the
     known polarization class comes from the constructed pairing matrix,
     whose degree pins its E[p] multiplicity.
+
+    Each claimed norm N(x conj(x)) = N(x)^2 is taken as Res(Phi_p, x)^2,
+    and N(1 - zeta) = Phi_p(1) = p, so the model's validation, which
+    computes each norm by power sums, checks it against an independent
+    computation.
     """
     labels = twist_labels(p)
     rng = random.Random(seed)
     one = CycElem.one(p)
     zeta = CycElem.zeta(p)
     base = (one - zeta) * complex_conj(one - zeta)
-    pairs = [PhiSample(Fraction(norm_to_Q(base)), base)]
+    phi_p = cyclotomic_poly(p).coeffs
+    pairs = [PhiSample(p * p, base)]
     while len(pairs) < samples + 1:
         coords = tuple(rng.randint(-3, 3) for _ in range(p - 1))
         x = CycElem(p, coords)
         if x.is_zero():
             continue
         alpha = x * complex_conj(x)
-        pairs.append(PhiSample(Fraction(norm_to_Q(alpha)), alpha))
+        pairs.append(PhiSample(resultant(phi_p, coords) ** 2, alpha))
     # the constructed polarization has degree det(b)^2; convert the degree
     # to an E[p] multiplicity honestly rather than hard-coding 1
-    degree = endo_degree(build_b(p))
+    degree = TwistData.for_prime(p, validate=False).b_minors[-1] ** 2
     mult = e_rank_of_order(degree, p).value
     algebra = AlgebraDescriptor((
         AlgebraFactor("IV", CenterField("cyclotomic", p), 1, ()),

@@ -123,8 +123,15 @@ class TwistData:
 
     @cached_property
     def b_minors(self):
-        """The leading principal minors of b, from one elimination; the
-        last is det b, also when a minor vanishes."""
+        """The leading principal minors of b; the last is det b, also when
+        a minor vanishes. When b - I is the all-ones matrix 11^t entrywise,
+        the determinant lemma det(I + u v^t) = 1 + v^t u gives the k-th
+        minor 1 + k with no elimination; any other b takes the generic
+        route, leading_principal_minors."""
+        n = self.p - 1
+        if all(r == (1,) * i + (2,) + (1,) * (n - 1 - i)
+               for i, r in enumerate(self.b.rows)):
+            return list(range(2, n + 2))
         return leading_principal_minors(self.b)
 
     def check(self):
@@ -283,9 +290,10 @@ def power_basis_transform(p) -> Matrix:
 # gives zeta^p = I. Phi_p(1) = p, so Phi_p(zeta) = 0 also excludes
 # zeta = I, and the order is the prime p.
 #
-# Three checks read TwistData.b_minors, one elimination of b whose last
-# minor is det b. The polarization's degree is (det b)^2, so a singular b
-# fails all three instead of raising.
+# Three checks read TwistData.b_minors, whose last minor is det b: the
+# determinant lemma for b = I + 11^t, one elimination for any other b. The
+# polarization's degree is (det b)^2, so a singular b fails all three
+# instead of raising.
 
 
 def _phi_p_annihilates_zeta(t) -> bool:

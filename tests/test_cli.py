@@ -80,8 +80,9 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_generic_eliminations_on_the_production_path(monkeypatch):
-    # the certificates take no Bareiss elimination; verify -p 43 takes one
-    # for b_minors and one per sampled degree (three samples above p = 13)
+    # the certificates take no Bareiss elimination, and neither do verify
+    # (the sampled degrees are resultants, b's minors come from the
+    # determinant lemma) nor twist_model
     import polobstruct.intlinalg as intlinalg
     from polobstruct.galmod import build_ptorsion
     from polobstruct.twist import TwistData
@@ -99,7 +100,22 @@ def test_generic_eliminations_on_the_production_path(monkeypatch):
         assert build_ptorsion(p).two_jordan_blocks
     assert sizes == []
     assert cli.run_verify_suite(43).ok
-    assert sizes == [42] * 4
+    twist_model(13)
+    assert sizes == []
+
+
+def test_degree_check_rests_on_the_orbit_certificate(monkeypatch):
+    # Res(Phi_p, a) is det a(zeta) only when chi_zeta = Phi_p, which the
+    # orbit certificate proves; a zeta it rejects fails the degree check
+    import polobstruct.twist as twist
+
+    assert dict(cli.run_verify_suite(5).checks)["degree_equals_norm_squared"]
+    # a companion matrix of x^4 + x^3 + x^2 + x + 2, not of Phi_5
+    foreign = [[-2, -1, -1, -1]] + list(twist.build_zeta(5).rows[1:])
+    monkeypatch.setattr(twist, "build_zeta", lambda p: twist.Matrix(foreign))
+    passed = dict(cli.run_verify_suite(5).checks)
+    assert not passed["zeta_minpoly_is_cyclotomic"]
+    assert not passed["degree_equals_norm_squared"]
 
 
 def test_seed_resolution(monkeypatch):

@@ -19,7 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polobstruct.intlinalg as intlinalg
-from polobstruct.intlinalg import IntPoly, Matrix, _charpoly_coeffs, det, solve_exact
+from polobstruct.intlinalg import (
+    IntPoly,
+    Matrix,
+    _charpoly_coeffs,
+    det,
+    resultant,
+    solve_exact,
+)
 from polobstruct.cyclotomic import (
     CycElem,
     _real_elementary,
@@ -627,6 +634,16 @@ def test_norm_matches_bareiss_determinant():
             samples.append(_gaussian_period_13().lift())
         for a in samples:
             assert norm_to_Q(a) == det(regular_rep(a))
+
+
+def test_resultant_is_the_determinant_and_the_norm():
+    # verify's degree check reads Res(Phi_p, a) as det a(zeta); Bareiss on
+    # the regular representation and the power-sum norm are the references
+    rng = random.Random(43)
+    for p in [q for q in range(3, 62) if is_odd_prime(q)]:
+        phi_p = cyclotomic_poly(p).coeffs
+        for a in (_rand_elem(rng, p, bound=3), _rand_elem(rng, p, bound=1)):
+            assert resultant(phi_p, a.coords) == det(regular_rep(a)) == norm_to_Q(a)
 
 
 def test_norms_and_positivity_use_no_determinant_or_charpoly(monkeypatch):

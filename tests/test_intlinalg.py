@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polobstruct.intlinalg import (
     IntPoly,
@@ -27,6 +29,7 @@ from polobstruct.intlinalg import (
     matrix_from_json,
     matrix_to_json,
     minpoly,
+    resultant,
     snf,
     solve_exact,
     _hnf_coords,
@@ -118,6 +121,34 @@ def test_entry_normalization_and_float_rejection():
         Matrix([[0.5]])
     with pytest.raises(TypeError):
         Matrix([[True]])
+
+
+def test_int_rows_skip_coercion_and_keep_every_check():
+    # a row of plain ints is kept as it is; every other row is coerced
+    # entry by entry, in Matrix(...) and in mul_vector alike
+    class Int(int):
+        pass
+
+    def stored(r):
+        return Matrix([r]).rows[0]
+
+    def applied(r):
+        return Matrix.identity(2).mul_vector(r)
+
+    for build in (stored, applied):
+        for bad in ([1, True], [1, 0.5], [False, 0]):
+            with pytest.raises(TypeError):
+                build(bad)
+        assert build([1, Fraction(1, 3)]) == (1, Fraction(1, 3))
+        assert build([Fraction(4, 2), 1]) == (2, 1)
+        assert build(iter([3, -4])) == (3, -4)
+    for r in ([Int(3), 1], [Fraction(4, 2), 1]):
+        assert [type(x) for x in stored(r)] == [int, int]
+    assert Matrix(iter([iter([1, 2])])) == Matrix([[1, 2]])
+    with pytest.raises(ValueError):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix.identity(2).mul_vector([1, 2, 3])
 
 
 def test_from_columns_rejects_ragged_columns_and_disagreeing_nrows():
@@ -684,6 +715,87 @@ def test_intpoly_basics():
     assert IntPoly([]).degree == -1
     assert g.divides(IntPoly([1, -2, 1]))
     assert not g.divides(f)
+
+
+def _poly_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _sympy_resultant(f, g):
+    """sympy's resultant, called with the higher degree first.
+
+    sympy 1.14 returns the same value for both argument orders when the
+    degree of f is below that of g and both are odd: it reads -1 for
+    Res(x, x^3 + 1), whose definition gives 1^3 (0^3 + 1) = 1. The swapped
+    order is therefore derived by Res(f, g) = (-1)^(deg f deg g) Res(g, f).
+    """
+    import sympy
+
+    x = sympy.symbols("x")
+    df, dg = len(f) - 1, len(g) - 1
+    if df < dg:
+        return (-1) ** (df * dg) * _sympy_resultant(g, f)
+    poly = [sympy.Poly(list(reversed(c)), x).as_expr() for c in (f, g)]
+    return int(sympy.resultant(*poly, x))
+
+
+def _sylvester(f, g):
+    """The Sylvester matrix of f and g (coefficients low degree first)."""
+    df, dg = len(f) - 1, len(g) - 1
+    n = df + dg
+    rows = [[0] * i + list(reversed(f)) + [0] * (n - df - 1 - i) for i in range(dg)]
+    rows += [[0] * i + list(reversed(g)) + [0] * (n - dg - 1 - i) for i in range(df)]
+    return rows
+
+
+def _int_poly(min_degree=0):
+    # the leading coefficient is nonzero, so the degree is len - 1
+    return st.tuples(
+        st.lists(st.integers(-6, 6), min_size=min_degree, max_size=8),
+        st.integers(-6, 6).filter(bool),
+    ).map(lambda t: t[0] + [t[1]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_int_poly(), _int_poly(), st.one_of(st.just([1]), _int_poly(1)))
+@example([0, 1], [1, 0, 0, 1], [1])
+@example([1, 3], [2, 1, -5, -4], [1])
+@example([5], [1, 2, 3], [1])
+@example([-2], [3], [1])
+@example([1, 1], [2, 3], [1, 1])
+def test_resultant_matches_sympy(f, g, h):
+    # a common factor h of degree >= 1 makes the resultant vanish
+    f, g = _poly_product(f, h), _poly_product(g, h)
+    for a, b in ((f, g), (g, f)):
+        want = _sympy_resultant(a, b)
+        assert resultant(a, b) == want
+        assert want == 0 or len(h) == 1
+    df, dg = len(f) - 1, len(g) - 1
+    assert resultant(g, f) == (-1) ** (df * dg) * resultant(f, g)
+
+
+def test_resultant_frozen_and_sylvester_oracle():
+    # Res(x, x^3 + 1) = 1 and Res(x^3 + 1, x) = -1, the product of the
+    # roots of x^3 + 1; Res(3x + 1, g) = 3^3 g(-1/3) = 34
+    assert resultant([0, 1], [1, 0, 0, 1]) == 1
+    assert resultant([1, 0, 0, 1], [0, 1]) == -1
+    assert resultant([1, 3], [2, 1, -5, -4]) == 34
+    assert resultant([7], [1, 2, 3]) == 49
+    assert resultant([-2], [3]) == 1
+    assert resultant([], [1, 1]) == resultant([1, 1], [0, 0]) == 0
+    # trailing zeros are no part of the degree
+    assert resultant([1, 3, 0], [2, 1, -5, -4, 0]) == 34
+    with pytest.raises(TypeError):
+        resultant([1, Fraction(1, 2)], [1, 1])
+    rng = random.Random(41)
+    for _ in range(120):
+        f, g = ([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+                + [rng.choice([-2, -1, 1, 3])] for _ in range(2))
+        assert resultant(f, g) == _cofactor_det(_sylvester(f, g))
 
 
 # ---------------------------------------------------------------------------

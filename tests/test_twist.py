@@ -114,6 +114,44 @@ def test_b_determinant_check_rejects_minus_p():
         t.check()
 
 
+def _counted_eliminations(monkeypatch):
+    import polobstruct.intlinalg as intlinalg
+
+    sizes = []
+    bareiss = intlinalg._bareiss_det
+
+    def counted(m):
+        sizes.append(len(m))
+        return bareiss(m)
+
+    monkeypatch.setattr(intlinalg, "_bareiss_det", counted)
+    return sizes
+
+
+def test_b_minors_by_the_determinant_lemma(monkeypatch):
+    for p in PRIMES:
+        assert leading_principal_minors(build_b(p)) == list(range(2, p + 1))
+    sizes = _counted_eliminations(monkeypatch)
+    for p in PRIMES + [43]:
+        assert TwistData.for_prime(p, validate=False).b_minors == list(range(2, p + 1))
+    assert sizes == []
+
+
+def test_b_minors_fall_back_to_elimination_off_the_lemma(monkeypatch):
+    # one off-diagonal pair of b changed: still symmetric, but b - I is no
+    # longer 11^t, so the minors come from the elimination
+    p = 7
+    rows = [list(r) for r in build_b(p).rows]
+    rows[1][3] = rows[3][1] = 0
+    expected = [det(Matrix([r[:k] for r in rows[:k]])) for k in range(1, p)]
+    assert expected != list(range(2, p + 1))
+    sizes = _counted_eliminations(monkeypatch)
+    t = TwistData(p, build_zeta(p), Matrix(rows))
+    assert t.b.is_symmetric()
+    assert t.b_minors == expected
+    assert sizes == [p - 1]
+
+
 def test_b_checks_reject_a_singular_form_without_raising():
     t = TwistData(3, build_zeta(3), Matrix([[1, 1], [1, 1]]))
     assert t.b_minors[-1] == det(t.b) == 0
