@@ -33,7 +33,6 @@ from .cyclotomic import (
     MAX_P,
     CycElem,
     complex_conj,
-    cyclotomic_poly,
     is_odd_prime,
     is_totally_positive,
     norm_to_Q,
@@ -41,7 +40,7 @@ from .cyclotomic import (
     restrict_to_real,
 )
 from .galmod import build_ptorsion, e_rank_of_order, filtration_dims, polarization_parity
-from .intlinalg import Matrix, matrix_to_json, resultant
+from .intlinalg import Matrix, matrix_to_json
 from .kergroup import (
     KerClass,
     ModelDescriptor,
@@ -55,6 +54,7 @@ from .kergroup import (
 from .twist import (
     CONSTRUCTION_CHECKS,
     TwistData,
+    central_degree,
     endo_descends,
 )
 
@@ -108,41 +108,37 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     Sample counts shrink as p grows so the suite stays fast at large p
     without losing the exhaustive matrix identities.
 
-    No check takes a generic determinant. The construction checks read
-    certificates (see CONSTRUCTION_CHECKS). degree_equals_norm_squared
-    compares two independent computations for each sampled
-    a = sum c_k zeta^k: the degree det a(zeta)^2 of the matrix a(zeta),
-    taken as Res(Phi_p, a)^2 by the sub-resultant algorithm, and the
-    square of the power-sum norm N(a). The resultant is det a(zeta)
-    because the orbit certificate proves chi_zeta = Phi_p, so the degree
-    check fails whenever that certificate does.
+    No check takes a generic determinant, and none raises. The
+    construction checks read the closed forms that TwistData decides once
+    each (see CONSTRUCTION_CHECKS). degree_equals_norm_squared compares two
+    independent computations for each nonzero sampled a = sum c_k zeta^k:
+    its degree central_degree(a) = Res(Phi_p, a)^2, by the sub-resultant
+    algorithm, and the square of the power-sum norm N(a), so a zero norm
+    fails it. Res(Phi_p, a) is det a(zeta) because the orbit certificate
+    proves chi_zeta = Phi_p, so the degree check fails whenever that
+    certificate does.
     """
     rep = VerifyReport(p, seed)
     rng = random.Random(seed)
     n = p - 1
-    t = TwistData.for_prime(p, validate=False)
+    t = TwistData.for_prime(p)
     z = t.zeta
     for name, holds in CONSTRUCTION_CHECKS:
         rep.record(name, holds(t))
 
     samples = 10 if p <= 13 else 3
-    phi_p = cyclotomic_poly(p).coeffs
-    good = dict(rep.checks)["zeta_minpoly_is_cyclotomic"]
+    good = t.phi_p_annihilates_zeta
     for _ in range(samples):
-        coords = [rng.randint(-3, 3) for _ in range(n)]
-        a = CycElem(p, tuple(coords))
+        a = CycElem(p, [rng.randint(-3, 3) for _ in range(n)])
         if a.is_zero():
             continue
-        nm = Fraction(norm_to_Q(a))
-        if nm == 0:
-            continue
-        good = good and resultant(phi_p, coords) ** 2 == nm * nm
+        good = good and central_degree(a) == norm_to_Q(a) ** 2
     rep.record("degree_equals_norm_squared", good)
 
     rejected = True
     found = 0
     while found < samples:
-        m = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        m = Matrix([rng.choices(range(-2, 3), k=n) for _ in range(n)])
         if all(z.mul_vector(m.column(j)) == m.mul_vector(z.column(j))
                for j in range(n)):
             continue
@@ -157,7 +153,7 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
 
     # the E[p]-rank of a kernel of order deg(b) n^4, read off that order,
     # must be the closed form 1 + 2 v_p(n), and odd
-    deg_b = t.b_minors[-1] ** 2
+    deg_b = t.polarization_degree
 
     def parity_holds(n):
         rank = e_rank_of_order(deg_b * n ** 4, p)
@@ -192,6 +188,7 @@ def _cmd_construct(args) -> int:
     if not _require_odd_prime_arg(args.p):
         return 2
     t = TwistData.for_prime(args.p)
+    t.check()
     if args.out:
         paths = []
         try:
@@ -317,7 +314,7 @@ def _cmd_attainable(args) -> int:
 
 
 def _sweep_row(p):
-    t = TwistData.for_prime(p, validate=False)
+    t = TwistData.for_prime(p)
     # a unit upper triangular T for the orbit of e1 proves rank p - 1
     if not dict(CONSTRUCTION_CHECKS)["centralizer_rank"](t):
         raise AssertionError(f"the orbit certificate fails at p = {p}")
@@ -325,7 +322,7 @@ def _sweep_row(p):
     return (
         p,
         t.b_minors[-1],
-        t.b_minors[-1] ** 2,
+        t.polarization_degree,
         p - 1,
         len(filtration_dims(build_ptorsion(p))),
         parity_hom(KerClass(model.labels, model.s_c[0]), p),

@@ -32,7 +32,6 @@ from .cyclotomic import (
     CycElem,
     RealElem,
     complex_conj,
-    cyclotomic_poly,
     is_odd_prime,
     is_prime,
     is_totally_positive,
@@ -46,10 +45,9 @@ from .intlinalg import (
     _hnf_coords,
     col_hnf,
     col_lattice_contains,
-    resultant,
     snf,
 )
-from .twist import TwistData
+from .twist import TwistData, central_degree
 
 
 def _is_perfect_square(n) -> bool:
@@ -406,14 +404,8 @@ def _positive(x, center: CenterField) -> bool:
     if center.kind == "Q":
         return x > 0
     if center.kind == "real_cyclotomic":
-        return not _is_zero_elem(x, center) and is_totally_positive(x)
+        return x != 0 and is_totally_positive(x)
     raise ValueError("positivity lives in a totally real field")
-
-
-def _is_zero_elem(x, center: CenterField) -> bool:
-    if center.kind == "Q":
-        return x == 0
-    return x.is_zero()
 
 
 def r_membership(x, level: int, factor: AlgebraFactor) -> bool:
@@ -429,7 +421,7 @@ def r_membership(x, level: int, factor: AlgebraFactor) -> bool:
     x = _coerce_center_element(x, c)
     if factor.type == "I":
         if level == 0:
-            return not _is_zero_elem(x, c)
+            return x != 0
         return _positive(x, c)
     if factor.type == "II":
         if c.kind != "Q":
@@ -478,6 +470,20 @@ def twist_labels(p) -> LabelSet:
     return LabelSet([SimpleLabel(name, p * p, name, True)])
 
 
+def _e_p_class(alpha, p, labels, claimed=None) -> KerClass:
+    """One copy of E[p] per factor of p in the norm of alpha, which must
+    equal the claimed value when one is given."""
+    if not isinstance(alpha, CycElem) or alpha.p != p:
+        raise TypeError(f"expected an element of Q(zeta_{p})")
+    a = norm_to_Q(alpha)
+    if claimed is not None and a != claimed:
+        raise ValueError("certificate does not have the claimed norm")
+    if a == 0:
+        raise ValueError("zero is not an isogeny")
+    labels = twist_labels(p) if labels is None else labels
+    return KerClass.single(labels, f"E[{p}]", valuation(a, p))
+
+
 def prin_p_part(alpha: CycElem, p, labels=None) -> KerClass:
     """Kernel class of the central isogeny alpha on the twisted product.
 
@@ -485,14 +491,7 @@ def prin_p_part(alpha: CycElem, p, labels=None) -> KerClass:
     of E[p] away from prime-to-p parts, one copy per factor of p in the
     norm. Nonintegral alpha gives a virtual (noneffective) class.
     """
-    if labels is None:
-        labels = twist_labels(p)
-    if not isinstance(alpha, CycElem) or alpha.p != p:
-        raise TypeError(f"expected an element of Q(zeta_{p})")
-    a = Fraction(norm_to_Q(alpha))
-    if a == 0:
-        raise ValueError("zero is not an isogeny")
-    return KerClass.single(labels, f"E[{p}]", valuation(a, p))
+    return _e_p_class(alpha, p, labels)
 
 
 def phi_p_part(a, alpha: CycElem, p, labels=None) -> KerClass:
@@ -504,13 +503,7 @@ def phi_p_part(a, alpha: CycElem, p, labels=None) -> KerClass:
     a = Fraction(a)
     if a == 0:
         raise ValueError("zero has no class")
-    if not isinstance(alpha, CycElem) or alpha.p != p:
-        raise TypeError(f"expected a certificate in Q(zeta_{p})")
-    if Fraction(norm_to_Q(alpha)) != a:
-        raise ValueError("certificate does not have the claimed norm")
-    if labels is None:
-        labels = twist_labels(p)
-    return KerClass.single(labels, f"E[{p}]", valuation(a, p))
+    return _e_p_class(alpha, p, labels, a)
 
 
 def parity_hom(c: KerClass, p) -> int:
@@ -861,29 +854,25 @@ def twist_model(p, seed=1729, samples=8) -> ModelDescriptor:
     known polarization class comes from the constructed pairing matrix,
     whose degree pins its E[p] multiplicity.
 
-    Each claimed norm N(x conj(x)) = N(x)^2 is taken as Res(Phi_p, x)^2,
-    and N(1 - zeta) = Phi_p(1) = p, so the model's validation, which
-    computes each norm by power sums, checks it against an independent
-    computation.
+    Each claimed norm N(x conj(x)) = N(x)^2 is taken as the degree
+    central_degree(x) = Res(Phi_p, x)^2, and N(1 - zeta) = Phi_p(1) = p, so
+    the model's validation, which computes each norm by power sums, checks
+    it against an independent computation.
     """
     labels = twist_labels(p)
     rng = random.Random(seed)
     one = CycElem.one(p)
     zeta = CycElem.zeta(p)
     base = (one - zeta) * complex_conj(one - zeta)
-    phi_p = cyclotomic_poly(p).coeffs
     pairs = [PhiSample(p * p, base)]
     while len(pairs) < samples + 1:
-        coords = tuple(rng.randint(-3, 3) for _ in range(p - 1))
-        x = CycElem(p, coords)
+        x = CycElem(p, [rng.randint(-3, 3) for _ in range(p - 1)])
         if x.is_zero():
             continue
-        alpha = x * complex_conj(x)
-        pairs.append(PhiSample(resultant(phi_p, coords) ** 2, alpha))
+        pairs.append(PhiSample(central_degree(x), x * complex_conj(x)))
     # the constructed polarization has degree det(b)^2; convert the degree
     # to an E[p] multiplicity honestly rather than hard-coding 1
-    degree = TwistData.for_prime(p, validate=False).b_minors[-1] ** 2
-    mult = e_rank_of_order(degree, p).value
+    mult = e_rank_of_order(TwistData.for_prime(p).polarization_degree, p).value
     algebra = AlgebraDescriptor((
         AlgebraFactor("IV", CenterField("cyclotomic", p), 1, ()),
     ))

@@ -28,12 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cyclotomic import CycElem, _require_odd_prime, regular_rep
+from .cyclotomic import CycElem, _require_odd_prime, cyclotomic_poly, regular_rep
 from .intlinalg import (
     Matrix,
+    _norm_scalar,
     _sparse_kernel,
     det,
     leading_principal_minors,
+    resultant,
 )
 
 
@@ -95,13 +97,8 @@ class TwistData:
     b: Matrix
 
     @classmethod
-    def for_prime(cls, p, validate=True) -> "TwistData":
-        zeta = build_zeta(p)
-        b = build_b(p)
-        data = cls(p, zeta, b)
-        if validate:
-            data.check()
-        return data
+    def for_prime(cls, p) -> "TwistData":
+        return cls(p, build_zeta(p), build_b(p))
 
     def __post_init__(self):
         # the orbit certificate reads 1 + x + ... + x^(p-1) as Phi_p
@@ -122,17 +119,32 @@ class TwistData:
                                for k, v in enumerate(vecs[:n])))
 
     @cached_property
+    def phi_p_annihilates_zeta(self) -> bool:
+        """Phi_p(zeta) = 0, read off the orbit (see CONSTRUCTION_CHECKS)."""
+        return self.orbit.unit_triangular and not any(map(sum, zip(*self.orbit.vectors)))
+
+    @cached_property
+    def b_is_i_plus_j(self) -> bool:
+        """Is b - I the all-ones matrix J = 11^t, entry by entry?"""
+        n = self.p - 1
+        return all(r == (1,) * i + (2,) + (1,) * (n - 1 - i)
+                   for i, r in enumerate(self.b.rows))
+
+    @cached_property
     def b_minors(self):
         """The leading principal minors of b; the last is det b, also when
-        a minor vanishes. When b - I is the all-ones matrix 11^t entrywise,
-        the determinant lemma det(I + u v^t) = 1 + v^t u gives the k-th
-        minor 1 + k with no elimination; any other b takes the generic
-        route, leading_principal_minors."""
-        n = self.p - 1
-        if all(r == (1,) * i + (2,) + (1,) * (n - 1 - i)
-               for i, r in enumerate(self.b.rows)):
-            return list(range(2, n + 2))
+        a minor vanishes. For b = I + J the determinant lemma
+        det(I + u v^t) = 1 + v^t u gives the k-th minor 1 + k with no
+        elimination; any other b takes the generic route,
+        leading_principal_minors."""
+        if self.b_is_i_plus_j:
+            return list(range(2, self.p + 1))
         return leading_principal_minors(self.b)
+
+    @cached_property
+    def polarization_degree(self):
+        """The degree (det b)^2 of the polarization b defines."""
+        return self.b_minors[-1] ** 2
 
     def check(self):
         """Run CONSTRUCTION_CHECKS in order; raises naming the first failure."""
@@ -170,19 +182,26 @@ def endo_degree(alpha: Matrix):
     return d * d
 
 
+def central_degree(a: CycElem):
+    """Degree det a(zeta)^2 of a(zeta) = sum c_k zeta^k for integers c_k, as
+    Res(Phi_p, a)^2, which is det a(M)^2 for every M whose characteristic
+    polynomial is Phi_p; endo_degree(regular_rep(a)) is its reference."""
+    return resultant(cyclotomic_poly(a.p).coeffs, a.coords) ** 2
+
+
 def rosati(x: Matrix, t: TwistData) -> Matrix:
     """The involution x -> b^(-1) x^t b induced by the polarization form.
 
     b = I + J with J the all-ones matrix, so b^(-1) = I - J/p, and every
-    row of J y is the vector of column sums of y.
+    row of J y / p holds y's column sums over p, each an int when p divides it.
     """
     n = t.p - 1
     if x.shape != (n, n):
         raise ValueError(f"expected a {n} by {n} matrix for p = {t.p}")
-    if t.b != build_b(t.p):
+    if not t.b_is_i_plus_j:
         raise ValueError("the closed-form inverse needs the form b = I + J")
     y = x.transpose() * t.b
-    sums = [Fraction(sum(col), t.p) for col in zip(*y.rows)]
+    sums = [_norm_scalar(Fraction(sum(col), t.p)) for col in zip(*y.rows)]
     return Matrix([[v - s for v, s in zip(row, sums)] for row in y.rows])
 
 
@@ -262,7 +281,7 @@ def power_basis_transform(p) -> Matrix:
     change of basis reconciling the matrix construction with the field
     picture, verified rather than assumed.
     """
-    data = TwistData.for_prime(p, validate=False)
+    data = TwistData.for_prime(p)
     t = Matrix.from_columns(data.orbit.vectors[:p - 1])
     if data.zeta * t != t * regular_rep(CycElem.zeta(p)):
         raise AssertionError("cyclic-vector transform failed to intertwine")
@@ -290,27 +309,22 @@ def power_basis_transform(p) -> Matrix:
 # gives zeta^p = I. Phi_p(1) = p, so Phi_p(zeta) = 0 also excludes
 # zeta = I, and the order is the prime p.
 #
-# Three checks read TwistData.b_minors, whose last minor is det b: the
-# determinant lemma for b = I + 11^t, one elimination for any other b. The
-# polarization's degree is (det b)^2, so a singular b fails all three
-# instead of raising.
-
-
-def _phi_p_annihilates_zeta(t) -> bool:
-    return t.orbit.unit_triangular and not any(map(sum, zip(*t.orbit.vectors)))
+# TwistData decides each closed form once: polarization_degree is
+# (det b)^2, so a singular b fails the b checks, and rosati, defined for
+# b = I + J alone, fails rosati_inverts_zeta for any other b, not raising.
 
 
 CONSTRUCTION_CHECKS = (
-    ("zeta_minpoly_is_cyclotomic", lambda t: _phi_p_annihilates_zeta(t)),
-    ("zeta_order_p", lambda t: _phi_p_annihilates_zeta(t)),
+    ("zeta_minpoly_is_cyclotomic", lambda t: t.phi_p_annihilates_zeta),
+    ("zeta_order_p", lambda t: t.phi_p_annihilates_zeta),
     ("shift_reduction_matches", lambda t: reduce_shift(t.p) == t.zeta),
     ("b_determinant_is_p", lambda t: t.b_minors[-1] == t.p),
     ("b_positive_definite",
      lambda t: t.b.is_symmetric() and all(m > 0 for m in t.b_minors)),
     ("polarization_descends", lambda t: pol_descends(t)),
-    ("polarization_degree_p_squared", lambda t: t.b_minors[-1] ** 2 == t.p ** 2),
-    ("rosati_inverts_zeta",
-     lambda t: rosati(t.zeta, t) * t.zeta == Matrix.identity(t.p - 1)),
+    ("polarization_degree_p_squared", lambda t: t.polarization_degree == t.p ** 2),
+    ("rosati_inverts_zeta", lambda t: t.b_is_i_plus_j
+     and rosati(t.zeta, t) * t.zeta == Matrix.identity(t.p - 1)),
     ("centralizer_rank", lambda t: t.orbit.unit_triangular),
     ("centralizer_equals_zeta_powers", lambda t: t.orbit.unit_triangular),
 )

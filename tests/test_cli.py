@@ -96,7 +96,7 @@ def test_generic_eliminations_on_the_production_path(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_bareiss_det", counted)
     for p in (5, 43):
-        assert TwistData.for_prime(p, validate=False).orbit.unit_triangular
+        assert TwistData.for_prime(p).orbit.unit_triangular
         assert build_ptorsion(p).two_jordan_blocks
     assert sizes == []
     assert cli.run_verify_suite(43).ok
@@ -116,6 +116,27 @@ def test_degree_check_rests_on_the_orbit_certificate(monkeypatch):
     passed = dict(cli.run_verify_suite(5).checks)
     assert not passed["zeta_minpoly_is_cyclotomic"]
     assert not passed["degree_equals_norm_squared"]
+
+
+def test_degree_check_fails_on_a_zero_norm(monkeypatch):
+    # every sample is nonzero, so its degree is not 0; a norm of 0 is wrong
+    assert dict(cli.run_verify_suite(7).checks)["degree_equals_norm_squared"]
+    monkeypatch.setattr(cli, "norm_to_Q", lambda a: 0)
+    assert not dict(cli.run_verify_suite(7).checks)["degree_equals_norm_squared"]
+
+
+def test_construct_checks_the_construction(capsys, monkeypatch):
+    # construct runs the catalogue; verify reports the same failure
+    import polobstruct.twist as twist
+
+    monkeypatch.setattr(twist, "build_b",
+                        lambda p: twist.Matrix.identity(p - 1).scale(3))
+    with pytest.raises(AssertionError, match="b_determinant_is_p"):
+        cli.main(["construct", "-p", "7"])
+    assert capsys.readouterr().out == ""
+    passed = dict(cli.run_verify_suite(7).checks)
+    assert not passed["b_determinant_is_p"]
+    assert not passed["rosati_inverts_zeta"]
 
 
 def test_seed_resolution(monkeypatch):

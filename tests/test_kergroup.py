@@ -393,6 +393,19 @@ def test_phi_p_part_certificates():
         phi_p_part(0, alpha, 5)
     with pytest.raises(TypeError):
         phi_p_part(a, "alpha", 5)
+    # one class builder: a certified value's class is its certificate's
+    assert got == prin_p_part(alpha, 5)
+
+
+def test_model_validation_takes_one_norm_per_sample(monkeypatch):
+    import polobstruct.kergroup as kg
+
+    m = twist_model(5, samples=3)
+    calls = []
+    norm = kg.norm_to_Q
+    monkeypatch.setattr(kg, "norm_to_Q", lambda a: calls.append(a) or norm(a))
+    assert ModelDescriptor.from_json(m.to_json()) == m
+    assert calls == [s.alpha for s in m.phi_samples]
 
 
 def test_parity_hom():

@@ -20,6 +20,7 @@ from polobstruct.twist import (
     TwistData,
     build_b,
     build_zeta,
+    central_degree,
     centralizer_basis,
     endo_degree,
     endo_descends,
@@ -32,6 +33,7 @@ from polobstruct.twist import (
 )
 
 PRIMES = [3, 5, 7, 11, 13]
+PRIMES_TO_61 = [q for q in range(3, 62) if all(q % d for d in range(2, q))]
 
 
 def _rand_int_matrix(rng, n, bound=3):
@@ -85,8 +87,11 @@ def test_build_b_frozen():
 
 
 def test_twist_data_validates():
+    # for_prime only builds; check() runs the catalogue
     for p in PRIMES:
-        TwistData.for_prime(p)
+        TwistData.for_prime(p).check()
+    with pytest.raises(TypeError):
+        TwistData.for_prime(5, validate=False)
     broken = TwistData(3, build_zeta(3), Matrix([[2, 0], [0, 2]]))
     with pytest.raises(AssertionError, match="b_determinant_is_p"):
         broken.check()
@@ -133,7 +138,7 @@ def test_b_minors_by_the_determinant_lemma(monkeypatch):
         assert leading_principal_minors(build_b(p)) == list(range(2, p + 1))
     sizes = _counted_eliminations(monkeypatch)
     for p in PRIMES + [43]:
-        assert TwistData.for_prime(p, validate=False).b_minors == list(range(2, p + 1))
+        assert TwistData.for_prime(p).b_minors == list(range(2, p + 1))
     assert sizes == []
 
 
@@ -150,6 +155,43 @@ def test_b_minors_fall_back_to_elimination_off_the_lemma(monkeypatch):
     assert t.b.is_symmetric()
     assert t.b_minors == expected
     assert sizes == [p - 1]
+
+
+def _foreign_twists(p):
+    """b = 3I, b with two rows swapped, b = diag(p, p, 1, ...), then zeta^t
+    and 2 zeta with the constructed b."""
+    z, b = build_zeta(p), build_b(p)
+    swapped = list(b.rows)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    return [TwistData(p, z, Matrix.identity(p - 1).scale(3)),
+            TwistData(p, z, Matrix(swapped)),
+            TwistData(p, z, Matrix.diagonal([p, p] + [1] * (p - 3))),
+            TwistData(p, z.transpose(), b),
+            TwistData(p, z.scale(2), b)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_no_construction_check_raises(p):
+    for t in _foreign_twists(p):
+        verdicts = [holds(t) for _, holds in CONSTRUCTION_CHECKS]
+        assert all(type(v) is bool for v in verdicts)
+        assert not all(verdicts)
+        with pytest.raises(AssertionError, match="construction check failed"):
+            t.check()
+
+
+def test_b_is_i_plus_j_exactly_for_the_constructed_form():
+    for p in PRIMES_TO_61:
+        assert TwistData.for_prime(p).b_is_i_plus_j
+    for p in (3, 5, 7):
+        for t in _foreign_twists(p)[:3]:
+            assert not t.b_is_i_plus_j
+            assert not _holds("rosati_inverts_zeta", t)
+            with pytest.raises(ValueError, match="b = I"):
+                rosati(t.zeta, t)
+    rows = [list(r) for r in build_b(7).rows]
+    rows[1][3] = rows[3][1] = 0
+    assert not TwistData(7, build_zeta(7), Matrix(rows)).b_is_i_plus_j
 
 
 def test_b_checks_reject_a_singular_form_without_raising():
@@ -169,8 +211,8 @@ def test_centralizer_certificate_rejects_non_cyclic_matrix():
 
 def test_unit_triangular_certificate_is_sound():
     # the flag reads det T = 1 off T's shape; Bareiss is the oracle
-    for p in [q for q in range(3, 62) if all(q % d for d in range(2, q))]:
-        t = TwistData.for_prime(p, validate=False)
+    for p in PRIMES_TO_61:
+        t = TwistData.for_prime(p)
         assert t.orbit.unit_triangular
         assert det(Matrix.from_columns(t.orbit.vectors[:p - 1])) == 1
     # foreign zeta': upper Hessenberg with a unit subdiagonal (the flag
@@ -270,7 +312,7 @@ def test_degree_is_squared_norm():
             n = norm_to_Q(a)
             if n == 0:
                 continue
-            assert endo_degree(regular_rep(a)) == n * n
+            assert endo_degree(regular_rep(a)) == central_degree(a) == n * n
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +324,12 @@ def test_rosati_frozen():
     assert rosati(t.zeta, t) == t.zeta ** 4
     assert rosati(Matrix.identity(4), t) == Matrix.identity(4)
     assert rosati(t.b, t) == t.b
+    # zeta's image is integral, so the closed form keeps it in plain ints
+    for p in PRIMES_TO_61:
+        t = TwistData.for_prime(p)
+        r = rosati(t.zeta, t)
+        assert r == t.zeta ** (p - 1)
+        assert all(type(v) is int for row in r.rows for v in row)
 
 
 def test_rosati_is_an_involution_and_antihomomorphism():
@@ -374,7 +422,7 @@ def test_kernel_route_matches_certificate_at_larger_primes(p):
     assert len(basis) == p - 1
     assert col_hnf(flatten_matrices(basis)) == \
         col_hnf(flatten_matrices(zeta_power_lattice(p)))
-    t = TwistData.for_prime(p, validate=False)
+    t = TwistData.for_prime(p)
     assert _holds("centralizer_rank", t)
     assert _holds("centralizer_equals_zeta_powers", t)
 
