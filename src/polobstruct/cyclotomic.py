@@ -15,16 +15,24 @@ and x is totally positive iff every e_k is positive (its embeddings are
 real because K+ is totally real). The powers of x are packed integers
 whose digit width is proven never to carry (Kronecker substitution). No
 matrix and no floating point enters the verification path.
+
+Each element pays for that power-sum pass once: the pass is memoized per
+element in a bounded least-recently-used cache, so the norm and the
+positivity of one certificate share it. Because [K : K+] = 2, a
+conjugation-fixed a has N_(K/Q)(a) = N_(K+/Q)(a)^2 (Washington,
+Introduction to Cyclotomic Fields, ch. 2), and its norm is read off the
+pass on a itself rather than on the wider product a conj(a).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 
-from .intlinalg import IntPoly, Matrix, _norm_scalar, _power, _q_divmod, _q_strip
+from .intlinalg import IntPoly, Matrix, _norm_row, _norm_scalar, _power, _q_divmod, _q_strip
 
 
 # the largest prime any command or model file accepts: work grows
@@ -72,7 +80,7 @@ class _FieldElem:
 
     def __init__(self, p, coords):
         _require_odd_prime(p)
-        coords = tuple(_norm_scalar(c) for c in coords)
+        coords = _norm_row(coords)
         if len(coords) != self._dim(p):
             raise ValueError(
                 f"need {self._dim(p)} coordinates for p = {p}, got {len(coords)}")
@@ -274,8 +282,18 @@ def regular_rep(a: CycElem) -> Matrix:
 
 
 def norm_to_Q(a: CycElem):
-    """Field norm from Q(zeta_p) down to Q: N_(K+/Q)(a conj(a))."""
-    return _real_elementary(a * a.conj())[-1]
+    """Field norm from Q(zeta_p) down to Q.
+
+    A conjugation-fixed a lies in K+, and [K : K+] = 2 gives
+    N_(K/Q)(a) = N_(K+/Q)(a)^2, the square of the last elementary symmetric
+    function of a's own power-sum pass, which the memo then shares with a's
+    positivity test. Any other a has norm N_(K+/Q)(a conj(a)).
+    """
+    c = a.conj()
+    if c == a:
+        e = _real_elementary(a)[-1]
+        return e * e
+    return _real_elementary(a * c)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +397,12 @@ def norm_real_to_Q(a: RealElem):
 # norms and total positivity by power sums
 
 
+# one command's certificates fit many times over
+@lru_cache(maxsize=256)
 def _real_elementary(x: CycElem):
-    """e_0, ..., e_m of the m = (p-1)/2 real embeddings of a
-    conjugation-fixed x, integral values as int.
+    """The tuple e_0, ..., e_m of the m = (p-1)/2 real embeddings of a
+    conjugation-fixed x, integral values as int. Memoized per element, so
+    callers share the tuple.
 
     The power sums are s_k = Tr_(K/Q)(x^k) / 2. X = d x, d the lcm of the
     denominators, has e_k(x) = e_k(X) / d^k. Padded with c_(p-1) = 0 and
@@ -435,7 +456,7 @@ def _real_elementary(x: CycElem):
         q, r = divmod(v, scale)
         out.append(Fraction(v, scale) if r else q)
         scale *= d
-    return out
+    return tuple(out)
 
 
 def _exact_div(n, k):
@@ -471,12 +492,15 @@ def is_totally_positive(a: RealElem) -> bool:
 
 
 def parse_rational(token) -> Fraction:
-    """An integer or a fraction a/b in plain digits. Fraction() alone also
-    reads exponents: "1e999999999" would build a billion-digit integer."""
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token):
+    """An integer or a fraction a/b in plain digits, built from the matched
+    digits. Fraction() alone also reads exponents: "1e999999999" would
+    build a billion-digit integer."""
+    m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", token)
+    if m is None:
         raise ValueError("expected an integer or a fraction a/b in plain digits")
+    num, den = m.groups()
     try:
-        return Fraction(token)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError):  # or past int()'s digit limit
         raise ValueError("a rational has a zero denominator or too many digits") from None
 

@@ -296,24 +296,24 @@ def det(a: Matrix):
     swaps, pivots = _bareiss_det(rows)
     if len(pivots) < n:
         return 0
-    return _norm_scalar(Fraction((-1) ** swaps * pivots[-1], dens ** n))
+    return _norm_scalar(Fraction((-1) ** len(swaps) * pivots[-1], dens ** n))
 
 
 def _bareiss_det(m):
     """Bareiss elimination in place on a list-of-lists of ints; all
-    divisions are exact. Returns the number of row swaps and the pivots,
-    stopping early when a column has no pivot (then det = 0). The last of
-    n pivots is +-det, and with no swap pivot k is the k-th leading
-    principal minor."""
+    divisions are exact. Returns the steps at which a row swap came in and
+    the pivots, stopping early when a column has no pivot (then det = 0).
+    The last of n pivots is +-det, and each pivot before the first swap is
+    the leading principal minor of its size."""
     n = len(m)
-    swaps, pivots, prev = 0, [], 1
+    swaps, pivots, prev = [], [], 1
     for k in range(n):
         if m[k][k] == 0:
             r = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if r is None:
                 return swaps, pivots
             m[k], m[r] = m[r], m[k]
-            swaps += 1
+            swaps.append(k)
         pivot = m[k][k]
         pivots.append(pivot)
         for i in range(k + 1, n):
@@ -329,17 +329,21 @@ def _bareiss_det(m):
 def leading_principal_minors(a: Matrix):
     """det of the k-by-k top left blocks, k = 1..n.
 
-    Follows the Bareiss pivot sequence when no pivot vanishes (the pivots are
-    exactly the minors); falls back to per-minor determinants otherwise.
+    For an integer matrix the Bareiss pivots without row swaps are exactly
+    the minors, up to the first one that vanishes; only the minors after it
+    take a determinant each. A rational matrix takes one per minor.
     """
     if not a.is_square():
         raise ValueError("principal minors of a non-square matrix")
     n = a.nrows
+    minors = []
     if a.is_integral():
         swaps, pivots = _bareiss_det([list(r) for r in a.rows])
-        if not swaps and len(pivots) == n:
-            return pivots
-    return [det(Matrix([r[:k] for r in a.rows[:k]])) for k in range(1, n + 1)]
+        # the first swap or stop met a zero at (z, z): minor z + 1 vanishes
+        z = swaps[0] if swaps else len(pivots)
+        minors = pivots[:z] if z == n else pivots[:z] + [0]
+    return minors + [det(Matrix([r[:k] for r in a.rows[:k]]))
+                     for k in range(len(minors) + 1, n + 1)]
 
 
 # ---------------------------------------------------------------------------

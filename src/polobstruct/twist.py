@@ -192,17 +192,22 @@ def central_degree(a: CycElem):
 def rosati(x: Matrix, t: TwistData) -> Matrix:
     """The involution x -> b^(-1) x^t b induced by the polarization form.
 
-    b = I + J with J the all-ones matrix, so b^(-1) = I - J/p, and every
-    row of J y / p holds y's column sums over p, each an int when p divides it.
+    b = I + J with J the all-ones matrix, so y = x^t b is x^t with each
+    row's sum added across that row, and b^(-1) = I - J/p: every row of
+    J y / p holds y's column sums over p, each an int when p divides it.
+    Column j of y sums to row j of x plus the sum of all of x.
     """
     n = t.p - 1
     if x.shape != (n, n):
         raise ValueError(f"expected a {n} by {n} matrix for p = {t.p}")
     if not t.b_is_i_plus_j:
         raise ValueError("the closed-form inverse needs the form b = I + J")
-    y = x.transpose() * t.b
-    sums = [_norm_scalar(Fraction(sum(col), t.p)) for col in zip(*y.rows)]
-    return Matrix([[v - s for v, s in zip(row, sums)] for row in y.rows])
+    xt = list(zip(*x.rows))
+    row_sums = [sum(r) for r in xt]
+    total = sum(row_sums)
+    sums = [_norm_scalar(Fraction(sum(r) + total, t.p)) for r in x.rows]
+    return Matrix([[v + rs - s for v, s in zip(r, sums)]
+                   for r, rs in zip(xt, row_sums)])
 
 
 # ---------------------------------------------------------------------------

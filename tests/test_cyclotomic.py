@@ -40,6 +40,7 @@ from polobstruct.cyclotomic import (
     norm_real_to_Q,
     norm_to_Q,
     parse_element,
+    parse_rational,
     real_mult_matrix,
     regular_rep,
     restrict_to_real,
@@ -483,15 +484,15 @@ def _real_samples(rng, p):
 def test_elementary_functions_frozen():
     e5, e7 = restrict_to_real(eta(5)), restrict_to_real(eta(7))
     # eta_5 has minimal polynomial x^2 + x - 1, eta_7 has x^3 + x^2 - 2x - 1
-    assert _real_elementary(e5.lift()) == [1, -1, -1]
-    assert _real_elementary((e5 + 2).lift()) == [1, 3, 1]
-    assert _real_elementary(e7.lift()) == [1, -1, -2, 1]
+    assert _real_elementary(e5.lift()) == (1, -1, -1)
+    assert _real_elementary((e5 + 2).lift()) == (1, 3, 1)
+    assert _real_elementary(e7.lift()) == (1, -1, -2, 1)
     half = _real_elementary((e5 * Fraction(1, 2)).lift())
-    assert half == [1, Fraction(-1, 2), Fraction(-1, 4)]
+    assert half == (1, Fraction(-1, 2), Fraction(-1, 4))
     assert [type(v) for v in half] == [int, Fraction, Fraction]
     # the period's minimal polynomial x^3 + x^2 - 4x + 1, squared
-    assert _real_elementary(_gaussian_period_13().lift()) == [1, -2, -7, 6, 18, 8, 1]
-    assert _real_elementary(CycElem.zero(7)) == [1, 0, 0, 0]
+    assert _real_elementary(_gaussian_period_13().lift()) == (1, -2, -7, 6, 18, 8, 1)
+    assert _real_elementary(CycElem.zero(7)) == (1, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +516,7 @@ def _elementary_by_products(x: CycElem):
         acc = sum(e[k - i] * s[i] if i % 2 else -e[k - i] * s[i]
                   for i in range(1, k + 1))
         e.append(acc / k)
-    return [int(v) if v.denominator == 1 else v for v in e]
+    return tuple(int(v) if v.denominator == 1 else v for v in e)
 
 
 PRIMES_TO_61 = PRIMES_TO_31 + [37, 41, 43, 47, 53, 59, 61]
@@ -579,7 +580,7 @@ def _constant_elementary(c, p):
     # all m real embeddings of a rational c equal c: e_k = C(m, k) c^k
     m = (p - 1) // 2
     e = [comb(m, k) * Fraction(c) ** k for k in range(m + 1)]
-    return [int(v) if v.denominator == 1 else v for v in e]
+    return tuple(int(v) if v.denominator == 1 else v for v in e)
 
 
 @st.composite
@@ -620,7 +621,7 @@ def test_elementary_functions_match_hessenberg_charpoly():
         for r in _real_samples(rng, p):
             coeffs = _charpoly_coeffs(real_mult_matrix(r).to_lists())
             e = _real_elementary(r.lift())
-            assert e == [(-1) ** k * coeffs[m - k] for k in range(m + 1)]
+            assert e == tuple((-1) ** k * coeffs[m - k] for k in range(m + 1))
             assert all(type(v) is int for v in e) == r.is_integral()
             assert norm_real_to_Q(r) == det(real_mult_matrix(r))
 
@@ -628,8 +629,11 @@ def test_elementary_functions_match_hessenberg_charpoly():
 def test_norm_matches_bareiss_determinant():
     rng = random.Random(37)
     for p in PRIMES_TO_31:
-        samples = [_rand_elem(rng, p), _rand_elem(rng, p, bound=2, rational=True),
-                   CycElem.zero(p)]
+        x = _rand_elem(rng, p)
+        xx = x * x.conj()
+        # the conjugation-fixed ones take the N_(K+/Q)(a)^2 route
+        samples = [x, _rand_elem(rng, p, bound=2, rational=True), xx, -xx, xx / 3,
+                   eta(p), CycElem.from_rational(Fraction(-5, 3), p), CycElem.zero(p)]
         if p == 13:
             samples.append(_gaussian_period_13().lift())
         for a in samples:
@@ -672,6 +676,19 @@ def test_parse_format_round_trip():
     b = parse_element("3; 1/2, -2/3")
     assert b.coords == (Fraction(1, 2), Fraction(-2, 3))
     assert parse_element(format_element(b)) == b
+
+
+def test_parse_rational_reads_plain_digits():
+    for token, value in (("3", 3), ("-4", -4), ("+7", 7), ("6/4", Fraction(3, 2)),
+                         ("4/2", 2), ("-0/5", 0)):
+        q = parse_rational(token)
+        assert type(q) is Fraction and q == value
+    for bad in ("1e5", "1.5", " 3", "3/", "/3", "1/-2", "١٢"):
+        with pytest.raises(ValueError, match="plain digits"):
+            parse_rational(bad)
+    for bad in ("1/0", "9" * 5000, "1/" + "9" * 5000):
+        with pytest.raises(ValueError, match="zero denominator or too many digits"):
+            parse_rational(bad)
 
 
 def test_parse_errors():

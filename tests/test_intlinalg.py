@@ -318,6 +318,40 @@ def test_leading_principal_minors():
         assert leading_principal_minors(m) == expected
 
 
+def _block_minors(m):
+    return [_cofactor_det([list(r[:k]) for r in m.rows[:k]]) for k in range(1, m.nrows + 1)]
+
+
+def test_leading_minors_keep_the_pivots_before_a_vanishing_minor(monkeypatch):
+    import polobstruct.intlinalg as il
+
+    calls, real = [], il.det
+    monkeypatch.setattr(il, "det", lambda a: calls.append(a.nrows) or real(a))
+    for k in range(5):
+        # [[0, 1], [1, 0]] + I_k: minors 0, -1, -1, ...
+        rows = [[0, 1] + [0] * k, [1, 0] + [0] * k]
+        rows += [[1 if j == i else 0 for j in range(k + 2)] for i in range(2, k + 2)]
+        m = Matrix(rows)
+        calls.clear()
+        assert leading_principal_minors(m) == _block_minors(m) == [0] + [-1] * (k + 1)
+        assert calls == list(range(2, k + 3))
+    rng = random.Random(71)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        j = rng.randint(1, n - 1)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        # the leading j-by-j block gets a zero row, so a minor of size <= j vanishes
+        rows[j - 1][:j] = [0] * j
+        m = Matrix(rows)
+        expected = _block_minors(m)
+        first_zero = expected.index(0) + 1
+        assert first_zero <= j
+        calls.clear()
+        assert leading_principal_minors(m) == expected
+        # the minors up to the first vanishing one come off the pivots
+        assert calls == list(range(first_zero + 1, n + 1))
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 

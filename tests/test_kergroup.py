@@ -606,6 +606,22 @@ def test_model_checks_each_sample_once(monkeypatch):
     assert calls == {"norm_to_Q": 4, "is_totally_positive": 4}
 
 
+def test_model_load_takes_one_power_sum_pass_per_sample():
+    # the certificate's norm N(alpha) = N_(K+/Q)(alpha)^2 and its total
+    # positivity read one memoized pass on alpha: nine samples, nine passes,
+    # where a pass on alpha conj(alpha) for the norm would make eighteen
+    import polobstruct.cyclotomic as cyc
+
+    text = twist_model(13).to_json()
+    cyc._real_elementary.cache_clear()
+    m = ModelDescriptor.from_json(text)
+    assert len(m.phi_samples) == 9
+    assert cyc._real_elementary.cache_info().misses == 9
+    for s in m.phi_samples:
+        assert nrd_dagger_status(s.alpha, m.algebra.factors[0]) == "yes"
+    assert cyc._real_elementary.cache_info().misses == 9
+
+
 def test_model_relations_hold_level_two_classes_only():
     # -x conj(x) has the same norm as x conj(x) (p - 1 is even) but is not
     # totally positive, so its class is no relation
