@@ -1,21 +1,23 @@
 """The p-torsion of the twisted product as a Galois module over F_p.
 
-The twist acts on the p-torsion X[p], a 2(p-1)-dimensional F_p vector space,
-through the cocycle matrix tensored with a 2-dimensional identity fiber (the
-torsion of a single elliptic curve factor). The filtration by images of
-(zeta - 1)^i drops by 2 each step and exhibits p - 1 composition factors,
-each a copy of E[p] with trivial induced action.
+The twist acts on the p-torsion X[p] = E[p]^(p-1), a 2(p-1)-dimensional F_p
+vector space, as zeta (x) 1: the cocycle matrix mod p tensored with the
+2-dimensional identity fiber (the torsion of a single elliptic curve
+factor). The filtration by images of (zeta - 1)^i drops by 2 each step and
+exhibits p - 1 composition factors, each a copy of E[p] with trivial
+induced action.
 
-One certificate decides all of it. With N = action - 1 mod p, n = p - 1 and
-e_0, e_1 the first unit vectors, V = N^(n-1) [e_0 e_1] has independent
-columns and N V = 0. Then the 2n vectors N^i e_j are independent (apply
-N^(n-1-i) to a dependency at its smallest i), so N ~ J_n + J_n: each step
-has dimension 2 and trivial action, and (1 + N)^p = 1 + N^p = 1.
+One certificate on the cocycle decides all of it. With n = p - 1,
+N_A = cocycle - 1 mod p and e_0 the first unit vector, v = N_A^(n-1) e_0 is
+nonzero and N_A v = 0. Then e_0, N_A e_0, ..., N_A^(n-1) e_0 are
+independent (apply N_A^(n-1-i) to a dependency at its smallest i), so
+N_A ~ J_n and N = action - 1 = N_A (x) 1 ~ J_n + J_n: each step has
+dimension 2 and trivial action, and (1 + N)^p = 1 + N^p = 1.
 
-The certificate runs on Python ints: N u is action.mul_vector(u) - u
-reduced mod p, so each application is one pass over the nonzero entries
-that the action lists once (Matrix.row_nonzeros), and independence mod p
-is one 2 x 2 minor test per row.
+The certificate runs on Python ints in n dimensions: N_A u is
+cocycle.mul_vector(u) - u reduced mod p, so the whole walk is p - 1 passes
+over the nonzero entries that the cocycle lists once (Matrix.row_nonzeros).
+The 2n x 2n action is built only when something asks for it.
 
 Kernel sizes of isogenies between powers of E are measured by their
 E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
@@ -33,55 +35,61 @@ from .twist import build_zeta
 
 @dataclass(frozen=True)
 class TorsionModule:
-    """X[p] with its twist action, an integer Matrix; dim = 2(p-1)."""
+    """X[p] with the twist acting through its cocycle, an integer Matrix of
+    size n = p - 1; the action on X[p] is kron(cocycle mod p, I_2), of
+    dimension dim = 2(p - 1)."""
 
     p: int
-    dim: int
-    action: Matrix = field(repr=False)
+    cocycle: Matrix = field(repr=False)
 
     def __post_init__(self):
-        if (self.dim != 2 * (self.p - 1) or not isinstance(self.action, Matrix)
-                or self.action.shape != (self.dim, self.dim)
-                or not self.action.is_integral()):
-            raise ValueError("X[p] needs dimension 2(p - 1) and an integer "
-                             "Matrix action of that size")
+        n = self.p - 1
+        if (not isinstance(self.cocycle, Matrix)
+                or self.cocycle.shape != (n, n)
+                or not self.cocycle.is_integral()):
+            raise ValueError("X[p] needs an integer Matrix cocycle of size "
+                             "p - 1")
+
+    @property
+    def dim(self) -> int:
+        return 2 * (self.p - 1)
+
+    @cached_property
+    def action(self) -> Matrix:
+        """The 2n x 2n action kron(cocycle mod p, I_2) on X[p], built on
+        first use; the certificate never reads it."""
+        p, rows = self.p, []
+        for r in self.cocycle.rows:
+            reduced = [x % p for x in r]
+            for f in (0, 1):
+                rows.append([x if g == f else 0 for x in reduced for g in (0, 1)])
+        return Matrix(rows)
 
     @cached_property
     def two_jordan_blocks(self) -> bool:
         """Is action - 1 mod p two Jordan blocks of size p - 1, by the module
-        docstring's certificate? N = action - 1 mod p is applied p - 2 times
-        to e_0 and e_1; the certificate holds iff the two results are
-        independent mod p and one more application gives zero. Sufficient,
-        and met by build_ptorsion's module: det T = 1 (T is unit upper
-        triangular, see twist) keeps zeta's cyclic e_1 cyclic mod p."""
+        docstring's certificate? N_A = cocycle - 1 mod p is applied p - 2
+        times to e_0; the certificate holds iff the result v is nonzero and
+        N_A v = 0. Sufficient, and met by build_ptorsion's module: det T = 1
+        (T is unit upper triangular, see twist) keeps zeta's cyclic e_1
+        cyclic mod p."""
         p = self.p
 
         def apply(u):
-            return [(y - x) % p for y, x in zip(self.action.mul_vector(u), u)]
+            return [(y - x) % p for y, x in zip(self.cocycle.mul_vector(u), u)]
 
-        u, w = [0] * self.dim, [0] * self.dim
-        u[0] = w[1] = 1
+        v = [0] * (p - 1)
+        v[0] = 1
         for _ in range(p - 2):
-            u, w = apply(u), apply(w)
-        # u, w are independent iff u != 0 and some u_i w_j - u_j w_i != 0
-        # for the first i with u_i != 0
-        i = next((i for i, y in enumerate(u) if y), None)
-        if i is None or not any((u[i] * wj - uj * w[i]) % p
-                                for uj, wj in zip(u, w)):
-            return False
-        return not any(apply(u)) and not any(apply(w))
+            v = apply(v)
+        return any(v) and not any(apply(v))
 
 
 def build_ptorsion(p) -> TorsionModule:
-    """The twist action on X[p]: kron(zeta mod p, I_2), the cocycle matrix
-    mod p on a 2-dimensional fiber."""
+    """The twist on X[p] through its cocycle: zeta mod p, of size p - 1."""
     _require_odd_prime(p)
-    rows = []
-    for r in build_zeta(p).rows:
-        reduced = [x % p for x in r]
-        for f in (0, 1):
-            rows.append([x if g == f else 0 for x in reduced for g in (0, 1)])
-    return TorsionModule(p, 2 * (p - 1), Matrix(rows))
+    return TorsionModule(p, Matrix([[x % p for x in r]
+                                    for r in build_zeta(p).rows]))
 
 
 def filtration_dims(m: TorsionModule):

@@ -31,9 +31,11 @@ The main operations:
 
 A Matrix lists its nonzero entries by row once (row_nonzeros), and every
 sparse loop reads that listing: _matmul adds multiples of the listed rows
-of its right factor, mul_vector sums each listed row, int_kernel reads the
-transpose's. The construction's products all have the sparse cocycle
-matrix zeta or its transpose as a factor, so this beats a dense product.
+of its right factor, mul_vector sums each listed row in a plain loop (a
+generator per row cost more than the sum at the torsion certificate's
+sizes), int_kernel reads the transpose's. The construction's products all
+have the sparse cocycle matrix zeta or its transpose as a factor, so this
+beats a dense product.
 Int and Fraction entries share one exact loop: Python ints are exact at
 every size, so there is no fixed-width path and no overflow guard. A row
 (or vector) whose entries are all of type exactly int is taken as it is;
@@ -242,7 +244,13 @@ class Matrix:
         v = _norm_row(v)
         if len(v) != self._n:
             raise ValueError("vector length mismatch")
-        return tuple(sum(x * v[j] for j, x in r) for r in self.row_nonzeros())
+        out = []
+        for r in self.row_nonzeros():
+            s = 0
+            for j, x in r:
+                s += x * v[j]
+            out.append(s)
+        return tuple(out)
 
     # -- comparison --------------------------------------------------------
 

@@ -104,6 +104,61 @@ def test_generic_eliminations_on_the_production_path(monkeypatch):
     assert sizes == []
 
 
+def test_torsion_certificate_on_the_production_path(capsys, monkeypatch):
+    # verify and sweep walk the (p - 1) x (p - 1) cocycle: neither builds a
+    # 2(p - 1) x 2(p - 1) Matrix, the size of kron(zeta mod p, I_2), nor
+    # reads TorsionModule.action
+    from polobstruct.galmod import TorsionModule
+    from polobstruct.intlinalg import Matrix
+
+    built, reads, at = [], [], {"p": 5}
+    init = Matrix.__init__
+    identity, zero = Matrix.identity.__func__, Matrix.zero.__func__
+    action = TorsionModule.action.func
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((at["p"], self.shape))
+
+    def counted(make):
+        def wrapped(cls, *args):
+            mat = make(cls, *args)
+            built.append((at["p"], mat.shape))
+            return mat
+        return classmethod(wrapped)
+
+    def counted_action(mod):
+        reads.append(mod.p)
+        return action(mod)
+
+    def sweep_row(p, row=cli._sweep_row):
+        at["p"] = p
+        return row(p)
+
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
+    monkeypatch.setattr(Matrix, "identity", counted(identity))
+    monkeypatch.setattr(Matrix, "zero", counted(zero))
+    monkeypatch.setattr(TorsionModule, "action", property(counted_action))
+    monkeypatch.setattr(cli, "_sweep_row", sweep_row)
+
+    def kron_sized():
+        return [(p, shape) for p, shape in built
+                if shape == (2 * (p - 1), 2 * (p - 1))]
+
+    # the instruments see the action when it is read
+    assert cli.build_ptorsion(5).action.shape == (8, 8)
+    assert reads == [5] and kron_sized() == [(5, (8, 8))]
+    built.clear()
+    reads.clear()
+
+    at["p"] = 43
+    assert cli.run_verify_suite(43).ok
+    assert cli.main(["sweep", "--pmax", "61", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 18  # header and 17 primes
+    assert at["p"] == 61 and built
+    assert kron_sized() == [] and reads == []
+
+
 def test_degree_check_rests_on_the_orbit_certificate(monkeypatch):
     # Res(Phi_p, a) is det a(zeta) only when chi_zeta = Phi_p, which the
     # orbit certificate proves; a zeta it rejects fails the degree check
@@ -503,7 +558,7 @@ def test_verify_reports_broken_torsion_without_traceback(capsys, monkeypatch):
     from polobstruct.intlinalg import Matrix
 
     def broken_ptorsion(p):
-        return TorsionModule(p, 2 * (p - 1), Matrix.identity(2 * (p - 1)))
+        return TorsionModule(p, Matrix.identity(p - 1))
 
     monkeypatch.setattr(cli, "build_ptorsion", broken_ptorsion)
     rc, out, err = _run(capsys, ["verify", "-p", "7"])

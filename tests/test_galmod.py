@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polobstruct.cyclotomic import is_odd_prime
 from polobstruct.galmod import (
     EpRank,
     TorsionModule,
@@ -36,6 +37,7 @@ def _kron(a, b):
 def test_build_ptorsion_p3():
     mod = build_ptorsion(3)
     assert mod.p == 3 and mod.dim == 4
+    assert mod.cocycle == Matrix([[2, 2], [1, 0]])
     assert mod.action == Matrix([[2, 0, 2, 0], [0, 2, 0, 2],
                                  [1, 0, 0, 0], [0, 1, 0, 0]])
 
@@ -43,7 +45,10 @@ def test_build_ptorsion_p3():
 def test_build_ptorsion_is_kron_of_zeta_mod_p():
     for p in (3, 5, 7, 11):
         zp = _mod(build_zeta(p), p)
-        assert build_ptorsion(p).action == _kron(zp, Matrix.identity(2))
+        mod = build_ptorsion(p)
+        assert mod.cocycle == zp
+        assert mod.action == _kron(zp, Matrix.identity(2))
+        assert mod.action is mod.action  # built once, on first use
 
 
 def test_build_ptorsion_rejects_bad_p():
@@ -81,13 +86,15 @@ def _powers_mod(nil, p):
 
 
 def _dual(mod):
-    # Cartier duality sends the action to its inverse transpose; the
-    # inverse of an order-p action is its (p-1)-st power
-    inv = Matrix.identity(mod.dim)
+    # Cartier duality sends the action to its inverse transpose, which is
+    # kron of the cocycle's inverse transpose with I_2; the inverse of an
+    # order-p cocycle is its (p-1)-st power
+    n = mod.p - 1
+    inv = Matrix.identity(n)
     for _ in range(mod.p - 1):
-        inv = _mod(inv * mod.action, mod.p)
-    assert _mod(inv * mod.action, mod.p) == Matrix.identity(mod.dim)
-    return TorsionModule(mod.p, mod.dim, inv.transpose())
+        inv = _mod(inv * mod.cocycle, mod.p)
+    assert _mod(inv * mod.cocycle, mod.p) == Matrix.identity(n)
+    return TorsionModule(mod.p, inv.transpose())
 
 
 def test_filtration_matches_integer_snf_oracle():
@@ -118,36 +125,38 @@ def test_composition_factors():
         assert labels == [f"E[{p}]"] * (p - 1)
 
 
-def _one_dimensional_steps(p):
-    # zeta - 1 on the first fiber coordinate, zero on the second: unipotent,
-    # but every filtration step has dimension 1
-    zp = _mod(build_zeta(p), p)
-    eye = Matrix.identity(p - 1)
-    return (_kron(zp, Matrix.diagonal([1, 0]))
-            + _kron(eye, Matrix.diagonal([0, 1])))
+def _chain(n, k):
+    """1 + N for the nilpotent N with e_0 -> e_1 -> ... -> e_(k-1) -> 0 and
+    N = 0 on e_k .. e_(n-1): N ~ J_k + 0."""
+    rows = Matrix.identity(n).to_lists()
+    for i in range(k - 1):
+        rows[i + 1][i] = 1
+    return rows
 
 
-def _parallel_tails(p):
-    # e_0 -> e_2 -> ... -> e_(2n-2) -> 0 is one Jordan block and e_1 -> e_2
-    # joins it, so N^(n-1) e_0 = N^(n-1) e_1 is killed by N: the certificate's
-    # last product vanishes, and only the minor test sees the dependency
-    dim = 2 * (p - 1)
-    rows = Matrix.identity(dim).to_lists()
-    for k in range(0, dim - 2, 2):
-        rows[k + 2][k] = 1
-    rows[2][1] = 1
+def _chain_too_short(p):
+    # N_A = J_(n-1) + J_1, nilpotent of index n - 1 (zero at n = 2): the walk
+    # from e_0 dies a step early, so v = N_A^(n-1) e_0 = 0
+    return Matrix(_chain(p - 1, p - 2))
+
+
+def _tail_not_killed(p):
+    # N_A = J_n plus N_A e_(n-1) = e_(n-1): the walk reaches v = e_(n-1) != 0,
+    # but N_A v = v, so the last step never vanishes
+    rows = _chain(p - 1, p - 1)
+    rows[-1][-1] = 2
     return Matrix(rows)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 @pytest.mark.parametrize("broken", [
-    lambda p: Matrix.identity(2 * (p - 1)),  # first step is everything
-    _one_dimensional_steps,
-    lambda p: 2 * Matrix.identity(2 * (p - 1)),  # not unipotent
-    _parallel_tails,
-], ids=["identity", "one_dimensional_steps", "scalar_two", "parallel_tails"])
+    lambda p: Matrix.identity(p - 1),  # first step is everything
+    _chain_too_short,
+    lambda p: 2 * Matrix.identity(p - 1),  # not unipotent
+    _tail_not_killed,
+], ids=["identity", "chain_too_short", "scalar_two", "tail_not_killed"])
 def test_certificate_rejects_wrong_structure(p, broken):
-    mod = TorsionModule(p, 2 * (p - 1), broken(p))
+    mod = TorsionModule(p, broken(p))
     eye = Matrix.identity(mod.dim)
     ranks = [_rank_mod_p_oracle(pw, p)
              for pw in _powers_mod(_mod(mod.action - eye, p), p)]
@@ -159,47 +168,122 @@ def test_certificate_rejects_wrong_structure(p, broken):
         composition_factors(mod)
 
 
+def _walk_2n(mod):
+    """The reference certificate on the 2n x 2n action: N = action - 1
+    mod p walks e_0 and e_1 p - 2 times; the two results must be
+    independent mod p (a 2 x 2 minor test) and both killed by N."""
+    p, action = mod.p, mod.action
+
+    def apply(u):
+        return [(y - x) % p for y, x in zip(action.mul_vector(u), u)]
+
+    u, w = [0] * mod.dim, [0] * mod.dim
+    u[0] = w[1] = 1
+    for _ in range(p - 2):
+        u, w = apply(u), apply(w)
+    i = next((i for i, y in enumerate(u) if y), None)
+    if i is None or not any((u[i] * wj - uj * w[i]) % p
+                            for uj, wj in zip(u, w)):
+        return False
+    return not any(apply(u)) and not any(apply(w))
+
+
+def _redrawn_zeta(rng, p):
+    """zeta mod p with one entry redrawn."""
+    rows = _mod(build_zeta(p), p).to_lists()
+    rows[rng.randrange(p - 1)][rng.randrange(p - 1)] = rng.randrange(p)
+    return Matrix(rows)
+
+
+def _relabelled_unipotent(rng, p):
+    """1 + N for a random strictly lower triangular N mod p, with the basis
+    permuted: unipotent, and one Jordan block only for some draws."""
+    n = p - 1
+    perm = rng.sample(range(n), n)
+    rows = Matrix.identity(n).to_lists()
+    for i in range(n):
+        for j in range(i):
+            rows[perm[i]][perm[j]] = rng.randrange(p)
+    return Matrix(rows)
+
+
+def test_certificate_is_sound_on_foreign_cocycles():
+    # 200 seeded cocycles with n <= 6, half of them zeta mod p with one
+    # entry redrawn: wherever the certificate holds, the SNF ranks of the
+    # powers of action - 1 are those of two Jordan blocks, and it agrees
+    # with the 2n x 2n walk on every draw
+    rng = random.Random(16)
+    verdicts = []
+    for k in range(200):
+        p = (3, 5, 7)[k % 3]
+        draw = _redrawn_zeta if k % 2 else _relabelled_unipotent
+        mod = TorsionModule(p, draw(rng, p))
+        holds = mod.two_jordan_blocks
+        assert holds == _walk_2n(mod)
+        if holds:
+            eye = Matrix.identity(mod.dim)
+            ranks = [_rank_mod_p_oracle(pw, p)
+                     for pw in _powers_mod(_mod(mod.action - eye, p), p)]
+            assert ranks == list(range(mod.dim, -2, -2))
+        verdicts.append((draw, holds))
+    # both verdicts occur in both halves, so neither branch goes unexercised
+    for draw in (_redrawn_zeta, _relabelled_unipotent):
+        assert {h for d, h in verdicts if d is draw} == {True, False}
+
+
+def test_certificate_agrees_with_the_2n_walk_up_to_61():
+    rng = random.Random(61)
+    for p in filter(is_odd_prime, range(3, 62)):
+        mod = build_ptorsion(p)
+        assert mod.two_jordan_blocks and _walk_2n(mod)
+        for draw in (_redrawn_zeta, _redrawn_zeta, _relabelled_unipotent):
+            other = TorsionModule(p, draw(rng, p))
+            assert other.two_jordan_blocks == _walk_2n(other)
+
+
 def test_composition_factors_rejects_wrong_steps():
     # identity action: (A - 1) is zero, first step drops by the full dimension
-    broken = TorsionModule(3, 4, Matrix.identity(4))
+    broken = TorsionModule(3, Matrix.identity(2))
     with pytest.raises(AssertionError):
         composition_factors(broken)
 
 
 def test_torsion_module_needs_dimension_2_p_minus_1():
-    with pytest.raises(ValueError):
-        TorsionModule(5, 6, Matrix.identity(6))
-    with pytest.raises(ValueError):
-        TorsionModule(5, 8, Matrix.identity(6))
+    # the cocycle has size p - 1, so X[p] has dimension 2(p - 1); the
+    # 2(p - 1) x 2(p - 1) action itself is not a cocycle
+    assert TorsionModule(5, Matrix.identity(4)).dim == 8
+    for wrong in (Matrix.identity(3), Matrix.identity(8), Matrix.zero(4, 3)):
+        with pytest.raises(ValueError):
+            TorsionModule(5, wrong)
 
 
 class _ArrayLike:
-    """Has the shape and rows of an 8 x 8 matrix, but is no Matrix."""
+    """Has the shape and rows of a 4 x 4 matrix, but is no Matrix."""
 
-    shape = (8, 8)
-    rows = Matrix.identity(8).rows
+    shape = (4, 4)
+    rows = Matrix.identity(4).rows
 
 
 def _with_fraction_entry():
-    rows = Matrix.identity(8).to_lists()
+    rows = Matrix.identity(4).to_lists()
     rows[0][1] = Fraction(1, 2)
     return Matrix(rows)
 
 
-@pytest.mark.parametrize("action", [
-    Matrix.identity(8).to_lists(),
+@pytest.mark.parametrize("cocycle", [
+    Matrix.identity(4).to_lists(),
     _ArrayLike(),
     _with_fraction_entry(),
 ], ids=["list", "array_like", "fraction_entry"])
-def test_torsion_module_needs_an_integer_matrix(action):
+def test_torsion_module_needs_an_integer_matrix(cocycle):
     with pytest.raises(ValueError):
-        TorsionModule(5, 8, action)
+        TorsionModule(5, cocycle)
 
 
 def test_torsion_module_rejects_a_numpy_array():
     np = pytest.importorskip("numpy")
     with pytest.raises(ValueError):
-        TorsionModule(5, 8, np.eye(8, dtype=np.int64))
+        TorsionModule(5, np.eye(4, dtype=np.int64))
 
 
 def test_dual_module_has_same_filtration():

@@ -222,6 +222,12 @@ def test_matmul_matches_naive_and_big_entries():
         for mat in (a, b, prod):
             _check_listing_and_mul_vector(
                 mat, [rng.choice(vector_entries) for _ in range(mat.ncols)])
+    # a Fraction row whose sum is integral, by an int and a mixed vector
+    halves = Matrix([[Fraction(1, 2), Fraction(1, 2), 0], [1, 0, 3],
+                     [0, Fraction(2, 3), Fraction(-1, 3)]])
+    for v in ([1, 1, 2], [2, Fraction(3, 2), 5], [Fraction(1, 3), 3, 6]):
+        _check_listing_and_mul_vector(halves, v)
+    assert halves.mul_vector([1, 1, 2])[0] == 1
     assert _matmul(Matrix.zero(0, 3), Matrix.zero(3, 2)) == Matrix.zero(0, 2)
     assert _matmul(Matrix.zero(3, 0), Matrix.zero(0, 2)) == Matrix.zero(3, 2)
     # a Fraction product that is integral comes back as int entries
@@ -240,7 +246,13 @@ def _check_listing_and_mul_vector(a, v):
     assert listed == {(i, j): a[i, j] for i in range(a.nrows)
                       for j in range(a.ncols) if a[i, j] != 0}
     naive = tuple(sum(a[i, j] * v[j] for j in range(a.ncols)) for i in range(a.nrows))
-    assert a.mul_vector(v) == naive
+    # a sum generator over each listed row is the reference for the type as
+    # well: an integral Fraction sum stays a Fraction, a row with no
+    # Fraction term stays int
+    by_generator = tuple(sum(x * v[j] for j, x in r) for r in a.row_nonzeros())
+    got = a.mul_vector(v)
+    assert got == naive == by_generator
+    assert [type(y) for y in got] == [type(y) for y in by_generator]
 
 
 def test_row_nonzeros_is_listed_once_and_ignored_by_comparison():
