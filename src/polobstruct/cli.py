@@ -32,12 +32,10 @@ from fractions import Fraction
 from .cyclotomic import (
     MAX_P,
     CycElem,
-    complex_conj,
     is_odd_prime,
     is_totally_positive,
     norm_to_Q,
     parse_element,
-    restrict_to_real,
 )
 from .galmod import build_ptorsion, e_rank_of_order, filtration_dims, polarization_parity
 from .intlinalg import Matrix, matrix_to_json
@@ -254,14 +252,11 @@ def _cmd_tp(args) -> int:
     a = _parse_element_arg(args.element)
     if a is None:
         return 2
-    if a != complex_conj(a):
-        print("error: element is not fixed by conjugation; positivity "
-              "is asked of symmetric elements", file=sys.stderr)
+    try:
+        verdict = is_totally_positive(a)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if a.is_zero():
-        print("error: zero is neither positive nor negative", file=sys.stderr)
-        return 2
-    verdict = is_totally_positive(restrict_to_real(a))
     print("totally positive" if verdict else "not totally positive")
     return 0
 

@@ -3,9 +3,8 @@
 Elements of K = Q(zeta_p) are coordinate vectors over the power basis
 1, zeta, ..., zeta^{p-2}; products are reduced eagerly mod the p-th
 cyclotomic polynomial. The real subfield K+ = Q(eta), eta = zeta + zeta^{-1},
-uses the eta-power basis 1, eta, ..., eta^{(p-3)/2}; restriction to it reads
-the symmetric coordinates through the Dickson polynomials
-zeta^k + zeta^{-k} = D_k(eta).
+holds the conjugation-fixed CycElem, which norms and positivity read as it is;
+the Dickson restriction to RealElem's eta-power basis is a reference route.
 
 Norms and total positivity come from one routine. For x in K+, the power
 sums of its (p-1)/2 real embeddings are halved traces Tr_(K/Q)(x^k), read
@@ -217,6 +216,12 @@ class CycElem(_FieldElem):
         base = self if k >= 0 else self.inverse()
         return _power(base, abs(k), CycElem.one(self.p))
 
+    def is_conj_fixed(self):
+        """Is the element in K+? Padded with c_(p-1) = 0, it is fixed by
+        conjugation, zeta^j -> zeta^(p-j), iff c_j = c_(p-j) for every j."""
+        p, c = self.p, self.coords + (0,)
+        return all(c[j] == c[p - j] for j in range(1, (p + 1) // 2))
+
     def conj(self):
         """Complex conjugation, zeta -> zeta^(p-1)."""
         p = self.p
@@ -289,11 +294,10 @@ def norm_to_Q(a: CycElem):
     function of a's own power-sum pass, which the memo then shares with a's
     positivity test. Any other a has norm N_(K+/Q)(a conj(a)).
     """
-    c = a.conj()
-    if c == a:
+    if a.is_conj_fixed():
         e = _real_elementary(a)[-1]
         return e * e
-    return _real_elementary(a * c)[-1]
+    return _real_elementary(a * a.conj())[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +349,18 @@ def eta(p) -> CycElem:
 
 
 def restrict_to_real(a: CycElem) -> RealElem:
-    """Express a conjugation-fixed element in the eta-power basis.
+    """Express a conjugation-fixed element in the eta-power basis, the
+    reference route into K+ that norms and positivity do not take.
 
-    Pad the coordinates with c_(p-1) = 0. Conjugation sends zeta^j to
-    zeta^(p-j), so a is fixed exactly when c_j = c_(p-j) for every j, and
-    then a = c_0 + sum_(k=1..m) c_k D_k with m = (p-1)/2 and
+    A fixed a is c_0 + sum_(k=1..m) c_k D_k with m = (p-1)/2 and
     D_k = zeta^k + zeta^(-k). Eliminating D_m by 1 + D_1 + ... + D_m = 0
     leaves a = (c_0 - c_m) + sum_(k=1..m-1) (c_k - c_m) D_k, and the
     Dickson polynomials D_0 = 2, D_1 = eta, D_(k+1) = eta D_k - D_(k-1)
     write each D_k in the eta-power basis.
     """
-    p = a.p
-    c = a.coords + (0,)
-    if any(c[j] != c[p - j] for j in range(1, p)):
+    if not a.is_conj_fixed():
         raise ValueError("element is not fixed by conjugation")
+    p, c = a.p, a.coords
     m = (p - 1) // 2
     out = [c[0] - c[m]] + [0] * (m - 1)
     prev, cur = [2], [0, 1]  # D_0 and D_1 in the eta-power basis
@@ -466,8 +468,10 @@ def _exact_div(n, k):
     return q
 
 
-def is_totally_positive(a: RealElem) -> bool:
-    """Is every real embedding of a strictly positive?
+def is_totally_positive(a) -> bool:
+    """Is every real embedding of a strictly positive? a is a
+    conjugation-fixed CycElem, or a RealElem, lifted once. Zero and a
+    CycElem that conjugation moves raise ValueError, other types TypeError.
 
     Decided exactly from the elementary symmetric functions e_k of the
     embeddings a_1, ..., a_m, which are real because K+ is totally real
@@ -476,11 +480,16 @@ def is_totally_positive(a: RealElem) -> bool:
     prod (x - a_i) = sum_k (-1)^k e_k x^(m-k) has the sign (-1)^m and the
     constant term is nonzero, so no a_i is <= 0.
     """
-    if not isinstance(a, RealElem):
-        raise TypeError("is_totally_positive expects a RealElem")
+    if isinstance(a, RealElem):
+        a = a.lift()
+    elif not isinstance(a, CycElem):
+        raise TypeError("is_totally_positive expects a CycElem or a RealElem")
+    elif not a.is_conj_fixed():
+        raise ValueError("element is not fixed by conjugation; positivity "
+                         "is asked of symmetric elements")
     if a.is_zero():
-        raise ValueError("total positivity is undefined for zero")
-    e = _real_elementary(a.lift())
+        raise ValueError("zero is neither positive nor negative")
+    e = _real_elementary(a)
     if e[-1] == 0:
         # e_m is the norm, nonzero for nonzero a
         raise AssertionError("nonzero element with vanishing norm")

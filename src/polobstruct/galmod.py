@@ -131,7 +131,12 @@ class EpRank:
 
 
 def valuation(q, p) -> int:
-    """The p-adic valuation of a nonzero int or Fraction."""
+    """The p-adic valuation of a nonzero int or Fraction, for an int p >= 2;
+    zero and a smaller p raise ValueError rather than loop forever."""
+    if q == 0:
+        raise ValueError("zero has no finite valuation")
+    if p < 2:
+        raise ValueError(f"a valuation needs a base of at least 2, got {p}")
     num, den, v = abs(q.numerator), q.denominator, 0
     while num % p == 0:
         num, v = num // p, v + 1

@@ -62,6 +62,16 @@ def _norm_scalar(x):
     raise TypeError(f"exact scalars are int or Fraction, got {type(x).__name__}")
 
 
+def _norm_int(x):
+    """An exact scalar that is an integer, as an int: an integral Fraction
+    is accepted, while a float, bool, str or non-integral Fraction raises
+    TypeError instead of being truncated."""
+    x = _norm_scalar(x)
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x}")
+    return x
+
+
 def _norm_row(r):
     """A sequence of exact scalars as a tuple; a row whose entries are all
     of type exactly int is already normal and is kept as it is."""
@@ -536,7 +546,7 @@ def _hnf_coords(h: Matrix, v):
     """Integer coordinates of v in the columns of the column HNF h, or None
     if v is outside their lattice. Each later column is zero on an earlier
     column's pivot row, so reducing v pivot by pivot reads the coordinates."""
-    v = [int(_norm_scalar(x)) for x in v]
+    v = [_norm_int(x) for x in v]
     if len(v) != h.nrows:
         raise ValueError("vector length mismatch")
     coords = []

@@ -31,18 +31,17 @@ from .cyclotomic import (
     MAX_P,
     CycElem,
     RealElem,
-    complex_conj,
     is_odd_prime,
     is_prime,
     is_totally_positive,
     norm_to_Q,
     parse_rational,
-    restrict_to_real,
 )
 from .galmod import e_rank_of_order, valuation
 from .intlinalg import (
     Matrix,
     _hnf_coords,
+    _norm_int,
     col_hnf,
     col_lattice_contains,
     snf,
@@ -137,7 +136,7 @@ class KerClass:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(map(_norm_int, self.coeffs))
         if len(cs) != len(self.labels):
             raise ValueError("coefficient count must match the label count")
         object.__setattr__(self, "coeffs", cs)
@@ -441,9 +440,7 @@ def r_membership(x, level: int, factor: AlgebraFactor) -> bool:
     # type IV: the symmetric elements are the conjugation-fixed ones
     if level == 0:
         return not x.is_zero()
-    if x.is_zero() or x != complex_conj(x):
-        return False
-    return is_totally_positive(restrict_to_real(x))
+    return not x.is_zero() and x.is_conj_fixed() and is_totally_positive(x)
 
 
 def nrd_dagger_status(x, factor: AlgebraFactor) -> str:
@@ -650,8 +647,8 @@ class ModelDescriptor:
     relations: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "z_gens", tuple(tuple(int(x) for x in g) for g in self.z_gens))
-        object.__setattr__(self, "s_c", tuple(tuple(int(x) for x in s) for s in self.s_c))
+        object.__setattr__(self, "z_gens", tuple(tuple(map(_norm_int, g)) for g in self.z_gens))
+        object.__setattr__(self, "s_c", tuple(tuple(map(_norm_int, s)) for s in self.s_c))
         object.__setattr__(self, "phi_samples", tuple(self.phi_samples))
         self.validate()
 
@@ -831,7 +828,7 @@ def attainable(P, model: ModelDescriptor) -> AttainabilityResult:
             raise ValueError("class lives over different labels")
         vec = list(P.coeffs)
     else:
-        vec = [int(x) for x in P]
+        vec = [_norm_int(x) for x in P]
         if len(vec) != n:
             raise ValueError("class vector has the wrong length")
     if any(x < 0 for x in vec):
@@ -863,13 +860,13 @@ def twist_model(p, seed=1729, samples=8) -> ModelDescriptor:
     rng = random.Random(seed)
     one = CycElem.one(p)
     zeta = CycElem.zeta(p)
-    base = (one - zeta) * complex_conj(one - zeta)
+    base = (one - zeta) * (one - zeta).conj()
     pairs = [PhiSample(p * p, base)]
     while len(pairs) < samples + 1:
         x = CycElem(p, [rng.randint(-3, 3) for _ in range(p - 1)])
         if x.is_zero():
             continue
-        pairs.append(PhiSample(central_degree(x), x * complex_conj(x)))
+        pairs.append(PhiSample(central_degree(x), x * x.conj()))
     # the constructed polarization has degree det(b)^2; convert the degree
     # to an E[p] multiplicity honestly rather than hard-coding 1
     mult = e_rank_of_order(TwistData.for_prime(p).polarization_degree, p).value

@@ -159,6 +159,48 @@ def test_torsion_certificate_on_the_production_path(capsys, monkeypatch):
     assert kron_sized() == [] and reads == []
 
 
+def test_no_command_takes_the_dickson_route(capsys, monkeypatch, tmp_path):
+    # norms and positivity read a conjugation-fixed CycElem as it is: no
+    # command builds a RealElem (restrict_to_real builds one) or lifts one
+    from polobstruct.cyclotomic import RealElem, _FieldElem
+
+    path = tmp_path / "model-13.json"
+    path.write_text(twist_model(13).to_json())
+    rng = random.Random(5)
+    x = CycElem(13, [rng.randint(-3, 3) for _ in range(12)])
+    a = x * complex_conj(x)
+    built, lifts = [], []
+    init, lift = _FieldElem.__init__, RealElem.lift
+
+    def counted_init(self, *args):
+        init(self, *args)
+        if type(self) is RealElem:
+            built.append(self)
+
+    def counted_lift(self):
+        lifts.append(self)
+        return lift(self)
+
+    monkeypatch.setattr(_FieldElem, "__init__", counted_init)
+    monkeypatch.setattr(RealElem, "lift", counted_lift)
+
+    # the instruments see a RealElem built directly and lifted
+    RealElem(13, [1] * 6).lift()
+    assert len(built) == 1 and len(lifts) == 1
+    built.clear()
+    lifts.clear()
+
+    for elem, rc in ((a, 0), (-a, 0), (x, 2), (CycElem.zero(13), 2)):
+        assert _run(capsys, ["tp", format_element(elem)])[0] == rc
+        assert _run(capsys, ["norm", format_element(elem)])[0] == 0
+    assert _run(capsys, ["bgroup", "--model", str(path)])[0] == 0
+    assert _run(capsys, ["attainable", "--model", str(path), "--class", "1"])[0] == 0
+    assert _run(capsys, ["verify", "-p", "43"])[0] == 0
+    rc, out, _ = _run(capsys, ["sweep", "--pmax", "31", "--jobs", "1"])
+    assert rc == 0 and out.count("\n") == 11  # header and 10 primes
+    assert built == [] and lifts == []
+
+
 def test_degree_check_rests_on_the_orbit_certificate(monkeypatch):
     # Res(Phi_p, a) is det a(zeta) only when chi_zeta = Phi_p, which the
     # orbit certificate proves; a zeta it rejects fails the degree check

@@ -413,8 +413,15 @@ def test_totally_positive_frozen():
     assert not is_totally_positive(RealElem.from_rational(Fraction(-1, 2), 3))
     with pytest.raises(ValueError):
         is_totally_positive(RealElem.zero(5))
-    with pytest.raises(TypeError):
-        is_totally_positive(CycElem.one(5))
+    # a conjugation-fixed CycElem is read as it is
+    assert is_totally_positive(CycElem.one(5))
+    with pytest.raises(ValueError, match="not fixed by conjugation"):
+        is_totally_positive(CycElem.zeta(5))
+    with pytest.raises(ValueError, match="neither positive nor negative"):
+        is_totally_positive(CycElem.zero(5))
+    for other in (Fraction(1), 1):
+        with pytest.raises(TypeError):
+            is_totally_positive(other)
 
 
 def test_norms_of_conjugate_products_totally_positive():
@@ -479,6 +486,37 @@ def _real_samples(rng, p):
     if p == 13:
         out.append(_gaussian_period_13())
     return out
+
+
+def _conj_samples(rng, p):
+    """Fixed elements (x conj(x), its negative, y + conj(y) with Fraction
+    coordinates, rationals) and, apart, elements conjugation moves: x, y,
+    and zeta^(p-2) alone, which is fixed only against a padded c_(p-1)."""
+    x = _rand_elem(rng, p, bound=3)
+    y = _rand_elem(rng, p, bound=3, rational=True)
+    fixed = [x * x.conj(), -(x * x.conj()), y + y.conj(), CycElem.from_rational(3, p),
+             CycElem.from_rational(Fraction(-2, 5), p)]
+    moved = [CycElem.zeta(p) ** (p - 2) * Fraction(3, 2)]
+    moved += [v for v in (x, y) if v.conj() != v]
+    return fixed, moved
+
+
+def test_positivity_of_a_fixed_cyc_elem_matches_the_dickson_route():
+    rng = random.Random(3)
+    for p in PRIMES_TO_31:
+        fixed, moved = _conj_samples(rng, p)
+        assert moved[0].coords[-1] == Fraction(3, 2) and not any(moved[0].coords[:-1])
+        for a in fixed:
+            assert a.is_conj_fixed() and a.conj() == a
+            r = restrict_to_real(a)
+            assert is_totally_positive(a) == is_totally_positive(r)
+            assert norm_to_Q(a) == norm_real_to_Q(r) ** 2
+        for a in moved:
+            assert not a.is_conj_fixed() and a.conj() != a
+            with pytest.raises(ValueError, match="not fixed by conjugation"):
+                is_totally_positive(a)
+            with pytest.raises(ValueError, match="not fixed by conjugation"):
+                restrict_to_real(a)
 
 
 def test_elementary_functions_frozen():

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from polobstruct.galmod import (
     e_rank_of_order,
     filtration_dims,
     polarization_parity,
+    valuation,
 )
 from polobstruct.intlinalg import Matrix, snf
 from polobstruct.twist import build_zeta
@@ -309,6 +311,26 @@ def test_e_rank_of_order_rejects():
         e_rank_of_order(0, 3)
     with pytest.raises(ValueError):
         e_rank_of_order(12, 4)
+
+
+def test_valuation_rejects_zero_and_small_bases():
+    # 0 % p == 0 and q % 1 == 0 hold forever, so these calls once never
+    # returned; the alarm turns such a regression into a failure
+    def hang(signum, frame):
+        raise TimeoutError("valuation did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        for q, p in ((0, 5), (Fraction(0), 3), (7, 1), (7, 0), (7, -3)):
+            with pytest.raises(ValueError):
+                valuation(q, p)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert valuation(Fraction(50, 3), 5) == 2
+    assert valuation(Fraction(-2, 27), 3) == -3
+    assert valuation(1, 2) == 0
 
 
 def test_e_rank_additivity():

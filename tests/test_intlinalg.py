@@ -513,6 +513,16 @@ def test_col_lattice_membership():
     assert not col_lattice_contains(basis, (2, 3, 1))
 
 
+def test_col_lattice_membership_rejects_non_integers():
+    # 5/2 was truncated to 2, which lies in 2Z
+    two = Matrix([[2]])
+    for bad in (Fraction(5, 2), 2.0, True, "2"):
+        with pytest.raises(TypeError):
+            col_lattice_contains(two, [bad])
+    assert col_lattice_contains(two, [Fraction(4, 2)])
+    assert not col_lattice_contains(two, [Fraction(3, 1)])
+
+
 def test_hnf_coords_match_solve_exact():
     # the pivot-by-pivot reduction reads the same coordinates a Fraction
     # solve finds, and None exactly when they are not all integers

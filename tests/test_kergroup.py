@@ -538,6 +538,31 @@ def test_attainable_z_span():
         attainable(KerClass(twist_labels(5), (1,)), m)
 
 
+def test_integer_class_vectors_are_not_truncated():
+    # a float, bool, str or non-integral Fraction once became int(x)
+    # silently: [1.9] answered "ok" and (2.7,) printed as 2*[E[5]]
+    m = twist_model(5, samples=1)
+    for bad in (1.9, Fraction(3, 2), True, "1"):
+        with pytest.raises(TypeError):
+            attainable([bad], m)
+        with pytest.raises(TypeError):
+            KerClass(twist_labels(5), (bad,))
+        with pytest.raises(TypeError):
+            ModelDescriptor(m.labels, ((bad,),), m.algebra, m.phi_samples, m.s_c)
+        with pytest.raises(TypeError):
+            ModelDescriptor(m.labels, m.z_gens, m.algebra, m.phi_samples, ((bad,),))
+    with pytest.raises(TypeError):
+        ModelDescriptor(m.labels, ((1.7,),), m.algebra, m.phi_samples, m.s_c)
+    with pytest.raises(TypeError):
+        KerClass(twist_labels(5), (2.7,))
+    # an integral Fraction is its int
+    assert KerClass(twist_labels(5), (Fraction(4, 2),)).coeffs == (2,)
+    assert type(KerClass(twist_labels(5), (Fraction(4, 2),)).coeffs[0]) is int
+    assert attainable([Fraction(2, 2)], m) == attainable([1], m)
+    assert ModelDescriptor(m.labels, ((Fraction(1),),), m.algebra, m.phi_samples,
+                           m.s_c).z_gens == ((1,),)
+
+
 def test_model_validation_errors():
     # construction alone validates: none of these calls .validate()
     m = twist_model(3, samples=2)
