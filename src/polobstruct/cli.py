@@ -9,10 +9,12 @@ Randomized checks draw from a seeded generator so runs are reproducible:
 an explicit --seed wins, then the POLOBSTRUCT_SEED environment variable,
 then the built-in default. All output is deterministic for a fixed seed.
 
-Exit codes: 0 success, 1 a verification or attainability query answered
-"no" where the command promises failure status, 2 bad input. A -p or
---pmax above MAX_P is bad input, rejected before any primality test or
-allocation; so is an element whose field tag exceeds it, and a model
+Exit codes: 0 for an answered query (an attainable class answered "no"
+among them), 1 when verify finds a failing check, 2 bad input. Every
+integer from the command line, the environment, an element or a model
+file's center is plain ASCII digits with an optional sign (parse_int). A
+-p or --pmax above MAX_P is bad input, rejected before any primality test
+or allocation; so is an element whose field tag exceeds it, and a model
 file whose center prime or ramified entries do.
 
 Run as ``polobstruct <command>`` or ``python -m polobstruct.cli <command>``.
@@ -38,7 +40,7 @@ from .cyclotomic import (
     parse_element,
 )
 from .galmod import build_ptorsion, e_rank_of_order, filtration_dims, polarization_parity
-from .intlinalg import Matrix, matrix_to_json
+from .intlinalg import Matrix, matrix_to_json, parse_int
 from .kergroup import (
     KerClass,
     ModelDescriptor,
@@ -67,7 +69,7 @@ def _resolve_seed(explicit):
     if env is None:
         return DEFAULT_SEED
     try:
-        return int(env)
+        return parse_int(env)
     except ValueError:
         print(f"error: {_SEED_ENV} must be an integer, got {env!r}", file=sys.stderr)
         raise SystemExit(2)
@@ -229,11 +231,10 @@ def _cmd_parity(args) -> int:
 
 def _parse_element_arg(text):
     try:
-        a = parse_element(text)
+        return parse_element(text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    return a if _within_cap("the field tag p", a.p) else None
 
 
 def _cmd_norm(args) -> int:
@@ -296,7 +297,7 @@ def _cmd_attainable(args) -> int:
     if model is None:
         return 2
     try:
-        vec = [int(tok) for tok in args.cls.split(",")]
+        vec = [parse_int(tok.strip()) for tok in args.cls.split(",")]
     except ValueError:
         print(f"error: cannot parse class {args.cls!r}", file=sys.stderr)
         return 2
@@ -357,18 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="emit the cocycle and pairing matrices")
-    c.add_argument("-p", type=int, required=True, help="odd prime")
+    c.add_argument("-p", type=parse_int, required=True, help="odd prime")
     c.add_argument("--out", help="directory for zeta.json and b.json")
     c.set_defaults(func=_cmd_construct)
 
     v = sub.add_parser("verify", help="run the invariant check suite")
-    v.add_argument("-p", type=int, required=True)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("-p", type=parse_int, required=True)
+    v.add_argument("--seed", type=parse_int, default=None)
     v.set_defaults(func=_cmd_verify)
 
     q = sub.add_parser("parity", help="E[p]-rank of a pulled back polarization kernel")
-    q.add_argument("-p", type=int, required=True)
-    q.add_argument("-n", type=int, required=True, help="degree scaling factor")
+    q.add_argument("-p", type=parse_int, required=True)
+    q.add_argument("-n", type=parse_int, required=True, help="degree scaling factor")
     q.set_defaults(func=_cmd_parity)
 
     nm = sub.add_parser("norm", help="rational norm of a field element")
@@ -390,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     at.set_defaults(func=_cmd_attainable)
 
     sw = sub.add_parser("sweep", help="summary CSV over a range of primes")
-    sw.add_argument("--pmax", type=int, required=True)
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--pmax", type=parse_int, required=True)
+    sw.add_argument("--jobs", type=parse_int, default=1)
     sw.set_defaults(func=_cmd_sweep)
 
     return ap

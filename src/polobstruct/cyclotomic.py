@@ -31,7 +31,16 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 
-from .intlinalg import IntPoly, Matrix, _norm_row, _norm_scalar, _power, _q_divmod, _q_strip
+from .intlinalg import (
+    IntPoly,
+    Matrix,
+    _norm_row,
+    _norm_scalar,
+    _power,
+    _q_divmod,
+    _q_strip,
+    parse_int,
+)
 
 
 # the largest prime any command or model file accepts: work grows
@@ -519,7 +528,7 @@ def parse_element(text) -> CycElem:
     if not sep:
         raise ValueError("expected 'p; c0, c1, ...'")
     try:
-        p = int(head.strip())
+        p = parse_int(head.strip())
     except ValueError:
         raise ValueError(f"bad prime field tag {head.strip()!r}") from None
     parts = [t.strip() for t in tail.split(",")]
@@ -529,6 +538,8 @@ def parse_element(text) -> CycElem:
         # before CycElem tests p for primality, which is slow for a huge tag
         raise ValueError(f"{len(parts)} coordinates do not fit the field tag "
                          f"p = {p}, which needs p - 1")
+    if p > MAX_P:
+        raise ValueError(f"the field tag p must be at most {MAX_P}, got {p}")
     return CycElem(p, [parse_rational(t) for t in parts])
 
 

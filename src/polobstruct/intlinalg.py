@@ -44,6 +44,7 @@ any other is coerced entry by entry, which rejects floats and bools.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -70,6 +71,16 @@ def _norm_int(x):
     if type(x) is not int:
         raise TypeError(f"expected an integer, got {x}")
     return x
+
+
+def parse_int(text) -> int:
+    """An integer written in plain ASCII digits with an optional sign, the
+    one grammar for every integer read from outside text. int() alone also
+    reads underscores, surrounding whitespace and other scripts' digits;
+    a text past int()'s digit limit raises ValueError as well."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"expected an integer in plain digits, got {text!r}")
+    return int(text)
 
 
 def _norm_row(r):
@@ -1028,7 +1039,7 @@ def matrix_to_json(a: Matrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> Matrix:
-    m, n = int(obj["rows"]), int(obj["cols"])
+    m, n = _norm_int(obj["rows"]), _norm_int(obj["cols"])
     entries = obj["entries"]
     if len(entries) != m or any(len(r) != n for r in entries):
         raise ValueError("entry grid does not match declared dimensions")
@@ -1037,7 +1048,7 @@ def matrix_from_json(obj: dict) -> Matrix:
         row = []
         for x in r:
             if isinstance(x, str):
-                row.append(int(x))
+                row.append(parse_int(x))
             elif isinstance(x, int) and not isinstance(x, bool):
                 row.append(x)
             else:

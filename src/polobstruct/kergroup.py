@@ -44,6 +44,7 @@ from .intlinalg import (
     _norm_int,
     col_hnf,
     col_lattice_contains,
+    parse_int,
     snf,
 )
 from .twist import TwistData, central_degree
@@ -318,7 +319,7 @@ class CenterField:
         if plus:
             text = text[:-1]
         if text.startswith("Q(zeta_") and text.endswith(")"):
-            p = int(text[len("Q(zeta_"):-1])
+            p = parse_int(text[len("Q(zeta_"):-1])
             if p > MAX_P:
                 raise ValueError(f"center prime {p} exceeds {MAX_P}")
             return cls("real_cyclotomic" if plus else "cyclotomic", p)
@@ -398,15 +399,6 @@ def _coerce_center_element(x, center: CenterField):
     return x
 
 
-def _positive(x, center: CenterField) -> bool:
-    # totally positive in the center (plain positivity over Q)
-    if center.kind == "Q":
-        return x > 0
-    if center.kind == "real_cyclotomic":
-        return x != 0 and is_totally_positive(x)
-    raise ValueError("positivity lives in a totally real field")
-
-
 def r_membership(x, level: int, factor: AlgebraFactor) -> bool:
     """Graded membership for degree values attached to one algebra factor.
 
@@ -421,7 +413,8 @@ def r_membership(x, level: int, factor: AlgebraFactor) -> bool:
     if factor.type == "I":
         if level == 0:
             return x != 0
-        return _positive(x, c)
+        # totally positive in the totally real center
+        return x > 0 if c.kind == "Q" else x != 0 and is_totally_positive(x)
     if factor.type == "II":
         if c.kind != "Q":
             raise ValueError("indefinite quaternion membership needs a rational center here")

@@ -241,10 +241,11 @@ def test_seed_resolution(monkeypatch):
     monkeypatch.setenv("POLOBSTRUCT_SEED", "99")
     assert cli._resolve_seed(None) == 99
     assert cli._resolve_seed(5) == 5  # explicit flag wins over the environment
-    monkeypatch.setenv("POLOBSTRUCT_SEED", "pear")
-    with pytest.raises(SystemExit) as exc:
-        cli._resolve_seed(None)
-    assert exc.value.code == 2  # bad input, same contract as argument errors
+    for bad in ("pear", "1_0"):
+        monkeypatch.setenv("POLOBSTRUCT_SEED", bad)
+        with pytest.raises(SystemExit) as exc:
+            cli._resolve_seed(None)
+        assert exc.value.code == 2  # bad input, same contract as argument errors
 
 
 def test_construct_writes_files(capsys, tmp_path):
@@ -404,8 +405,13 @@ def test_attainable_command(capsys, model_file):
     assert rc == 0 and out.strip() == "attainable: yes (ok)"
     rc, out, _ = _run(capsys, ["attainable", "--model", model_file, "--class", "-1"])
     assert rc == 0 and out.strip() == "attainable: no (not_effective)"
-    rc, _, err = _run(capsys, ["attainable", "--model", model_file, "--class", "x"])
-    assert rc == 2
+    rc, out, _ = _run(capsys, ["attainable", "--model", model_file, "--class", " 1"])
+    assert rc == 0 and out.strip() == "attainable: yes (ok)"
+    # int() would read 1_1 as 11 and the Arabic-Indic digit as 1
+    for bad in ("x", "1_1", "\u0661"):
+        rc, out, err = _run(capsys, ["attainable", "--model", model_file, "--class", bad])
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: cannot parse class")
     rc, _, err = _run(capsys, ["attainable", "--model", model_file, "--class", "1,2"])
     assert rc == 2 and "coefficients" in err
 
@@ -489,9 +495,14 @@ def test_sweep_clamps_jobs(capsys, monkeypatch):
     assert _SerialPool.sizes == [3, 2]
 
 
-def test_console_entry_rejects_no_command():
+def test_console_entry_rejects_no_command(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
+    # an integer option reads plain digits only: argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "-p", "0_7"])
+    assert exc.value.code == 2
+    assert "argument -p: invalid parse_int value: '0_7'" in capsys.readouterr().err
 
 
 HUGE_P = "1000000000000000000000000000057"
@@ -504,6 +515,7 @@ HUGE_P = "1000000000000000000000000000057"
     ["sweep", "--pmax", HUGE_P],
     ["norm", HUGE_P + "; 1, 2"],
     ["tp", HUGE_P + "; 1, 2"],
+    ["norm", "1009; " + ", ".join(["1"] * 1008)],  # the count fits the tag
 ])
 def test_absurd_prime_is_rejected_at_once(capsys, monkeypatch, argv):
     # trial division of a 31-digit p would not finish: no primality test
@@ -744,8 +756,11 @@ def test_malformed_model_is_rejected_in_one_line(capsys, tmp_path, command, case
     ["norm", "5; 1/0, 1, 1, 1"],
     ["norm", "5; " + "7" * 5000 + ", 1, 1, 1"],  # past int()'s digit limit
     ["norm", "5; " + "7" * 2000 + ", 1, 0, 0"],  # in the grammar; its norm is not printable
+    ["norm", "0_5; 1, 2, 3, 4"],  # int() reads the tag as 5
+    ["norm", "\u0665; 1, 2, 3, 4"],  # an Arabic-Indic five
 ], ids=["exponent", "tp_exponent", "decimal", "underscore", "zero_denominator",
-        "too_many_digits", "norm_too_long_to_print"])
+        "too_many_digits", "norm_too_long_to_print", "tag_underscore",
+        "tag_arabic_indic"])
 def test_bad_element_is_rejected_at_once(capsys, argv):
     start = time.monotonic()
     rc, out, err = _run(capsys, argv)

@@ -746,3 +746,6 @@ def test_parse_checks_coordinate_count_before_primality(monkeypatch):
     monkeypatch.setattr(cyc, "is_odd_prime", no_primality_test)
     with pytest.raises(ValueError, match="coordinates"):
         parse_element("1000000000000000000000000000057; 1, 2")
+    # a tag whose count fits is capped before CycElem tests it
+    with pytest.raises(ValueError, match="at most 1000, got 1009"):
+        parse_element("1009; " + ", ".join(["1"] * 1008))

@@ -879,5 +879,9 @@ def test_matrix_json_rejects_bad_input():
         matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 2]]})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 1, "cols": 1, "entries": [[1.5]]})
+    with pytest.raises(TypeError):  # not truncated to 1
+        matrix_from_json({"rows": 1.9, "cols": 1, "entries": [[1]]})
+    with pytest.raises(ValueError, match="plain digits"):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": [["1_0"]]})
     with pytest.raises(TypeError):
         matrix_to_json(Matrix([[Fraction(1, 2)]]))

@@ -241,6 +241,9 @@ def test_center_field_parse_roundtrip():
         CenterField.parse("Q(zeta_4)")
     with pytest.raises(ValueError):
         CenterField.parse("F_5")
+    for bad in ("Q(zeta_1_3)", "Q(zeta_\u0661\u0663)", "Q(zeta_ 13)"):
+        with pytest.raises(ValueError, match="plain digits"):
+            CenterField.parse(bad)
     with pytest.raises(ValueError):
         CenterField("cyclotomic", 0)
 
