@@ -23,12 +23,10 @@ Run as ``polobstruct <command>`` or ``python -m polobstruct.cli <command>``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import (
@@ -40,7 +38,7 @@ from .cyclotomic import (
     parse_element,
 )
 from .galmod import build_ptorsion, e_rank_of_order, filtration_dims, polarization_parity
-from .intlinalg import Matrix, matrix_to_json, parse_int
+from .intlinalg import Matrix, Record, matrix_to_json, parse_int
 from .kergroup import (
     KerClass,
     ModelDescriptor,
@@ -75,13 +73,18 @@ def _resolve_seed(explicit):
         raise SystemExit(2)
 
 
-@dataclass
-class VerifyReport:
-    """Named pass/fail results of the deterministic check suite."""
+class VerifyReport(Record):
+    """Named pass/fail results of the deterministic check suite. Unlike
+    other records it is mutable, so it has no hash."""
 
-    p: int
-    seed: int
-    checks: list = field(default_factory=list)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, p: int, seed: int, checks: list | None = None):
+        self.p = p
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     def record(self, name, passed):
         self.checks.append((name, bool(passed)))
@@ -336,6 +339,8 @@ def _cmd_sweep(args) -> int:
         return 2
     primes = [p for p in range(3, args.pmax + 1) if is_odd_prime(p)]
     jobs = min(args.jobs, len(primes), os.cpu_count() or 1)
+    import csv
+
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -25,30 +25,30 @@ E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cyclotomic import _require_odd_prime
-from .intlinalg import Matrix
+from .intlinalg import Matrix, Record
 from .twist import build_zeta
 
 
-@dataclass(frozen=True)
-class TorsionModule:
+class TorsionModule(Record):
     """X[p] with the twist acting through its cocycle, an integer Matrix of
     size n = p - 1; the action on X[p] is kron(cocycle mod p, I_2), of
-    dimension dim = 2(p - 1)."""
+    dimension dim = 2(p - 1). The repr leaves the cocycle out."""
 
-    p: int
-    cocycle: Matrix = field(repr=False)
-
-    def __post_init__(self):
-        n = self.p - 1
-        if (not isinstance(self.cocycle, Matrix)
-                or self.cocycle.shape != (n, n)
-                or not self.cocycle.is_integral()):
+    def __init__(self, p: int, cocycle: Matrix):
+        n = p - 1
+        if (not isinstance(cocycle, Matrix)
+                or cocycle.shape != (n, n)
+                or not cocycle.is_integral()):
             raise ValueError("X[p] needs an integer Matrix cocycle of size "
                              "p - 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "cocycle", cocycle)
+
+    def __repr__(self):
+        return f"TorsionModule(p={self.p!r})"
 
     @property
     def dim(self) -> int:
@@ -115,15 +115,13 @@ def composition_factors(m: TorsionModule):
     return [f"E[{m.p}]"] * (len(filtration_dims(m)) - 1)
 
 
-@dataclass(frozen=True)
-class EpRank:
+class EpRank(Record):
     """Number of E[p] factors in the p-primary part of a finite kernel."""
 
-    value: int
-
-    def __post_init__(self):
-        if not isinstance(self.value, int) or self.value < 0:
+    def __init__(self, value: int):
+        if not isinstance(value, int) or value < 0:
             raise ValueError("rank must be a nonnegative integer")
+        object.__setattr__(self, "value", value)
 
     @property
     def parity(self):

@@ -45,9 +45,9 @@ any other is coerced entry by entry, which rejects floats and bools.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 
 def _norm_scalar(x):
@@ -100,6 +100,42 @@ def _power(base, k, one):
         if k:
             base = base * base
     return out
+
+
+class Record:
+    """An immutable value whose fields are the parameters of its class's
+    __init__, in order; that __init__ validates its arguments and stores
+    each field with object.__setattr__.
+
+    == holds only between instances of one class whose fields are equal,
+    the hash agrees with it, the repr reads Name(field=value, ...), and
+    assigning or deleting any attribute raises AttributeError. An
+    attribute that is not a field (a cache, say) takes no part in any of it.
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._values = attrgetter(*cls._fields)  # reads every field in one C call
+
+    def __eq__(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            return cls._values(self) == cls._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Matrix:
@@ -379,13 +415,13 @@ def leading_principal_minors(a: Matrix):
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """U*A*V = D with U, V unimodular and D diagonal, d_i | d_{i+1}, d_i >= 0."""
 
-    U: Matrix
-    D: Matrix
-    V: Matrix
+    def __init__(self, U: Matrix, D: Matrix, V: Matrix):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
 
     @property
     def invariant_factors(self):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import (
@@ -40,8 +39,10 @@ from .cyclotomic import (
 from .galmod import e_rank_of_order, valuation
 from .intlinalg import (
     Matrix,
+    Record,
     _hnf_coords,
     _norm_int,
+    _norm_scalar,
     col_hnf,
     col_lattice_contains,
     parse_int,
@@ -58,29 +59,27 @@ def _is_perfect_square(n) -> bool:
 # labels and kernel classes
 
 
-@dataclass(frozen=True)
-class SimpleLabel:
+class SimpleLabel(Record):
     """One simple constituent type: its order and its Cartier dual.
 
     alt_pairing marks a self-dual constituent carrying a nondegenerate
     alternating pairing; such a group has square order.
     """
 
-    name: str
-    rank: int
-    dual: str
-    alt_pairing: bool = False
-
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, rank: int, dual: str, alt_pairing: bool = False):
+        if not name:
             raise ValueError("label needs a name")
-        if not isinstance(self.rank, int) or self.rank < 2:
+        if not isinstance(rank, int) or rank < 2:
             raise ValueError("rank must be an integer >= 2")
-        if self.alt_pairing:
-            if self.dual != self.name:
+        if alt_pairing:
+            if dual != name:
                 raise ValueError("alternating self-pairing needs a self-dual label")
-            if not _is_perfect_square(self.rank):
+            if not _is_perfect_square(rank):
                 raise ValueError("alternating self-pairing needs square order")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "alt_pairing", alt_pairing)
 
 
 class LabelSet:
@@ -129,17 +128,14 @@ class LabelSet:
         return tuple(self._index[l.dual] for l in self.labels)
 
 
-@dataclass(frozen=True)
-class KerClass:
+class KerClass(Record):
     """Element of the free group on constituent labels."""
 
-    labels: LabelSet
-    coeffs: tuple
-
-    def __post_init__(self):
-        cs = tuple(map(_norm_int, self.coeffs))
-        if len(cs) != len(self.labels):
+    def __init__(self, labels: LabelSet, coeffs: tuple):
+        cs = tuple(map(_norm_int, coeffs))
+        if len(cs) != len(labels):
             raise ValueError("coefficient count must match the label count")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
@@ -208,12 +204,12 @@ def b_subgroup_gens(labels: LabelSet):
 # finitely generated abelian quotients
 
 
-@dataclass(frozen=True)
-class AbGroupPresentation:
+class AbGroupPresentation(Record):
     """Invariant factor form of a finitely generated abelian group."""
 
-    invariant_factors: tuple
-    free_rank: int
+    def __init__(self, invariant_factors: tuple, free_rank: int):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "free_rank", free_rank)
 
     @property
     def order(self):
@@ -289,24 +285,22 @@ def is_square_in_Qp(q, p) -> bool:
     return pow(um, (p - 1) // 2, p) == 1
 
 
-@dataclass(frozen=True)
-class CenterField:
+class CenterField(Record):
     """Center of a simple algebra factor: Q, a cyclotomic field, or its
     maximal real subfield."""
 
-    kind: str
-    p: int = 0
-
     _KINDS = ("Q", "cyclotomic", "real_cyclotomic")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown center kind {self.kind!r}")
-        if self.kind == "Q":
-            if self.p:
+    def __init__(self, kind: str, p: int = 0):
+        if kind not in self._KINDS:
+            raise ValueError(f"unknown center kind {kind!r}")
+        if kind == "Q":
+            if p:
                 raise ValueError("the rational center takes no prime")
-        elif not is_odd_prime(self.p):
+        elif not is_odd_prime(p):
             raise ValueError("cyclotomic centers need an odd prime")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def parse(cls, text: str) -> "CenterField":
@@ -336,40 +330,34 @@ class CenterField:
         return self.kind != "cyclotomic"
 
 
-@dataclass(frozen=True)
-class AlgebraFactor:
+class AlgebraFactor(Record):
     """One simple factor: involution type, center, matrix size, and the
     finite primes where the underlying quaternion algebra ramifies."""
 
-    type: str
-    center: CenterField
-    n: int = 1
-    ramified: tuple = ()
-
-    def __post_init__(self):
-        if self.type not in ("I", "II", "III", "IV"):
-            raise ValueError(f"unknown factor type {self.type!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, type: str, center: CenterField, n: int = 1, ramified: tuple = ()):
+        if type not in ("I", "II", "III", "IV"):
+            raise ValueError(f"unknown factor type {type!r}")
+        if not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
-        ram = tuple(sorted(set(self.ramified)))
+        ram = tuple(sorted(set(ramified)))
         for ell in ram:
             if not is_prime(ell):
                 raise ValueError(f"ramified entry {ell} is not prime")
-        object.__setattr__(self, "ramified", ram)
-        if self.type in ("I", "II", "III") and not self.center.is_totally_real:
-            raise ValueError(f"type {self.type} needs a totally real center")
-        if self.type == "IV" and self.center.is_totally_real:
+        if type in ("I", "II", "III") and not center.is_totally_real:
+            raise ValueError(f"type {type} needs a totally real center")
+        if type == "IV" and center.is_totally_real:
             raise ValueError("type IV needs a complex multiplication center")
-        if self.type in ("I", "IV") and ram:
-            raise ValueError(f"type {self.type} carries no ramified primes")
+        if type in ("I", "IV") and ram:
+            raise ValueError(f"type {type} carries no ramified primes")
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ramified", ram)
 
 
-@dataclass(frozen=True)
-class AlgebraDescriptor:
-    factors: tuple
-
-    def __post_init__(self):
-        fs = tuple(self.factors)
+class AlgebraDescriptor(Record):
+    def __init__(self, factors: tuple):
+        fs = tuple(factors)
         if not fs:
             raise ValueError("need at least one factor")
         for f in fs:
@@ -387,9 +375,9 @@ class AlgebraDescriptor:
 
 def _coerce_center_element(x, center: CenterField):
     if center.kind == "Q":
-        if isinstance(x, float) or isinstance(x, (CycElem, RealElem)):
+        if isinstance(x, (CycElem, RealElem)):
             raise TypeError("rational center takes exact rational elements")
-        return Fraction(x)
+        return _norm_scalar(x)
     if center.kind == "cyclotomic":
         if not isinstance(x, CycElem) or x.p != center.p:
             raise TypeError(f"expected an element of Q(zeta_{center.p})")
@@ -598,25 +586,21 @@ def quaternion_witness_check(D: QuaternionAlgebra, beta, alpha1, b, c1) -> dict:
 # models and attainability
 
 
-@dataclass(frozen=True)
-class PhiSample:
+class PhiSample(Record):
     """A degree value with a verified certificate element."""
 
-    norm: Fraction
-    alpha: CycElem
-
-    def __post_init__(self):
-        object.__setattr__(self, "norm", Fraction(self.norm))
+    def __init__(self, norm: Fraction, alpha: CycElem):
+        object.__setattr__(self, "norm", Fraction(norm))
+        object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class AttainabilityResult:
-    ok: bool
-    reason: str
+class AttainabilityResult(Record):
+    def __init__(self, ok: bool, reason: str):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class ModelDescriptor:
+class ModelDescriptor(Record):
     """Everything attainability needs about one isogeny class.
 
     z_gens span the lattice of realizable kernel classes, phi_samples are
@@ -628,21 +612,18 @@ class ModelDescriptor:
     Construction validates the model, checking every certificate once, and
     keeps what the queries read: span, the column HNF of z_gens, and
     relations, the dual-pair columns followed by the classes of the level-2
-    samples. Neither takes part in ==, hash or to_json.
+    samples. Neither takes part in ==, hash, repr or to_json.
     """
 
-    labels: LabelSet
-    z_gens: tuple
-    algebra: AlgebraDescriptor
-    phi_samples: tuple
-    s_c: tuple
-    span: Matrix = field(init=False, repr=False, compare=False)
-    relations: Matrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "z_gens", tuple(tuple(map(_norm_int, g)) for g in self.z_gens))
-        object.__setattr__(self, "s_c", tuple(tuple(map(_norm_int, s)) for s in self.s_c))
-        object.__setattr__(self, "phi_samples", tuple(self.phi_samples))
+    def __init__(self, labels: LabelSet, z_gens: tuple, algebra: AlgebraDescriptor,
+                 phi_samples: tuple, s_c: tuple):
+        z_gens = tuple(tuple(map(_norm_int, g)) for g in z_gens)
+        s_c = tuple(tuple(map(_norm_int, s)) for s in s_c)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "z_gens", z_gens)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "phi_samples", tuple(phi_samples))
+        object.__setattr__(self, "s_c", s_c)
         self.validate()
 
     @property

@@ -24,13 +24,13 @@ TwistData.orbit computes once per instance.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .cyclotomic import CycElem, _require_odd_prime, cyclotomic_poly, regular_rep
 from .intlinalg import (
     Matrix,
+    Record,
     _norm_scalar,
     _sparse_kernel,
     det,
@@ -88,24 +88,22 @@ def build_b(p) -> Matrix:
 Orbit = namedtuple("Orbit", "vectors unit_triangular")
 
 
-@dataclass(frozen=True)
-class TwistData:
+class TwistData(Record):
     """A prime p together with its cocycle matrix and polarization form."""
 
-    p: int
-    zeta: Matrix
-    b: Matrix
+    def __init__(self, p: int, zeta: Matrix, b: Matrix):
+        # the orbit certificate reads 1 + x + ... + x^(p-1) as Phi_p
+        _require_odd_prime(p)
+        n = p - 1
+        if zeta.shape != (n, n) or b.shape != (n, n):
+            raise ValueError(f"expected {n} by {n} matrices for p = {p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def for_prime(cls, p) -> "TwistData":
         return cls(p, build_zeta(p), build_b(p))
-
-    def __post_init__(self):
-        # the orbit certificate reads 1 + x + ... + x^(p-1) as Phi_p
-        _require_odd_prime(self.p)
-        n = self.p - 1
-        if self.zeta.shape != (n, n) or self.b.shape != (n, n):
-            raise ValueError(f"expected {n} by {n} matrices for p = {self.p}")
 
     @cached_property
     def orbit(self) -> Orbit:

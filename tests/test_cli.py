@@ -605,6 +605,18 @@ def test_no_numpy_at_runtime():
     assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
+def test_import_loads_no_dataclasses():
+    # the value classes are plain Record subclasses: importing dataclasses
+    # (and inspect, which it pulls in) would cost every command's start-up
+    src = os.path.dirname(os.path.dirname(polobstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys; import polobstruct, polobstruct.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
 def test_verify_reports_broken_torsion_without_traceback(capsys, monkeypatch):
     # both torsion checks read one certificate; a module that fails it
     # turns both false and verify exits 1 with a report, not a traceback

@@ -349,6 +349,22 @@ def test_nrd_dagger_status():
     assert nrd_dagger_status(z, fIV) == "no"
 
 
+def test_rational_center_takes_exact_scalars_only():
+    # a Q center reads ints and Fractions; a bool, a float or a string is
+    # not read as the number it stands for
+    from polobstruct.kergroup import r_membership
+    fI_q, _, fII, fIII, _ = _factors()
+    for f in (fI_q, fII, fIII):
+        assert r_membership(1, 1, f) and r_membership(Fraction(9, 4), 1, f)
+        for bad in (True, 1.0, "1e2", " 9 ", "1"):
+            with pytest.raises(TypeError):
+                r_membership(bad, 1, f)
+            with pytest.raises(TypeError):
+                nrd_dagger_status(bad, f)
+    with pytest.raises(TypeError):
+        r_membership(CycElem.one(5), 0, fI_q)
+
+
 # ---------------------------------------------------------------------------
 # central norm classes and parity
 

@@ -1,0 +1,124 @@
+"""The value classes of the package behave as frozen records.
+
+Each case is a real instance, its field names, and one field with another
+valid value. A copy built from the same fields by keyword is == with an
+equal hash, the changed copy is !=, a tuple of the fields is never ==,
+fields cannot be assigned or deleted (the mutable VerifyReport aside), and
+the repr is the one the classes have always printed.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from polobstruct.cli import VerifyReport
+from polobstruct.galmod import build_ptorsion, e_rank_of_order
+from polobstruct.intlinalg import Matrix, snf
+from polobstruct.kergroup import (
+    AlgebraFactor,
+    CenterField,
+    KerClass,
+    ModelDescriptor,
+    SimpleLabel,
+    attainable,
+    quotient_group,
+    twist_model,
+)
+from polobstruct.twist import TwistData
+
+MODEL = twist_model(5)
+FACTOR = MODEL.algebra.factors[0]
+CENTER_7 = CenterField("cyclotomic", 7)
+
+MODEL_REPR = (
+    "ModelDescriptor(labels={labels}, z_gens=((1,),), algebra=AlgebraDescriptor("
+    "factors=(AlgebraFactor(type='IV', center=CenterField(kind='cyclotomic', p=5), "
+    "n=1, ramified=()),)), phi_samples=("
+    "PhiSample(norm=Fraction(25, 1), alpha=CycElem('5; 3, 0, 1, 1')), "
+    "PhiSample(norm=Fraction(75625, 1), alpha=CycElem('5; 20, 0, 5, 5')), "
+    "PhiSample(norm=Fraction(1681, 1), alpha=CycElem('5; 27, 0, 16, 16')), "
+    "PhiSample(norm=Fraction(17161, 1), alpha=CycElem('5; 25, 0, 13, 13')), "
+    "PhiSample(norm=Fraction(130321, 1), alpha=CycElem('5; 17, 0, -8, -8')), "
+    "PhiSample(norm=Fraction(44521, 1), alpha=CycElem('5; 44, 0, 25, 25')), "
+    "PhiSample(norm=Fraction(24025, 1), alpha=CycElem('5; 12, 0, -11, -11')), "
+    "PhiSample(norm=Fraction(25, 1), alpha=CycElem('5; 2, 0, -1, -1')), "
+    "PhiSample(norm=Fraction(3025, 1), alpha=CycElem('5; 7, 0, -6, -6'))), s_c=((1,),))"
+)
+
+# (instance, field names, field to change, its other value, repr)
+CASES = [
+    (MODEL, ("labels", "z_gens", "algebra", "phi_samples", "s_c"),
+     "phi_samples", MODEL.phi_samples[:1], MODEL_REPR),
+    (MODEL.labels[0], ("name", "rank", "dual", "alt_pairing"), "alt_pairing", False,
+     "SimpleLabel(name='E[5]', rank=25, dual='E[5]', alt_pairing=True)"),
+    (KerClass.zero(MODEL.labels), ("labels", "coeffs"), "coeffs", (1,),
+     "KerClass(labels={labels}, coeffs=(0,))"),
+    (MODEL.algebra, ("factors",), "factors", (AlgebraFactor("IV", CENTER_7),),
+     "AlgebraDescriptor(factors=(AlgebraFactor(type='IV', center=CenterField("
+     "kind='cyclotomic', p=5), n=1, ramified=()),))"),
+    (FACTOR, ("type", "center", "n", "ramified"), "center", CENTER_7,
+     "AlgebraFactor(type='IV', center=CenterField(kind='cyclotomic', p=5), n=1, "
+     "ramified=())"),
+    (FACTOR.center, ("kind", "p"), "p", 7, "CenterField(kind='cyclotomic', p=5)"),
+    (MODEL.phi_samples[0], ("norm", "alpha"), "norm", Fraction(1),
+     "PhiSample(norm=Fraction(25, 1), alpha=CycElem('5; 3, 0, 1, 1'))"),
+    (TwistData.for_prime(5), ("p", "zeta", "b"), "zeta", Matrix.identity(4),
+     "TwistData(p=5, zeta=Matrix(\n [-1, -1, -1, -1]\n [1, 0, 0, 0]\n [0, 1, 0, 0]\n"
+     " [0, 0, 1, 0]\n), b=Matrix(\n [2, 1, 1, 1]\n [1, 2, 1, 1]\n [1, 1, 2, 1]\n"
+     " [1, 1, 1, 2]\n))"),
+    (build_ptorsion(5), ("p", "cocycle"), "cocycle", Matrix.identity(4),
+     "TorsionModule(p=5)"),
+    (snf(Matrix([[2, 4], [6, 8]])), ("U", "D", "V"), "U", Matrix.identity(2),
+     "SnfResult(U=Matrix(\n [1, 0]\n [3, -1]\n), D=Matrix(\n [2, 0]\n [0, 4]\n), "
+     "V=Matrix(\n [1, -2]\n [0, 1]\n))"),
+    (e_rank_of_order(9, 3), ("value",), "value", 2, "EpRank(value=1)"),
+    (quotient_group([[1, 0], [0, 1]], [[2, 0]]), ("invariant_factors", "free_rank"),
+     "free_rank", 0, "AbGroupPresentation(invariant_factors=(2,), free_rank=1)"),
+    (attainable((0,), MODEL), ("ok", "reason"), "ok", True,
+     "AttainabilityResult(ok=False, reason='b2_image_not_in_s_c')"),
+    (VerifyReport(3, 1), ("p", "seed", "checks"), "seed", 2,
+     "VerifyReport(p=3, seed=1, checks=[])"),
+]
+
+
+@pytest.mark.parametrize("obj, names, changed, other, expected_repr", CASES,
+                         ids=[type(case[0]).__name__ for case in CASES])
+def test_record_semantics(obj, names, changed, other, expected_repr):
+    cls = type(obj)
+    values = {name: getattr(obj, name) for name in names}
+    copy = cls(**values)
+    assert copy == obj
+    assert cls(**dict(values, **{changed: other})) != obj
+    assert obj != tuple(values.values())
+    assert repr(obj) == expected_repr.format(labels=repr(MODEL.labels))
+    if cls is VerifyReport:  # mutable, so it has no hash
+        return
+    assert hash(copy) == hash(obj)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, values[name])
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert {name: getattr(obj, name) for name in names} == values
+
+
+def test_self_dual_label_with_pairing_by_keyword():
+    label = SimpleLabel("G", 9, "G", alt_pairing=True)
+    assert label.alt_pairing and label == SimpleLabel("G", 9, "G", True)
+
+
+def test_model_equality_ignores_span_and_relations():
+    copy = ModelDescriptor(MODEL.labels, MODEL.z_gens, MODEL.algebra,
+                           MODEL.phi_samples, MODEL.s_c)
+    object.__setattr__(copy, "span", Matrix([[2]]))
+    object.__setattr__(copy, "relations", Matrix([[7]]))
+    assert copy == MODEL and hash(copy) == hash(MODEL)
+    assert "span" not in repr(copy) and "relations" not in repr(copy)
+
+
+def test_verify_reports_do_not_share_checks():
+    first, second = VerifyReport(3, 1), VerifyReport(3, 1)
+    first.record("a", True)
+    assert first.checks == [("a", True)] and second.checks == []
+    with pytest.raises(TypeError):
+        hash(first)
