@@ -10,12 +10,16 @@ an explicit --seed wins, then the POLOBSTRUCT_SEED environment variable,
 then the built-in default. All output is deterministic for a fixed seed.
 
 Exit codes: 0 for an answered query (an attainable class answered "no"
-among them), 1 when verify finds a failing check, 2 bad input. Every
-integer from the command line, the environment, an element or a model
-file's center is plain ASCII digits with an optional sign (parse_int). A
--p or --pmax above MAX_P is bad input, rejected before any primality test
-or allocation; so is an element whose field tag exceeds it, and a model
-file whose center prime or ramified entries do.
+among them), 1 when verify finds a failing check, 2 bad input. Every check
+of outside input raises BadInput, which main alone reports, as one
+"error: ..." line on stderr and exit code 2 (argparse reports its own usage
+errors). A library ValueError becomes BadInput only where the CLI hands
+the library outside text, so a fault in a computation still ends in a
+traceback. Every integer from the command line, the environment, an
+element or a model file's center is plain ASCII digits with an optional
+sign (parse_int). A -p or --pmax above MAX_P is bad input, rejected before
+any primality test or allocation; so is an element whose field tag exceeds
+it, and a model file whose center prime or ramified entries do.
 
 Run as ``polobstruct <command>`` or ``python -m polobstruct.cli <command>``.
 """
@@ -60,6 +64,11 @@ DEFAULT_SEED = 1729
 _SEED_ENV = "POLOBSTRUCT_SEED"
 
 
+class BadInput(Exception):
+    """Input from outside the program that a command refuses; main prints
+    the message on one stderr line and returns 2."""
+
+
 def _resolve_seed(explicit):
     if explicit is not None:
         return explicit
@@ -69,8 +78,7 @@ def _resolve_seed(explicit):
     try:
         return parse_int(env)
     except ValueError:
-        print(f"error: {_SEED_ENV} must be an integer, got {env!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise BadInput(f"{_SEED_ENV} must be an integer, got {env!r}")
 
 
 class VerifyReport(Record):
@@ -171,25 +179,16 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
 # subcommand handlers
 
 
-def _within_cap(name, p) -> bool:
+def _check_p(name, p, odd_prime=True):
+    """The cap is checked first, so an absurd p never reaches is_odd_prime."""
     if p > MAX_P:
-        print(f"error: {name} must be at most {MAX_P}, got {p}", file=sys.stderr)
-        return False
-    return True
-
-
-def _require_odd_prime_arg(p) -> bool:
-    if not _within_cap("p", p):
-        return False
-    if not is_odd_prime(p):
-        print(f"error: p must be an odd prime, got {p}", file=sys.stderr)
-        return False
-    return True
+        raise BadInput(f"{name} must be at most {MAX_P}, got {p}")
+    if odd_prime and not is_odd_prime(p):
+        raise BadInput(f"{name} must be an odd prime, got {p}")
 
 
 def _cmd_construct(args) -> int:
-    if not _require_odd_prime_arg(args.p):
-        return 2
+    _check_p("p", args.p)
     t = TwistData.for_prime(args.p)
     t.check()
     if args.out:
@@ -202,8 +201,7 @@ def _cmd_construct(args) -> int:
                     json.dump(matrix_to_json(mat), fh, indent=2, sort_keys=True)
                     fh.write("\n")
         except OSError as exc:
-            print(f"error: cannot write to --out: {exc}", file=sys.stderr)
-            return 2
+            raise BadInput(f"cannot write to --out: {exc}")
         print("\n".join(paths))
     else:
         print(json.dumps({"p": args.p,
@@ -213,54 +211,44 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not _require_odd_prime_arg(args.p):
-        return 2
+    _check_p("p", args.p)
     rep = run_verify_suite(args.p, _resolve_seed(args.seed))
     print(rep.to_json())
     return 0 if rep.ok else 1
 
 
 def _cmd_parity(args) -> int:
-    if not _require_odd_prime_arg(args.p):
-        return 2
+    _check_p("p", args.p)
     if args.n < 1:
-        print("error: n must be a positive integer", file=sys.stderr)
-        return 2
+        raise BadInput("n must be a positive integer")
     r = polarization_parity(args.p, args.n)
     print(json.dumps({"p": args.p, "n": args.n,
                       "e_rank": r.value, "parity": r.parity}))
     return 0
 
 
-def _parse_element_arg(text):
+def _element(text):
     try:
         return parse_element(text)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise BadInput(exc)
 
 
 def _cmd_norm(args) -> int:
-    a = _parse_element_arg(args.element)
-    if a is None:
-        return 2
+    a = _element(args.element)
     try:
         print(Fraction(norm_to_Q(a)))
     except ValueError:  # str() of an int past sys.get_int_max_str_digits()
-        print("error: the norm has too many digits to print", file=sys.stderr)
-        return 2
+        raise BadInput("the norm has too many digits to print")
     return 0
 
 
 def _cmd_tp(args) -> int:
-    a = _parse_element_arg(args.element)
-    if a is None:
-        return 2
+    a = _element(args.element)
     try:
         verdict = is_totally_positive(a)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise BadInput(exc)
     print("totally positive" if verdict else "not totally positive")
     return 0
 
@@ -271,14 +259,11 @@ def _load_model(path):
             return ModelDescriptor.from_json(fh.read())
     # json.loads raises RecursionError on arrays nested past the limit
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        print(f"error: cannot load model: {exc}", file=sys.stderr)
-        return None
+        raise BadInput(f"cannot load model: {exc}")
 
 
 def _cmd_bgroup(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return 2
     b1 = b1_group(model)
     b2 = b2_group(model)
     used = model.relations.ncols - len(b_subgroup_gens(model.labels))
@@ -297,16 +282,12 @@ def _cmd_bgroup(args) -> int:
 
 def _cmd_attainable(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return 2
     try:
         vec = [parse_int(tok.strip()) for tok in args.cls.split(",")]
     except ValueError:
-        print(f"error: cannot parse class {args.cls!r}", file=sys.stderr)
-        return 2
+        raise BadInput(f"cannot parse class {args.cls!r}")
     if len(vec) != len(model.labels):
-        print(f"error: expected {len(model.labels)} coefficients", file=sys.stderr)
-        return 2
+        raise BadInput(f"expected {len(model.labels)} coefficients")
     res = attainable(vec, model)
     print(f"attainable: {'yes' if res.ok else 'no'} ({res.reason})")
     return 0
@@ -330,13 +311,10 @@ def _sweep_row(p):
 
 def _cmd_sweep(args) -> int:
     if args.pmax < 3:
-        print("error: --pmax must be at least 3", file=sys.stderr)
-        return 2
-    if not _within_cap("--pmax", args.pmax):
-        return 2
+        raise BadInput("--pmax must be at least 3")
+    _check_p("--pmax", args.pmax, odd_prime=False)
     if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
+        raise BadInput("--jobs must be at least 1")
     primes = [p for p in range(3, args.pmax + 1) if is_odd_prime(p)]
     jobs = min(args.jobs, len(primes), os.cpu_count() or 1)
     import csv
@@ -405,7 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

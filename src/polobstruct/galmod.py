@@ -119,7 +119,7 @@ class EpRank(Record):
     """Number of E[p] factors in the p-primary part of a finite kernel."""
 
     def __init__(self, value: int):
-        if not isinstance(value, int) or value < 0:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError("rank must be a nonnegative integer")
         object.__setattr__(self, "value", value)
 
@@ -150,7 +150,7 @@ def e_rank_of_order(order, p) -> EpRank:
     E[p], each of order p^2, so the valuation must be even.
     """
     _require_odd_prime(p)
-    if not isinstance(order, int) or order < 1:
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValueError("order must be a positive integer")
     v = valuation(order, p)
     if v % 2:
@@ -168,6 +168,6 @@ def polarization_parity(p, n) -> EpRank:
     by twice the p-part of n, so the parity can never leave 1.
     """
     _require_odd_prime(p)
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     return EpRank(1 + 2 * valuation(n, p))

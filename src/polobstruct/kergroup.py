@@ -71,6 +71,8 @@ class SimpleLabel(Record):
             raise ValueError("label needs a name")
         if not isinstance(rank, int) or rank < 2:
             raise ValueError("rank must be an integer >= 2")
+        if not isinstance(alt_pairing, bool):
+            raise ValueError(f"alt_pairing must be a bool, got {alt_pairing!r}")
         if alt_pairing:
             if dual != name:
                 raise ValueError("alternating self-pairing needs a self-dual label")
@@ -337,7 +339,7 @@ class AlgebraFactor(Record):
     def __init__(self, type: str, center: CenterField, n: int = 1, ramified: tuple = ()):
         if type not in ("I", "II", "III", "IV"):
             raise ValueError(f"unknown factor type {type!r}")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
         ram = tuple(sorted(set(ramified)))
         for ell in ram:

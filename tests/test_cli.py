@@ -243,9 +243,15 @@ def test_seed_resolution(monkeypatch):
     assert cli._resolve_seed(5) == 5  # explicit flag wins over the environment
     for bad in ("pear", "1_0"):
         monkeypatch.setenv("POLOBSTRUCT_SEED", bad)
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(cli.BadInput):  # main reports it like any bad input
             cli._resolve_seed(None)
-        assert exc.value.code == 2  # bad input, same contract as argument errors
+
+
+def test_bad_seed_environment_returns_2(capsys, monkeypatch):
+    monkeypatch.setenv("POLOBSTRUCT_SEED", "pear")
+    rc, out, err = _run(capsys, ["verify", "-p", "5"])
+    assert rc == 2 and out == ""
+    assert err == "error: POLOBSTRUCT_SEED must be an integer, got 'pear'\n"
 
 
 def test_construct_writes_files(capsys, tmp_path):

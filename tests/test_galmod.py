@@ -371,3 +371,12 @@ def test_ep_rank_validation():
         EpRank(-1)
     assert EpRank(2).parity == 0
     assert EpRank(3).parity == 1
+
+
+def test_a_bool_is_not_a_count():
+    # bool subclasses int, so True once read as 1 in each of these
+    for build in (lambda: EpRank(True), lambda: EpRank(False),
+                  lambda: e_rank_of_order(True, 3),
+                  lambda: polarization_parity(5, True)):
+        with pytest.raises(ValueError):
+            build()

@@ -526,6 +526,25 @@ def test_model_json_roundtrip():
     assert again == m
 
 
+def test_bool_fields_are_checked_where_they_are_built():
+    # each of these once built, and wrote JSON that from_json refused
+    with pytest.raises(ValueError):
+        AlgebraFactor("IV", CenterField("cyclotomic", 5), True)
+    with pytest.raises(ValueError):
+        SimpleLabel("E[5]", 25, "E[5]", 1)
+    with pytest.raises(ValueError):
+        SimpleLabel("A", 5, "B", 0)
+
+
+def test_models_read_back_from_their_own_json():
+    paired = ModelDescriptor(
+        LabelSet([SimpleLabel("E[5]", 25, "E[5]", alt_pairing=True)]), ((1,),),
+        AlgebraDescriptor((AlgebraFactor("IV", CenterField("cyclotomic", 5)),)),
+        (), ((1,),))
+    for m in (twist_model(5), twist_model(13), paired):
+        assert ModelDescriptor.from_json(m.to_json()) == m
+
+
 def test_b_groups_are_z2():
     for p in (3, 5, 7):
         m = twist_model(p, samples=4)
