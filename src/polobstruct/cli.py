@@ -82,20 +82,13 @@ def _resolve_seed(explicit):
 
 
 class VerifyReport(Record):
-    """Named pass/fail results of the deterministic check suite. Unlike
-    other records it is mutable, so it has no hash."""
+    """Named pass/fail results of the deterministic check suite: checks is
+    a tuple of (name, passed) pairs."""
 
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, p: int, seed: int, checks: list | None = None):
-        self.p = p
-        self.seed = seed
-        self.checks = [] if checks is None else checks
-
-    def record(self, name, passed):
-        self.checks.append((name, bool(passed)))
+    def __init__(self, p: int, seed: int, checks: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -129,13 +122,11 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     proves chi_zeta = Phi_p, so the degree check fails whenever that
     certificate does.
     """
-    rep = VerifyReport(p, seed)
     rng = random.Random(seed)
     n = p - 1
     t = TwistData.for_prime(p)
     z = t.zeta
-    for name, holds in CONSTRUCTION_CHECKS:
-        rep.record(name, holds(t))
+    checks = [(name, holds(t)) for name, holds in CONSTRUCTION_CHECKS]
 
     samples = 10 if p <= 13 else 3
     good = t.phi_p_annihilates_zeta
@@ -144,7 +135,7 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
         if a.is_zero():
             continue
         good = good and central_degree(a) == norm_to_Q(a) ** 2
-    rep.record("degree_equals_norm_squared", good)
+    checks.append(("degree_equals_norm_squared", good))
 
     rejected = True
     found = 0
@@ -155,12 +146,11 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
             continue
         found += 1
         rejected = rejected and not endo_descends(m, t)
-    rep.record("noncommuting_rejected", rejected)
+    checks.append(("noncommuting_rejected", rejected))
 
     # one certificate decides the filtration and its factors (see galmod)
     two_blocks = build_ptorsion(p).two_jordan_blocks
-    rep.record("filtration_dims", two_blocks)
-    rep.record("composition_factors", two_blocks)
+    checks += [("filtration_dims", two_blocks), ("composition_factors", two_blocks)]
 
     # the E[p]-rank of a kernel of order deg(b) n^4, read off that order,
     # must be the closed form 1 + 2 v_p(n), and odd
@@ -171,8 +161,8 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
         return rank == polarization_parity(p, n) and rank.parity == 1
 
     ns = list(range(1, 20)) + [rng.randint(1, 10 ** 6) for _ in range(samples)]
-    rep.record("parity_odd", deg_b != 0 and all(map(parity_holds, ns)))
-    return rep
+    checks.append(("parity_odd", deg_b != 0 and all(map(parity_holds, ns))))
+    return VerifyReport(p, seed, tuple((name, bool(v)) for name, v in checks))
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,6 @@ from .intlinalg import (
     _norm_row,
     _norm_scalar,
     _power,
-    _q_divmod,
-    _q_strip,
     parse_int,
 )
 
@@ -80,9 +78,10 @@ def cyclotomic_poly(p) -> IntPoly:
 
 class _FieldElem:
     """An immutable vector of _dim(p) exact coordinates: construction, the
-    additive group, scalar multiples and equality, shared by the elements
-    of Q(zeta_p) and of its real subfield. Elements of different classes
-    never compare equal, and arithmetic between them raises TypeError."""
+    additive group, scalar multiples, nonnegative powers and equality,
+    shared by the elements of Q(zeta_p) and of its real subfield. Elements
+    of different classes never compare equal, and arithmetic between them
+    raises TypeError."""
 
     __slots__ = ("p", "coords")
 
@@ -152,6 +151,11 @@ class _FieldElem:
         c = _norm_scalar(Fraction(c))
         return type(self)(self.p, tuple(c * x for x in self.coords))
 
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        return _power(self, k, self.one(self.p))
+
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -199,32 +203,6 @@ class CycElem(_FieldElem):
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_p."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        p = self.p
-        f = [Fraction(c) for c in self.coords]
-        phi = [Fraction(1)] * p
-        g, u = _xgcd_poly(f, phi)
-        # gcd is a nonzero constant since Phi_p is irreducible and deg f < deg Phi_p
-        assert len(g) == 1 and g[0] != 0
-        inv = [c / g[0] for c in u]
-        inv += [Fraction(0)] * (p - 1 - len(inv))
-        return CycElem(p, inv[:p - 1])
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        self._same_field(other)
-        return self * other.inverse()
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("exponent must be an integer")
-        base = self if k >= 0 else self.inverse()
-        return _power(base, abs(k), CycElem.one(self.p))
-
     def is_conj_fixed(self):
         """Is the element in K+? Padded with c_(p-1) = 0, it is fixed by
         conjugation, zeta^j -> zeta^(p-j), iff c_j = c_(p-j) for every j."""
@@ -260,22 +238,6 @@ def _reduce_mod_cyclotomic(conv, p):
         for e in range(p - 1):
             conv[e] -= top
     return conv[:p - 1]
-
-
-def _xgcd_poly(a, b):
-    """Return (g, u) with u*a = g mod b, g the monic-free gcd as computed."""
-    r0, r1 = _q_strip(a), _q_strip(b)
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = _q_divmod(r0, r1)
-        r0, r1 = r1, r
-        # u_new = u0 - q * u1
-        new = u0 + [0] * max(0, len(q) + len(u1) - 1 - len(u0))
-        for i, qc in enumerate(q):
-            for j, uc in enumerate(u1):
-                new[i + j] -= qc * uc
-        u0, u1 = u1, _q_strip(new)
-    return r0, u0
 
 
 def complex_conj(a: CycElem) -> CycElem:
@@ -341,11 +303,6 @@ class RealElem(_FieldElem):
         return restrict_to_real(self.lift() * other.lift())
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return _power(self, k, RealElem.one(self.p))
 
     def __repr__(self):
         return f"RealElem(p={self.p}, coords={self.coords})"

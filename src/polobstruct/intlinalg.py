@@ -29,6 +29,11 @@ The main operations:
   * minpoly        minimal polynomial: the lcm of the Krylov annihilators
                    of the unit vectors; nothing is factored.
 
+Matrix arithmetic has one spelling for each operation: a * b is the
+product, a.scale(c) a scalar multiple, and an inverse is
+solve_exact(a, Matrix.identity(n)). IntPoly multiplies only by another
+IntPoly and evaluates at a matrix; nothing divides polynomials.
+
 A Matrix lists its nonzero entries by row once (row_nonzeros), and every
 sparse loop reads that listing: _matmul adds multiples of the listed rows
 of its right factor, mul_vector sums each listed row in a plain loop (a
@@ -270,18 +275,6 @@ class Matrix:
                        for r, s in zip(self._rows, other._rows)], ncols=self._n)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return _matmul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __matmul__(self, other):
         if isinstance(other, Matrix):
             return _matmul(self, other)
         return NotImplemented
@@ -721,16 +714,6 @@ def solve_exact(a: Matrix, b: Matrix):
     return Matrix(sol, ncols=b.ncols)
 
 
-def invert(a: Matrix) -> Matrix:
-    """Exact inverse of a square matrix over the rationals."""
-    if not a.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    inv = solve_exact(a, Matrix.identity(a.nrows))
-    if inv is None:
-        raise ValueError("matrix is singular")
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -771,24 +754,9 @@ class IntPoly:
     def __hash__(self):
         return hash(self._c)
 
-    def __add__(self, other):
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return IntPoly(out)
-
-    def __sub__(self, other):
-        return self + IntPoly([-x for x in other._c])
-
-    def __neg__(self):
-        return IntPoly([-x for x in self._c])
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([other * x for x in self._c])
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self._c, other._c
         if not a or not b:
             return IntPoly([])
@@ -798,13 +766,6 @@ class IntPoly:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return _power(self, k, IntPoly([1]))
 
     def eval_matrix(self, a: Matrix) -> Matrix:
         if not a.is_square():
@@ -816,14 +777,6 @@ class IntPoly:
             if c:
                 acc = acc + Matrix.identity(n).scale(c)
         return acc
-
-    def divides(self, other) -> bool:
-        """Exact divisibility test over Q (hence over Z for primitive self)."""
-        if self.is_zero():
-            return other.is_zero()
-        _, rem = _q_divmod([Fraction(x) for x in other._c],
-                           [Fraction(x) for x in self._c])
-        return not rem
 
     def __repr__(self):
         if not self._c:
@@ -901,8 +854,8 @@ def _pseudo_rem(a, b):
     return r
 
 
-# rational coefficient lists (low-degree first) back the charpoly and
-# division machinery; IntPoly reuses _q_strip, cyclotomic's inverse both
+# coefficient lists are low-degree first; _q_strip drops the zero top
+# coefficients, for IntPoly and the sub-resultant sequence
 
 
 def _q_strip(c):
@@ -910,26 +863,6 @@ def _q_strip(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _q_divmod(num, den):
-    num = _q_strip(num)
-    den = _q_strip(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = [Fraction(x) for x in num]
-    dlead = Fraction(den[-1])
-    while len(rem) >= len(den):
-        f = rem[-1] / dlead
-        k = len(rem) - len(den)
-        quo[k] = f
-        for i, d in enumerate(den):
-            rem[k + i] -= f * d
-        rem = _q_strip(rem[:-1])
-        if not rem:
-            break
-    return quo, rem
 
 
 def _hessenberg(rows):
@@ -1060,34 +993,10 @@ def minpoly(a: Matrix) -> IntPoly:
 # ---------------------------------------------------------------------------
 # serialization
 
-# Entries with magnitude below 2^63 are stored as JSON numbers; anything
-# larger goes through a decimal string so no consumer is forced into bigints.
-_JSON_INT_LIMIT = 2 ** 63
-
 
 def matrix_to_json(a: Matrix) -> dict:
-    """Plain-dict encoding: {"rows", "cols", "entries"} with row-major entries."""
+    """Plain-dict encoding: {"rows", "cols", "entries"} with row-major
+    entries, each written as a JSON number."""
     if not a.is_integral():
         raise TypeError("matrix serialization is defined for integer matrices")
-    entries = [[x if abs(x) < _JSON_INT_LIMIT else str(x) for x in r]
-               for r in a.rows]
-    return {"rows": a.nrows, "cols": a.ncols, "entries": entries}
-
-
-def matrix_from_json(obj: dict) -> Matrix:
-    m, n = _norm_int(obj["rows"]), _norm_int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != m or any(len(r) != n for r in entries):
-        raise ValueError("entry grid does not match declared dimensions")
-    rows = []
-    for r in entries:
-        row = []
-        for x in r:
-            if isinstance(x, str):
-                row.append(parse_int(x))
-            elif isinstance(x, int) and not isinstance(x, bool):
-                row.append(x)
-            else:
-                raise ValueError(f"bad matrix entry {x!r}")
-        rows.append(row)
-    return Matrix(rows, ncols=n)
+    return {"rows": a.nrows, "cols": a.ncols, "entries": a.to_lists()}

@@ -84,7 +84,7 @@ class SimpleLabel(Record):
         object.__setattr__(self, "alt_pairing", alt_pairing)
 
 
-class LabelSet:
+class LabelSet(Record):
     """Ordered collection of labels, closed under the duality involution."""
 
     def __init__(self, labels):
@@ -103,8 +103,8 @@ class LabelSet:
                 raise ValueError("duality must be an involution")
             if other.rank != l.rank:
                 raise ValueError("duality preserves the order of a group")
-        self.labels = labels
-        self._index = {l.name: i for i, l in enumerate(labels)}
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", {l.name: i for i, l in enumerate(labels)})
 
     def __len__(self):
         return len(self.labels)
@@ -114,12 +114,6 @@ class LabelSet:
 
     def __getitem__(self, i):
         return self.labels[i]
-
-    def __eq__(self, other):
-        return isinstance(other, LabelSet) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash(self.labels)
 
     def index(self, name) -> int:
         if name not in self._index:

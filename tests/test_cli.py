@@ -13,7 +13,7 @@ import polobstruct
 
 from polobstruct import cli
 from polobstruct.cyclotomic import CycElem, complex_conj, format_element
-from polobstruct.intlinalg import matrix_from_json
+from polobstruct.intlinalg import matrix_to_json
 from polobstruct.kergroup import ModelDescriptor, twist_model
 from polobstruct.twist import CONSTRUCTION_CHECKS, build_b, build_zeta
 
@@ -71,8 +71,7 @@ def test_verify_deterministic(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    rep = cli.VerifyReport(3, 1)
-    rep.record("broken", False)
+    rep = cli.VerifyReport(3, 1, (("broken", False),))
     monkeypatch.setattr(cli, "run_verify_suite", lambda p, seed: rep)
     rc, out, _ = _run(capsys, ["verify", "-p", "3"])
     assert rc == 1
@@ -261,9 +260,9 @@ def test_construct_writes_files(capsys, tmp_path):
     bpath = tmp_path / "b.json"
     assert str(zpath) in out and str(bpath) in out
     with open(zpath) as fh:
-        assert matrix_from_json(json.load(fh)) == build_zeta(5)
+        assert json.load(fh) == matrix_to_json(build_zeta(5))
     with open(bpath) as fh:
-        assert matrix_from_json(json.load(fh)) == build_b(5)
+        assert json.load(fh) == matrix_to_json(build_b(5))
 
 
 def _out_is_a_file(tmp_path):
@@ -295,8 +294,8 @@ def test_construct_stdout(capsys):
     rc, out, _ = _run(capsys, ["construct", "-p", "3"])
     assert rc == 0
     data = json.loads(out)
-    assert matrix_from_json(data["zeta"]) == build_zeta(3)
-    assert matrix_from_json(data["b"]) == build_b(3)
+    assert data["zeta"] == matrix_to_json(build_zeta(3))
+    assert data["b"] == matrix_to_json(build_b(3))
 
 
 def test_parity_output(capsys):

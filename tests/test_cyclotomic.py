@@ -170,17 +170,6 @@ def test_zeta_satisfies_cyclotomic_relation():
         assert acc.is_zero()
 
 
-def test_inverse_and_division():
-    for p in PRIMES:
-        z = CycElem.zeta(p)
-        assert z * z.inverse() == CycElem.one(p)
-        a = CycElem.one(p) - z
-        assert (a / a) == CycElem.one(p)
-        assert z ** -1 == z.inverse()
-    with pytest.raises(ZeroDivisionError):
-        CycElem.zero(5).inverse()
-
-
 def test_mixed_fields_rejected():
     with pytest.raises(ValueError):
         CycElem.zeta(3) + CycElem.zeta(5)
@@ -214,13 +203,9 @@ def test_element_classes_share_scalars_and_powers(cls):
     assert isinstance(cls.from_rational(Fraction(6, 3), p).coords[0], int)
     assert x ** 0 == cls.one(p)
     assert x ** 5 == x * x * x * x * x
-    if cls is CycElem:
-        assert x ** -1 == x.inverse()
-        with pytest.raises(TypeError):
-            x ** 1.5
-    else:
+    for k in (-1, 1.5):
         with pytest.raises(ValueError):
-            x ** -1
+            x ** k
 
 
 @pytest.mark.parametrize("cls", list(ELEMENT_DIMS), ids=lambda c: c.__name__)
@@ -670,8 +655,8 @@ def test_norm_matches_bareiss_determinant():
         x = _rand_elem(rng, p)
         xx = x * x.conj()
         # the conjugation-fixed ones take the N_(K+/Q)(a)^2 route
-        samples = [x, _rand_elem(rng, p, bound=2, rational=True), xx, -xx, xx / 3,
-                   eta(p), CycElem.from_rational(Fraction(-5, 3), p), CycElem.zero(p)]
+        samples = [x, _rand_elem(rng, p, bound=2, rational=True), xx, -xx,
+                   xx * Fraction(1, 3), eta(p), CycElem.from_rational(Fraction(-5, 3), p), CycElem.zero(p)]
         if p == 13:
             samples.append(_gaussian_period_13().lift())
         for a in samples:

@@ -154,7 +154,7 @@ def _tail_not_killed(p):
 @pytest.mark.parametrize("broken", [
     lambda p: Matrix.identity(p - 1),  # first step is everything
     _chain_too_short,
-    lambda p: 2 * Matrix.identity(p - 1),  # not unipotent
+    lambda p: Matrix.identity(p - 1).scale(2),  # not unipotent
     _tail_not_killed,
 ], ids=["identity", "chain_too_short", "scalar_two", "tail_not_killed"])
 def test_certificate_rejects_wrong_structure(p, broken):

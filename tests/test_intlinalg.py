@@ -7,6 +7,7 @@ invariant factors.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -24,9 +25,7 @@ from polobstruct.intlinalg import (
     det,
     hnf_row,
     int_kernel,
-    invert,
     leading_principal_minors,
-    matrix_from_json,
     matrix_to_json,
     minpoly,
     resultant,
@@ -611,19 +610,19 @@ def test_kernel_is_saturated_random():
 
 
 # ---------------------------------------------------------------------------
-# solve / invert
+# solve, and an inverse as the solution of a X = I
 
 
 def test_solve_and_invert():
     a = Matrix([[2, 1], [1, 2]])
-    inv = invert(a)
+    inv = solve_exact(a, Matrix.identity(2))
     assert a * inv == Matrix.identity(2)
     assert inv[0, 0] == Fraction(2, 3)
     b = Matrix.from_columns([(1, 0)])
     x = solve_exact(a, b)
     assert a * x == b
     with pytest.raises(ValueError):
-        invert(Matrix([[1, 1], [1, 1]]))
+        solve_exact(Matrix([[1, 1], [1, 1]]), Matrix.identity(2))
 
 
 def test_solve_inconsistent_returns_none():
@@ -638,7 +637,7 @@ def test_solve_inconsistent_returns_none():
 
 def test_charpoly_frozen():
     assert charpoly(Matrix([[-1, -1], [1, 0]])) == IntPoly([1, 1, 1])
-    assert charpoly(Matrix.identity(3)) == IntPoly([-1, 1]) ** 3
+    assert charpoly(Matrix.identity(3)) == IntPoly([-1, 3, -3, 1])
     assert charpoly(Matrix.diagonal([2, 3])) == IntPoly([-2, 1]) * IntPoly([-3, 1])
     assert charpoly(Matrix.zero(0, 0)) == IntPoly([1])
 
@@ -676,7 +675,7 @@ def test_minpoly_mixed_multiplicities():
                 [0, 0, 0, 0],
                 [0, 0, 1, 0],
                 [0, 0, 0, 1]])
-    assert charpoly(a) == IntPoly([0, 0, 1]) * IntPoly([-1, 1]) ** 2
+    assert charpoly(a) == IntPoly([0, 0, 1, -2, 1])
     assert minpoly(a) == IntPoly([0, 0, 1]) * IntPoly([-1, 1])
 
 
@@ -739,7 +738,7 @@ def test_minpoly_non_squarefree_charpoly_against_sympy():
     for blocks in cases:
         d = _block_diagonal(blocks)
         u = _unimodular(rng, d.nrows)
-        a = u * d * invert(u)
+        a = u * d * solve_exact(u, Matrix.identity(d.nrows))
         assert a.is_integral()
         cp = _minimality_oracle(a, minpoly(a))
         assert any(k > 1 for _, k in sympy.sqf_list(cp, x)[1])
@@ -753,10 +752,7 @@ def test_minpoly_properties_random():
     for _ in range(10):
         n = rng.randint(1, 5)
         a = _random_matrix(rng, n, n, bound=4)
-        m = minpoly(a)
-        assert m.is_monic()
-        assert m.eval_matrix(a) == Matrix.zero(n, n)
-        assert m.divides(charpoly(a))
+        _minimality_oracle(a, minpoly(a))
 
 
 # ---------------------------------------------------------------------------
@@ -767,10 +763,9 @@ def test_intpoly_basics():
     f = IntPoly([1, 1, 1])
     g = IntPoly([-1, 1])
     assert f * g == IntPoly([-1, 0, 0, 1])
-    assert (f + g).coeffs == (0, 2, 1)
-    assert IntPoly([]).degree == -1
-    assert g.divides(IntPoly([1, -2, 1]))
-    assert not g.divides(f)
+    assert f * IntPoly([]) == IntPoly([]) and IntPoly([]).degree == -1
+    with pytest.raises(TypeError):  # a polynomial multiplies only a polynomial
+        2 * f
 
 
 def _poly_product(f, g):
@@ -862,26 +857,9 @@ def test_matrix_json_round_trip():
     a = Matrix([[1, -2], [3, 4]])
     obj = matrix_to_json(a)
     assert obj == {"rows": 2, "cols": 2, "entries": [[1, -2], [3, 4]]}
-    assert matrix_from_json(obj) == a
-
-
-def test_matrix_json_big_entries_become_strings():
-    big = 2 ** 80
-    a = Matrix([[big, 0], [0, -big]])
-    obj = matrix_to_json(a)
-    assert obj["entries"][0][0] == str(big)
-    assert obj["entries"][0][1] == 0
-    assert matrix_from_json(obj) == a
+    assert json.loads(json.dumps(obj)) == obj
 
 
 def test_matrix_json_rejects_bad_input():
-    with pytest.raises(ValueError):
-        matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 2]]})
-    with pytest.raises(ValueError):
-        matrix_from_json({"rows": 1, "cols": 1, "entries": [[1.5]]})
-    with pytest.raises(TypeError):  # not truncated to 1
-        matrix_from_json({"rows": 1.9, "cols": 1, "entries": [[1]]})
-    with pytest.raises(ValueError, match="plain digits"):
-        matrix_from_json({"rows": 1, "cols": 1, "entries": [["1_0"]]})
     with pytest.raises(TypeError):
         matrix_to_json(Matrix([[Fraction(1, 2)]]))

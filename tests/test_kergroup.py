@@ -378,7 +378,8 @@ def test_prin_p_part_frozen():
         assert full.coeffs == (p - 1,)
     one5 = CycElem.one(5)
     assert prin_p_part(one5 + CycElem.zeta(5), 5).coeffs == (0,)
-    inv = (one3 - z3).inverse()
+    inv = CycElem(3, (Fraction(2, 3), Fraction(1, 3)))
+    assert inv * (one3 - z3) == one3
     assert prin_p_part(inv, 3).coeffs == (-1,)
     with pytest.raises(ValueError):
         prin_p_part(CycElem.zero(3), 3)

@@ -279,7 +279,7 @@ def test_endo_descends():
     t = TwistData.for_prime(3)
     assert endo_descends(t.zeta, t)
     assert endo_descends(Matrix.identity(2), t)
-    assert endo_descends(t.zeta * 5 - Matrix.identity(2) * 2, t)
+    assert endo_descends(t.zeta.scale(5) - Matrix.identity(2).scale(2), t)
     assert not endo_descends(Matrix([[0, 1], [0, 0]]), t)
     with pytest.raises(ValueError):
         endo_descends(Matrix.identity(3), t)
