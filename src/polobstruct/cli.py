@@ -22,6 +22,10 @@ any primality test or allocation; so is an element whose field tag exceeds
 it, and a model file whose center prime or ramified entries do.
 
 Run as ``polobstruct <command>`` or ``python -m polobstruct.cli <command>``.
+Each main call builds one parser and keeps none: for a known command, its
+own parser from COMMANDS, the subparser build_parser() adds for it; for no
+command, -h, an unknown command or a leftover argument, the full
+build_parser(), so help and usage errors read as the full parser's.
 """
 
 from __future__ import annotations
@@ -95,15 +99,9 @@ class VerifyReport(Record):
         return all(passed for _, passed in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "seed": self.seed,
-                "ok": self.ok,
-                "checks": [{"name": n, "passed": v} for n, v in self.checks],
-            },
-            indent=2,
-        )
+        checks = [{"name": n, "passed": v} for n, v in self.checks]
+        return json.dumps({"p": self.p, "seed": self.seed, "ok": self.ok,
+                           "checks": checks}, indent=2)
 
 
 def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
@@ -323,56 +321,58 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# one entry per command: (help, handler, [(flags, add_argument kwargs), ...])
+_REQUIRED_INT = dict(type=parse_int, required=True)
+_ELEMENT = (("element",), dict(help="element as 'p; c0, c1, ...'"))
+COMMANDS = {
+    "construct": ("emit the cocycle and pairing matrices", _cmd_construct, [
+        (("-p",), dict(_REQUIRED_INT, help="odd prime")),
+        (("--out",), dict(help="directory for zeta.json and b.json"))]),
+    "verify": ("run the invariant check suite", _cmd_verify,
+               [(("-p",), _REQUIRED_INT), (("--seed",), dict(type=parse_int))]),
+    "parity": ("E[p]-rank of a pulled back polarization kernel", _cmd_parity, [
+        (("-p",), _REQUIRED_INT),
+        (("-n",), dict(_REQUIRED_INT, help="degree scaling factor"))]),
+    "norm": ("rational norm of a field element", _cmd_norm, [_ELEMENT]),
+    "tp": ("total positivity of a symmetric element", _cmd_tp, [_ELEMENT]),
+    "bgroup": ("obstruction groups of a model", _cmd_bgroup,
+               [(("--model",), dict(required=True, help="model descriptor JSON file"))]),
+    "attainable": ("is a class a polarization kernel", _cmd_attainable, [
+        (("--model",), dict(required=True)),
+        (("--class",), dict(dest="cls", required=True, help="comma separated coefficients"))]),
+    "sweep": ("summary CSV over a range of primes", _cmd_sweep,
+              [(("--pmax",), _REQUIRED_INT), (("--jobs",), dict(type=parse_int, default=1))]),
+}
+
+
+def _add_command(parser, name) -> argparse.ArgumentParser:
+    """Give parser the arguments and the handler (func) of command name."""
+    _, handler, arguments = COMMANDS[name]
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polobstruct",
         description="Construct and interrogate the twisted products with no "
                     "principal polarization in their isogeny class.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="emit the cocycle and pairing matrices")
-    c.add_argument("-p", type=parse_int, required=True, help="odd prime")
-    c.add_argument("--out", help="directory for zeta.json and b.json")
-    c.set_defaults(func=_cmd_construct)
-
-    v = sub.add_parser("verify", help="run the invariant check suite")
-    v.add_argument("-p", type=parse_int, required=True)
-    v.add_argument("--seed", type=parse_int, default=None)
-    v.set_defaults(func=_cmd_verify)
-
-    q = sub.add_parser("parity", help="E[p]-rank of a pulled back polarization kernel")
-    q.add_argument("-p", type=parse_int, required=True)
-    q.add_argument("-n", type=parse_int, required=True, help="degree scaling factor")
-    q.set_defaults(func=_cmd_parity)
-
-    nm = sub.add_parser("norm", help="rational norm of a field element")
-    nm.add_argument("element", help="element as 'p; c0, c1, ...'")
-    nm.set_defaults(func=_cmd_norm)
-
-    tp = sub.add_parser("tp", help="total positivity of a symmetric element")
-    tp.add_argument("element", help="element as 'p; c0, c1, ...'")
-    tp.set_defaults(func=_cmd_tp)
-
-    bg = sub.add_parser("bgroup", help="obstruction groups of a model")
-    bg.add_argument("--model", required=True, help="model descriptor JSON file")
-    bg.set_defaults(func=_cmd_bgroup)
-
-    at = sub.add_parser("attainable", help="is a class a polarization kernel")
-    at.add_argument("--model", required=True)
-    at.add_argument("--class", dest="cls", required=True,
-                    help="comma separated coefficients")
-    at.set_defaults(func=_cmd_attainable)
-
-    sw = sub.add_parser("sweep", help="summary CSV over a range of primes")
-    sw.add_argument("--pmax", type=parse_int, required=True)
-    sw.add_argument("--jobs", type=parse_int, default=1)
-    sw.set_defaults(func=_cmd_sweep)
-
+    for name, (help_, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_), name)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = rest = None
+    if argv and argv[0] in COMMANDS:  # the full parser's subparser, built alone
+        sub = argparse.ArgumentParser(prog=f"polobstruct {argv[0]}")
+        args, rest = _add_command(sub, argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:  # the full parser prints the help or error and exits
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BadInput as exc:

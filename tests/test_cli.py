@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -501,13 +502,87 @@ def test_sweep_clamps_jobs(capsys, monkeypatch):
 
 
 def test_console_entry_rejects_no_command(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main([])
+    assert exc.value.code == 2
+    usage = capsys.readouterr().err
+    assert "{construct,verify,parity,norm,tp,bgroup,attainable,sweep}" in usage
+    assert "error: the following arguments are required: command" in usage
     # an integer option reads plain digits only: argparse's usage error
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "-p", "0_7"])
     assert exc.value.code == 2
     assert "argument -p: invalid parse_int value: '0_7'" in capsys.readouterr().err
+
+
+# a command line each command parses without error
+_VALID = {
+    "construct": ["-p", "7"],
+    "verify": ["-p", "7"],
+    "parity": ["-p", "7", "-n", "14"],
+    "norm": ["5; 1, 2, 3, 4"],
+    "tp": ["5; 1, 2, 3, 4"],
+    "bgroup": ["--model", "model.json"],
+    "attainable": ["--model", "model.json", "--class", "0"],
+    "sweep": ["--pmax", "7"],
+}
+
+
+def _outcome(capsys, parse, argv):
+    try:
+        rc = parse(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def _same_route_inputs():
+    yield from ([], ["-h"], ["bogus"])
+    for name in cli.COMMANDS:  # a command missing from _VALID fails collection
+        valid = _VALID[name]
+        # -h, a missing required argument, an unknown option, a leftover one
+        yield from ([name, "-h"], [name], [name, "--foo"], [name, *valid, "--foo"])
+        for option in ("-p", "--pmax"):
+            if option in valid:
+                yield [name, option, "0_7", *valid[valid.index(option) + 2:]]
+
+
+@pytest.mark.parametrize("argv", list(_same_route_inputs()), ids=repr)
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    # help, usage errors and exit codes may not drift between the parser
+    # main builds for one command and the full parser
+    full = _outcome(capsys, cli.build_parser().parse_args, argv)
+    assert full[0] in (0, 2) and full[1] + full[2]
+    assert _outcome(capsys, cli.main, argv) == full
+
+
+def test_each_call_builds_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["parity", "-p", "7", "-n", "14"]) == 0
+    assert built == ["polobstruct parity"]
+    # nothing is kept between calls: the next call builds its parser again
+    assert cli.main(["parity", "-p", "7", "-n", "14"]) == 0
+    assert len(built) == 2
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["bogus"])
+    assert len(built) == 1 + len(cli.COMMANDS) == 9
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["parity", "-p", "7", "-n", "14"]
+    expected = _run(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["polobstruct"] + argv)
+    assert expected[0] == 0
+    assert _run(capsys, None) == expected
 
 
 HUGE_P = "1000000000000000000000000000057"
