@@ -26,6 +26,7 @@ pass on a itself rather than on the wider product a conj(a).
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -206,8 +207,8 @@ class CycElem(_FieldElem):
     def is_conj_fixed(self):
         """Is the element in K+? Padded with c_(p-1) = 0, it is fixed by
         conjugation, zeta^j -> zeta^(p-j), iff c_j = c_(p-j) for every j."""
-        p, c = self.p, self.coords + (0,)
-        return all(c[j] == c[p - j] for j in range(1, (p + 1) // 2))
+        c = self.coords + (0,)
+        return c[1:(self.p + 1) // 2] == c[:(self.p - 1) // 2:-1]
 
     def conj(self):
         """Complex conjugation, zeta -> zeta^(p-1)."""
@@ -378,10 +379,13 @@ def _real_elementary(x: CycElem):
     lives in Z[t]/(t^p - 1), where Tr(sum a_j zeta^j) = p a_0 - sum a_j.
     The digits of X^k are nonnegative with sum S^k, S = sum a_j, so for
     k <= h = ceil(m/2) digits of w bits, 2^w > S^h, never carry: X^k is one
-    packed integer product and one fold. For k > h, a_0(X^k) =
+    packed integer product and one fold. A digit that fits a 64-bit word is
+    widened to one, and struct packs or reads all p of them in one call; a
+    wider digit is read one int.from_bytes at a time. For k > h, a_0(X^k) =
     sum_t u_t v_(p-t) for u, v the digits of X^h and X^(k-h). Newton's
-    identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i run in integers;
-    an inexact halving or division raises AssertionError.
+    identities k e_k = sum_(i=1..k) e_(k-i) t_i, with the signed power sums
+    t_i = (-1)^(i-1) s_i, are one dot product each and run in integers; an
+    inexact halving or division raises AssertionError.
     """
     p = x.p
     m = (p - 1) // 2
@@ -391,34 +395,38 @@ def _real_elementary(x: CycElem):
     a = [v + shift for v in c]
     total = sum(a)
     h = (m + 1) // 2
-    nbytes = (total ** h).bit_length() // 8 + 1  # 2^(8 nbytes) > S^h
-    nbits = 8 * nbytes * p  # p digits
+    nbytes = ((total ** h).bit_length() + 7) // 8  # 2^(8 nbytes) > S^h
+    if nbytes <= 8:
+        nbytes = 8
+        word = struct.Struct(f"<{p}Q")
+        packed, read = word.pack(*a), word.unpack
+    else:
+        packed = b"".join(v.to_bytes(nbytes, "little") for v in a)
 
-    def unpack(v):
-        b = v.to_bytes(nbytes * p, "little")
-        return [int.from_bytes(b[i:i + nbytes], "little")
-                for i in range(0, nbytes * p, nbytes)]
+        def read(b):
+            return [int.from_bytes(b[i:i + nbytes], "little")
+                    for i in range(0, len(b), nbytes)]
 
-    powers = [int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in a),
-                             "little")]
+    size = nbytes * p  # bytes of p digits
+    nbits = 8 * size
+    powers = [int.from_bytes(packed, "little")]
     for _ in range(h - 1):
         prod = powers[-1] * powers[0]
         powers.append((prod & ((1 << nbits) - 1)) + (prod >> nbits))
     # a_0 of X^1, ..., X^h, then of X^(h+1), ..., X^m by dot products
     digit = (1 << 8 * nbytes) - 1
     const = [v & digit for v in powers]
-    u = unpack(powers[-1])
-    u[1:] = u[:0:-1]  # u_0, u_(p-1), ..., u_1
-    const += [sum(map(mul, u, unpack(v))) for v in powers[:m - h]]
-    s, power = [0], 1
+    u = read(powers[-1].to_bytes(size, "little"))
+    u = u[:1] + u[:0:-1]  # u_0, u_(p-1), ..., u_1
+    const += [sum(map(mul, u, read(v.to_bytes(size, "little")))) for v in powers[:m - h]]
+    t, power, sign = [], 1, 1
     for a0 in const:
         power *= total
-        s.append(_exact_div(p * a0 - power, 2))
+        t.append(sign * _exact_div(p * a0 - power, 2))
+        sign = -sign
     e = [1]
     for k in range(1, m + 1):
-        acc = sum(e[k - i] * s[i] if i % 2 else -e[k - i] * s[i]
-                  for i in range(1, k + 1))
-        e.append(_exact_div(acc, k))
+        e.append(_exact_div(sum(map(mul, reversed(e), t)), k))
     out, scale = [], 1
     for v in e:
         q, r = divmod(v, scale)
@@ -466,18 +474,26 @@ def is_totally_positive(a) -> bool:
 # the shared element text format: "p; c0, c1, ..." with rationals as "a/b"
 
 
-def parse_rational(token) -> Fraction:
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(token) -> int | Fraction:
     """An integer or a fraction a/b in plain digits, built from the matched
-    digits. Fraction() alone also reads exponents: "1e999999999" would
-    build a billion-digit integer."""
-    m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", token)
+    digits: an int when the value is integral, else a Fraction, as
+    _norm_scalar would leave it. Fraction() alone also reads exponents:
+    "1e999999999" would build a billion-digit integer."""
+    m = _RATIONAL.fullmatch(token)
     if m is None:
         raise ValueError("expected an integer or a fraction a/b in plain digits")
     num, den = m.groups()
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        num = int(num)
+        if den is None:
+            return num
+        q = Fraction(num, int(den))
     except (ValueError, ZeroDivisionError):  # or past int()'s digit limit
         raise ValueError("a rational has a zero denominator or too many digits") from None
+    return q.numerator if q.denominator == 1 else q
 
 
 def parse_element(text) -> CycElem:
@@ -488,6 +504,8 @@ def parse_element(text) -> CycElem:
         p = parse_int(head.strip())
     except ValueError:
         raise ValueError(f"bad prime field tag {head.strip()!r}") from None
+    if p < 3:  # no coordinate count fits such a tag
+        raise ValueError(f"p must be an odd prime, got {p}")
     parts = [t.strip() for t in tail.split(",")]
     if parts == [""]:
         raise ValueError("no coordinates given")

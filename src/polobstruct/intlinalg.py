@@ -78,12 +78,15 @@ def _norm_int(x):
     return x
 
 
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_int(text) -> int:
     """An integer written in plain ASCII digits with an optional sign, the
     one grammar for every integer read from outside text. int() alone also
     reads underscores, surrounding whitespace and other scripts' digits;
     a text past int()'s digit limit raises ValueError as well."""
-    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+    if _INT.fullmatch(text) is None:
         raise ValueError(f"expected an integer in plain digits, got {text!r}")
     return int(text)
 

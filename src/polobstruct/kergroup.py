@@ -738,10 +738,11 @@ class ModelDescriptor(Record):
         for d in _json_array(data, "phi_samples", dict, default=[]):
             if factor is None:
                 raise ValueError("phi samples need a cyclotomic factor")
-            # str() writes a JSON int in the plain digits parse_rational reads
-            coords = tuple(parse_rational(str(c))
+            coords = tuple(c if type(c) is int else parse_rational(c)
                            for c in _json_array(d, "alpha_coords", int, str))
-            norm = parse_rational(str(_json_field(d, "norm", int, str)))
+            norm = _json_field(d, "norm", int, str)
+            if type(norm) is str:
+                norm = parse_rational(norm)
             samples.append(PhiSample(norm, CycElem(factor.center.p, coords)))
         z_gens, s_c = ([[_json_value(x, f"an entry of {key}", int) for x in row]
                         for row in _json_array(data, key, list)]

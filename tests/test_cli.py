@@ -850,9 +850,12 @@ def test_malformed_model_is_rejected_in_one_line(capsys, tmp_path, command, case
     ["norm", "5; " + "7" * 2000 + ", 1, 0, 0"],  # in the grammar; its norm is not printable
     ["norm", "0_5; 1, 2, 3, 4"],  # int() reads the tag as 5
     ["norm", "\u0665; 1, 2, 3, 4"],  # an Arabic-Indic five
+    ["norm", "-5; 1, 2, 3, 4"],
+    ["norm", "0; 1"],
+    ["norm", "1; 5"],
 ], ids=["exponent", "tp_exponent", "decimal", "underscore", "zero_denominator",
         "too_many_digits", "norm_too_long_to_print", "tag_underscore",
-        "tag_arabic_indic"])
+        "tag_arabic_indic", "tag_negative", "tag_zero", "tag_one"])
 def test_bad_element_is_rejected_at_once(capsys, argv):
     start = time.monotonic()
     rc, out, err = _run(capsys, argv)

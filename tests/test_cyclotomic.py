@@ -626,6 +626,8 @@ def _constant_near_byte_boundary(draw):
 @example((11, Fraction(255)))
 @example((19, Fraction(1 << 16, 3)))
 @example((3, Fraction(-1)))
+@example((5, Fraction((1 << 64) - 1)))  # S^h = 2^64 - 1: a digit is one 8-byte word
+@example((5, Fraction(1 << 64)))  # S^h = 2^64: a digit needs 9 bytes
 def test_digit_width_guard_at_its_bound(case):
     p, c = case
     x = CycElem.from_rational(c, p)
@@ -705,7 +707,7 @@ def test_parse_rational_reads_plain_digits():
     for token, value in (("3", 3), ("-4", -4), ("+7", 7), ("6/4", Fraction(3, 2)),
                          ("4/2", 2), ("-0/5", 0)):
         q = parse_rational(token)
-        assert type(q) is Fraction and q == value
+        assert type(q) is type(value) and q == value  # int when integral
     for bad in ("1e5", "1.5", " 3", "3/", "/3", "1/-2", "١٢"):
         with pytest.raises(ValueError, match="plain digits"):
             parse_rational(bad)
@@ -718,6 +720,13 @@ def test_parse_errors():
     for bad in ("5", "4; 1, 2, 3", "5; 1, 2", "5; a, b, c, d", "x; 1, 1"):
         with pytest.raises(ValueError):
             parse_element(bad)
+
+
+def test_parse_rejects_a_tag_below_3_as_not_prime():
+    # no coordinate count fits such a tag, so it is not reported as a count
+    for text in ("-5; 1, 2, 3, 4", "0; 1", "1; 5"):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            parse_element(text)
 
 
 def test_parse_checks_coordinate_count_before_primality(monkeypatch):

@@ -543,7 +543,10 @@ def test_models_read_back_from_their_own_json():
         AlgebraDescriptor((AlgebraFactor("IV", CenterField("cyclotomic", 5)),)),
         (), ((1,),))
     for m in (twist_model(5), twist_model(13), paired):
-        assert ModelDescriptor.from_json(m.to_json()) == m
+        back = ModelDescriptor.from_json(m.to_json())
+        assert back == m
+        assert all(type(c) is int for s in back.phi_samples for c in s.alpha.coords
+                   if c.denominator == 1)
 
 
 def test_b_groups_are_z2():
