@@ -36,6 +36,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .cyclotomic import (
     MAX_P,
@@ -48,6 +49,7 @@ from .cyclotomic import (
 from .galmod import build_ptorsion, e_rank_of_order, filtration_dims, polarization_parity
 from .intlinalg import Matrix, Record, matrix_to_json, parse_int
 from .kergroup import (
+    DEFAULT_SEED,
     KerClass,
     ModelDescriptor,
     attainable,
@@ -64,7 +66,6 @@ from .twist import (
     endo_descends,
 )
 
-DEFAULT_SEED = 1729
 _SEED_ENV = "POLOBSTRUCT_SEED"
 
 
@@ -246,7 +247,7 @@ def _load_model(path):
         with open(path) as fh:
             return ModelDescriptor.from_json(fh.read())
     # json.loads raises RecursionError on arrays nested past the limit
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise BadInput(f"cannot load model: {exc}")
 
 
@@ -281,12 +282,12 @@ def _cmd_attainable(args) -> int:
     return 0
 
 
-def _sweep_row(p):
+def _sweep_row(p, seed):
     t = TwistData.for_prime(p)
     # a unit upper triangular T for the orbit of e1 proves rank p - 1
     if not dict(CONSTRUCTION_CHECKS)["centralizer_rank"](t):
         raise AssertionError(f"the orbit certificate fails at p = {p}")
-    model = twist_model(p, samples=2)
+    model = twist_model(p, seed, samples=2)
     return (
         p,
         t.b_minors[-1],
@@ -303,6 +304,7 @@ def _cmd_sweep(args) -> int:
     _check_p("--pmax", args.pmax, odd_prime=False)
     if args.jobs < 1:
         raise BadInput("--jobs must be at least 1")
+    row = partial(_sweep_row, seed=_resolve_seed(None))
     primes = [p for p in range(3, args.pmax + 1) if is_odd_prime(p)]
     jobs = min(args.jobs, len(primes), os.cpu_count() or 1)
     import csv
@@ -311,9 +313,9 @@ def _cmd_sweep(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, primes))
+            rows = list(pool.map(row, primes))
     else:
-        rows = [_sweep_row(p) for p in primes]
+        rows = [row(p) for p in primes]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["p", "det_b", "pol_degree", "centralizer_rank",
                      "filtration_length", "i_c_parity"])

@@ -51,6 +51,9 @@ from .intlinalg import (
 from .twist import TwistData, central_degree
 
 
+DEFAULT_SEED = 1729  # of twist_model's samples, and of every seeded CLI check
+
+
 def _is_perfect_square(n) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
@@ -444,40 +447,21 @@ def twist_labels(p) -> LabelSet:
     return LabelSet([SimpleLabel(name, p * p, name, True)])
 
 
-def _e_p_class(alpha, p, labels, claimed=None) -> KerClass:
-    """One copy of E[p] per factor of p in the norm of alpha, which must
-    equal the claimed value when one is given."""
-    if not isinstance(alpha, CycElem) or alpha.p != p:
-        raise TypeError(f"expected an element of Q(zeta_{p})")
-    a = norm_to_Q(alpha)
-    if claimed is not None and a != claimed:
-        raise ValueError("certificate does not have the claimed norm")
-    if a == 0:
-        raise ValueError("zero is not an isogeny")
-    labels = twist_labels(p) if labels is None else labels
-    return KerClass.single(labels, f"E[{p}]", valuation(a, p))
-
-
-def prin_p_part(alpha: CycElem, p, labels=None) -> KerClass:
-    """Kernel class of the central isogeny alpha on the twisted product.
-
-    The isogeny has degree norm(alpha)^2 and its kernel is a sum of copies
-    of E[p] away from prime-to-p parts, one copy per factor of p in the
-    norm. Nonintegral alpha gives a virtual (noneffective) class.
-    """
-    return _e_p_class(alpha, p, labels)
-
-
 def phi_p_part(a, alpha: CycElem, p, labels=None) -> KerClass:
-    """Class attached to a degree value a with certificate alpha.
-
-    The certificate must actually have norm a; the class depends on a
-    alone, so any two valid certificates give the same answer.
-    """
+    """Kernel class of the central isogeny alpha, whose norm must be the
+    degree value a: the isogeny has degree a^2, and its kernel holds one
+    copy of E[p] per factor of p in a, away from prime-to-p parts. A
+    negative p-valuation gives a virtual (noneffective) class. The class
+    depends on a alone, so two valid certificates give the same answer."""
     a = Fraction(a)
     if a == 0:
         raise ValueError("zero has no class")
-    return _e_p_class(alpha, p, labels, a)
+    if not isinstance(alpha, CycElem) or alpha.p != p:
+        raise TypeError(f"expected an element of Q(zeta_{p})")
+    if norm_to_Q(alpha) != a:
+        raise ValueError("certificate does not have the claimed norm")
+    labels = twist_labels(p) if labels is None else labels
+    return KerClass.single(labels, f"E[{p}]", valuation(a, p))
 
 
 def parity_hom(c: KerClass, p) -> int:
@@ -606,9 +590,9 @@ class ModelDescriptor(Record):
     labels hold a self-dual E[p], which the parity of a class reads.
 
     Construction validates the model, checking every certificate once, and
-    keeps what the queries read: span, the column HNF of z_gens, and
-    relations, the dual-pair columns followed by the classes of the level-2
-    samples. Neither takes part in ==, hash, repr or to_json.
+    keeps what queries read: p, the prime of the cyclotomic factor; span, the
+    column HNF of z_gens; and relations, the dual-pair columns followed by
+    the level-2 samples' classes. None takes part in ==, hash, repr, to_json.
     """
 
     def __init__(self, labels: LabelSet, z_gens: tuple, algebra: AlgebraDescriptor,
@@ -622,16 +606,9 @@ class ModelDescriptor(Record):
         object.__setattr__(self, "s_c", s_c)
         self.validate()
 
-    @property
-    def p(self):
-        f = self.algebra.cyclotomic_factor()
-        if f is None:
-            raise ValueError("model has no cyclotomic factor")
-        return f.center.p
-
     def validate(self):
         """Raise ValueError unless the model is consistent; otherwise set
-        span and relations. One pass over phi_samples verifies each
+        p, span and relations. One pass over phi_samples verifies each
         certificate and tests each for level-2 membership once."""
         n = len(self.labels)
         for g in self.z_gens:
@@ -647,8 +624,8 @@ class ModelDescriptor(Record):
         factor = self.algebra.cyclotomic_factor()
         if factor is None:
             raise ValueError("model has no cyclotomic factor")
-        pp = factor.center.p
-        e_p = f"E[{pp}]"
+        p = factor.center.p
+        e_p = f"E[{p}]"
         if e_p not in [l.name for l in self.labels]:
             raise ValueError(f"model has no {e_p} label")
         if self.labels[self.labels.index(e_p)].dual != e_p:
@@ -658,7 +635,7 @@ class ModelDescriptor(Record):
         perm = self.labels.dual_perm()
         for g in self.z_gens:
             dual = [g[perm[i]] for i in range(n)]
-            if not col_lattice_contains(span, dual):
+            if _hnf_coords(span, dual) is None:
                 raise ValueError("realizable span is not duality stable")
         # self-dual constituents in the span need a pairing to sit inside
         # a polarization kernel; order 2 is the one exception
@@ -669,17 +646,18 @@ class ModelDescriptor(Record):
                         f"self-dual label {lbl.name} without a pairing in the span")
         rels = [list(g.coeffs) for g in b_subgroup_gens(self.labels)]
         for s in self.phi_samples:
-            cls = phi_p_part(s.norm, s.alpha, pp, self.labels)
+            cls = phi_p_part(s.norm, s.alpha, p, self.labels)
             if r_membership(s.alpha, 2, factor):
                 rels.append(list(cls.coeffs))
         for s in self.s_c:
-            if not col_lattice_contains(span, list(s)):
+            if _hnf_coords(span, s) is None:
                 raise ValueError("s_c entry outside the realizable span")
         relations = Matrix.from_columns(rels, nrows=n)
         for s in self.s_c[1:]:
             diff = [a - b for a, b in zip(s, self.s_c[0])]
             if not col_lattice_contains(relations, diff):
                 raise ValueError("s_c entries disagree modulo the relations")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "span", span)
         object.__setattr__(self, "relations", relations)
 
@@ -699,7 +677,8 @@ class ModelDescriptor(Record):
                 ]
             },
             "phi_samples": [
-                {"norm": str(s.norm), "alpha_coords": [str(c) for c in s.alpha.coords]}
+                {"norm": _json_rational(s.norm),
+                 "alpha_coords": [_json_rational(c) for c in s.alpha.coords]}
                 for s in self.phi_samples
             ],
             "s_c": [list(s) for s in self.s_c],
@@ -708,7 +687,8 @@ class ModelDescriptor(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "ModelDescriptor":
-        """Parse a model, which its construction validates. A value of the
+        """Parse a model, which its construction validates. A norm or a
+        coordinate is a JSON integer or a string "n" or "a/b". A value of the
         wrong JSON type (a float for an integer, an array for an object) or
         a missing field raises ValueError naming the field. A center prime or
         a ramified entry above MAX_P raises ValueError before any primality
@@ -768,6 +748,11 @@ def _json_field(obj, key, *kinds, default=None):
     return _json_value(obj.get(key, default), key, *kinds)
 
 
+def _json_rational(q):
+    """q as to_json writes it: a JSON integer when integral, else "a/b"."""
+    return q.numerator if q.denominator == 1 else str(q)
+
+
 def _json_array(obj, key, *kinds, default=None):
     """The JSON array obj[key] with each entry checked by _json_value."""
     return [_json_value(x, f"an entry of {key}", *kinds)
@@ -804,7 +789,7 @@ def attainable(P, model: ModelDescriptor) -> AttainabilityResult:
             raise ValueError("class vector has the wrong length")
     if any(x < 0 for x in vec):
         return AttainabilityResult(False, "not_effective")
-    if not col_lattice_contains(model.span, vec):
+    if _hnf_coords(model.span, vec) is None:
         return AttainabilityResult(False, "not_in_z_span")
     for s in model.s_c:
         diff = [a - b for a, b in zip(vec, s)]
@@ -813,7 +798,7 @@ def attainable(P, model: ModelDescriptor) -> AttainabilityResult:
     return AttainabilityResult(False, "b2_image_not_in_s_c")
 
 
-def twist_model(p, seed=1729, samples=8) -> ModelDescriptor:
+def twist_model(p, seed=DEFAULT_SEED, samples=8) -> ModelDescriptor:
     """Model of the twisted product's isogeny class.
 
     One self-dual constituent E[p]; the full lattice is realizable; the

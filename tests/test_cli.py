@@ -131,9 +131,9 @@ def test_torsion_certificate_on_the_production_path(capsys, monkeypatch):
         reads.append(mod.p)
         return action(mod)
 
-    def sweep_row(p, row=cli._sweep_row):
+    def sweep_row(p, seed, row=cli._sweep_row):
         at["p"] = p
-        return row(p)
+        return row(p, seed)
 
     monkeypatch.setattr(Matrix, "__init__", counted_init)
     monkeypatch.setattr(Matrix, "identity", counted(identity))
@@ -251,6 +251,27 @@ def test_bad_seed_environment_returns_2(capsys, monkeypatch):
     monkeypatch.setenv("POLOBSTRUCT_SEED", "pear")
     rc, out, err = _run(capsys, ["verify", "-p", "5"])
     assert rc == 2 and out == ""
+    assert err == "error: POLOBSTRUCT_SEED must be an integer, got 'pear'\n"
+
+
+def test_sweep_draws_its_models_from_the_resolved_seed(capsys, monkeypatch):
+    seeds = []
+
+    def spy(p, seed=cli.DEFAULT_SEED, samples=8):
+        seeds.append(seed)
+        return twist_model(p, seed, samples)
+
+    monkeypatch.setattr(cli, "twist_model", spy)
+    monkeypatch.delenv("POLOBSTRUCT_SEED", raising=False)
+    rc, default, err = _run(capsys, ["sweep", "--pmax", "7", "--jobs", "1"])
+    assert rc == 0 and err == ""
+    monkeypatch.setenv("POLOBSTRUCT_SEED", "5")
+    rc, out, err = _run(capsys, ["sweep", "--pmax", "7", "--jobs", "1"])
+    assert rc == 0 and err == "" and out == default  # the CSV is the same for every seed
+    assert seeds == [cli.DEFAULT_SEED] * 3 + [5] * 3
+    monkeypatch.setenv("POLOBSTRUCT_SEED", "pear")
+    rc, out, err = _run(capsys, ["sweep", "--pmax", "7"])
+    assert rc == 2 and out == "" and seeds == [cli.DEFAULT_SEED] * 3 + [5] * 3
     assert err == "error: POLOBSTRUCT_SEED must be an integer, got 'pear'\n"
 
 

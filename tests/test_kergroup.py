@@ -1,3 +1,7 @@
+import copy
+import functools
+import json
+import operator
 import random
 import re
 from fractions import Fraction
@@ -33,7 +37,6 @@ from polobstruct.kergroup import (
     nrd_dagger_status,
     parity_hom,
     phi_p_part,
-    prin_p_part,
     quaternion_positive,
     quaternion_witness_check,
     quotient_group,
@@ -369,25 +372,28 @@ def test_rational_center_takes_exact_scalars_only():
 # central norm classes and parity
 
 
-def test_prin_p_part_frozen():
+def test_phi_p_part_frozen():
     one3 = CycElem.one(3)
     z3 = CycElem.zeta(3)
-    assert prin_p_part(one3 - z3, 3).coeffs == (1,)
+    assert phi_p_part(3, one3 - z3, 3).coeffs == (1,)
     for p in (3, 5, 7):
-        full = prin_p_part(CycElem.from_rational(p, p), p)
+        full = phi_p_part(p ** (p - 1), CycElem.from_rational(p, p), p)
         assert full.coeffs == (p - 1,)
     one5 = CycElem.one(5)
-    assert prin_p_part(one5 + CycElem.zeta(5), 5).coeffs == (0,)
+    assert phi_p_part(1, one5 + CycElem.zeta(5), 5).coeffs == (0,)
     inv = CycElem(3, (Fraction(2, 3), Fraction(1, 3)))
     assert inv * (one3 - z3) == one3
-    assert prin_p_part(inv, 3).coeffs == (-1,)
+    assert phi_p_part(Fraction(1, 3), inv, 3).coeffs == (-1,)
     with pytest.raises(ValueError):
-        prin_p_part(CycElem.zero(3), 3)
+        phi_p_part(0, CycElem.zero(3), 3)
     with pytest.raises(TypeError):
-        prin_p_part(one3, 5)
+        phi_p_part(1, one3, 5)
 
 
-def test_prin_additive_on_products():
+def test_phi_p_part_additive_on_products():
+    def part(z):
+        return phi_p_part(norm_to_Q(z), z, z.p)
+
     rng = random.Random(3)
     for p in (3, 5):
         for _ in range(15):
@@ -395,7 +401,7 @@ def test_prin_additive_on_products():
             y = CycElem(p, tuple(rng.randint(-3, 3) for _ in range(p - 1)))
             if x.is_zero() or y.is_zero():
                 continue
-            assert prin_p_part(x * y, p) == prin_p_part(x, p) + prin_p_part(y, p)
+            assert part(x * y) == part(x) + part(y)
 
 
 def test_phi_p_part_certificates():
@@ -413,8 +419,8 @@ def test_phi_p_part_certificates():
         phi_p_part(0, alpha, 5)
     with pytest.raises(TypeError):
         phi_p_part(a, "alpha", 5)
-    # one class builder: a certified value's class is its certificate's
-    assert got == prin_p_part(alpha, 5)
+    # one class builder: the norm as an int or a Fraction gives one class
+    assert got == phi_p_part(norm_to_Q(alpha), alpha, 5)
 
 
 def test_model_validation_takes_one_norm_per_sample(monkeypatch):
@@ -510,7 +516,7 @@ def test_twist_model_shape():
     assert m.s_c == ((1,),)
     # every sampled degree value has even p-valuation: they are x conj(x)
     for s in m.phi_samples:
-        assert prin_p_part(s.alpha, 3).coeffs[0] % 2 == 0
+        assert phi_p_part(s.norm, s.alpha, 3).coeffs[0] % 2 == 0
 
 
 def test_twist_model_deterministic():
@@ -525,6 +531,83 @@ def test_model_json_roundtrip():
     m = twist_model(5, seed=7, samples=3)
     again = ModelDescriptor.from_json(m.to_json())
     assert again == m
+
+
+def test_model_json_writes_integers_as_json_integers():
+    samples = json.loads(twist_model(5, samples=3).to_json())["phi_samples"]
+    values = [s["norm"] for s in samples] + [c for s in samples for c in s["alpha_coords"]]
+    assert len(values) == 4 * 5 and all(type(v) is int for v in values)
+    # N(1 + zeta/3) = 1 - 1/3 + 1/9 in Q(zeta_3): only nonintegral values are strings
+    alpha = CycElem(3, (1, Fraction(1, 3)))
+    m = ModelDescriptor(twist_labels(3), ((1,),),
+                        AlgebraDescriptor((AlgebraFactor("IV", CenterField("cyclotomic", 3)),)),
+                        (PhiSample(Fraction(7, 9), alpha),), ((1,),))
+    sample = json.loads(m.to_json())["phi_samples"][0]
+    assert sample == {"norm": "7/9", "alpha_coords": [1, "1/3"]}
+    assert ModelDescriptor.from_json(m.to_json()) == m
+
+
+def test_model_with_integers_written_as_strings_loads():
+    # files written before integers were JSON integers hold every norm and
+    # coordinate as a string
+    m = twist_model(5, samples=3)
+    data = json.loads(m.to_json())
+    for s in data["phi_samples"]:
+        s["norm"] = str(s["norm"])
+        s["alpha_coords"] = [str(c) for c in s["alpha_coords"]]
+    text = json.dumps(data, indent=2)
+    assert '"norm": "' in text and ModelDescriptor.from_json(text) == m
+
+
+_MUTANT_VALUES = (0, 1, -1, 2, 3, 5, 25, 1001, 10 ** 40, 0.5, True, None, "", "x",
+                  "1/0", "1/2", "-3", "E[5]", "E[7]", "Q", "Q(zeta_5)", "Q(zeta_5)+",
+                  "Q(zeta_3)", "I", "II", "IV", [], [1], [[1]], [1, 1], {},
+                  {"name": "E[5]", "rank": 25, "dual": "E[5]"})
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutant(rng, data):
+    """data with one to three fields replaced, deleted or duplicated, as
+    JSON text, or that text with one character replaced."""
+    data = copy.deepcopy(data)
+    for _ in range(rng.randint(1, 3)):
+        *head, last = rng.choice(list(_json_paths(data))[1:])
+        parent = functools.reduce(operator.getitem, head, data)
+        op = rng.random()
+        if op < 0.2:
+            del parent[last]
+        elif op < 0.3 and isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[last]))
+        else:
+            parent[last] = copy.deepcopy(rng.choice(_MUTANT_VALUES))
+    text = json.dumps(data)
+    if rng.random() < 0.3:
+        i = rng.randrange(len(text))
+        text = text[:i] + rng.choice('0123456789-/"[]{},:.e x') + text[i + 1:]
+    return text
+
+
+def test_mutated_model_files_raise_only_value_error():
+    # from_json reads text from outside, so whatever that text holds it
+    # returns a model or raises ValueError: the CLI turns nothing else into
+    # exit code 2
+    rng = random.Random(24)
+    base = json.loads(twist_model(5, samples=2).to_json())
+    loaded = rejected = 0
+    for _ in range(1000):
+        try:
+            ModelDescriptor.from_json(_mutant(rng, base))
+            loaded += 1
+        except ValueError:
+            rejected += 1
+    assert loaded and rejected
 
 
 def test_bool_fields_are_checked_where_they_are_built():

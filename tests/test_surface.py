@@ -1,4 +1,5 @@
-"""The CLI's one exit for bad input, and the package root's four names."""
+"""The CLI's one exit for bad input, what it counts as bad input, and the
+package root's four names."""
 
 import ast
 import types
@@ -36,6 +37,19 @@ def test_bad_input_leaves_main_through_one_handler():
     assert _count(_writes_stderr) == (1, 1)
     assert _count(_returns_2) == (1, 1)
     assert _count(_raises_system_exit) == (0, 0)
+
+
+def test_load_model_catches_only_what_outside_text_raises():
+    # opening the file, json.loads and from_json on its text raise these
+    # three; a KeyError or TypeError is a fault inside the program
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    load = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "_load_model")
+    handlers = [h for n in ast.walk(load) if isinstance(n, ast.Try) for h in n.handlers]
+    assert len(handlers) == 1 and isinstance(handlers[0].type, ast.Tuple)
+    caught = sorted(ast.unparse(e) for e in handlers[0].type.elts)
+    assert caught == ["OSError", "RecursionError", "ValueError"]
 
 
 def test_package_root_reexports_only_what_the_benchmark_imports():
