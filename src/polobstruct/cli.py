@@ -140,6 +140,8 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     found = 0
     while found < samples:
         m = Matrix([rng.choices(range(-2, 3), k=n) for _ in range(n)])
+        # the generic product, not endo_descends' shift, so the check
+        # compares two computations
         if all(z.mul_vector(m.column(j)) == m.mul_vector(z.column(j))
                for j in range(n)):
             continue

@@ -15,9 +15,11 @@ N_A ~ J_n and N = action - 1 = N_A (x) 1 ~ J_n + J_n: each step has
 dimension 2 and trivial action, and (1 + N)^p = 1 + N^p = 1.
 
 The certificate runs on Python ints in n dimensions: N_A u is
-cocycle.mul_vector(u) - u reduced mod p, so the whole walk is p - 1 passes
-over the nonzero entries that the cocycle lists once (Matrix.row_nonzeros).
-The 2n x 2n action is built only when something asks for it.
+cocycle u - u reduced mod p. When the cocycle has zeta's companion shape
+mod p (twist.is_companion), cocycle u is the shift
+(-sum u, u_0, ..., u_(n-2)); any other cocycle is applied by
+cocycle.mul_vector. The 2n x 2n action is built only when something asks
+for it.
 
 Kernel sizes of isogenies between powers of E are measured by their
 E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
@@ -29,7 +31,7 @@ from functools import cached_property
 
 from .cyclotomic import _require_odd_prime
 from .intlinalg import Matrix, Record
-from .twist import build_zeta
+from .twist import build_zeta, companion_times_vector, is_companion
 
 
 class TorsionModule(Record):
@@ -74,9 +76,11 @@ class TorsionModule(Record):
         (T is unit upper triangular, see twist) keeps zeta's cyclic e_1
         cyclic mod p."""
         p = self.p
+        times = (companion_times_vector if is_companion(self.cocycle, p)
+                 else self.cocycle.mul_vector)
 
         def apply(u):
-            return [(y - x) % p for y, x in zip(self.cocycle.mul_vector(u), u)]
+            return [(y - x) % p for y, x in zip(times(u), u)]
 
         v = [0] * (p - 1)
         v[0] = 1

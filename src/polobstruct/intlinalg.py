@@ -38,9 +38,10 @@ A Matrix lists its nonzero entries by row once (row_nonzeros), and every
 sparse loop reads that listing: _matmul adds multiples of the listed rows
 of its right factor, mul_vector sums each listed row in a plain loop (a
 generator per row cost more than the sum at the torsion certificate's
-sizes), int_kernel reads the transpose's. The construction's products all
-have the sparse cocycle matrix zeta or its transpose as a factor, so this
-beats a dense product.
+sizes), int_kernel reads the transpose's. The products left with the
+cocycle matrix zeta (a foreign zeta, and the commutant's reference route;
+the constructed zeta multiplies by a shift, see twist) have the sparse
+zeta or its transpose as a factor, so this beats a dense product.
 Int and Fraction entries share one exact loop: Python ints are exact at
 every size, so there is no fixed-width path and no overflow guard. A row
 (or vector) whose entries are all of type exactly int is taken as it is;

@@ -235,16 +235,20 @@ def quotient_group(gens, rels) -> AbGroupPresentation:
     gens = [list(g) for g in gens]
     rels = [list(r) for r in rels]
     if not gens:
-        if any(any(x != 0 for x in r) for r in rels):
-            raise ValueError("relations outside the trivial subgroup")
-        return AbGroupPresentation((), 0)
+        return _quotient_of_basis(Matrix.zero(0, 0), rels)
     n = len(gens[0])
     if any(len(g) != n for g in gens) or any(len(r) != n for r in rels):
         raise ValueError("vectors must share one length")
-    basis = col_hnf(Matrix.from_columns(gens, nrows=n))
+    return _quotient_of_basis(col_hnf(Matrix.from_columns(gens, nrows=n)), rels)
+
+
+def _quotient_of_basis(basis: Matrix, rels) -> AbGroupPresentation:
+    """quotient_group for generators already in column HNF, the basis."""
     r = basis.ncols
     if r == 0:
-        return quotient_group([], rels)
+        if any(any(x != 0 for x in rel) for rel in rels):
+            raise ValueError("relations outside the trivial subgroup")
+        return AbGroupPresentation((), 0)
     cols = []
     for rel in rels:
         coords = _hnf_coords(basis, rel)
@@ -652,6 +656,10 @@ class ModelDescriptor(Record):
         for s in self.s_c:
             if _hnf_coords(span, s) is None:
                 raise ValueError("s_c entry outside the realizable span")
+        # the obstruction groups are quotients of the span by the relations
+        for rel in {tuple(r) for r in rels if any(r)}:
+            if _hnf_coords(span, rel) is None:
+                raise ValueError("relation outside the realizable span")
         relations = Matrix.from_columns(rels, nrows=n)
         for s in self.s_c[1:]:
             diff = [a - b for a, b in zip(s, self.s_c[0])]
@@ -760,14 +768,14 @@ def _json_array(obj, key, *kinds, default=None):
 
 
 def b1_group(model: ModelDescriptor) -> AbGroupPresentation:
-    """Realizable span modulo dual pairs."""
-    rels = [list(g.coeffs) for g in b_subgroup_gens(model.labels)]
-    return quotient_group([list(g) for g in model.z_gens], rels)
+    """Realizable span modulo dual pairs, read off the kept span."""
+    rels = [g.coeffs for g in b_subgroup_gens(model.labels)]
+    return _quotient_of_basis(model.span, rels)
 
 
 def b2_group(model: ModelDescriptor) -> AbGroupPresentation:
     """Realizable span modulo dual pairs and central norm classes."""
-    return quotient_group([list(g) for g in model.z_gens], model.relations.columns())
+    return _quotient_of_basis(model.span, model.relations.columns())
 
 
 def attainable(P, model: ModelDescriptor) -> AttainabilityResult:

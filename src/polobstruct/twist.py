@@ -19,6 +19,14 @@ TwistData.check and the verify suite run that list. The four questions about
 zeta itself (its minimal polynomial, its order and its commutant) are read
 off one certificate, the orbit e_1, zeta e_1, ..., zeta^(p-1) e_1 that
 TwistData.orbit computes once per instance.
+
+zeta is a companion matrix, and is_companion decides that shape once (galmod
+reads it mod p). For a companion zeta every product with zeta is a shift of
+plain rows or entries, with no matrix product: zeta X moves X's rows down
+and puts minus its column sums on top, X zeta subtracts X's first column
+from the columns after it, and zeta^t X subtracts X's first row from the
+rows after it. TwistData's zeta_times, times_zeta, zeta_t_times and
+zeta_times_vector take these shifts, and any other zeta the generic product.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .cyclotomic import CycElem, _require_odd_prime, cyclotomic_poly, regular_re
 from .intlinalg import (
     Matrix,
     Record,
+    _norm_row,
     _norm_scalar,
     _sparse_kernel,
     det,
@@ -51,6 +60,30 @@ def build_zeta(p) -> Matrix:
     for i in range(1, n):
         rows.append([1 if j == i - 1 else 0 for j in range(n)])
     return Matrix(rows)
+
+
+def is_companion(m: Matrix, p=None) -> bool:
+    """Does m have build_zeta's shape: first row all -1, ones on the
+    subdiagonal, zeros elsewhere? With p the entries are compared mod p."""
+    n = m.nrows
+    if m.shape != (n, n) or n == 0:
+        return False
+    rows = m.rows if p is None else [tuple(x % p for x in r) for r in m.rows]
+    return (rows[0] == (-1 if p is None else p - 1,) * n
+            and all(r == (0,) * (i - 1) + (1,) + (0,) * (n - i)
+                    for i, r in enumerate(rows[1:], 1)))
+
+
+def companion_times_vector(v) -> tuple:
+    """zeta v for the companion zeta: (-sum v, v_0, ..., v_(n-2))."""
+    return (-sum(v), *v[:-1])
+
+
+def _check_factors(a, b):
+    """The ValueError of a generic product, for shapes a and b that do not
+    chain."""
+    if a[1] != b[0]:
+        raise ValueError(f"cannot multiply {a} by {b}")
 
 
 def reduce_shift(p) -> Matrix:
@@ -106,13 +139,56 @@ class TwistData(Record):
         return cls(p, build_zeta(p), build_b(p))
 
     @cached_property
+    def zeta_is_companion(self) -> bool:
+        """Is zeta exactly build_zeta's companion shape (is_companion)? It
+        picks the shift or the generic product in every product with zeta."""
+        return is_companion(self.zeta)
+
+    def zeta_times(self, x: Matrix) -> Matrix:
+        """zeta x: row 0 is minus x's column sums, row i is row i - 1 of x."""
+        if not self.zeta_is_companion:
+            return self.zeta * x
+        _check_factors(self.zeta.shape, x.shape)
+        rows = x.rows
+        return Matrix([[-s for s in map(sum, zip(*rows))], *rows[:-1]],
+                      ncols=x.ncols)
+
+    def times_zeta(self, x: Matrix) -> Matrix:
+        """x zeta: column j is column j + 1 of x minus column 0, and the
+        last column is minus column 0."""
+        if not self.zeta_is_companion:
+            return x * self.zeta
+        _check_factors(x.shape, self.zeta.shape)
+        return Matrix([[y - r[0] for y in r[1:]] + [-r[0]] for r in x.rows],
+                      ncols=x.ncols)
+
+    def zeta_t_times(self, x: Matrix) -> Matrix:
+        """zeta^t x: row i is row i + 1 of x minus row 0, and the last row
+        is minus row 0."""
+        if not self.zeta_is_companion:
+            return self.zeta.transpose() * x
+        _check_factors(self.zeta.shape, x.shape)
+        first, *rest = x.rows
+        return Matrix([[y - f for y, f in zip(r, first)] for r in rest]
+                      + [[-f for f in first]], ncols=x.ncols)
+
+    def zeta_times_vector(self, v) -> tuple:
+        """zeta v, by companion_times_vector for the companion zeta."""
+        if not self.zeta_is_companion:
+            return self.zeta.mul_vector(v)
+        v = _norm_row(v)
+        if len(v) != self.p - 1:
+            raise ValueError("vector length mismatch")
+        return companion_times_vector(v)
+
+    @cached_property
     def orbit(self) -> Orbit:
         """The orbit e1, zeta e1, ..., zeta^(p-1) e1 of the cyclic vector,
         and whether T (its first p - 1 vectors) is unit upper triangular."""
         n = self.p - 1
         vecs = [tuple(1 if i == 0 else 0 for i in range(n))]
         for _ in range(n):
-            vecs.append(self.zeta.mul_vector(vecs[-1]))
+            vecs.append(self.zeta_times_vector(vecs[-1]))
         return Orbit(vecs, all(v[k] == 1 and not any(v[k + 1:])
                                for k, v in enumerate(vecs[:n])))
 
@@ -160,7 +236,7 @@ def endo_descends(alpha: Matrix, t: TwistData) -> bool:
     n = t.p - 1
     if alpha.shape != (n, n):
         raise ValueError(f"expected a {n} by {n} matrix for p = {t.p}")
-    return t.zeta * alpha == alpha * t.zeta
+    return t.zeta_times(alpha) == t.times_zeta(alpha)
 
 
 def pol_descends(t: TwistData) -> bool:
@@ -169,7 +245,7 @@ def pol_descends(t: TwistData) -> bool:
     b^(-1) zeta^t b zeta = 1 is equivalent to zeta^t b zeta = b since b is
     invertible; the latter needs no rational arithmetic.
     """
-    return t.zeta.transpose() * t.b * t.zeta == t.b
+    return t.zeta_t_times(t.times_zeta(t.b)) == t.b
 
 
 def endo_degree(alpha: Matrix):
@@ -327,7 +403,7 @@ CONSTRUCTION_CHECKS = (
     ("polarization_descends", lambda t: pol_descends(t)),
     ("polarization_degree_p_squared", lambda t: t.polarization_degree == t.p ** 2),
     ("rosati_inverts_zeta", lambda t: t.b_is_i_plus_j
-     and rosati(t.zeta, t) * t.zeta == Matrix.identity(t.p - 1)),
+     and t.times_zeta(rosati(t.zeta, t)) == Matrix.identity(t.p - 1)),
     ("centralizer_rank", lambda t: t.orbit.unit_triangular),
     ("centralizer_equals_zeta_powers", lambda t: t.orbit.unit_triangular),
 )

@@ -215,6 +215,26 @@ def test_degree_check_rests_on_the_orbit_certificate(monkeypatch):
     assert not passed["degree_equals_norm_squared"]
 
 
+def test_foreign_zeta_keeps_its_verdicts_on_the_generic_route(monkeypatch):
+    # the zeta above is no companion matrix of Phi_5: verify multiplies by
+    # it with the generic product and reports what it reported before the
+    # companion shift existed
+    import polobstruct.intlinalg as il
+    import polobstruct.twist as twist
+
+    foreign = [[-2, -1, -1, -1]] + list(twist.build_zeta(5).rows[1:])
+    monkeypatch.setattr(twist, "build_zeta", lambda p: twist.Matrix(foreign))
+    calls = []
+    matmul = il._matmul
+    monkeypatch.setattr(il, "_matmul", lambda a, b: calls.append(1) or matmul(a, b))
+    failed = [name for name, ok in cli.run_verify_suite(5).checks if not ok]
+    assert failed == ["zeta_minpoly_is_cyclotomic", "zeta_order_p",
+                      "shift_reduction_matches", "polarization_descends",
+                      "rosati_inverts_zeta", "degree_equals_norm_squared"]
+    # pol_descends two, the rosati check one, endo_descends two per sample
+    assert len(calls) == 2 + 1 + 2 * 10
+
+
 def test_degree_check_fails_on_a_zero_norm(monkeypatch):
     # every sample is nonzero, so its degree is not 0; a norm of 0 is wrong
     assert dict(cli.run_verify_suite(7).checks)["degree_equals_norm_squared"]
@@ -418,6 +438,21 @@ def test_bgroup_command(capsys, model_file):
     assert data["i_c_parity"] == 1
     assert data["phi_samples"] == 4
     assert data["phi_samples_used"] == 4
+
+
+def test_bgroup_takes_one_column_hnf(capsys, monkeypatch, tmp_path):
+    # the load keeps the column HNF of z_gens as the model's span, and both
+    # obstruction groups are read off it
+    import polobstruct.kergroup as kg
+
+    path = tmp_path / "model-13.json"
+    path.write_text(twist_model(13).to_json())
+    calls = []
+    col_hnf = kg.col_hnf
+    monkeypatch.setattr(kg, "col_hnf", lambda a: calls.append(a.shape) or col_hnf(a))
+    rc, out, _ = _run(capsys, ["bgroup", "--model", str(path)])
+    assert rc == 0 and json.loads(out)["b2"] == "Z/2"
+    assert calls == [(1, 1)]
 
 
 def test_bgroup_missing_model(capsys, tmp_path):
@@ -809,6 +844,9 @@ MALFORMED_MODELS = {
         ValueError),
     "nested_past_the_recursion_limit": ((), "[" * 100000 + "]" * 100000,
                                         RecursionError),
+    # the span 3Z holds the known class 3 but not the dual-pair relation 2
+    "relation_outside_the_span": ((), _model_json_with(z_gens=[[3]], s_c=[[3]]),
+                                  ValueError),
 }
 
 # what the message says: for a wrong container type or a missing field it
@@ -826,6 +864,7 @@ MESSAGES = {
     "no_e_p_label": "model has no E[5] label",
     "no_cyclotomic_factor": "model has no cyclotomic factor",
     "e_p_label_not_self_dual": "the E[5] label is not self-dual",
+    "relation_outside_the_span": "relation outside the realizable span",
 }
 
 

@@ -16,7 +16,7 @@ from polobstruct.galmod import (
     valuation,
 )
 from polobstruct.intlinalg import Matrix, snf
-from polobstruct.twist import build_zeta
+from polobstruct.twist import build_zeta, companion_times_vector, is_companion
 
 
 def _rank_mod_p_oracle(mat, p):
@@ -380,3 +380,58 @@ def test_a_bool_is_not_a_count():
                   lambda: polarization_parity(5, True)):
         with pytest.raises(ValueError):
             build()
+
+
+def test_companion_step_matches_the_generic_step_up_to_61(monkeypatch):
+    # (zeta - 1) u mod p by the shift equals the cocycle's listed product,
+    # and the certificate reads the same on either route
+    import polobstruct.galmod as galmod
+
+    rng = random.Random(25)
+    for p in filter(is_odd_prime, range(3, 62)):
+        cocycle = build_ptorsion(p).cocycle
+        assert is_companion(cocycle, p)
+        for _ in range(5):
+            u = [rng.randrange(p) for _ in range(p - 1)]
+            assert [(y - x) % p for y, x in zip(companion_times_vector(u), u)] \
+                == [(y - x) % p for y, x in zip(cocycle.mul_vector(u), u)]
+    calls = []
+    mul_vector = Matrix.mul_vector
+    monkeypatch.setattr(Matrix, "mul_vector",
+                        lambda self, v: calls.append(1) or mul_vector(self, v))
+    for p in filter(is_odd_prime, range(3, 62)):
+        assert build_ptorsion(p).two_jordan_blocks
+    assert calls == []
+    monkeypatch.setattr(galmod, "is_companion", lambda m, p=None: False)
+    for p in filter(is_odd_prime, range(3, 62)):
+        calls.clear()
+        assert build_ptorsion(p).two_jordan_blocks
+        assert len(calls) == p - 1
+
+
+def _walk_from_e0(cocycle, p):
+    """(cocycle - 1)^(p - 2) e_0 mod p, by the generic product."""
+    v = [int(i == 0) for i in range(p - 1)]
+    for _ in range(p - 2):
+        v = [(y - x) % p for y, x in zip(cocycle.mul_vector(v), v)]
+    return v
+
+
+def test_foreign_cocycles_take_the_generic_step(monkeypatch):
+    rng = random.Random(26)
+    calls = []
+    mul_vector = Matrix.mul_vector
+    monkeypatch.setattr(Matrix, "mul_vector",
+                        lambda self, v: calls.append(1) or mul_vector(self, v))
+    for p in (5, 7, 13):
+        rows = _mod(build_zeta(p), p).to_lists()
+        rows[0][rng.randrange(p - 1)] = 0
+        for other in (Matrix(rows), _relabelled_unipotent(rng, p)):
+            mod = TorsionModule(p, other)
+            assert not is_companion(other, p)
+            # p - 2 steps, and one more when the walk ends nonzero
+            steps = p - 2 + any(_walk_from_e0(other, p))
+            calls.clear()
+            verdict = mod.two_jordan_blocks
+            assert len(calls) == steps
+            assert verdict == _walk_2n(mod)

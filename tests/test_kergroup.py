@@ -698,6 +698,10 @@ def test_model_validation_errors():
         ModelDescriptor(m.labels, m.z_gens, m.algebra, m.phi_samples, ((1,), (2,)))
     with pytest.raises(ValueError, match="s_c entry outside the realizable span"):
         ModelDescriptor(m.labels, ((2,),), m.algebra, m.phi_samples, ((1,),))
+    # 3Z holds the class 3 but not the dual-pair relation 2: the obstruction
+    # groups would be quotients by a relation outside the span
+    with pytest.raises(ValueError, match="relation outside the realizable span"):
+        ModelDescriptor(m.labels, ((3,),), m.algebra, m.phi_samples, ((3,),))
     with pytest.raises(ValueError, match="need at least one z generator"):
         ModelDescriptor(m.labels, (), m.algebra, m.phi_samples, m.s_c)
     # what parity and bgroup read: an s_c entry, the cyclotomic factor and
@@ -754,6 +758,22 @@ def test_model_checks_each_sample_once(monkeypatch):
     b1_group(m)
     b2_group(m)
     assert calls == {"norm_to_Q": 4, "is_totally_positive": 4}
+
+
+def test_model_load_tests_each_distinct_relation_once(monkeypatch):
+    import polobstruct.kergroup as kg
+
+    text = twist_model(13).to_json()
+    seen = []
+    hnf_coords = kg._hnf_coords
+    monkeypatch.setattr(kg, "_hnf_coords",
+                        lambda h, v: seen.append(tuple(v)) or hnf_coords(h, v))
+    m = ModelDescriptor.from_json(text)
+    rels = set(map(tuple, m.relations.columns()))
+    assert rels == {(2,), (0,)} and m.relations.ncols > len(rels)
+    # the duality test of the one z generator, the s_c test, then the one
+    # nonzero relation
+    assert seen == [(1,), (1,), (2,)]
 
 
 def test_model_load_takes_one_power_sum_pass_per_sample():

@@ -25,6 +25,7 @@ from polobstruct.twist import (
     endo_degree,
     endo_descends,
     flatten_matrices,
+    is_companion,
     pol_descends,
     power_basis_transform,
     reduce_shift,
@@ -458,3 +459,158 @@ def test_power_basis_transform():
 def test_flatten_matrices_requires_input():
     with pytest.raises(ValueError):
         flatten_matrices([])
+
+
+# ---------------------------------------------------------------------------
+# products with zeta: the companion shift and the generic product
+
+
+SHIFT_PRIMES = [3, 5, 7, 13, 43]
+
+
+def _rand_entries(rng, m, n, fractions):
+    def entry():
+        if fractions and rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randint(-9, 9)
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
+def _count_generic_products(monkeypatch):
+    """Counts of _matmul and Matrix.mul_vector calls, which still run."""
+    import polobstruct.intlinalg as il
+
+    counts = {"matmul": 0, "mul_vector": 0}
+    matmul, mul_vector = il._matmul, Matrix.mul_vector
+
+    def counted_matmul(a, b):
+        counts["matmul"] += 1
+        return matmul(a, b)
+
+    def counted_mul_vector(self, v):
+        counts["mul_vector"] += 1
+        return mul_vector(self, v)
+
+    monkeypatch.setattr(il, "_matmul", counted_matmul)
+    monkeypatch.setattr(Matrix, "mul_vector", counted_mul_vector)
+    return counts
+
+
+@pytest.mark.parametrize("p", SHIFT_PRIMES)
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+def test_zeta_shifts_are_the_generic_products(p, fractions):
+    rng = random.Random(p + 100 * fractions)
+    t = TwistData.for_prime(p)
+    z, n = t.zeta, p - 1
+    assert t.zeta_is_companion
+    for k in (n, n, 1, 3):
+        tall = Matrix(_rand_entries(rng, n, k, fractions))
+        wide = Matrix(_rand_entries(rng, k, n, fractions))
+        assert t.zeta_times(tall) == z * tall
+        assert t.zeta_t_times(tall) == z.transpose() * tall
+        assert t.times_zeta(wide) == wide * z
+        v = _rand_entries(rng, 1, n, fractions)[0]
+        assert t.zeta_times_vector(v) == z.mul_vector(v)
+    # shapes that do not chain fail as the generic product does
+    with pytest.raises(ValueError, match="cannot multiply"):
+        t.zeta_times(Matrix.identity(n + 1))
+    with pytest.raises(ValueError, match="cannot multiply"):
+        t.times_zeta(Matrix.zero(2, n - 1))
+    with pytest.raises(ValueError, match="cannot multiply"):
+        t.zeta_t_times(Matrix.zero(n - 1, n))
+    with pytest.raises(ValueError, match="length mismatch"):
+        t.zeta_times_vector([1] * (n + 1))
+    with pytest.raises(TypeError):
+        t.zeta_times_vector([0.5] * n)
+
+
+def test_zeta_shifts_keep_empty_shapes():
+    t = TwistData.for_prime(5)
+    assert t.zeta_times(Matrix.zero(4, 0)).shape == (4, 0)
+    assert t.zeta_t_times(Matrix.zero(4, 0)).shape == (4, 0)
+    assert t.times_zeta(Matrix.zero(0, 4)).shape == (0, 4)
+
+
+def test_is_companion_is_the_shape_of_zeta():
+    for p in PRIMES_TO_61:
+        z = build_zeta(p)
+        mod_p = Matrix([[x % p for x in r] for r in z.rows])
+        assert is_companion(z) and is_companion(mod_p, p) and is_companion(z, p)
+        assert not is_companion(mod_p)
+    rng = random.Random(25)
+    for p in (3, 5, 7, 13):
+        n = p - 1
+        for _ in range(20):
+            rows = [list(r) for r in build_zeta(p).rows]
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] += rng.choice([-2, -1, 1, 2])
+            assert not is_companion(Matrix(rows))
+            # a change by a multiple of p is invisible mod p only
+            rows[i][j] = build_zeta(p)[i, j] + p
+            assert not is_companion(Matrix(rows)) and is_companion(Matrix(rows), p)
+    assert not is_companion(build_zeta(5).transpose())
+    assert not is_companion(Matrix.zero(0, 0))
+    assert not is_companion(Matrix([[-1, -1, -1], [1, 0, 0]]))
+
+
+def test_companion_zeta_takes_no_generic_product(monkeypatch):
+    counts = _count_generic_products(monkeypatch)
+    rng = random.Random(43)
+    for p in SHIFT_PRIMES:
+        t = TwistData.for_prime(p)
+        assert all(holds(t) for _, holds in CONSTRUCTION_CHECKS)
+        assert endo_descends(t.zeta, t)
+        assert not endo_descends(_rand_int_matrix(rng, p - 1), t)
+    assert counts == {"matmul": 0, "mul_vector": 0}
+
+
+def _foreign_zetas():
+    """TwistData whose zeta is not the companion shape: zeta^t and 2 zeta
+    of _foreign_twists, and zeta with one first-row entry changed."""
+    rows = [list(r) for r in build_zeta(5).rows]
+    rows[0][3] = -2
+    return ([t for p in (3, 5, 7) for t in _foreign_twists(p)[3:]]
+            + [TwistData(5, Matrix(rows), build_b(5))])
+
+
+def _generic_verdicts(t, samples):
+    """The verdicts of the checks that multiply by zeta, by generic
+    products the test spells out."""
+    z, b, n = t.zeta, t.b, t.p - 1
+    vecs = [tuple(int(i == 0) for i in range(n))]
+    for _ in range(n):
+        vecs.append(z.mul_vector(vecs[-1]))
+    return (z.transpose() * b * z == b,
+            t.b_is_i_plus_j and rosati(z, t) * z == Matrix.identity(n),
+            vecs,
+            [z * m == m * z for m in samples])
+
+
+def _shift_verdicts(t, samples):
+    return (_holds("polarization_descends", t), _holds("rosati_inverts_zeta", t),
+            t.orbit.vectors, [endo_descends(m, t) for m in samples])
+
+
+def test_foreign_zeta_takes_the_generic_product(monkeypatch):
+    rng = random.Random(7)
+    for t in _foreign_zetas():
+        n = t.p - 1
+        samples = [t.zeta, t.zeta.scale(3)] + [_rand_int_matrix(rng, n) for _ in range(3)]
+        expected = _generic_verdicts(t, samples)
+        assert not t.zeta_is_companion
+        counts = _count_generic_products(monkeypatch)
+        assert _shift_verdicts(t, samples) == expected
+        # pol_descends two, the rosati check one, endo_descends two each,
+        # and one matrix-vector product per orbit step
+        assert counts == {"matmul": 2 + t.b_is_i_plus_j + 2 * len(samples),
+                          "mul_vector": n}
+        monkeypatch.undo()
+
+
+def test_companion_zeta_with_a_foreign_form_matches_the_generic_product():
+    rng = random.Random(8)
+    for p in (3, 5, 7):
+        for t in _foreign_twists(p)[:3]:
+            assert t.zeta_is_companion
+            samples = [t.zeta, t.b] + [_rand_int_matrix(rng, p - 1) for _ in range(3)]
+            assert _shift_verdicts(t, samples) == _generic_verdicts(t, samples)
