@@ -14,12 +14,12 @@ independent (apply N_A^(n-1-i) to a dependency at its smallest i), so
 N_A ~ J_n and N = action - 1 = N_A (x) 1 ~ J_n + J_n: each step has
 dimension 2 and trivial action, and (1 + N)^p = 1 + N^p = 1.
 
-The certificate runs on Python ints in n dimensions: N_A u is
+The cocycle is an integer matrix, for verify and sweep TwistData's own
+zeta, and the certificate runs on Python ints in n dimensions: N_A u is
 cocycle u - u reduced mod p. When the cocycle has zeta's companion shape
-mod p (twist.is_companion), cocycle u is the shift
-(-sum u, u_0, ..., u_(n-2)); any other cocycle is applied by
-cocycle.mul_vector. The 2n x 2n action is built only when something asks
-for it.
+(twist.is_companion), cocycle u is the shift (-sum u, u_0, ..., u_(n-2));
+any other cocycle is applied by cocycle.mul_vector. The 2n x 2n action is
+built only when something asks for it.
 
 Kernel sizes of isogenies between powers of E are measured by their
 E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
@@ -76,7 +76,7 @@ class TorsionModule(Record):
         (T is unit upper triangular, see twist) keeps zeta's cyclic e_1
         cyclic mod p."""
         p = self.p
-        times = (companion_times_vector if is_companion(self.cocycle, p)
+        times = (companion_times_vector if is_companion(self.cocycle)
                  else self.cocycle.mul_vector)
 
         def apply(u):
@@ -90,10 +90,8 @@ class TorsionModule(Record):
 
 
 def build_ptorsion(p) -> TorsionModule:
-    """The twist on X[p] through its cocycle: zeta mod p, of size p - 1."""
-    _require_odd_prime(p)
-    return TorsionModule(p, Matrix([[x % p for x in r]
-                                    for r in build_zeta(p).rows]))
+    """The twist on X[p] through its cocycle zeta, of size p - 1."""
+    return TorsionModule(p, build_zeta(p))
 
 
 def filtration_dims(m: TorsionModule):

@@ -259,9 +259,6 @@ class Matrix:
         return Matrix([[self._rows[i][j] for i in range(self._m)]
                        for j in range(self._n)], ncols=self._m)
 
-    def __neg__(self):
-        return Matrix([[-x for x in r] for r in self._rows], ncols=self._n)
-
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -743,9 +740,6 @@ class IntPoly:
     @property
     def degree(self):
         return len(self._c) - 1  # zero polynomial has degree -1
-
-    def is_zero(self):
-        return not self._c
 
     def is_monic(self):
         return bool(self._c) and self._c[-1] == 1

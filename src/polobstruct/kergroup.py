@@ -44,7 +44,6 @@ from .intlinalg import (
     _norm_int,
     _norm_scalar,
     col_hnf,
-    col_lattice_contains,
     parse_int,
     snf,
 )
@@ -595,8 +594,9 @@ class ModelDescriptor(Record):
 
     Construction validates the model, checking every certificate once, and
     keeps what queries read: p, the prime of the cyclotomic factor; span, the
-    column HNF of z_gens; and relations, the dual-pair columns followed by
-    the level-2 samples' classes. None takes part in ==, hash, repr, to_json.
+    column HNF of z_gens; relations, the dual-pair columns followed by the
+    level-2 samples' classes; and relation_hnf, their column HNF. No query
+    takes another HNF, and none of these takes part in ==, hash, repr, to_json.
     """
 
     def __init__(self, labels: LabelSet, z_gens: tuple, algebra: AlgebraDescriptor,
@@ -612,8 +612,8 @@ class ModelDescriptor(Record):
 
     def validate(self):
         """Raise ValueError unless the model is consistent; otherwise set
-        p, span and relations. One pass over phi_samples verifies each
-        certificate and tests each for level-2 membership once."""
+        p, span, relations and relation_hnf. One pass over phi_samples
+        verifies each certificate and tests each for level-2 membership once."""
         n = len(self.labels)
         for g in self.z_gens:
             if len(g) != n:
@@ -657,17 +657,19 @@ class ModelDescriptor(Record):
             if _hnf_coords(span, s) is None:
                 raise ValueError("s_c entry outside the realizable span")
         # the obstruction groups are quotients of the span by the relations
-        for rel in {tuple(r) for r in rels if any(r)}:
+        relations = Matrix.from_columns(rels, nrows=n)
+        relation_hnf = col_hnf(relations)
+        for rel in relation_hnf.columns():
             if _hnf_coords(span, rel) is None:
                 raise ValueError("relation outside the realizable span")
-        relations = Matrix.from_columns(rels, nrows=n)
         for s in self.s_c[1:]:
             diff = [a - b for a, b in zip(s, self.s_c[0])]
-            if not col_lattice_contains(relations, diff):
+            if _hnf_coords(relation_hnf, diff) is None:
                 raise ValueError("s_c entries disagree modulo the relations")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "span", span)
         object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "relation_hnf", relation_hnf)
 
     def to_json(self) -> str:
         data = {
@@ -775,7 +777,7 @@ def b1_group(model: ModelDescriptor) -> AbGroupPresentation:
 
 def b2_group(model: ModelDescriptor) -> AbGroupPresentation:
     """Realizable span modulo dual pairs and central norm classes."""
-    return _quotient_of_basis(model.span, model.relations.columns())
+    return _quotient_of_basis(model.span, model.relation_hnf.columns())
 
 
 def attainable(P, model: ModelDescriptor) -> AttainabilityResult:
@@ -783,8 +785,9 @@ def attainable(P, model: ModelDescriptor) -> AttainabilityResult:
 
     P must be effective, must lie in the realizable span, and must agree
     with a known polarization class modulo the congruence relations. The
-    span and the relations are the ones the model kept when it was built,
-    so no certificate is checked again.
+    span and the relations' HNF are the ones the model kept when it was
+    built, and validation proved every s_c entry congruent to s_c[0], so P
+    is compared with s_c[0] alone and nothing is checked again.
     """
     n = len(model.labels)
     if isinstance(P, KerClass):
@@ -799,11 +802,10 @@ def attainable(P, model: ModelDescriptor) -> AttainabilityResult:
         return AttainabilityResult(False, "not_effective")
     if _hnf_coords(model.span, vec) is None:
         return AttainabilityResult(False, "not_in_z_span")
-    for s in model.s_c:
-        diff = [a - b for a, b in zip(vec, s)]
-        if col_lattice_contains(model.relations, diff):
-            return AttainabilityResult(True, "ok")
-    return AttainabilityResult(False, "b2_image_not_in_s_c")
+    diff = [a - b for a, b in zip(vec, model.s_c[0])]
+    if _hnf_coords(model.relation_hnf, diff) is None:
+        return AttainabilityResult(False, "b2_image_not_in_s_c")
+    return AttainabilityResult(True, "ok")
 
 
 def twist_model(p, seed=DEFAULT_SEED, samples=8) -> ModelDescriptor:

@@ -20,8 +20,8 @@ zeta itself (its minimal polynomial, its order and its commutant) are read
 off one certificate, the orbit e_1, zeta e_1, ..., zeta^(p-1) e_1 that
 TwistData.orbit computes once per instance.
 
-zeta is a companion matrix, and is_companion decides that shape once (galmod
-reads it mod p). For a companion zeta every product with zeta is a shift of
+zeta is a companion matrix, and is_companion decides that shape, for
+TwistData and for galmod's torsion certificate alike. For a companion zeta every product with zeta is a shift of
 plain rows or entries, with no matrix product: zeta X moves X's rows down
 and puts minus its column sums on top, X zeta subtracts X's first column
 from the columns after it, and zeta^t X subtracts X's first row from the
@@ -62,16 +62,16 @@ def build_zeta(p) -> Matrix:
     return Matrix(rows)
 
 
-def is_companion(m: Matrix, p=None) -> bool:
+def is_companion(m: Matrix) -> bool:
     """Does m have build_zeta's shape: first row all -1, ones on the
-    subdiagonal, zeros elsewhere? With p the entries are compared mod p."""
+    subdiagonal, zeros elsewhere?"""
     n = m.nrows
     if m.shape != (n, n) or n == 0:
         return False
-    rows = m.rows if p is None else [tuple(x % p for x in r) for r in m.rows]
-    return (rows[0] == (-1 if p is None else p - 1,) * n
+    first, *rest = m.rows
+    return (first == (-1,) * n
             and all(r == (0,) * (i - 1) + (1,) + (0,) * (n - i)
-                    for i, r in enumerate(rows[1:], 1)))
+                    for i, r in enumerate(rest, 1)))
 
 
 def companion_times_vector(v) -> tuple:

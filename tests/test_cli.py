@@ -146,7 +146,7 @@ def test_torsion_certificate_on_the_production_path(capsys, monkeypatch):
                 if shape == (2 * (p - 1), 2 * (p - 1))]
 
     # the instruments see the action when it is read
-    assert cli.build_ptorsion(5).action.shape == (8, 8)
+    assert TorsionModule(5, build_zeta(5)).action.shape == (8, 8)
     assert reads == [5] and kron_sized() == [(5, (8, 8))]
     built.clear()
     reads.clear()
@@ -217,8 +217,8 @@ def test_degree_check_rests_on_the_orbit_certificate(monkeypatch):
 
 def test_foreign_zeta_keeps_its_verdicts_on_the_generic_route(monkeypatch):
     # the zeta above is no companion matrix of Phi_5: verify multiplies by
-    # it with the generic product and reports what it reported before the
-    # companion shift existed
+    # it with the generic product, and the torsion certificate, which reads
+    # the same zeta, fails too: 1 - zeta mod 5 is not nilpotent
     import polobstruct.intlinalg as il
     import polobstruct.twist as twist
 
@@ -230,9 +230,44 @@ def test_foreign_zeta_keeps_its_verdicts_on_the_generic_route(monkeypatch):
     failed = [name for name, ok in cli.run_verify_suite(5).checks if not ok]
     assert failed == ["zeta_minpoly_is_cyclotomic", "zeta_order_p",
                       "shift_reduction_matches", "polarization_descends",
-                      "rosati_inverts_zeta", "degree_equals_norm_squared"]
+                      "rosati_inverts_zeta", "degree_equals_norm_squared",
+                      "filtration_dims", "composition_factors"]
     # pol_descends two, the rosati check one, endo_descends two per sample
     assert len(calls) == 2 + 1 + 2 * 10
+
+
+def test_verify_builds_zeta_once(monkeypatch):
+    # the torsion certificate reads TwistData's own zeta: no second build,
+    # through twist or through galmod's build_ptorsion
+    import polobstruct.galmod as galmod
+    import polobstruct.twist as twist
+
+    calls = []
+    for module in (twist, galmod):
+        monkeypatch.setattr(module, "build_zeta",
+                            lambda p: calls.append(p) or build_zeta(p))
+    assert cli.run_verify_suite(43).ok
+    assert calls == [43]
+
+
+def test_noncommuting_samples_are_sparse(monkeypatch):
+    # each sampled row holds one nonzero entry of {-2, -1, 1, 2}; every
+    # sample the pre-check keeps is judged by endo_descends
+    drawn = []
+
+    def judged(m, t):
+        drawn.append(m)
+        return False
+
+    monkeypatch.setattr(cli, "endo_descends", judged)
+    for p, samples in ((7, 10), (43, 3)):
+        drawn.clear()
+        assert dict(cli.run_verify_suite(p).checks)["noncommuting_rejected"]
+        assert len(drawn) == samples
+        for m in drawn:
+            for row in m.rows:
+                nonzero = [x for x in row if x]
+                assert len(nonzero) == 1 and nonzero[0] in (-2, -1, 1, 2)
 
 
 def test_degree_check_fails_on_a_zero_norm(monkeypatch):
@@ -440,9 +475,9 @@ def test_bgroup_command(capsys, model_file):
     assert data["phi_samples_used"] == 4
 
 
-def test_bgroup_takes_one_column_hnf(capsys, monkeypatch, tmp_path):
-    # the load keeps the column HNF of z_gens as the model's span, and both
-    # obstruction groups are read off it
+def test_bgroup_takes_no_column_hnf_after_the_load(capsys, monkeypatch, tmp_path):
+    # the load keeps the column HNFs of z_gens (the model's span) and of the
+    # relations, and both obstruction groups are read off them
     import polobstruct.kergroup as kg
 
     path = tmp_path / "model-13.json"
@@ -452,7 +487,7 @@ def test_bgroup_takes_one_column_hnf(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(kg, "col_hnf", lambda a: calls.append(a.shape) or col_hnf(a))
     rc, out, _ = _run(capsys, ["bgroup", "--model", str(path)])
     assert rc == 0 and json.loads(out)["b2"] == "Z/2"
-    assert calls == [(1, 1)]
+    assert calls == [(1, 1), (1, 10)]
 
 
 def test_bgroup_missing_model(capsys, tmp_path):
@@ -753,16 +788,38 @@ def test_import_loads_no_dataclasses():
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
+def test_stdout_is_the_same_under_any_hash_seed(tmp_path):
+    # set and dict order must not leak into output: verify, a two-process
+    # sweep and bgroup print the same bytes under two hash seeds
+    src = os.path.dirname(os.path.dirname(polobstruct.__file__))
+    path = tmp_path / "model-13.json"
+    path.write_text(twist_model(13).to_json())
+    script = ("import sys; from polobstruct import cli\n"
+              "for argv in (['verify', '-p', '43'],"
+              " ['sweep', '--pmax', '31', '--jobs', '2'],"
+              " ['bgroup', '--model', sys.argv[1]]):\n"
+              "    assert cli.main(argv) == 0\n"
+              "    sys.stdout.flush()\n")
+    outs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == b""
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0].count(b"\n") > 11
+
+
 def test_verify_reports_broken_torsion_without_traceback(capsys, monkeypatch):
     # both torsion checks read one certificate; a module that fails it
     # turns both false and verify exits 1 with a report, not a traceback
     from polobstruct.galmod import TorsionModule
     from polobstruct.intlinalg import Matrix
 
-    def broken_ptorsion(p):
+    def broken_module(p, cocycle):
         return TorsionModule(p, Matrix.identity(p - 1))
 
-    monkeypatch.setattr(cli, "build_ptorsion", broken_ptorsion)
+    monkeypatch.setattr(cli, "TorsionModule", broken_module)
     rc, out, err = _run(capsys, ["verify", "-p", "7"])
     assert rc == 1 and err == ""
     passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}

@@ -776,6 +776,26 @@ def test_model_load_tests_each_distinct_relation_once(monkeypatch):
     assert seen == [(1,), (1,), (2,)]
 
 
+def test_model_takes_each_column_hnf_once_at_load(monkeypatch):
+    # the load takes the HNF of the span and of the relations; queries
+    # read both and take none, by either name of col_hnf
+    import polobstruct.intlinalg as il
+    import polobstruct.kergroup as kg
+
+    text = twist_model(13).to_json()
+    calls = []
+    col_hnf = il.col_hnf
+    for module in (il, kg):
+        monkeypatch.setattr(module, "col_hnf",
+                            lambda a: calls.append(a.shape) or col_hnf(a))
+    m = ModelDescriptor.from_json(text)
+    assert len(calls) == 2
+    verdicts = [attainable([k], m).ok for k in range(6)]
+    assert verdicts == [False, True, False, True, False, True]
+    assert str(b2_group(m)) == "Z/2"
+    assert len(calls) == 2
+
+
 def test_model_load_takes_one_power_sum_pass_per_sample():
     # the certificate's norm N(alpha) = N_(K+/Q)(alpha)^2 and its total
     # positivity read one memoized pass on alpha: nine samples, nine passes,

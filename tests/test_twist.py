@@ -535,8 +535,10 @@ def test_is_companion_is_the_shape_of_zeta():
     for p in PRIMES_TO_61:
         z = build_zeta(p)
         mod_p = Matrix([[x % p for x in r] for r in z.rows])
-        assert is_companion(z) and is_companion(mod_p, p) and is_companion(z, p)
-        assert not is_companion(mod_p)
+        # one integer shape: zeta mod p is no companion matrix
+        assert is_companion(z) and not is_companion(mod_p)
+        with pytest.raises(TypeError):
+            is_companion(z, p)
     rng = random.Random(25)
     for p in (3, 5, 7, 13):
         n = p - 1
@@ -545,9 +547,8 @@ def test_is_companion_is_the_shape_of_zeta():
             i, j = rng.randrange(n), rng.randrange(n)
             rows[i][j] += rng.choice([-2, -1, 1, 2])
             assert not is_companion(Matrix(rows))
-            # a change by a multiple of p is invisible mod p only
             rows[i][j] = build_zeta(p)[i, j] + p
-            assert not is_companion(Matrix(rows)) and is_companion(Matrix(rows), p)
+            assert not is_companion(Matrix(rows))
     assert not is_companion(build_zeta(5).transpose())
     assert not is_companion(Matrix.zero(0, 0))
     assert not is_companion(Matrix([[-1, -1, -1], [1, 0, 0]]))
