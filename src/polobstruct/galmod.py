@@ -46,8 +46,7 @@ class TorsionModule(Record):
                 or not cocycle.is_integral()):
             raise ValueError("X[p] needs an integer Matrix cocycle of size "
                              "p - 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "cocycle", cocycle)
+        self._set(p, cocycle)
 
     def __repr__(self):
         return f"TorsionModule(p={self.p!r})"
@@ -123,7 +122,7 @@ class EpRank(Record):
     def __init__(self, value: int):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ValueError("rank must be a nonnegative integer")
-        object.__setattr__(self, "value", value)
+        self._set(value)
 
     @property
     def parity(self):

@@ -31,8 +31,9 @@ The main operations:
 
 Matrix arithmetic has one spelling for each operation: a * b is the
 product, a.scale(c) a scalar multiple, and an inverse is
-solve_exact(a, Matrix.identity(n)). IntPoly multiplies only by another
-IntPoly and evaluates at a matrix; nothing divides polynomials.
+solve_exact(a, Matrix.identity(n)). IntPoly is a Record with the one
+field coeffs; it multiplies only by another IntPoly and evaluates at a
+matrix, and nothing divides polynomials.
 
 A Matrix lists its nonzero entries by row once (row_nonzeros), and every
 sparse loop reads that listing: _matmul adds multiples of the listed rows
@@ -114,12 +115,16 @@ def _power(base, k, one):
 class Record:
     """An immutable value whose fields are the parameters of its class's
     __init__, in order; that __init__ validates its arguments and stores
-    each field with object.__setattr__.
+    them with one _set call.
 
     == holds only between instances of one class whose fields are equal,
     the hash agrees with it, the repr reads Name(field=value, ...), and
     assigning or deleting any attribute raises AttributeError. An
     attribute that is not a field (a cache, say) takes no part in any of it.
+
+    Two value classes keep their own protocol: cyclotomic's _FieldElem,
+    whose elements compare equal to ints and use slots, and Matrix, for its
+    slots, its row cache and its multi-line repr.
     """
 
     def __init_subclass__(cls):
@@ -139,6 +144,18 @@ class Record:
     def __repr__(self):
         shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
         return f"{type(self).__qualname__}({shown})"
+
+    def _set(self, *fields, **extras):
+        """Store the fields, given in __init__'s order (all of them or
+        none; a wrong count raises ValueError), and the attributes that are
+        not fields, given by keyword. object.__setattr__ stores each: on
+        CPython 3.11 reading self.__dict__ turns an instance's inline
+        attribute values into a dict, and every later read of the instance
+        took two to three times as long."""
+        for name, value in zip(self._fields, fields, strict=True) if fields else ():
+            object.__setattr__(self, name, value)
+        for name, value in extras.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -346,12 +363,9 @@ def det(a: Matrix):
     n = a.nrows
     if n == 0:
         return 1
-    if a.is_integral():
-        dens, rows = 1, [list(r) for r in a.rows]
-    else:
-        dens = lcm(*(x.denominator if isinstance(x, Fraction) else 1
-                     for r in a.rows for x in r))
-        rows = [[int(x * dens) for x in r] for r in a.rows]
+    # an int's denominator is 1, so integer input keeps dens = 1
+    dens = lcm(*(x.denominator for r in a.rows for x in r))
+    rows = [[int(x * dens) for x in r] for r in a.rows]
     swaps, pivots = _bareiss_det(rows)
     if len(pivots) < n:
         return 0
@@ -413,9 +427,7 @@ class SnfResult(Record):
     """U*A*V = D with U, V unimodular and D diagonal, d_i | d_{i+1}, d_i >= 0."""
 
     def __init__(self, U: Matrix, D: Matrix, V: Matrix):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "V", V)
+        self._set(U, D, V)
 
     @property
     def invariant_factors(self):
@@ -719,10 +731,8 @@ def solve_exact(a: Matrix, b: Matrix):
 # polynomials
 
 
-class IntPoly:
+class IntPoly(Record):
     """Polynomial with integer coefficients, stored low-degree first."""
-
-    __slots__ = ("_c",)
 
     def __init__(self, coeffs):
         c = []
@@ -731,31 +741,19 @@ class IntPoly:
             if not isinstance(x, int):
                 raise TypeError("IntPoly coefficients must be integers")
             c.append(x)
-        self._c = tuple(_q_strip(c))
-
-    @property
-    def coeffs(self):
-        return self._c
+        self._set(tuple(_q_strip(c)))
 
     @property
     def degree(self):
-        return len(self._c) - 1  # zero polynomial has degree -1
+        return len(self.coeffs) - 1  # zero polynomial has degree -1
 
     def is_monic(self):
-        return bool(self._c) and self._c[-1] == 1
-
-    def __eq__(self, other):
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(self._c)
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __mul__(self, other):
         if not isinstance(other, IntPoly):
             return NotImplemented
-        a, b = self._c, other._c
+        a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly([])
         out = [0] * (len(a) + len(b) - 1)
@@ -770,30 +768,11 @@ class IntPoly:
             raise ValueError("polynomial of a non-square matrix")
         n = a.nrows
         acc = Matrix.zero(n, n)
-        for c in reversed(self._c):
+        for c in reversed(self.coeffs):
             acc = acc * a
             if c:
                 acc = acc + Matrix.identity(n).scale(c)
         return acc
-
-    def __repr__(self):
-        if not self._c:
-            return "IntPoly(0)"
-        terms = []
-        for i in range(len(self._c) - 1, -1, -1):
-            c = self._c[i]
-            if c == 0:
-                continue
-            if i == 0:
-                mono = str(abs(c))
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                mono = xs if abs(c) == 1 else f"{abs(c)}*{xs}"
-            if not terms:
-                terms.append(mono if c > 0 else f"-{mono}")
-            else:
-                terms.append(("+ " if c > 0 else "- ") + mono)
-        return "IntPoly(" + " ".join(terms) + ")"
 
 
 def resultant(f, g):

@@ -80,10 +80,7 @@ class SimpleLabel(Record):
                 raise ValueError("alternating self-pairing needs a self-dual label")
             if not _is_perfect_square(rank):
                 raise ValueError("alternating self-pairing needs square order")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "alt_pairing", alt_pairing)
+        self._set(name, rank, dual, alt_pairing)
 
 
 class LabelSet(Record):
@@ -105,8 +102,7 @@ class LabelSet(Record):
                 raise ValueError("duality must be an involution")
             if other.rank != l.rank:
                 raise ValueError("duality preserves the order of a group")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {l.name: i for i, l in enumerate(labels)})
+        self._set(labels, _index={l.name: i for i, l in enumerate(labels)})
 
     def __len__(self):
         return len(self.labels)
@@ -133,8 +129,7 @@ class KerClass(Record):
         cs = tuple(map(_norm_int, coeffs))
         if len(cs) != len(labels):
             raise ValueError("coefficient count must match the label count")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "coeffs", cs)
+        self._set(labels, cs)
 
     @classmethod
     def zero(cls, labels):
@@ -206,8 +201,7 @@ class AbGroupPresentation(Record):
     """Invariant factor form of a finitely generated abelian group."""
 
     def __init__(self, invariant_factors: tuple, free_rank: int):
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "free_rank", free_rank)
+        self._set(invariant_factors, free_rank)
 
     @property
     def order(self):
@@ -301,8 +295,7 @@ class CenterField(Record):
                 raise ValueError("the rational center takes no prime")
         elif not is_odd_prime(p):
             raise ValueError("cyclotomic centers need an odd prime")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
+        self._set(kind, p)
 
     @classmethod
     def parse(cls, text: str) -> "CenterField":
@@ -351,10 +344,7 @@ class AlgebraFactor(Record):
             raise ValueError("type IV needs a complex multiplication center")
         if type in ("I", "IV") and ram:
             raise ValueError(f"type {type} carries no ramified primes")
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ramified", ram)
+        self._set(type, center, n, ram)
 
 
 class AlgebraDescriptor(Record):
@@ -365,7 +355,7 @@ class AlgebraDescriptor(Record):
         for f in fs:
             if not isinstance(f, AlgebraFactor):
                 raise TypeError("factors must be AlgebraFactor instances")
-        object.__setattr__(self, "factors", fs)
+        self._set(fs)
 
     def cyclotomic_factor(self):
         """The unique factor with a full cyclotomic center, if any."""
@@ -573,14 +563,12 @@ class PhiSample(Record):
     """A degree value with a verified certificate element."""
 
     def __init__(self, norm: Fraction, alpha: CycElem):
-        object.__setattr__(self, "norm", Fraction(norm))
-        object.__setattr__(self, "alpha", alpha)
+        self._set(Fraction(norm), alpha)
 
 
 class AttainabilityResult(Record):
     def __init__(self, ok: bool, reason: str):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "reason", reason)
+        self._set(ok, reason)
 
 
 class ModelDescriptor(Record):
@@ -594,25 +582,22 @@ class ModelDescriptor(Record):
 
     Construction validates the model, checking every certificate once, and
     keeps what queries read: p, the prime of the cyclotomic factor; span, the
-    column HNF of z_gens; relations, the dual-pair columns followed by the
-    level-2 samples' classes; and relation_hnf, their column HNF. No query
-    takes another HNF, and none of these takes part in ==, hash, repr, to_json.
+    column HNF of z_gens; relation_hnf, the column HNF of the relations (the
+    dual pairs and the level-2 samples' classes); and samples_used, how many
+    samples are level 2. No query takes another HNF, and none of these takes
+    part in ==, hash, repr, to_json.
     """
 
     def __init__(self, labels: LabelSet, z_gens: tuple, algebra: AlgebraDescriptor,
                  phi_samples: tuple, s_c: tuple):
         z_gens = tuple(tuple(map(_norm_int, g)) for g in z_gens)
         s_c = tuple(tuple(map(_norm_int, s)) for s in s_c)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "z_gens", z_gens)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "phi_samples", tuple(phi_samples))
-        object.__setattr__(self, "s_c", s_c)
+        self._set(labels, z_gens, algebra, tuple(phi_samples), s_c)
         self.validate()
 
     def validate(self):
         """Raise ValueError unless the model is consistent; otherwise set
-        p, span, relations and relation_hnf. One pass over phi_samples
+        p, span, relation_hnf and samples_used. One pass over phi_samples
         verifies each certificate and tests each for level-2 membership once."""
         n = len(self.labels)
         for g in self.z_gens:
@@ -648,17 +633,17 @@ class ModelDescriptor(Record):
                 if any(g[i] for g in self.z_gens):
                     raise ValueError(
                         f"self-dual label {lbl.name} without a pairing in the span")
-        rels = [list(g.coeffs) for g in b_subgroup_gens(self.labels)]
+        pairs = [list(g.coeffs) for g in b_subgroup_gens(self.labels)]
+        level2 = []
         for s in self.phi_samples:
             cls = phi_p_part(s.norm, s.alpha, p, self.labels)
             if r_membership(s.alpha, 2, factor):
-                rels.append(list(cls.coeffs))
+                level2.append(list(cls.coeffs))
         for s in self.s_c:
             if _hnf_coords(span, s) is None:
                 raise ValueError("s_c entry outside the realizable span")
         # the obstruction groups are quotients of the span by the relations
-        relations = Matrix.from_columns(rels, nrows=n)
-        relation_hnf = col_hnf(relations)
+        relation_hnf = col_hnf(Matrix.from_columns(pairs + level2, nrows=n))
         for rel in relation_hnf.columns():
             if _hnf_coords(span, rel) is None:
                 raise ValueError("relation outside the realizable span")
@@ -666,10 +651,7 @@ class ModelDescriptor(Record):
             diff = [a - b for a, b in zip(s, self.s_c[0])]
             if _hnf_coords(relation_hnf, diff) is None:
                 raise ValueError("s_c entries disagree modulo the relations")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "relation_hnf", relation_hnf)
+        self._set(p=p, span=span, relation_hnf=relation_hnf, samples_used=len(level2))
 
     def to_json(self) -> str:
         data = {

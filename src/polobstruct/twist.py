@@ -130,9 +130,7 @@ class TwistData(Record):
         n = p - 1
         if zeta.shape != (n, n) or b.shape != (n, n):
             raise ValueError(f"expected {n} by {n} matrices for p = {p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "b", b)
+        self._set(p, zeta, b)
 
     @classmethod
     def for_prime(cls, p) -> "TwistData":

@@ -270,6 +270,20 @@ def test_noncommuting_samples_are_sparse(monkeypatch):
                 assert len(nonzero) == 1 and nonzero[0] in (-2, -1, 1, 2)
 
 
+def test_verify_returns_on_a_zeta_that_commutes_with_every_draw():
+    # every draw commutes with the identity, so the non-commuting samples
+    # never come; the draws are capped and the check fails instead of hanging
+    src = os.path.dirname(os.path.dirname(polobstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import polobstruct.twist as twist\n"
+              "from polobstruct import cli\n"
+              "twist.build_zeta = lambda p: twist.Matrix.identity(p - 1)\n"
+              "print(dict(cli.run_verify_suite(5).checks)['noncommuting_rejected'])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
 def test_degree_check_fails_on_a_zero_norm(monkeypatch):
     # every sample is nonzero, so its degree is not 0; a norm of 0 is wrong
     assert dict(cli.run_verify_suite(7).checks)["degree_equals_norm_squared"]

@@ -13,7 +13,7 @@ import pytest
 
 from polobstruct.cli import VerifyReport
 from polobstruct.galmod import build_ptorsion, e_rank_of_order
-from polobstruct.intlinalg import Matrix, snf
+from polobstruct.intlinalg import IntPoly, Matrix, snf
 from polobstruct.kergroup import (
     AlgebraFactor,
     CenterField,
@@ -82,6 +82,7 @@ CASES = [
      "AttainabilityResult(ok=False, reason='b2_image_not_in_s_c')"),
     (VerifyReport(3, 1, (("a", True),)), ("p", "seed", "checks"), "seed", 2,
      "VerifyReport(p=3, seed=1, checks=(('a', True),))"),
+    (IntPoly([1, 1, 1]), ("coeffs",), "coeffs", (1, 1), "IntPoly(coeffs=(1, 1, 1))"),
 ]
 
 
@@ -112,10 +113,18 @@ def test_self_dual_label_with_pairing_by_keyword():
 def test_model_equality_ignores_span_and_relations():
     copy = ModelDescriptor(MODEL.labels, MODEL.z_gens, MODEL.algebra,
                            MODEL.phi_samples, MODEL.s_c)
-    object.__setattr__(copy, "span", Matrix([[2]]))
-    object.__setattr__(copy, "relations", Matrix([[7]]))
+    copy._set(span=Matrix([[2]]), relation_hnf=Matrix([[7]]), samples_used=0)
     assert copy == MODEL and hash(copy) == hash(MODEL)
-    assert "span" not in repr(copy) and "relations" not in repr(copy)
+    assert "span" not in repr(copy) and "relation" not in repr(copy)
+    assert "samples_used" not in repr(copy)
+
+
+def test_set_takes_every_field_or_none():
+    with pytest.raises(ValueError):
+        SimpleLabel("G", 9, "G")._set("H", 9)
+    label = SimpleLabel("G", 9, "G")
+    label._set(cache=1)
+    assert label.cache == 1 and label == SimpleLabel("G", 9, "G")
 
 
 def test_model_repr_holds_no_address():

@@ -1,7 +1,9 @@
-"""The CLI's one exit for bad input, what it counts as bad input, and the
-package root's four names."""
+"""The CLI's one exit for bad input, what it counts as bad input, the
+package root's four names, and the one way a value class stores its
+fields."""
 
 import ast
+import os
 import types
 
 import polobstruct
@@ -57,3 +59,18 @@ def test_package_root_reexports_only_what_the_benchmark_imports():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == {"CycElem", "complex_conj", "format_element", "twist_model"}
     assert polobstruct.__version__ == "0.1.0"
+
+
+def test_only_record_and_field_elem_write_with_object_setattr():
+    # every other value class stores its fields with one Record._set call
+    root = os.path.dirname(polobstruct.__file__)
+    writers = set()
+    for name in os.listdir(root):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read())
+            for top in tree.body:
+                if any(isinstance(n, ast.Attribute)
+                       and ast.unparse(n) == "object.__setattr__" for n in ast.walk(top)):
+                    writers.add(f"{name[:-3]}.{getattr(top, 'name', '')}")
+    assert writers == {"intlinalg.Record", "cyclotomic._FieldElem"}
