@@ -108,8 +108,11 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     each (see CONSTRUCTION_CHECKS). degree_equals_norm_squared compares two
     independent computations for each nonzero sampled a = sum c_k zeta^k:
     its degree central_degree(a) = Res(Phi_p, a)^2, by the sub-resultant
-    algorithm, and the square of the power-sum norm N(a), so a zero norm
-    fails it. Res(Phi_p, a) is det a(zeta) because the orbit certificate
+    algorithm, and the square of the norm N(a), the product of a's
+    conjugates mod primes l = 1 (mod p) lifted by the Chinese remainder
+    theorem (or a's power-sum pass, for the rare a that conjugation fixes),
+    so a remainder sequence is compared with an evaluation at roots, and a
+    zero norm fails it. Res(Phi_p, a) is det a(zeta) because the orbit certificate
     proves chi_zeta = Phi_p, so the degree check fails whenever that
     certificate does.
     """

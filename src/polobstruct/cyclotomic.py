@@ -6,27 +6,36 @@ cyclotomic polynomial. The real subfield K+ = Q(eta), eta = zeta + zeta^{-1},
 holds the conjugation-fixed CycElem, which norms and positivity read as it is;
 the Dickson restriction to RealElem's eta-power basis is a reference route.
 
-Norms and total positivity come from one routine. For x in K+, the power
-sums of its (p-1)/2 real embeddings are halved traces Tr_(K/Q)(x^k), read
-off by Tr(zeta^j) = p [j = 0] - 1, and Newton's identities turn them into
-the elementary symmetric functions e_k. The norm to Q is the last of them,
-and x is totally positive iff every e_k is positive (its embeddings are
-real because K+ is totally real). The powers of x are packed integers
-whose digit width is proven never to carry (Kronecker substitution). No
-matrix and no floating point enters the verification path.
+Norms take one of two routes, chosen by the element and never by the size
+of p, so no size threshold divides them.
 
-Each element pays for that power-sum pass once: the pass is memoized per
-element in a bounded least-recently-used cache, so the norm and the
-positivity of one certificate share it. Because [K : K+] = 2, a
-conjugation-fixed a has N_(K/Q)(a) = N_(K+/Q)(a)^2 (Washington,
-Introduction to Cyclotomic Fields, ch. 2), and its norm is read off the
-pass on a itself rather than on the wider product a conj(a).
+A conjugation-fixed x lies in K+. The power sums of its (p-1)/2 real
+embeddings are halved traces Tr_(K/Q)(x^k), read off by
+Tr(zeta^j) = p [j = 0] - 1, and Newton's identities turn them into the
+elementary symmetric functions e_k. x is totally positive iff every e_k is
+positive (its embeddings are real because K+ is totally real), and
+[K : K+] = 2 gives N_(K/Q)(x) = e_m^2 (Washington, Introduction to
+Cyclotomic Fields, ch. 2). The powers of x are packed integers whose digit
+width is proven never to carry (Kronecker substitution). The pass is
+memoized per element in a bounded least-recently-used cache, so the norm
+and the positivity of one certificate share it.
+
+Any other a takes the multimodular route: for primes l = 1 (mod p) below
+2^31, conjugates_mod_primes gives the p - 1 conjugates of a mod l, one
+packed-integer product per prime by Rader's permutation, and the norm is
+their product mod each l, lifted by the Chinese remainder theorem (Cohen,
+A Course in Computational Algebraic Number Theory, 1.3). The number of
+primes is proven, not tuned; see norm_to_Q. The supply of primes and their
+tables is memoized only in module-level lru_caches.
+
+No matrix and no floating point enters either route.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -48,17 +57,48 @@ from .intlinalg import (
 MAX_P = 1000
 
 
+# the twelve prime bases of the deterministic Miller-Rabin test, and the
+# least composite that is a strong pseudoprime to each of the first k of
+# them, k = 1..12 (OEIS A014233; Sorenson and Webster, Math. Comp. 86, 2017):
+# below _PSI[k - 1], the first k bases decide primality
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461)
+_ODD_TRIAL = tuple((q, q * q) for q in _BASES[1:])
+
+
 def is_prime(n) -> bool:
-    """Trial division; 2 counts, and anything but an int is not a prime."""
+    """2 counts, and anything but an int is not a prime. Trial division by
+    the twelve primes 2 to 37, up to the square root, decides every
+    n < 41^2. A larger n takes the strong probable-prime test to the first
+    k of them, k as _PSI gives it, which is exact below _PSI[-1], about
+    3.18e23; past it, an n with no factor up to 37 raises ValueError."""
     if not isinstance(n, int) or n < 2:
         return False
     if n % 2 == 0:
         return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q, square in _ODD_TRIAL:
+        if square > n:
+            return True
+        if n % q == 0:
             return False
-        d += 2
+    if n < 41 * 41:
+        return True
+    if n >= _PSI[-1]:
+        raise ValueError(f"primality of {n} is not decided past {_PSI[-1]}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    for q in _BASES[:1 + bisect_right(_PSI, n)]:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -264,12 +304,21 @@ def norm_to_Q(a: CycElem):
     A conjugation-fixed a lies in K+, and [K : K+] = 2 gives
     N_(K/Q)(a) = N_(K+/Q)(a)^2, the square of the last elementary symmetric
     function of a's own power-sum pass, which the memo then shares with a's
-    positivity test. Any other a has norm N_(K+/Q)(a conj(a)).
+    positivity test.
+
+    Any other a has N(a) = N(da) / d^(p-1), d the lcm of its denominators,
+    and N(da), the product of the p - 1 conjugates of da, is lifted by the
+    Chinese remainder theorem from its residues mod primes l_1, l_2, ... of
+    product M; the lift stops once M^2 (p-1)^(p-1) > 4 Q^(p-1), for
+    Q = p sum c_k^2 - (sum c_k)^2 over da's coordinates. By Parseval over
+    Z/p, Q = sum_(j=1..p-1) |a(zeta^j)|^2, and AM-GM bounds the product of
+    those p - 1 squares by (Q/(p-1))^(p-1). So |N(da)| < M/2, and the
+    residue in (-M/2, M/2) is N(da) itself.
     """
     if a.is_conj_fixed():
         e = _real_elementary(a)[-1]
         return e * e
-    return _real_elementary(a * a.conj())[-1]
+    return _crt_norm(a)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +428,8 @@ def _real_elementary(x: CycElem):
     lives in Z[t]/(t^p - 1), where Tr(sum a_j zeta^j) = p a_0 - sum a_j.
     The digits of X^k are nonnegative with sum S^k, S = sum a_j, so for
     k <= h = ceil(m/2) digits of w bits, 2^w > S^h, never carry: X^k is one
-    packed integer product and one fold. A digit that fits a 64-bit word is
-    widened to one, and struct packs or reads all p of them in one call; a
-    wider digit is read one int.from_bytes at a time. For k > h, a_0(X^k) =
-    sum_t u_t v_(p-t) for u, v the digits of X^h and X^(k-h). Newton's
+    packed integer product and one fold, in _digits' codec. For k > h,
+    a_0(X^k) = sum_t u_t v_(p-t) for u, v the digits of X^h and X^(k-h). Newton's
     identities k e_k = sum_(i=1..k) e_(k-i) t_i, with the signed power sums
     t_i = (-1)^(i-1) s_i, are one dot product each and run in integers; an
     inexact halving or division raises AssertionError.
@@ -395,30 +442,18 @@ def _real_elementary(x: CycElem):
     a = [v + shift for v in c]
     total = sum(a)
     h = (m + 1) // 2
-    nbytes = ((total ** h).bit_length() + 7) // 8  # 2^(8 nbytes) > S^h
-    if nbytes <= 8:
-        nbytes = 8
-        word = struct.Struct(f"<{p}Q")
-        packed, read = word.pack(*a), word.unpack
-    else:
-        packed = b"".join(v.to_bytes(nbytes, "little") for v in a)
-
-        def read(b):
-            return [int.from_bytes(b[i:i + nbytes], "little")
-                    for i in range(0, len(b), nbytes)]
-
-    size = nbytes * p  # bytes of p digits
-    nbits = 8 * size
-    powers = [int.from_bytes(packed, "little")]
+    nbytes, pack, read = _digits(p, (total ** h).bit_length())  # 2^(8 nbytes) > S^h
+    nbits = 8 * nbytes * p  # bits of p digits
+    powers = [pack(a)]
     for _ in range(h - 1):
         prod = powers[-1] * powers[0]
         powers.append((prod & ((1 << nbits) - 1)) + (prod >> nbits))
     # a_0 of X^1, ..., X^h, then of X^(h+1), ..., X^m by dot products
     digit = (1 << 8 * nbytes) - 1
     const = [v & digit for v in powers]
-    u = read(powers[-1].to_bytes(size, "little"))
+    u = read(powers[-1])
     u = u[:1] + u[:0:-1]  # u_0, u_(p-1), ..., u_1
-    const += [sum(map(mul, u, read(v.to_bytes(size, "little")))) for v in powers[:m - h]]
+    const += [sum(map(mul, u, read(v))) for v in powers[:m - h]]
     t, power, sign = [], 1, 1
     for a0 in const:
         power *= total
@@ -435,11 +470,142 @@ def _real_elementary(x: CycElem):
     return tuple(out)
 
 
+def _digits(count, nbits):
+    """The Kronecker codec of count digits of nbits bits each: the digit
+    width in bytes, at least one 64-bit word, and pack, which turns count
+    nonnegative digits below 2^(8 width) into one integer, and read, which
+    turns an integer below 2^(8 width count) back into its count digits.
+    A digit that fits a word is one struct field, so one call packs or
+    reads them all; a wider digit is one int.from_bytes each."""
+    nbytes = max(8, (nbits + 7) // 8)
+    size = nbytes * count
+    if nbytes == 8:
+        word = struct.Struct(f"<{count}Q")
+
+        def pack(digits):
+            return int.from_bytes(word.pack(*digits), "little")
+
+        def read(v):
+            return word.unpack(v.to_bytes(size, "little"))
+    else:
+        def pack(digits):
+            return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in digits),
+                                  "little")
+
+        def read(v):
+            b = v.to_bytes(size, "little")
+            return [int.from_bytes(b[i:i + nbytes], "little") for i in range(0, size, nbytes)]
+    return nbytes, pack, read
+
+
 def _exact_div(n, k):
     q, r = divmod(n, k)
     if r:
         raise AssertionError(f"inexact division by {k}")
     return q
+
+
+# ---------------------------------------------------------------------------
+# conjugates modulo primes l = 1 (mod p), and the norm by the Chinese
+# remainder theorem
+
+
+# the prime supply: l = kp + 1 below 2^31, the largest first
+_L_TOP = 1 << 31
+
+
+@lru_cache(maxsize=None)
+def _generator_powers(p):
+    """g^0, g^1, ..., g^(p-2) mod p for the least generator g of (Z/p)^*."""
+    n = p - 1
+    for g in range(2, p):
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * g % p)
+        if len(set(powers)) == n:
+            return tuple(powers)
+
+
+# a table is p - 1 words, so 1024 of them take at most 8 MB for p <= MAX_P
+@lru_cache(maxsize=1024)
+def _prime_below(p, top):
+    """The largest prime l = kp + 1 below top, and the values
+    w_r = omega^(g^r) mod l, r = 0..p-2, of an omega of order p in F_l,
+    packed as 64-bit digits. When no such l remains, ArithmeticError."""
+    k = (top - 2) // p
+    for k in range(k - k % 2, 0, -2):  # kp + 1 is odd for even k
+        ell = k * p + 1
+        if is_prime(ell):
+            break
+    else:
+        raise ArithmeticError(f"no prime l = 1 (mod {p}) is left below {top}")
+    x = 2
+    while (omega := pow(x, k, ell)) == 1:  # x^((l-1)/p), of order p unless 1
+        x += 1
+    powers = [1]
+    for _ in range(p - 1):
+        powers.append(powers[-1] * omega % ell)
+    return ell, _digits(p - 1, 64)[1]([powers[e] for e in _generator_powers(p)])
+
+
+def conjugates_mod_primes(a: CycElem):
+    """For an integral a, the pairs (l, conjugates) for l = 1 (mod p) in
+    the supply's order, the largest prime below 2^31 first: conjugates
+    holds a(omega^j) mod l for j = g^s, s = 0..p-2, which is each j from 1
+    to p - 1 once. An endless generator; a supply that runs out raises.
+
+    Padded with c_(p-1) = 0 and shifted by o (1 + zeta + ... + zeta^(p-1))
+    = 0 to digits a_k >= 0, a(omega^j) = a_0 + sum_t a_(g^t) omega^(j g^t).
+    With j = g^s the sum is sum_t a_(g^t) w_(t+s), w_r = omega^(g^r), a
+    cyclic correlation of length p - 1 (Rader): put a_(g^t) at position -t
+    mod p - 1, and the product of the two packed integers, folded mod
+    X^(p-1) - 1, holds a(omega^(g^s)) - a_0 at position s. Each position
+    sums p - 1 products of a w below l and a digit at most max a_k, or
+    below l once digits of 2^31 or more are reduced mod l, so digits of
+    (p - 1) min(max a_k, 2^31) 2^31 never carry.
+    """
+    p, n = a.p, a.p - 1
+    c = list(a.coords) + [0]
+    shift = -min(c)
+    a0 = c[0] + shift
+    order = _generator_powers(p)
+    digits = [c[order[-t]] + shift for t in range(n)]  # a_(g^(-t)) at t
+    top = max(digits)
+    nbytes, pack, read = _digits(n, (n * min(top, _L_TOP) * _L_TOP).bit_length())
+    nbits = 8 * nbytes * n
+    u = pack(digits) if top < _L_TOP else None
+    ell = _L_TOP
+    while True:
+        ell, w = _prime_below(p, ell)
+        if nbytes > 8:
+            w = pack(_digits(n, 64)[2](w))
+        prod = (pack([v % ell for v in digits]) if u is None else u) * w
+        folded = (prod & ((1 << nbits) - 1)) + (prod >> nbits)
+        yield ell, [(v + a0) % ell for v in read(folded)]
+
+
+def _crt_norm(a: CycElem):
+    """N(a) for any a, as norm_to_Q takes it for an a that conjugation
+    moves: the product of the conjugates mod each prime, lifted by the
+    Chinese remainder theorem until the bound proves the lift exact."""
+    p, n = a.p, a.p - 1
+    d = lcm(*(c.denominator for c in a.coords))
+    c = [int(v * d) for v in a.coords]
+    big_q = p * sum(v * v for v in c) - sum(c) ** 2
+    need, scale = 4 * big_q ** n, n ** n
+    x, mod = 0, 1
+    primes = conjugates_mod_primes(CycElem(p, c) if d > 1 else a)
+    while mod * mod * scale <= need:  # then |N(da)| < mod/2, see norm_to_Q
+        ell, conj = next(primes)
+        r = 1
+        for v in conj:
+            r = r * v % ell
+        x += mod * ((r - x) * pow(mod, -1, ell) % ell)
+        mod *= ell
+    if 2 * x > mod:
+        x -= mod
+    q, r = divmod(x, d ** n)
+    return Fraction(x, d ** n) if r else q
 
 
 def is_totally_positive(a) -> bool:

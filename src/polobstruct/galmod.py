@@ -27,10 +27,8 @@ E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .cyclotomic import _require_odd_prime
-from .intlinalg import Matrix, Record
+from .intlinalg import Matrix, Record, cached
 from .twist import build_zeta, companion_times_vector, is_companion
 
 
@@ -55,7 +53,7 @@ class TorsionModule(Record):
     def dim(self) -> int:
         return 2 * (self.p - 1)
 
-    @cached_property
+    @cached
     def action(self) -> Matrix:
         """The 2n x 2n action kron(cocycle mod p, I_2) on X[p], built on
         first use; the certificate never reads it."""
@@ -66,7 +64,7 @@ class TorsionModule(Record):
                 rows.append([x if g == f else 0 for x in reduced for g in (0, 1)])
         return Matrix(rows)
 
-    @cached_property
+    @cached
     def two_jordan_blocks(self) -> bool:
         """Is action - 1 mod p two Jordan blocks of size p - 1, by the module
         docstring's certificate? N_A = cocycle - 1 mod p is applied p - 2

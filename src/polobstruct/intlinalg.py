@@ -164,6 +164,26 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class cached:
+    """A Record method read as an attribute, computed on the first read and
+    stored through Record._set, so later reads find the value on the
+    instance and never call the method again. functools.cached_property
+    would store it through the instance's __dict__ (see _set)."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        obj._set(**{self.name: value})
+        return value
+
+
 class Matrix:
     """Immutable exact matrix. Entries are int or Fraction."""
 

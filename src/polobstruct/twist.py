@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
 from .cyclotomic import CycElem, _require_odd_prime, cyclotomic_poly, regular_rep
 from .intlinalg import (
@@ -42,6 +41,7 @@ from .intlinalg import (
     _norm_row,
     _norm_scalar,
     _sparse_kernel,
+    cached,
     det,
     leading_principal_minors,
     resultant,
@@ -136,7 +136,7 @@ class TwistData(Record):
     def for_prime(cls, p) -> "TwistData":
         return cls(p, build_zeta(p), build_b(p))
 
-    @cached_property
+    @cached
     def zeta_is_companion(self) -> bool:
         """Is zeta exactly build_zeta's companion shape (is_companion)? It
         picks the shift or the generic product in every product with zeta."""
@@ -179,7 +179,7 @@ class TwistData(Record):
             raise ValueError("vector length mismatch")
         return companion_times_vector(v)
 
-    @cached_property
+    @cached
     def orbit(self) -> Orbit:
         """The orbit e1, zeta e1, ..., zeta^(p-1) e1 of the cyclic vector,
         and whether T (its first p - 1 vectors) is unit upper triangular."""
@@ -190,19 +190,19 @@ class TwistData(Record):
         return Orbit(vecs, all(v[k] == 1 and not any(v[k + 1:])
                                for k, v in enumerate(vecs[:n])))
 
-    @cached_property
+    @cached
     def phi_p_annihilates_zeta(self) -> bool:
         """Phi_p(zeta) = 0, read off the orbit (see CONSTRUCTION_CHECKS)."""
         return self.orbit.unit_triangular and not any(map(sum, zip(*self.orbit.vectors)))
 
-    @cached_property
+    @cached
     def b_is_i_plus_j(self) -> bool:
         """Is b - I the all-ones matrix J = 11^t, entry by entry?"""
         n = self.p - 1
         return all(r == (1,) * i + (2,) + (1,) * (n - 1 - i)
                    for i, r in enumerate(self.b.rows))
 
-    @cached_property
+    @cached
     def b_minors(self):
         """The leading principal minors of b; the last is det b, also when
         a minor vanishes. For b = I + J the determinant lemma
@@ -213,7 +213,7 @@ class TwistData(Record):
             return list(range(2, self.p + 1))
         return leading_principal_minors(self.b)
 
-    @cached_property
+    @cached
     def polarization_degree(self):
         """The degree (det b)^2 of the polarization b defines."""
         return self.b_minors[-1] ** 2

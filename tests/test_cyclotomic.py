@@ -11,7 +11,7 @@ positivity with high-precision numeric embeddings via mpmath.
 import operator
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import mpmath
 import pytest
@@ -29,13 +29,17 @@ from polobstruct.intlinalg import (
 )
 from polobstruct.cyclotomic import (
     CycElem,
+    _crt_norm,
+    _generator_powers,
     _real_elementary,
     RealElem,
     complex_conj,
+    conjugates_mod_primes,
     cyclotomic_poly,
     eta,
     format_element,
     is_odd_prime,
+    is_prime,
     is_totally_positive,
     norm_real_to_Q,
     norm_to_Q,
@@ -121,6 +125,74 @@ def _rand_elem(rng, p, bound=4, rational=False):
 
 def test_is_odd_prime():
     assert [q for q in range(2, 30) if is_odd_prime(q)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_10_to_the_5():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == [
+        n for n in range(-3, 10 ** 5) if _prime_by_trial_division(n)]
+    assert not any(is_prime(v) for v in (2.0, Fraction(7), "7", None, True))
+
+
+def _odd_primes_below(bound):
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for q in range(2, isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, bound, q)))
+    return [q for q in range(3, bound) if sieve[q]]
+
+
+def test_is_prime_matches_the_oracles_on_seeded_odd_n_below_2_to_the_62():
+    # trial division by the primes below 2^16 decides every n below 2^32
+    # and finds the small factor of most larger n; the rest are checked
+    # against sympy's isprime (BPSW, which has no pseudoprime below 2^64).
+    # Products of two primes that have no factor below 2^15 must test
+    # composite: those of two primes near 2^16, and of two 31-bit primes
+    import sympy
+
+    small = _odd_primes_below(1 << 16)
+    rng = random.Random(62)
+    decided = 0
+    for _ in range(2000):
+        n = rng.randrange(1, 1 << rng.randint(2, 62), 2)
+        factor = next((q for q in small if q * q <= n and n % q == 0), None)
+        if factor is None and n >= 1 << 32:
+            assert is_prime(n) == sympy.isprime(n), n
+        else:
+            assert is_prime(n) == (factor is None and n > 1), n
+            decided += 1
+    assert decided > 1300
+    for _ in range(200):
+        q, r = (rng.choice(small[-3000:]) for _ in range(2))
+        assert not is_prime(q * r)
+        q, r = (rng.randrange(1 << 20, 1 << 31) | 1 for _ in range(2))
+        if _prime_by_trial_division(q) and _prime_by_trial_division(r):
+            assert not is_prime(q * r)
+    assert is_prime((1 << 61) - 1) and is_prime((1 << 31) - 1)
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers():
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5, 7 and
+    # 3825123056546413051 to every prime base up to 23: each is the first
+    # n that needs one base more than the n below it
+    for n in (561, 41041, 3215031751, 3825123056546413051, 2047, 1373653,
+              25326001, 2152302898747, 3474749660383, 341550071728321):
+        assert not is_prime(n)
+    assert is_prime(3215031751 + 2) == _prime_by_trial_division(3215031753)
+
+
+def test_is_prime_refuses_past_its_proven_bound():
+    bound = 318665857834031151167461
+    assert not is_prime(bound + 1)  # even: trial division still decides it
+    assert not is_prime(3 * 10 ** 30)
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(bound)
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime((1 << 89) - 1)
 
 
 def test_cyclotomic_poly():
@@ -673,6 +745,110 @@ def test_resultant_is_the_determinant_and_the_norm():
         phi_p = cyclotomic_poly(p).coeffs
         for a in (_rand_elem(rng, p, bound=3), _rand_elem(rng, p, bound=1)):
             assert resultant(phi_p, a.coords) == det(regular_rep(a)) == norm_to_Q(a)
+
+
+# ---------------------------------------------------------------------------
+# the multimodular core: conjugates mod primes l = 1 (mod p) and the CRT norm
+
+
+def _power_sum_norm(a):
+    # the norm as the last elementary function of the power-sum pass on the
+    # conjugation-fixed a conj(a)
+    return _real_elementary(a * a.conj())[-1]
+
+
+def _crt_samples(rng, p):
+    """Seeded elements, most of which conjugation moves: small and rational
+    ones, a single nonzero coordinate, zeros, all-negative coordinates, and
+    coordinates so wide that a packed digit needs more than one word."""
+    n = p - 1
+    wide = rng.randint(1 << 64, 1 << 70)
+    return [
+        _rand_elem(rng, p, bound=3),
+        _rand_elem(rng, p, bound=3, rational=True),
+        CycElem.zeta(p) ** rng.randrange(1, n) * rng.choice((-3, 2, Fraction(5, 7))),
+        CycElem(p, [0] * (n - 1) + [-4]),
+        CycElem(p, [rng.choice((0, 0, 0, 1, -2)) for _ in range(n)]),
+        CycElem(p, [-rng.randint(1, 9) for _ in range(n)]),
+        CycElem(p, [rng.randint(-wide, wide) for _ in range(n)]),
+        CycElem(p, [rng.randint(1 << 29, 1 << 31) for _ in range(n)]),
+        CycElem(p, [Fraction(rng.randint(-1 << 40, 1 << 40), rng.randint(1, 6))
+                    for _ in range(n)]),
+    ]
+
+
+def test_crt_norm_matches_the_power_sums_for_every_p_to_61():
+    rng = random.Random(97)
+    for p in PRIMES_TO_61:
+        # the wide samples cost the power-sum oracle most: p <= 31 and 61
+        samples = _crt_samples(rng, p)
+        for a in samples if p <= 31 or p == 61 else samples[:6]:
+            got, expected = _crt_norm(a), _power_sum_norm(a)
+            assert got == expected and type(got) is type(expected), (p, a)
+            assert norm_to_Q(a) == got
+
+
+def test_crt_norm_matches_the_power_sums_on_seeded_samples_to_211():
+    rng = random.Random(211)
+    for p in (67, 97, 211):
+        a = _rand_elem(rng, p, bound=3, rational=p < 100)
+        assert a != a.conj()
+        assert _crt_norm(a) == norm_to_Q(a) == _power_sum_norm(a)
+
+
+def test_crt_norm_matches_bareiss_determinant():
+    rng = random.Random(31)
+    for p in PRIMES_TO_31:
+        for a in _crt_samples(rng, p)[:6]:
+            assert _crt_norm(a) == det(regular_rep(a))
+
+
+def _gauss_sum(p):
+    """sum (k/p) zeta^k: every conjugate has |g(zeta^j)|^2 = p."""
+    acc = [0] * p
+    for k in range(1, p):
+        acc[k] = 1 if pow(k, (p - 1) // 2, p) == 1 else -1
+    return CycElem(p, [c - acc[p - 1] for c in acc[:p - 1]])
+
+
+def test_gauss_sum_attains_the_prime_count_bound():
+    # Q = p sum c_k^2 - (sum c_k)^2 = (p - 1) p, so the AM-GM bound
+    # (Q/(p-1))^((p-1)/2) = p^((p-1)/2) is |N(g)| itself: a CRT that stopped
+    # one prime short would read the residue of N(g) on the wrong side
+    for p in PRIMES_TO_61:
+        g = _gauss_sum(p)
+        c = g.coords
+        assert p * sum(v * v for v in c) - sum(c) ** 2 == (p - 1) * p
+        assert g * g == CycElem.from_rational(p if p % 4 == 1 else -p, p)
+        assert abs(_crt_norm(g)) == p ** ((p - 1) // 2)
+        assert _crt_norm(g * 3) == 3 ** (p - 1) * _crt_norm(g)
+
+
+def test_conjugates_are_the_values_at_the_powers_of_an_order_p_root():
+    rng = random.Random(5)
+    for p in (3, 5, 13, 43):
+        a = _rand_elem(rng, p, bound=3)
+        c = a.coords + (0,)
+        order = _generator_powers(p)
+        assert sorted(order) == list(range(1, p))
+        primes = conjugates_mod_primes(a)
+        for _ in range(3):
+            ell, conj = next(primes)
+            assert ell % p == 1 and ell < 1 << 31 and _prime_by_trial_division(ell)
+            roots = [x for x in range(2, 200) if pow(x, (ell - 1) // p, ell) != 1]
+            omega = pow(roots[0], (ell - 1) // p, ell)
+            assert conj == [sum(v * pow(omega, j * k, ell) for k, v in enumerate(c)) % ell
+                            for j in order]
+
+
+def test_a_prime_supply_that_runs_out_raises(monkeypatch):
+    import polobstruct.cyclotomic as cyc
+
+    # below 60, the primes l = 1 (mod 3) are 43, 37, 31, 19, 13 and 7
+    monkeypatch.setattr(cyc, "_L_TOP", 60)
+    assert _crt_norm(CycElem(3, [2, 1])) == 3
+    with pytest.raises(ArithmeticError, match="no prime"):
+        _crt_norm(CycElem(3, [10 ** 9, 1]))
 
 
 def test_norms_and_positivity_use_no_determinant_or_charpoly(monkeypatch):

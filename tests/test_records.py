@@ -13,7 +13,7 @@ import pytest
 
 from polobstruct.cli import VerifyReport
 from polobstruct.galmod import build_ptorsion, e_rank_of_order
-from polobstruct.intlinalg import IntPoly, Matrix, snf
+from polobstruct.intlinalg import IntPoly, Matrix, cached, snf
 from polobstruct.kergroup import (
     AlgebraFactor,
     CenterField,
@@ -125,6 +125,30 @@ def test_set_takes_every_field_or_none():
     label = SimpleLabel("G", 9, "G")
     label._set(cache=1)
     assert label.cache == 1 and label == SimpleLabel("G", 9, "G")
+
+
+@pytest.mark.parametrize("make, count", [(lambda: TwistData.for_prime(7), 6),
+                                         (lambda: build_ptorsion(7), 2)],
+                         ids=["TwistData", "TorsionModule"])
+def test_cached_values_are_computed_once_and_stay_frozen(monkeypatch, make, count):
+    obj = make()
+    names = [k for k, v in vars(type(obj)).items() if isinstance(v, cached)]
+    assert len(names) == count
+    calls = []
+    for name in names:
+        descriptor = vars(type(obj))[name]
+        monkeypatch.setattr(descriptor, "func",
+                            lambda self, f=descriptor.func, n=name: calls.append(n) or f(self))
+    first = {name: getattr(obj, name) for name in names}
+    second = {name: getattr(obj, name) for name in names}
+    assert sorted(calls) == sorted(names)
+    assert all(second[n] is first[n] for n in names)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, first[name])
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert obj == make() and hash(obj) == hash(make()) and repr(obj) == repr(make())
 
 
 def test_model_repr_holds_no_address():

@@ -1,13 +1,15 @@
 """The CLI's one exit for bad input, what it counts as bad input, the
-package root's four names, and the one way a value class stores its
-fields."""
+package root's four names, the one way a value class stores its fields,
+and the module state a command may leave behind: none."""
 
 import ast
 import os
+import sys
 import types
 
 import polobstruct
 from polobstruct import cli
+from polobstruct.kergroup import twist_model
 
 
 def _count(pred):
@@ -74,3 +76,34 @@ def test_only_record_and_field_elem_write_with_object_setattr():
                        and ast.unparse(n) == "object.__setattr__" for n in ast.walk(top)):
                     writers.add(f"{name[:-3]}.{getattr(top, 'name', '')}")
     assert writers == {"intlinalg.Record", "cyclotomic._FieldElem"}
+
+
+def _module_state():
+    """Every module-level binding of polobstruct, with a copy of the
+    contents of each dict, list and set."""
+    state = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "polobstruct" or name.startswith("polobstruct."):
+            for key, value in vars(mod).items():
+                contents = next((kind(value) for kind in (dict, list, set)
+                                 if isinstance(value, kind)), None)
+                state[name, key] = value, contents
+    return state
+
+
+def test_no_command_leaves_module_state_behind(tmp_path, capsys):
+    # a later command in the same process, a perfbench pass among them,
+    # must find what a fresh process finds; lru_cache contents aside, which
+    # perfbench clears before each command, nothing may persist
+    model = tmp_path / "model13.json"
+    model.write_text(twist_model(13).to_json())
+    before = _module_state()
+    for argv in (["verify", "-p", "43"], ["norm", "13; 3, 0, -1, 2, 0, 0, 1, 0, 0, 5, 0, -2"],
+                 ["attainable", "--model", str(model), "--class", "1"]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    after = _module_state()
+    assert after.keys() == before.keys()
+    for key, (value, contents) in before.items():
+        assert after[key][0] is value, key
+        assert after[key][1] == contents, key
