@@ -804,7 +804,10 @@ def resultant(f, g):
     The sub-resultant remainder sequence (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 3.3.7): each division in it is exact, so
     it runs in the integers with coefficients polynomially bounded, and it
-    takes no determinant.
+    takes no determinant. A normal step (deg a = deg b + 1, as every step
+    of Res(Phi_p, a) for a generic a) is one pass: with lb = lc(b),
+    q1 = lc(a) and q2 = lb a[-2] - q1 b[-2], the pseudo-remainder is
+    lb^2 a - lb q1 x b - q2 b, divided by lg h as it is made.
     """
     a, b = IntPoly(f).coeffs, IntPoly(g).coeffs
     if not a or not b:
@@ -824,12 +827,16 @@ def resultant(f, g):
         delta = da - db
         if da & db & 1:
             s = -s
-        r = _q_strip(_pseudo_rem(a, b))
+        div = lg * h ** delta
+        if delta == 1:
+            u, w, q2 = b[-1] ** 2, b[-1] * a[-1], b[-1] * a[-2] - a[-1] * b[-2]
+            r = _q_strip([(u * x - w * y - q2 * z) // div
+                          for x, y, z in zip(a, [0, *b], b[:-1])])
+        else:
+            r = [x // div for x in _q_strip(_pseudo_rem(a, b))]
         if not r:
             return 0
-        div = lg * h ** delta
-        a, da = b, db
-        b, db = [x // div for x in r], len(r) - 1
+        a, da, b, db = b, db, r, len(r) - 1
         lg = a[-1]
         if delta:
             h = lg ** delta // h ** (delta - 1)

@@ -21,25 +21,26 @@ off one certificate, the orbit e_1, zeta e_1, ..., zeta^(p-1) e_1 that
 TwistData.orbit computes once per instance.
 
 zeta is a companion matrix, and is_companion decides that shape, for
-TwistData and for galmod's torsion certificate alike. For a companion zeta every product with zeta is a shift of
-plain rows or entries, with no matrix product: zeta X moves X's rows down
-and puts minus its column sums on top, X zeta subtracts X's first column
-from the columns after it, and zeta^t X subtracts X's first row from the
-rows after it. TwistData's zeta_times, times_zeta, zeta_t_times and
-zeta_times_vector take these shifts, and any other zeta the generic product.
+TwistData and for galmod's torsion certificate alike. For a companion zeta
+every product with zeta is a shift of plain rows, with no matrix product:
+zeta X moves X's rows down under minus its column sums, X zeta subtracts
+X's first column from the others, and zeta^t X its first row from the
+others. TwistData's zeta_times and times_zeta iterate over such rows, and
+over the generic product's rows for any other zeta; the descent checks stop
+at the first row that differs.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import eq, neg, sub
 
 from .cyclotomic import CycElem, _require_odd_prime, cyclotomic_poly, regular_rep
 from .intlinalg import (
     Matrix,
     Record,
     _norm_row,
-    _norm_scalar,
     _sparse_kernel,
     cached,
     det,
@@ -142,33 +143,19 @@ class TwistData(Record):
         picks the shift or the generic product in every product with zeta."""
         return is_companion(self.zeta)
 
-    def zeta_times(self, x: Matrix) -> Matrix:
-        """zeta x: row 0 is minus x's column sums, row i is row i - 1 of x."""
+    def zeta_times(self, x: Matrix):
+        """Iterate over zeta x once: -(x's column sums), then x's rows but the last."""
         if not self.zeta_is_companion:
-            return self.zeta * x
+            return iter((self.zeta * x).rows)
         _check_factors(self.zeta.shape, x.shape)
-        rows = x.rows
-        return Matrix([[-s for s in map(sum, zip(*rows))], *rows[:-1]],
-                      ncols=x.ncols)
+        return iter((tuple(-s for s in map(sum, zip(*x.rows))), *x.rows[:-1]))
 
-    def times_zeta(self, x: Matrix) -> Matrix:
-        """x zeta: column j is column j + 1 of x minus column 0, and the
-        last column is minus column 0."""
+    def times_zeta(self, x: Matrix):
+        """Iterate once over x zeta, making (r_1 - r_0, ..., -r_0) of r when read."""
         if not self.zeta_is_companion:
-            return x * self.zeta
+            return iter((x * self.zeta).rows)
         _check_factors(x.shape, self.zeta.shape)
-        return Matrix([[y - r[0] for y in r[1:]] + [-r[0]] for r in x.rows],
-                      ncols=x.ncols)
-
-    def zeta_t_times(self, x: Matrix) -> Matrix:
-        """zeta^t x: row i is row i + 1 of x minus row 0, and the last row
-        is minus row 0."""
-        if not self.zeta_is_companion:
-            return self.zeta.transpose() * x
-        _check_factors(self.zeta.shape, x.shape)
-        first, *rest = x.rows
-        return Matrix([[y - f for y, f in zip(r, first)] for r in rest]
-                      + [[-f for f in first]], ncols=x.ncols)
+        return ((*[y - r[0] for y in r[1:]], -r[0]) for r in x.rows)
 
     def zeta_times_vector(self, v) -> tuple:
         """zeta v, by companion_times_vector for the companion zeta."""
@@ -229,12 +216,12 @@ def endo_descends(alpha: Matrix, t: TwistData) -> bool:
     """Does the endomorphism alpha descend through the twist?
 
     The descent condition for a trivial-action base is commutation with the
-    cocycle value.
+    cocycle value, compared row by row up to the first row that differs.
     """
     n = t.p - 1
     if alpha.shape != (n, n):
         raise ValueError(f"expected a {n} by {n} matrix for p = {t.p}")
-    return t.zeta_times(alpha) == t.times_zeta(alpha)
+    return all(map(eq, t.zeta_times(alpha), t.times_zeta(alpha)))
 
 
 def pol_descends(t: TwistData) -> bool:
@@ -243,7 +230,12 @@ def pol_descends(t: TwistData) -> bool:
     b^(-1) zeta^t b zeta = 1 is equivalent to zeta^t b zeta = b since b is
     invertible; the latter needs no rational arithmetic.
     """
-    return t.zeta_t_times(t.times_zeta(t.b)) == t.b
+    if not t.zeta_is_companion:
+        return t.zeta.transpose() * t.b * t.zeta == t.b
+    # zeta^t y, y = b zeta: y's rows after the first minus it, then -first
+    first, *rest = t.times_zeta(t.b)
+    return (all(tuple(map(sub, r, first)) == s for r, s in zip(rest, t.b.rows))
+            and tuple(map(neg, first)) == t.b.rows[-1])
 
 
 def endo_degree(alpha: Matrix):
@@ -277,7 +269,8 @@ def rosati(x: Matrix, t: TwistData) -> Matrix:
     xt = list(zip(*x.rows))
     row_sums = [sum(r) for r in xt]
     total = sum(row_sums)
-    sums = [_norm_scalar(Fraction(sum(r) + total, t.p)) for r in x.rows]
+    sums = [Fraction(s, t.p) if rem else q for s in (sum(r) + total for r in x.rows)
+            for q, rem in [divmod(s, t.p)]]
     return Matrix([[v + rs - s for v, s in zip(r, sums)]
                    for r, rs in zip(xt, row_sums)])
 
@@ -401,7 +394,7 @@ CONSTRUCTION_CHECKS = (
     ("polarization_descends", lambda t: pol_descends(t)),
     ("polarization_degree_p_squared", lambda t: t.polarization_degree == t.p ** 2),
     ("rosati_inverts_zeta", lambda t: t.b_is_i_plus_j
-     and t.times_zeta(rosati(t.zeta, t)) == Matrix.identity(t.p - 1)),
+     and all(map(eq, t.times_zeta(rosati(t.zeta, t)), Matrix.identity(t.p - 1).rows))),
     ("centralizer_rank", lambda t: t.orbit.unit_triangular),
     ("centralizer_equals_zeta_powers", lambda t: t.orbit.unit_triangular),
 )

@@ -250,6 +250,42 @@ def test_verify_builds_zeta_once(monkeypatch):
     assert calls == [43]
 
 
+def test_verify_builds_no_matrix_in_the_descent_checks(monkeypatch):
+    # every Matrix run_verify_suite(43) builds, through __init__, identity
+    # or zero: zeta, b, reduce_shift's, rosati's, the three sparse draws and
+    # the rosati check's identity; the descent checks compare plain rows
+    import polobstruct.twist as twist
+    from polobstruct.intlinalg import Matrix
+
+    built, inside = [], []
+    init, identity, zero = Matrix.__init__, Matrix.identity.__func__, Matrix.zero.__func__
+
+    def record(kind):
+        built.append((kind, bool(inside)))
+
+    monkeypatch.setattr(Matrix, "__init__",
+                        lambda self, *a, **k: record("init") or init(self, *a, **k))
+    monkeypatch.setattr(Matrix, "identity",
+                        classmethod(lambda cls, n: record("identity") or identity(cls, n)))
+    monkeypatch.setattr(Matrix, "zero",
+                        classmethod(lambda cls, m, n: record("zero") or zero(cls, m, n)))
+
+    def entered(f):
+        def wrapped(*args):
+            inside.append(f)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+        return wrapped
+
+    monkeypatch.setattr(cli, "endo_descends", entered(twist.endo_descends))
+    monkeypatch.setattr(twist, "pol_descends", entered(twist.pol_descends))
+    assert cli.run_verify_suite(43).ok
+    assert sorted(kind for kind, _ in built) == ["identity"] + ["init"] * 7
+    assert not any(within for _, within in built)
+
+
 def test_noncommuting_samples_are_sparse(monkeypatch):
     # each sampled row holds one nonzero entry of {-2, -1, 1, 2}; every
     # sample the pre-check keeps is judged by endo_descends

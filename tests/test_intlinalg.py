@@ -849,6 +849,86 @@ def test_resultant_frozen_and_sylvester_oracle():
         assert resultant(f, g) == _cofactor_det(_sylvester(f, g))
 
 
+def _remainder_chain(degrees, rng):
+    """f and g whose remainder sequence over Q has the given degrees, from
+    the top: built from the bottom by r_(i-1) = q r_i + r_(i+1), each q of
+    degree deg r_(i-1) - deg r_i with a nonzero leading coefficient, so the
+    remainder of r_(i-1) by r_i is r_(i+1); the last member divides the one
+    above it, and is their gcd. Leading coefficients are drawn from +-1,
+    +-2, +-3, so most members are not monic."""
+    def poly(d):
+        return [rng.randint(-3, 3) for _ in range(d)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+    low = poly(degrees[-1])
+    high = _poly_product(poly(degrees[-2] - degrees[-1]), low)
+    for d in reversed(degrees[:-2]):
+        low, high = high, [x + y for x, y in itertools.zip_longest(
+            _poly_product(poly(d - len(high) + 1), high), low, fillvalue=0)]
+    return high, low
+
+
+def _spy_pseudo_rem(monkeypatch):
+    """The degree gap deg a - deg b of each step that takes _pseudo_rem."""
+    import polobstruct.intlinalg as il
+
+    gaps, real = [], il._pseudo_rem
+    monkeypatch.setattr(il, "_pseudo_rem",
+                        lambda a, b: gaps.append(len(a) - len(b)) or real(a, b))
+    return gaps
+
+
+@pytest.mark.parametrize("degrees", [
+    (4, 3, 1, 0), (4, 4, 2, 0), (5, 4, 3, 1, 0), (5, 5, 3, 2, 0), (7, 6, 4, 3, 1, 0),
+    (8, 7, 6, 3, 2, 0), (6, 5, 2, 1), (7, 6, 3, 2, 1)])
+def test_resultant_with_a_gap_in_the_middle_of_the_sequence(degrees, monkeypatch):
+    # a step of degree gap 2 or more takes _pseudo_rem, the steps around it
+    # the one-pass normal step; a chain that ends above degree 0 has a
+    # common factor, and Res = 0
+    gaps = _spy_pseudo_rem(monkeypatch)
+    rng = random.Random(sum(degrees))
+    for _ in range(6):
+        f, g = _remainder_chain(degrees, rng)
+        assert (len(f) - 1, len(g) - 1) == degrees[:2]
+        gaps.clear()
+        want = _sympy_resultant(f, g)
+        assert resultant(f, g) == want
+        assert (want == 0) == (degrees[-1] > 0)
+        assert max(gaps) >= 2
+        if sum(degrees[:2]) <= 8:
+            assert want == _cofactor_det(_sylvester(f, g))
+        df, dg = len(f) - 1, len(g) - 1
+        assert resultant(g, f) == (-1) ** (df * dg) * want
+
+
+def test_resultant_of_non_monic_and_negative_leading_coefficients():
+    rng = random.Random(53)
+    for _ in range(100):
+        f, g = ([rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+                + [rng.choice([-7, -4, -3, -2, 2, 3, 5, 6])] for _ in range(2))
+        want = _cofactor_det(_sylvester(f, g))
+        assert resultant(f, g) == want == _sympy_resultant(f, g)
+    # scaling f by c scales Res(f, g) by c^(deg g)
+    f, g = [3, -1, 4, -2], [1, 5, 0, -3, 2]
+    assert resultant([-5 * x for x in f], g) == (-5) ** 4 * resultant(f, g)
+
+
+def test_resultant_of_phi_p_takes_only_normal_steps(monkeypatch):
+    # every step of Res(Phi_p, a) for a generic a has degree gap 1, the
+    # one-pass step, and the value is det a(zeta) by the generic determinant
+    gaps = _spy_pseudo_rem(monkeypatch)
+    rng = random.Random(43)
+    for p in (5, 13, 43):
+        phi = [1] * p
+        a = [rng.randint(-3, 3) for _ in range(p - 2)] + [rng.choice([-3, -2, 2, 3])]
+        want = _sympy_resultant(phi, a)
+        assert resultant(phi, a) == want
+        if p < 43:
+            a_zeta = sum(((build_zeta(p) ** k).scale(c) for k, c in enumerate(a)),
+                         Matrix.zero(p - 1, p - 1))
+            assert want == det(a_zeta)
+    assert gaps == []
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
