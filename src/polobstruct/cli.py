@@ -22,21 +22,27 @@ any primality test or allocation; so is an element whose field tag exceeds
 it, and a model file whose center prime or ramified entries do.
 
 Run as ``polobstruct <command>`` or ``python -m polobstruct.cli <command>``.
-Each main call builds one parser and keeps none: for a known command, its
-own parser from COMMANDS, the subparser build_parser() adds for it; for no
-command, -h, an unknown command or a leftover argument, the full
-build_parser(), so help and usage errors read as the full parser's.
+main reads a command line in the plain form straight from COMMANDS and
+builds no parser: a known command, then that command's own flags, each
+once with a value, then its positionals, where a value is a token that
+does not start with "-" or a negative integer, and each value parses with
+its flag's type. Any other line (no command, -h, --flag=value, -p7, an
+abbreviation, a repeated flag, --, an unknown token or a value that does
+not parse) goes to a full build_parser(), built afresh on each call, so
+argparse alone prints help and usage errors, and argparse is imported
+only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 from .cyclotomic import (
     MAX_P,
@@ -350,33 +356,69 @@ COMMANDS = {
 }
 
 
-def _add_command(parser, name) -> argparse.ArgumentParser:
-    """Give parser the arguments and the handler (func) of command name."""
-    _, handler, arguments = COMMANDS[name]
-    for flags, kwargs in arguments:
-        parser.add_argument(*flags, **kwargs)
-    parser.set_defaults(func=handler)
-    return parser
+def build_parser():
+    import argparse
 
-
-def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polobstruct",
         description="Construct and interrogate the twisted products with no "
                     "principal polarization in their isogeny class.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_, _, _) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_), name)
+    for name, (help_, handler, arguments) in COMMANDS.items():
+        parser = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            parser.add_argument(*flags, **kwargs)
+        parser.set_defaults(func=handler)
     return ap
+
+
+# argparse reads a negative number as a value: no flag looks like one
+_NEGATIVE_INT = re.compile(r"-[0-9]+")
+
+
+def _is_value(token):
+    return not token.startswith("-") or _NEGATIVE_INT.fullmatch(token) is not None
+
+
+def _read_args(argv):
+    """The namespace build_parser().parse_args(argv) returns, read straight
+    from COMMANDS, for a line in the plain form (see the module docstring);
+    None for any other line."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, arguments = COMMANDS[argv[0]]
+    flags = {f[0] for f, _ in arguments if f[0].startswith("-")}
+    tokens, given = argv[1:], {}
+    while tokens and tokens[0] in flags:
+        if tokens[0] in given or len(tokens) < 2 or not _is_value(tokens[1]):
+            return None
+        given[tokens[0]] = tokens[1]
+        tokens = tokens[2:]
+    positionals = [f[0] for f, _ in arguments if f[0] not in flags]
+    if len(tokens) != len(positionals) or not all(map(_is_value, tokens)):
+        return None
+    given.update(zip(positionals, tokens))
+    args = SimpleNamespace(command=argv[0], func=handler)
+    for (flag, *_), kwargs in arguments:
+        if flag in given:
+            value = given[flag]
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except (TypeError, ValueError):
+                    return None
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default")
+        setattr(args, kwargs.get("dest", flag.lstrip("-")), value)
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = rest = None
-    if argv and argv[0] in COMMANDS:  # the full parser's subparser, built alone
-        sub = argparse.ArgumentParser(prog=f"polobstruct {argv[0]}")
-        args, rest = _add_command(sub, argv[0]).parse_known_args(argv[1:])
-    if args is None or rest:  # the full parser prints the help or error and exits
+    args = _read_args(argv)
+    if args is None:  # the full parser prints the help or error and exits
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)

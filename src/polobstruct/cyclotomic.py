@@ -155,10 +155,10 @@ class _FieldElem:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def is_integral(self):
-        return all(isinstance(c, int) for c in self.coords)
+        return set(map(type, self.coords)) <= {int}
 
     def is_rational(self):
         return not any(self.coords[1:])
@@ -423,7 +423,8 @@ def _real_elementary(x: CycElem):
     callers share the tuple.
 
     The power sums are s_k = Tr_(K/Q)(x^k) / 2. X = d x, d the lcm of the
-    denominators, has e_k(x) = e_k(X) / d^k. Padded with c_(p-1) = 0 and
+    denominators (1 for an integral x, whose coordinates are taken as they
+    are), has e_k(x) = e_k(X) / d^k. Padded with c_(p-1) = 0 and
     shifted by o (1 + zeta + ... + zeta^(p-1)) = 0 to digits a_j >= 0, X
     lives in Z[t]/(t^p - 1), where Tr(sum a_j zeta^j) = p a_0 - sum a_j.
     The digits of X^k are nonnegative with sum S^k, S = sum a_j, so for
@@ -436,8 +437,11 @@ def _real_elementary(x: CycElem):
     """
     p = x.p
     m = (p - 1) // 2
-    d = lcm(*(c.denominator for c in x.coords))
-    c = [int(v * d) for v in x.coords] + [0]
+    if x.is_integral():
+        d, c = 1, [*x.coords, 0]
+    else:
+        d = lcm(*(c.denominator for c in x.coords))
+        c = [int(v * d) for v in x.coords] + [0]
     shift = -min(c)  # >= 0 because of the padded c_(p-1) = 0
     a = [v + shift for v in c]
     total = sum(a)
@@ -462,6 +466,8 @@ def _real_elementary(x: CycElem):
     e = [1]
     for k in range(1, m + 1):
         e.append(_exact_div(sum(map(mul, reversed(e), t)), k))
+    if d == 1:
+        return tuple(e)
     out, scale = [], 1
     for v in e:
         q, r = divmod(v, scale)

@@ -44,15 +44,17 @@ cocycle matrix zeta (a foreign zeta, and the commutant's reference route;
 the constructed zeta multiplies by a shift, see twist) have the sparse
 zeta or its transpose as a factor, so this beats a dense product.
 Int and Fraction entries share one exact loop: Python ints are exact at
-every size, so there is no fixed-width path and no overflow guard. A row
-(or vector) whose entries are all of type exactly int is taken as it is;
-any other is coerced entry by entry, which rejects floats and bools.
+every size, so there is no fixed-width path and no overflow guard. A
+matrix (or vector) whose entries are all of type exactly int, which one
+C-level pass over the entries' types decides, is taken as it is; any
+other is coerced entry by entry, which rejects floats and bools.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -190,17 +192,19 @@ class Matrix:
     __slots__ = ("_rows", "_m", "_n", "_nonzeros")
 
     def __init__(self, rows, ncols=None):
-        rows = [_norm_row(r) for r in rows]
+        rows = tuple(map(tuple, rows))
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            rows = tuple(tuple(map(_norm_scalar, r)) for r in rows)
         self._m = len(rows)
         if rows:
             self._n = len(rows[0])
-            if any(len(r) != self._n for r in rows):
+            if set(map(len, rows)) != {self._n}:
                 raise ValueError("ragged rows")
         else:
             self._n = 0 if ncols is None else int(ncols)
         if ncols is not None and self._m and int(ncols) != self._n:
             raise ValueError("ncols disagrees with row length")
-        self._rows = tuple(rows)
+        self._rows = rows
 
     # -- constructors ------------------------------------------------------
 
@@ -215,7 +219,7 @@ class Matrix:
     def identity(cls, n):
         mat = cls.__new__(cls)
         mat._m = mat._n = int(n)
-        mat._rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        mat._rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
         return mat
 
     @classmethod
@@ -283,12 +287,10 @@ class Matrix:
         return self._m == self._n
 
     def is_integral(self):
-        return all(isinstance(x, int) for r in self._rows for x in r)
+        return set(map(type, chain.from_iterable(self._rows))) <= {int}
 
     def is_symmetric(self):
-        return self.is_square() and all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self._m) for j in range(i))
+        return self.is_square() and self._rows == tuple(zip(*self._rows))
 
     # -- arithmetic --------------------------------------------------------
 

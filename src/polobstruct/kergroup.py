@@ -710,13 +710,14 @@ class ModelDescriptor(Record):
         for d in _json_array(data, "phi_samples", dict, default=[]):
             if factor is None:
                 raise ValueError("phi samples need a cyclotomic factor")
-            coords = tuple(c if type(c) is int else parse_rational(c)
-                           for c in _json_array(d, "alpha_coords", int, str))
+            coords = _json_array(d, "alpha_coords", int, str)
+            if str in map(type, coords):
+                coords = [c if type(c) is int else parse_rational(c) for c in coords]
             norm = _json_field(d, "norm", int, str)
             if type(norm) is str:
                 norm = parse_rational(norm)
             samples.append(PhiSample(norm, CycElem(factor.center.p, coords)))
-        z_gens, s_c = ([[_json_value(x, f"an entry of {key}", int) for x in row]
+        z_gens, s_c = ([_json_entries(row, key, int)
                         for row in _json_array(data, key, list)]
                        for key in ("z_gens", "s_c"))
         return cls(labels, z_gens, algebra, tuple(samples), s_c)
@@ -746,9 +747,18 @@ def _json_rational(q):
 
 
 def _json_array(obj, key, *kinds, default=None):
-    """The JSON array obj[key] with each entry checked by _json_value."""
-    return [_json_value(x, f"an entry of {key}", *kinds)
-            for x in _json_field(obj, key, list, default=default)]
+    """The JSON array obj[key], its entries checked by _json_entries."""
+    return _json_entries(_json_field(obj, key, list, default=default), key, *kinds)
+
+
+def _json_entries(arr, key, *kinds):
+    """arr, the JSON array at key, if each entry's JSON type is one of kinds,
+    which one C-level pass over the entries' types decides; only an array
+    that fails it is walked with _json_value, to name its first bad entry."""
+    if not set(map(type, arr)) <= set(kinds):
+        for x in arr:
+            _json_value(x, f"an entry of {key}", *kinds)
+    return arr
 
 
 def b1_group(model: ModelDescriptor) -> AbGroupPresentation:

@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polobstruct
 
@@ -687,6 +689,14 @@ def _same_route_inputs():
         for option in ("-p", "--pmax"):
             if option in valid:
                 yield [name, option, "0_7", *valid[valid.index(option) + 2:]]
+    # spellings argparse reads and main leaves to it: --flag=value, an
+    # abbreviation, a value joined to its flag, a repeated flag, a negative
+    # value, a value that only looks like one, and --
+    yield from (["verify", "-p", "7", "--seed=x"], ["verify", "-p", "7", "--se", "x"],
+                ["verify", "-p0_7"], ["verify", "-p", "7", "-p", "0_7"],
+                ["attainable", "--class", "-1"],
+                ["attainable", "--model", "model.json", "--class", "-1,2"],
+                ["verify", "--", "-p", "7"])
 
 
 @pytest.mark.parametrize("argv", list(_same_route_inputs()), ids=repr)
@@ -707,15 +717,83 @@ def test_each_call_builds_its_own_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # a line in the plain form is read from COMMANDS: no parser is built
     assert cli.main(["parity", "-p", "7", "-n", "14"]) == 0
-    assert built == ["polobstruct parity"]
-    # nothing is kept between calls: the next call builds its parser again
-    assert cli.main(["parity", "-p", "7", "-n", "14"]) == 0
-    assert len(built) == 2
+    assert built == []
+    # -p7 is left to the full parser; nothing is kept between calls, so
+    # the next call builds it again
+    assert cli.main(["parity", "-p7", "-n", "14"]) == 0
+    assert len(built) == 1 + len(cli.COMMANDS)
+    assert cli.main(["parity", "-p7", "-n", "14"]) == 0
+    assert len(built) == 2 * (1 + len(cli.COMMANDS))
     built.clear()
     with pytest.raises(SystemExit):
         cli.main(["bogus"])
     assert len(built) == 1 + len(cli.COMMANDS) == 9
+
+
+# tokens for the reader's property test: every command's own flags, a
+# flag of no command, -h, --, and values argparse reads as values and as
+# options
+_FLAGS = sorted({f[0] for _, _, arguments in cli.COMMANDS.values()
+                 for f, _ in arguments if f[0].startswith("-")} | {"-h", "--", "--foo"})
+_INTS = st.from_regex(r"-?[0-9]{1,3}", fullmatch=True)
+_VALUES = st.one_of(
+    _INTS, st.sampled_from(["-1,2", "-1.5", "", "0_7", "1,2", "5; 1, 2, 3, 4"]),
+    st.text(max_size=6))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, its own flags in any order, sometimes one fewer or one
+    token of _FLAGS more, each followed by a value, mostly an integer, then
+    as many values as the command has positionals or one more: lines in the
+    plain form and near it."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    arguments = cli.COMMANDS[name][2]
+    own = [f[0] for f, _ in arguments if f[0].startswith("-")]
+    flags = draw(st.permutations(own))[draw(st.sampled_from([0, 0, 0, 1])):]
+    flags += draw(st.sampled_from([[]] * 9 + [[f] for f in _FLAGS]))
+    argv = [name]
+    for flag in flags:
+        argv += [flag, draw(st.one_of(_INTS, _VALUES))]
+    npos = len(arguments) - len(own)
+    return argv + [draw(_VALUES) for _ in range(npos + draw(st.sampled_from([0, 0, 0, 1])))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_command_lines(),
+                 st.lists(st.one_of(st.sampled_from(sorted(cli.COMMANDS)),
+                                    st.sampled_from(_FLAGS), _VALUES), max_size=6)))
+def test_reader_agrees_with_the_full_parser(argv):
+    # whatever main reads without a parser, the full parser reads the same
+    args = cli._read_args(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-p", "43", "--seed", "3"], ["verify", "--seed", "-3", "-p", "7"],
+    ["attainable", "--class", "-1", "--model", ""], ["norm", "5; 1, 2, 3, 4"],
+    ["sweep", "--pmax", "61"], ["construct", "-p", "7"],
+])
+def test_reader_reads_the_plain_form(argv):
+    args = cli._read_args(argv)
+    assert args is not None
+    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_valid_command_imports_no_argparse():
+    # a line in the plain form builds no parser, so neither argparse nor
+    # the gettext it imports is loaded
+    src = os.path.dirname(os.path.dirname(polobstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys; from polobstruct import cli\n"
+              "assert cli.main(['verify', '-p', '3']) == 0\n"
+              "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.endswith("}\n[]\n")
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
@@ -957,8 +1035,9 @@ MALFORMED_MODELS = {
 }
 
 # what the message says: for a wrong container type or a missing field it
-# names the field and the JSON type expected there, and for a missing part
-# of the model it names that part
+# names the field and the JSON type expected there, for a bad entry of an
+# array the array, the type expected and the type found, and for a missing
+# part of the model it names that part
 MESSAGES = {
     "labels_not_a_list": "labels: expected a JSON array, got integer",
     "z_gens_not_a_list": "z_gens: expected a JSON array, got integer",
@@ -967,6 +1046,12 @@ MESSAGES = {
     "missing_z_gens": "z_gens: expected a JSON array, got null",
     "null_z_gen": "an entry of z_gens: expected a JSON array, got null",
     "top_level_list": "the model: expected a JSON object, got array",
+    "float_z_gen": "an entry of z_gens: expected a JSON integer, got number",
+    "infinite_z_gen": "an entry of z_gens: expected a JSON integer, got number",
+    "bool_s_c": "an entry of s_c: expected a JSON integer, got boolean",
+    "infinite_alpha_coordinate":
+        "an entry of alpha_coords: expected a JSON integer or string, got number",
+    "non_integer_ramified_entry": "an entry of ramified: expected a JSON integer, got string",
     "empty_s_c": "need at least one s_c entry",
     "no_e_p_label": "model has no E[5] label",
     "no_cyclotomic_factor": "model has no cyclotomic factor",
