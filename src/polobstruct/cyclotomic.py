@@ -17,8 +17,8 @@ positive (its embeddings are real because K+ is totally real), and
 [K : K+] = 2 gives N_(K/Q)(x) = e_m^2 (Washington, Introduction to
 Cyclotomic Fields, ch. 2). The powers of x are packed integers whose digit
 width is proven never to carry (Kronecker substitution). The pass is
-memoized per element in a bounded least-recently-used cache, so the norm
-and the positivity of one certificate share it.
+memoized on its element (CycElem._elementary), so the norm and the
+positivity of one certificate share it, and no module-level cache holds it.
 
 Any other a takes the multimodular route: for primes l = 1 (mod p) below
 2^31, conjugates_mod_primes gives the p - 1 conjugates of a mod l, one
@@ -44,6 +44,8 @@ from operator import mul
 from .intlinalg import (
     IntPoly,
     Matrix,
+    Record,
+    cached,
     _norm_row,
     _norm_scalar,
     _power,
@@ -117,14 +119,12 @@ def cyclotomic_poly(p) -> IntPoly:
     return IntPoly([1] * p)
 
 
-class _FieldElem:
-    """An immutable vector of _dim(p) exact coordinates: construction, the
-    additive group, scalar multiples, nonnegative powers and equality,
-    shared by the elements of Q(zeta_p) and of its real subfield. Elements
-    of different classes never compare equal, and arithmetic between them
-    raises TypeError."""
-
-    __slots__ = ("p", "coords")
+class _FieldElem(Record):
+    """A vector of _dim(p) exact coordinates: construction, the additive
+    group, scalar multiples, nonnegative powers and equality, shared by the
+    elements of Q(zeta_p) and of its real subfield. Elements of different
+    classes never compare equal, and arithmetic between them raises
+    TypeError."""
 
     def __init__(self, p, coords):
         _require_odd_prime(p)
@@ -132,11 +132,7 @@ class _FieldElem:
         if len(coords) != self._dim(p):
             raise ValueError(
                 f"need {self._dim(p)} coordinates for p = {p}, got {len(coords)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *args):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self._set(p, coords)
 
     # -- constructors ------------------------------------------------------
 
@@ -197,26 +193,20 @@ class _FieldElem:
             raise ValueError("exponent must be a nonnegative integer")
         return _power(self, k, self.one(self.p))
 
-    # -- comparison --------------------------------------------------------
+    # -- comparison: Record's, widened to ints and Fractions ----------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.from_rational(other, self.p)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.p == other.p and self.coords == other.coords
+        return super().__eq__(other)
 
     def __hash__(self):
         # a rational element equals its int or Fraction, so it hashes as one
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.p, self.coords))
+        return hash(self.coords[0]) if self.is_rational() else super().__hash__()
 
 
 class CycElem(_FieldElem):
     """Element of Q(zeta_p) in the power basis 1, zeta, ..., zeta^(p-2)."""
-
-    __slots__ = ()
 
     @staticmethod
     def _dim(p):
@@ -258,6 +248,12 @@ class CycElem(_FieldElem):
         for i in range(1, p - 1):
             acc[p - i] += self.coords[i]
         return CycElem(p, _reduce_mod_cyclotomic(acc, p))
+
+    @cached
+    def _elementary(self):
+        """_real_elementary of a conjugation-fixed element, on the first
+        read, so its norm and its positivity share one pass."""
+        return _real_elementary(self)
 
     def __repr__(self):
         return f"CycElem({format_element(self)!r})"
@@ -316,7 +312,7 @@ def norm_to_Q(a: CycElem):
     residue in (-M/2, M/2) is N(da) itself.
     """
     if a.is_conj_fixed():
-        e = _real_elementary(a)[-1]
+        e = a._elementary[-1]
         return e * e
     return _crt_norm(a)
 
@@ -327,8 +323,6 @@ def norm_to_Q(a: CycElem):
 
 class RealElem(_FieldElem):
     """Element of K+ = Q(eta) in the basis 1, eta, ..., eta^((p-3)/2)."""
-
-    __slots__ = ()
 
     @staticmethod
     def _dim(p):
@@ -353,9 +347,6 @@ class RealElem(_FieldElem):
         return restrict_to_real(self.lift() * other.lift())
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"RealElem(p={self.p}, coords={self.coords})"
 
 
 def eta(p) -> CycElem:
@@ -408,19 +399,18 @@ def real_mult_matrix(a: RealElem) -> Matrix:
 
 def norm_real_to_Q(a: RealElem):
     """Field norm from the real subfield down to Q."""
-    return _real_elementary(a.lift())[-1]
+    return a.lift()._elementary[-1]
 
 
 # ---------------------------------------------------------------------------
 # norms and total positivity by power sums
 
 
-# one command's certificates fit many times over
-@lru_cache(maxsize=256)
 def _real_elementary(x: CycElem):
     """The tuple e_0, ..., e_m of the m = (p-1)/2 real embeddings of a
-    conjugation-fixed x, integral values as int. Memoized per element, so
-    callers share the tuple.
+    conjugation-fixed x, integral values as int. The callers read it as
+    x._elementary, which keeps the tuple on x itself, so one element's
+    norm and positivity share it.
 
     The power sums are s_k = Tr_(K/Q)(x^k) / 2. X = d x, d the lcm of the
     denominators (1 for an integral x, whose coordinates are taken as they
@@ -635,7 +625,7 @@ def is_totally_positive(a) -> bool:
                          "is asked of symmetric elements")
     if a.is_zero():
         raise ValueError("zero is neither positive nor negative")
-    e = _real_elementary(a)
+    e = a._elementary
     if e[-1] == 0:
         # e_m is the norm, nonzero for nonzero a
         raise AssertionError("nonzero element with vanishing norm")

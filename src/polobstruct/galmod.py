@@ -32,6 +32,11 @@ from .intlinalg import Matrix, Record, cached
 from .twist import build_zeta, companion_times_vector, is_companion
 
 
+def ep_label(p) -> str:
+    """The name of the label of E[p], one elliptic curve's p-torsion."""
+    return f"E[{p}]"
+
+
 class TorsionModule(Record):
     """X[p] with the twist acting through its cocycle, an integer Matrix of
     size n = p - 1; the action on X[p] is kron(cocycle mod p, I_2), of
@@ -111,7 +116,7 @@ def composition_factors(m: TorsionModule):
     piece 2-dimensional: the label "E[p]" records one elliptic-curve torsion
     factor per step. Raises AssertionError when the certificate fails.
     """
-    return [f"E[{m.p}]"] * (len(filtration_dims(m)) - 1)
+    return [ep_label(m.p)] * (len(filtration_dims(m)) - 1)
 
 
 class EpRank(Record):
@@ -154,7 +159,7 @@ def e_rank_of_order(order, p) -> EpRank:
     v = valuation(order, p)
     if v % 2:
         raise ValueError(
-            f"order has odd p-adic valuation {v}; not a sum of E[{p}] factors")
+            f"order has odd p-adic valuation {v}; not a sum of {ep_label(p)} factors")
     return EpRank(v // 2)
 
 

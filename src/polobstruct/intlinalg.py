@@ -124,9 +124,10 @@ class Record:
     assigning or deleting any attribute raises AttributeError. An
     attribute that is not a field (a cache, say) takes no part in any of it.
 
-    Two value classes keep their own protocol: cyclotomic's _FieldElem,
-    whose elements compare equal to ints and use slots, and Matrix, for its
-    slots, its row cache and its multi-line repr.
+    Every class of the package is a Record but cli.BadInput and cached.
+    A class may print its own repr (Matrix's is multi-line, CycElem's is
+    its element text). The one widening of == is cyclotomic's _FieldElem:
+    a rational element equals its int or Fraction, and hashes as it.
     """
 
     def __init_subclass__(cls):
@@ -186,40 +187,37 @@ class cached:
         return value
 
 
-class Matrix:
-    """Immutable exact matrix. Entries are int or Fraction."""
-
-    __slots__ = ("_rows", "_m", "_n", "_nonzeros")
+class Matrix(Record):
+    """Immutable exact matrix. Entries are int or Fraction. The fields are
+    the rows and the column count, which an empty matrix needs; nrows is
+    kept beside them."""
 
     def __init__(self, rows, ncols=None):
         rows = tuple(map(tuple, rows))
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             rows = tuple(tuple(map(_norm_scalar, r)) for r in rows)
-        self._m = len(rows)
-        if rows:
-            self._n = len(rows[0])
-            if set(map(len, rows)) != {self._n}:
-                raise ValueError("ragged rows")
-        else:
-            self._n = 0 if ncols is None else int(ncols)
-        if ncols is not None and self._m and int(ncols) != self._n:
+        m = len(rows)
+        n = len(rows[0]) if m else 0 if ncols is None else int(ncols)
+        if m and set(map(len, rows)) != {n}:
+            raise ValueError("ragged rows")
+        if ncols is not None and m and int(ncols) != n:
             raise ValueError("ncols disagrees with row length")
-        self._rows = rows
+        self._set(rows, n, nrows=m)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, m, n):
+        m, n = int(m), int(n)
         mat = cls.__new__(cls)
-        mat._m, mat._n = int(m), int(n)
-        mat._rows = tuple((0,) * mat._n for _ in range(mat._m))
+        mat._set(tuple((0,) * n for _ in range(m)), n, nrows=m)
         return mat
 
     @classmethod
     def identity(cls, n):
+        n = int(n)
         mat = cls.__new__(cls)
-        mat._m = mat._n = int(n)
-        mat._rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+        mat._set(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n, nrows=n)
         return mat
 
     @classmethod
@@ -245,58 +243,45 @@ class Matrix:
     # -- basic access ------------------------------------------------------
 
     @property
-    def nrows(self):
-        return self._m
-
-    @property
-    def ncols(self):
-        return self._n
-
-    @property
     def shape(self):
-        return (self._m, self._n)
-
-    @property
-    def rows(self):
-        return self._rows
+        return (self.nrows, self.ncols)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._rows[i][j]
+        return self.rows[i][j]
 
     def column(self, j):
-        return tuple(r[j] for r in self._rows)
+        return tuple(r[j] for r in self.rows)
 
     def columns(self):
-        return [self.column(j) for j in range(self._n)]
+        return [self.column(j) for j in range(self.ncols)]
 
     def to_lists(self):
-        return [list(r) for r in self._rows]
+        return [list(r) for r in self.rows]
+
+    @cached
+    def _nonzeros(self):
+        return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.rows)
 
     def row_nonzeros(self):
         """Each row's nonzero entries as (column, entry) pairs, listed on
         the first call and kept; equality, hash and repr ignore it."""
-        try:
-            return self._nonzeros
-        except AttributeError:
-            self._nonzeros = tuple(tuple((j, x) for j, x in enumerate(r) if x)
-                                   for r in self._rows)
-            return self._nonzeros
+        return self._nonzeros
 
     def is_square(self):
-        return self._m == self._n
+        return self.nrows == self.ncols
 
     def is_integral(self):
-        return set(map(type, chain.from_iterable(self._rows))) <= {int}
+        return set(map(type, chain.from_iterable(self.rows))) <= {int}
 
     def is_symmetric(self):
-        return self.is_square() and self._rows == tuple(zip(*self._rows))
+        return self.is_square() and self.rows == tuple(zip(*self.rows))
 
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self):
-        return Matrix([[self._rows[i][j] for i in range(self._m)]
-                       for j in range(self._n)], ncols=self._m)
+        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
+                       for j in range(self.ncols)], ncols=self.nrows)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -304,7 +289,7 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
         return Matrix([[a + b for a, b in zip(r, s)]
-                       for r, s in zip(self._rows, other._rows)], ncols=self._n)
+                       for r, s in zip(self.rows, other.rows)], ncols=self.ncols)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -312,7 +297,7 @@ class Matrix:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
         return Matrix([[a - b for a, b in zip(r, s)]
-                       for r, s in zip(self._rows, other._rows)], ncols=self._n)
+                       for r, s in zip(self.rows, other.rows)], ncols=self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -321,18 +306,18 @@ class Matrix:
 
     def scale(self, c):
         c = _norm_scalar(c)
-        return Matrix([[c * x for x in r] for r in self._rows], ncols=self._n)
+        return Matrix([[c * x for x in r] for r in self.rows], ncols=self.ncols)
 
     def __pow__(self, k):
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return _power(self, k, Matrix.identity(self._m))
+        return _power(self, k, Matrix.identity(self.nrows))
 
     def mul_vector(self, v):
         v = _norm_row(v)
-        if len(v) != self._n:
+        if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         out = []
         for r in self.row_nonzeros():
@@ -342,20 +327,10 @@ class Matrix:
             out.append(s)
         return tuple(out)
 
-    # -- comparison --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.shape == other.shape and self._rows == other._rows
-
-    def __hash__(self):
-        return hash((self._m, self._n, self._rows))
-
     def __repr__(self):
-        if self._m == 0 or self._n == 0:
-            return f"Matrix.zero({self._m}, {self._n})"
-        body = "\n ".join("[" + ", ".join(str(x) for x in r) + "]" for r in self._rows)
+        if self.nrows == 0 or self.ncols == 0:
+            return f"Matrix.zero({self.nrows}, {self.ncols})"
+        body = "\n ".join("[" + ", ".join(str(x) for x in r) + "]" for r in self.rows)
         return f"Matrix(\n {body}\n)"
 
 

@@ -36,7 +36,7 @@ from .cyclotomic import (
     norm_to_Q,
     parse_rational,
 )
-from .galmod import e_rank_of_order, valuation
+from .galmod import e_rank_of_order, ep_label, valuation
 from .intlinalg import (
     Matrix,
     Record,
@@ -436,7 +436,7 @@ def nrd_dagger_status(x, factor: AlgebraFactor) -> str:
 def twist_labels(p) -> LabelSet:
     """Label set for the twisted product: one self-dual constituent E[p]
     with its alternating pairing."""
-    name = f"E[{p}]"
+    name = ep_label(p)
     return LabelSet([SimpleLabel(name, p * p, name, True)])
 
 
@@ -454,7 +454,7 @@ def phi_p_part(a, alpha: CycElem, p, labels=None) -> KerClass:
     if norm_to_Q(alpha) != a:
         raise ValueError("certificate does not have the claimed norm")
     labels = twist_labels(p) if labels is None else labels
-    return KerClass.single(labels, f"E[{p}]", valuation(a, p))
+    return KerClass.single(labels, ep_label(p), valuation(a, p))
 
 
 def parity_hom(c: KerClass, p) -> int:
@@ -465,7 +465,7 @@ def parity_hom(c: KerClass, p) -> int:
     kills the central norm classes exactly when their degrees have even
     p-valuation, which is what the obstruction exploits.
     """
-    name = f"E[{p}]"
+    name = ep_label(p)
     lbl = c.labels[c.labels.index(name)]
     if lbl.dual != name:
         raise ValueError("parity needs the E[p] label to be self-dual")
@@ -476,17 +476,17 @@ def parity_hom(c: KerClass, p) -> int:
 # quaternion witnesses
 
 
-class QuaternionAlgebra:
+class QuaternionAlgebra(Record):
     """(a, b) quaternions over Q: i^2 = a, j^2 = b, ij = -ji = k.
 
     Elements are 4-tuples of rationals (t, x, y, z) for t + xi + yj + zk.
     """
 
     def __init__(self, a, b):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        if self.a == 0 or self.b == 0:
+        a, b = Fraction(a), Fraction(b)
+        if a == 0 or b == 0:
             raise ValueError("structure constants must be nonzero")
+        self._set(a, b)
 
     def element(self, t, x=0, y=0, z=0):
         return (Fraction(t), Fraction(x), Fraction(y), Fraction(z))
@@ -614,7 +614,7 @@ class ModelDescriptor(Record):
         if factor is None:
             raise ValueError("model has no cyclotomic factor")
         p = factor.center.p
-        e_p = f"E[{p}]"
+        e_p = ep_label(p)
         if e_p not in [l.name for l in self.labels]:
             raise ValueError(f"model has no {e_p} label")
         if self.labels[self.labels.index(e_p)].dual != e_p:

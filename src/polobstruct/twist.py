@@ -174,7 +174,7 @@ class TwistData(Record):
         vecs = [tuple(1 if i == 0 else 0 for i in range(n))]
         for _ in range(n):
             vecs.append(self.zeta_times_vector(vecs[-1]))
-        return Orbit(vecs, all(v[k] == 1 and not any(v[k + 1:])
+        return Orbit(tuple(vecs), all(v[k] == 1 and not any(v[k + 1:])
                                for k, v in enumerate(vecs[:n])))
 
     @cached

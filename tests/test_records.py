@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from polobstruct.cli import VerifyReport
+from polobstruct.cyclotomic import CycElem, RealElem
 from polobstruct.galmod import build_ptorsion, e_rank_of_order
 from polobstruct.intlinalg import IntPoly, Matrix, cached, snf
 from polobstruct.kergroup import (
@@ -19,6 +20,7 @@ from polobstruct.kergroup import (
     CenterField,
     KerClass,
     ModelDescriptor,
+    QuaternionAlgebra,
     SimpleLabel,
     attainable,
     quotient_group,
@@ -83,6 +85,15 @@ CASES = [
     (VerifyReport(3, 1, (("a", True),)), ("p", "seed", "checks"), "seed", 2,
      "VerifyReport(p=3, seed=1, checks=(('a', True),))"),
     (IntPoly([1, 1, 1]), ("coeffs",), "coeffs", (1, 1), "IntPoly(coeffs=(1, 1, 1))"),
+    (Matrix([[1, 2], [3, 4]]), ("rows", "ncols"), "rows", ((1, 2), (3, 5)),
+     "Matrix(\n [1, 2]\n [3, 4]\n)"),
+    (Matrix.zero(0, 3), ("rows", "ncols"), "ncols", 2, "Matrix.zero(0, 3)"),
+    (CycElem(5, (3, 0, 1, 1)), ("p", "coords"), "coords", (3, 0, 2, 2),
+     "CycElem('5; 3, 0, 1, 1')"),
+    (RealElem(5, (1, 2)), ("p", "coords"), "coords", (1, 3),
+     "RealElem(p=5, coords=(1, 2))"),
+    (QuaternionAlgebra(-1, -3), ("a", "b"), "b", Fraction(-1),
+     "QuaternionAlgebra(a=Fraction(-1, 1), b=Fraction(-3, 1))"),
 ]
 
 
@@ -97,9 +108,11 @@ def test_record_semantics(obj, names, changed, other, expected_repr):
     assert obj != tuple(values.values())
     assert repr(obj) == expected_repr
     assert hash(copy) == hash(obj)
-    for name in names:
+    # an attribute kept beside the fields (Matrix's nrows) or a new one is
+    # as frozen as a field
+    for name in names + ("nrows", "extra"):
         with pytest.raises(AttributeError):
-            setattr(obj, name, values[name])
+            setattr(obj, name, values.get(name))
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert {name: getattr(obj, name) for name in names} == values
@@ -128,8 +141,10 @@ def test_set_takes_every_field_or_none():
 
 
 @pytest.mark.parametrize("make, count", [(lambda: TwistData.for_prime(7), 6),
-                                         (lambda: build_ptorsion(7), 2)],
-                         ids=["TwistData", "TorsionModule"])
+                                         (lambda: build_ptorsion(7), 2),
+                                         (lambda: Matrix([[1, 0], [2, 3]]), 1),
+                                         (lambda: CycElem(5, (3, 0, 1, 1)), 1)],
+                         ids=["TwistData", "TorsionModule", "Matrix", "CycElem"])
 def test_cached_values_are_computed_once_and_stay_frozen(monkeypatch, make, count):
     obj = make()
     names = [k for k, v in vars(type(obj)).items() if isinstance(v, cached)]

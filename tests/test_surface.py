@@ -1,14 +1,16 @@
 """The CLI's one exit for bad input, what it counts as bad input, the
-package root's four names, the one way a value class stores its fields,
-and the module state a command may leave behind: none."""
+package root's four names, the one value protocol and the one way it stores
+fields, and the module state a command may leave behind: none."""
 
 import ast
+import importlib
 import os
 import sys
 import types
 
 import polobstruct
 from polobstruct import cli
+from polobstruct.intlinalg import Record
 from polobstruct.kergroup import twist_model
 
 
@@ -63,19 +65,37 @@ def test_package_root_reexports_only_what_the_benchmark_imports():
     assert polobstruct.__version__ == "0.1.0"
 
 
-def test_only_record_and_field_elem_write_with_object_setattr():
-    # every other value class stores its fields with one Record._set call
+def _package_trees():
+    """(module name, parsed source) for each module of the package."""
     root = os.path.dirname(polobstruct.__file__)
-    writers = set()
-    for name in os.listdir(root):
+    for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
             with open(os.path.join(root, name)) as fh:
-                tree = ast.parse(fh.read())
-            for top in tree.body:
-                if any(isinstance(n, ast.Attribute)
-                       and ast.unparse(n) == "object.__setattr__" for n in ast.walk(top)):
-                    writers.add(f"{name[:-3]}.{getattr(top, 'name', '')}")
-    assert writers == {"intlinalg.Record", "cyclotomic._FieldElem"}
+                yield name[:-3], ast.parse(fh.read())
+
+
+def test_only_record_writes_with_object_setattr():
+    # every value class stores its fields with one Record._set call
+    writers = set()
+    for module, tree in _package_trees():
+        for top in tree.body:
+            if any(isinstance(n, ast.Attribute)
+                   and ast.unparse(n) == "object.__setattr__" for n in ast.walk(top)):
+                writers.add(f"{module}.{getattr(top, 'name', '')}")
+    assert writers == {"intlinalg.Record"}
+
+
+def test_every_class_is_a_record():
+    # the exception cli raises and the descriptor Record's caches use are
+    # the two classes that are not values
+    others = set()
+    for module, tree in _package_trees():
+        mod = importlib.import_module(f"polobstruct.{module}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                if not issubclass(getattr(mod, node.name), Record):
+                    others.add(f"{module}.{node.name}")
+    assert others == {"cli.BadInput", "intlinalg.cached"}
 
 
 def _module_state():

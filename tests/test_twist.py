@@ -78,6 +78,14 @@ def test_zeta_has_order_p_and_cyclotomic_minpoly():
         assert _holds("zeta_order_p", t)
 
 
+def test_orbit_cannot_be_changed():
+    # a cached value that a later check reads is as frozen as a field
+    t = TwistData.for_prime(5)
+    with pytest.raises(TypeError):
+        t.orbit.vectors[4] = (1, 0, 0, 0)
+    assert t.phi_p_annihilates_zeta
+
+
 def test_build_b_frozen():
     assert build_b(3) == Matrix([[2, 1], [1, 2]])
     for p in PRIMES:
@@ -657,7 +665,7 @@ def _generic_verdicts(t, samples):
         vecs.append(z.mul_vector(vecs[-1]))
     return (z.transpose() * b * z == b,
             t.b_is_i_plus_j and rosati(z, t) * z == Matrix.identity(n),
-            vecs,
+            tuple(vecs),
             [z * m == m * z for m in samples])
 
 
