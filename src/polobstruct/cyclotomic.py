@@ -17,8 +17,10 @@ positive (its embeddings are real because K+ is totally real), and
 [K : K+] = 2 gives N_(K/Q)(x) = e_m^2 (Washington, Introduction to
 Cyclotomic Fields, ch. 2). The powers of x are packed integers whose digit
 width is proven never to carry (Kronecker substitution). The pass is
-memoized on its element (CycElem._elementary), so the norm and the
-positivity of one certificate share it, and no module-level cache holds it.
+memoized on its element (CycElem._elementary), as is the conjugation test
+(CycElem._fixed), so the norm and the positivity of one certificate share
+both, and no module-level cache holds either; the codec of the packed
+integers is kept per digit count and width in an lru_cache.
 
 Any other a takes the multimodular route: for primes l = 1 (mod p) below
 2^31, conjugates_mod_primes gives the p - 1 conjugates of a mod l, one
@@ -235,8 +237,14 @@ class CycElem(_FieldElem):
     __rmul__ = __mul__
 
     def is_conj_fixed(self):
-        """Is the element in K+? Padded with c_(p-1) = 0, it is fixed by
-        conjugation, zeta^j -> zeta^(p-j), iff c_j = c_(p-j) for every j."""
+        """Is the element in K+? The test runs once per element (_fixed)."""
+        return self._fixed
+
+    @cached
+    def _fixed(self):
+        """Padded with c_(p-1) = 0, the element is fixed by conjugation,
+        zeta^j -> zeta^(p-j), iff c_j = c_(p-j) for every j. Kept on the
+        element, which norm_to_Q and is_totally_positive read directly."""
         c = self.coords + (0,)
         return c[1:(self.p + 1) // 2] == c[:(self.p - 1) // 2:-1]
 
@@ -311,7 +319,7 @@ def norm_to_Q(a: CycElem):
     those p - 1 squares by (Q/(p-1))^(p-1). So |N(da)| < M/2, and the
     residue in (-M/2, M/2) is N(da) itself.
     """
-    if a.is_conj_fixed():
+    if a._fixed:
         e = a._elementary[-1]
         return e * e
     return _crt_norm(a)
@@ -417,9 +425,11 @@ def _real_elementary(x: CycElem):
     are), has e_k(x) = e_k(X) / d^k. Padded with c_(p-1) = 0 and
     shifted by o (1 + zeta + ... + zeta^(p-1)) = 0 to digits a_j >= 0, X
     lives in Z[t]/(t^p - 1), where Tr(sum a_j zeta^j) = p a_0 - sum a_j.
-    The digits of X^k are nonnegative with sum S^k, S = sum a_j, so for
-    k <= h = ceil(m/2) digits of w bits, 2^w > S^h, never carry: X^k is one
-    packed integer product and one fold, in _digits' codec. For k > h,
+    The digits of X^k are nonnegative with sum S^k, S = sum a_j, so digits
+    of w bits never carry while 2^w > S^k. w is the width of S^ceil(m/2),
+    rounded up to whole bytes and to at least a 64-bit word, and h is the
+    largest k <= m with 2^w > S^k, so h >= ceil(m/2): for k <= h, X^k is
+    one packed integer product and one fold, in _codec's codec. For k > h,
     a_0(X^k) = sum_t u_t v_(p-t) for u, v the digits of X^h and X^(k-h). Newton's
     identities k e_k = sum_(i=1..k) e_(k-i) t_i, with the signed power sums
     t_i = (-1)^(i-1) s_i, are one dot product each and run in integers; an
@@ -436,26 +446,41 @@ def _real_elementary(x: CycElem):
     a = [v + shift for v in c]
     total = sum(a)
     h = (m + 1) // 2
-    nbytes, pack, read = _digits(p, (total ** h).bit_length())  # 2^(8 nbytes) > S^h
+    bound = total ** h
+    nbytes = _digit_bytes(bound.bit_length())  # 2^(8 nbytes) > S^h
+    pack, read = _codec(p, nbytes)
+    top = 1 << 8 * nbytes
+    while h < m and bound * total < top:  # X^(h+1) fits the digits too
+        bound *= total
+        h += 1
     nbits = 8 * nbytes * p  # bits of p digits
+    low = (1 << nbits) - 1
     powers = [pack(a)]
-    for _ in range(h - 1):
-        prod = powers[-1] * powers[0]
-        powers.append((prod & ((1 << nbits) - 1)) + (prod >> nbits))
+    for k in range(2, h + 1):
+        # X^k = X^(k//2) X^(k - k//2), for even k a square, which CPython
+        # multiplies in about two thirds of the time of a general product
+        prod = powers[k // 2 - 1] * powers[(k + 1) // 2 - 1]
+        powers.append((prod & low) + (prod >> nbits))
     # a_0 of X^1, ..., X^h, then of X^(h+1), ..., X^m by dot products
-    digit = (1 << 8 * nbytes) - 1
-    const = [v & digit for v in powers]
-    u = read(powers[-1])
-    u = u[:1] + u[:0:-1]  # u_0, u_(p-1), ..., u_1
-    const += [sum(map(mul, u, read(v))) for v in powers[:m - h]]
+    const = [v & (top - 1) for v in powers]
+    if h < m:
+        u = read(powers[-1])
+        u = u[:1] + u[:0:-1]  # u_0, u_(p-1), ..., u_1
+        const += [sum(map(mul, u, read(v))) for v in powers[:m - h]]
     t, power, sign = [], 1, 1
     for a0 in const:
         power *= total
-        t.append(sign * _exact_div(p * a0 - power, 2))
+        v = p * a0 - power
+        if v & 1:
+            raise AssertionError("inexact division by 2")
+        t.append(sign * (v >> 1))
         sign = -sign
     e = [1]
     for k in range(1, m + 1):
-        e.append(_exact_div(sum(map(mul, reversed(e), t)), k))
+        q, r = divmod(sum(map(mul, reversed(e), t)), k)
+        if r:
+            raise AssertionError(f"inexact division by {k}")
+        e.append(q)
     if d == 1:
         return tuple(e)
     out, scale = [], 1
@@ -466,14 +491,20 @@ def _real_elementary(x: CycElem):
     return tuple(out)
 
 
-def _digits(count, nbits):
-    """The Kronecker codec of count digits of nbits bits each: the digit
-    width in bytes, at least one 64-bit word, and pack, which turns count
-    nonnegative digits below 2^(8 width) into one integer, and read, which
-    turns an integer below 2^(8 width count) back into its count digits.
-    A digit that fits a word is one struct field, so one call packs or
-    reads them all; a wider digit is one int.from_bytes each."""
-    nbytes = max(8, (nbits + 7) // 8)
+def _digit_bytes(nbits):
+    """The width in bytes of a digit of nbits bits: at least one 64-bit
+    word, the width _codec reads in one struct call."""
+    return max(8, (nbits + 7) // 8)
+
+
+@lru_cache(maxsize=1024)
+def _codec(count, nbytes):
+    """The Kronecker codec of count digits of nbytes bytes each: pack,
+    which turns count nonnegative digits below 2^(8 nbytes) into one
+    integer, and read, which turns an integer below 2^(8 nbytes count)
+    back into its count digits. A digit that fits a word is one struct
+    field, so one call packs or reads them all; a wider digit is one
+    int.from_bytes each. Built once per digit count and width."""
     size = nbytes * count
     if nbytes == 8:
         word = struct.Struct(f"<{count}Q")
@@ -491,14 +522,7 @@ def _digits(count, nbits):
         def read(v):
             b = v.to_bytes(size, "little")
             return [int.from_bytes(b[i:i + nbytes], "little") for i in range(0, size, nbytes)]
-    return nbytes, pack, read
-
-
-def _exact_div(n, k):
-    q, r = divmod(n, k)
-    if r:
-        raise AssertionError(f"inexact division by {k}")
-    return q
+    return pack, read
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +565,7 @@ def _prime_below(p, top):
     powers = [1]
     for _ in range(p - 1):
         powers.append(powers[-1] * omega % ell)
-    return ell, _digits(p - 1, 64)[1]([powers[e] for e in _generator_powers(p)])
+    return ell, _codec(p - 1, 8)[0]([powers[e] for e in _generator_powers(p)])
 
 
 def conjugates_mod_primes(a: CycElem):
@@ -567,14 +591,15 @@ def conjugates_mod_primes(a: CycElem):
     order = _generator_powers(p)
     digits = [c[order[-t]] + shift for t in range(n)]  # a_(g^(-t)) at t
     top = max(digits)
-    nbytes, pack, read = _digits(n, (n * min(top, _L_TOP) * _L_TOP).bit_length())
+    nbytes = _digit_bytes((n * min(top, _L_TOP) * _L_TOP).bit_length())
+    pack, read = _codec(n, nbytes)
     nbits = 8 * nbytes * n
     u = pack(digits) if top < _L_TOP else None
     ell = _L_TOP
     while True:
         ell, w = _prime_below(p, ell)
         if nbytes > 8:
-            w = pack(_digits(n, 64)[2](w))
+            w = pack(_codec(n, 8)[1](w))
         prod = (pack([v % ell for v in digits]) if u is None else u) * w
         folded = (prod & ((1 << nbits) - 1)) + (prod >> nbits)
         yield ell, [(v + a0) % ell for v in read(folded)]
@@ -620,16 +645,16 @@ def is_totally_positive(a) -> bool:
         a = a.lift()
     elif not isinstance(a, CycElem):
         raise TypeError("is_totally_positive expects a CycElem or a RealElem")
-    elif not a.is_conj_fixed():
+    elif not a._fixed:
         raise ValueError("element is not fixed by conjugation; positivity "
                          "is asked of symmetric elements")
-    if a.is_zero():
-        raise ValueError("zero is neither positive nor negative")
     e = a._elementary
     if e[-1] == 0:
-        # e_m is the norm, nonzero for nonzero a
+        # e_m is the norm, which vanishes exactly at zero
+        if a.is_zero():
+            raise ValueError("zero is neither positive nor negative")
         raise AssertionError("nonzero element with vanishing norm")
-    return all(c > 0 for c in e[1:])
+    return min(e[1:]) > 0
 
 
 # ---------------------------------------------------------------------------

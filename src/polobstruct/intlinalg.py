@@ -20,7 +20,8 @@ The main operations:
   * hnf_row        canonical row Hermite normal form (positive pivots,
                    entries above a pivot reduced into [0, pivot)), by one
                    bigint row elimination.
-  * col_hnf        column HNF, the canonical form used for column lattices.
+  * col_hnf        column HNF, the canonical form used for column lattices,
+                   by the same elimination run on the columns.
   * int_kernel     basis of the integer kernel {x : A x = 0}, saturated,
                    canonicalized by column HNF. One sparse column
                    elimination serves it and the commutant of zeta.
@@ -148,17 +149,23 @@ class Record:
         shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
-    def _set(self, *fields, **extras):
+    def _set(self, *fields, _store=object.__setattr__, **extras):
         """Store the fields, given in __init__'s order (all of them or
         none; a wrong count raises ValueError), and the attributes that are
-        not fields, given by keyword. object.__setattr__ stores each: on
-        CPython 3.11 reading self.__dict__ turns an instance's inline
-        attribute values into a dict, and every later read of the instance
-        took two to three times as long."""
-        for name, value in zip(self._fields, fields, strict=True) if fields else ():
-            object.__setattr__(self, name, value)
-        for name, value in extras.items():
-            object.__setattr__(self, name, value)
+        not fields, given by keyword. object.__setattr__, bound once as the
+        default _store, stores each: on CPython 3.11 reading self.__dict__
+        turns an instance's inline attribute values into a dict, and every
+        later read of the instance took two to three times as long."""
+        if fields:
+            names = self._fields
+            if len(fields) != len(names):
+                raise ValueError(f"{type(self).__name__} takes {len(names)} fields, "
+                                 f"got {len(fields)}")
+            for name, value in zip(names, fields):
+                _store(self, name, value)
+        if extras:
+            for name, value in extras.items():
+                _store(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -226,10 +233,10 @@ class Matrix(Record):
         if not cols:
             return cls.zero(0 if nrows is None else nrows, 0)
         m = len(cols[0]) if nrows is None else nrows
-        if any(len(c) != m for c in cols):
+        if set(map(len, cols)) != {m}:
             raise ValueError("ragged columns" if nrows is None
                              else "nrows disagrees with column length")
-        return cls([[c[i] for c in cols] for i in range(m)])
+        return cls(zip(*cols))
 
     @classmethod
     def diagonal(cls, diag, m=None, n=None):
@@ -541,43 +548,58 @@ def hnf_row(a: Matrix) -> Matrix:
     """
     if not a.is_integral():
         raise TypeError("hnf_row requires an integer matrix")
-    m, n = a.shape
-    rows = [list(r) for r in a.rows]
+    rows = _hnf_vectors([list(r) for r in a.rows], a.ncols)
+    return Matrix(rows, ncols=a.ncols) if rows else Matrix.zero(0, a.ncols)
+
+
+def col_hnf(a: Matrix) -> Matrix:
+    """Canonical column HNF, the transpose of hnf_row of the transpose; the
+    canonical form for column lattices. The elimination runs on the
+    columns themselves, so only the result is built as a Matrix."""
+    if not a.is_integral():
+        raise TypeError("col_hnf requires an integer matrix")
+    cols = _hnf_vectors([list(c) for c in zip(*a.rows)], a.nrows)
+    return Matrix(zip(*cols), ncols=len(cols)) if cols else Matrix.zero(a.nrows, 0)
+
+
+def _hnf_vectors(vecs, n):
+    """The elimination behind hnf_row and col_hnf: the canonical row HNF of
+    the int vectors vecs, lists of length n that it overwrites, as the list
+    of its nonzero vectors. Each position j takes as pivot the vector of
+    smallest nonzero |entry| at j (lowest index on ties) and reduces the
+    others by it until they are zero there."""
+    m = len(vecs)
     r = 0
     for j in range(n):
         if r == m:
             break
         while True:
-            live = [i for i in range(r, m) if rows[i][j] != 0]
+            live = [i for i in range(r, m) if vecs[i][j] != 0]
             if not live:
                 break
-            i0 = min(live, key=lambda i: (abs(rows[i][j]), i))
-            rows[r], rows[i0] = rows[i0], rows[r]
+            i0 = min(live, key=lambda i: abs(vecs[i][j]))  # the first on ties
+            vecs[r], vecs[i0] = vecs[i0], vecs[r]
+            pivot = vecs[r]
             done = True
             for i in range(r + 1, m):
-                if rows[i][j] != 0:
-                    q = rows[i][j] // rows[r][j]
+                if vecs[i][j] != 0:
+                    q = vecs[i][j] // pivot[j]
                     if q:
-                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    if rows[i][j] != 0:
+                        vecs[i] = [x - q * y for x, y in zip(vecs[i], pivot)]
+                    if vecs[i][j] != 0:
                         done = False
             if done:
                 break
-        if r < m and rows[r][j] != 0:
-            if rows[r][j] < 0:
-                rows[r] = [-x for x in rows[r]]
-            p = rows[r][j]
+        if r < m and vecs[r][j] != 0:
+            if vecs[r][j] < 0:
+                vecs[r] = [-x for x in vecs[r]]
+            pivot = vecs[r]
             for i in range(r):
-                q = rows[i][j] // p
+                q = vecs[i][j] // pivot[j]
                 if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    vecs[i] = [x - q * y for x, y in zip(vecs[i], pivot)]
             r += 1
-    return Matrix(rows[:r], ncols=n) if r else Matrix.zero(0, n)
-
-
-def col_hnf(a: Matrix) -> Matrix:
-    """Canonical column HNF; the canonical form for column lattices."""
-    return hnf_row(a.transpose()).transpose()
+    return vecs[:r]
 
 
 def col_lattice_eq(a: Matrix, b: Matrix) -> bool:
@@ -596,12 +618,14 @@ def _hnf_coords(h: Matrix, v):
     """Integer coordinates of v in the columns of the column HNF h, or None
     if v is outside their lattice. Each later column is zero on an earlier
     column's pivot row, so reducing v pivot by pivot reads the coordinates."""
-    v = [_norm_int(x) for x in v]
+    v = list(v)
+    if not set(map(type, v)) <= {int}:
+        v = [_norm_int(x) for x in v]
     if len(v) != h.nrows:
         raise ValueError("vector length mismatch")
     coords = []
-    for c in h.columns():
-        i = next(i for i, x in enumerate(c) if x != 0)
+    for c in zip(*h.rows):
+        i = next(i for i, x in enumerate(c) if x)
         q, r = divmod(v[i], c[i])
         if r:
             return None

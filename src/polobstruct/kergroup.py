@@ -126,8 +126,10 @@ class KerClass(Record):
     """Element of the free group on constituent labels."""
 
     def __init__(self, labels: LabelSet, coeffs: tuple):
-        cs = tuple(map(_norm_int, coeffs))
-        if len(cs) != len(labels):
+        cs = tuple(coeffs)
+        if not set(map(type, cs)) <= {int}:
+            cs = tuple(map(_norm_int, cs))
+        if len(cs) != len(labels.labels):
             raise ValueError("coefficient count must match the label count")
         self._set(labels, cs)
 
@@ -137,9 +139,9 @@ class KerClass(Record):
 
     @classmethod
     def single(cls, labels, name, mult=1):
-        cs = [0] * len(labels)
+        cs = [0] * len(labels.labels)
         cs[labels.index(name)] = mult
-        return cls(labels, tuple(cs))
+        return cls(labels, cs)
 
     def _same(self, other):
         if not isinstance(other, KerClass) or other.labels != self.labels:
@@ -445,8 +447,10 @@ def phi_p_part(a, alpha: CycElem, p, labels=None) -> KerClass:
     degree value a: the isogeny has degree a^2, and its kernel holds one
     copy of E[p] per factor of p in a, away from prime-to-p parts. A
     negative p-valuation gives a virtual (noneffective) class. The class
-    depends on a alone, so two valid certificates give the same answer."""
-    a = Fraction(a)
+    depends on a alone, so two valid certificates give the same answer.
+    a is an exact scalar (an int, or a Fraction, kept as an int when it is
+    integral); a float, a bool or a string raises TypeError."""
+    a = _norm_scalar(a)
     if a == 0:
         raise ValueError("zero has no class")
     if not isinstance(alpha, CycElem) or alpha.p != p:
@@ -560,10 +564,12 @@ def quaternion_witness_check(D: QuaternionAlgebra, beta, alpha1, b, c1) -> dict:
 
 
 class PhiSample(Record):
-    """A degree value with a verified certificate element."""
+    """A degree value with a verified certificate element. The norm is an
+    exact scalar, an int when it is integral (see _norm_scalar), so a
+    float, a bool or a string raises TypeError."""
 
-    def __init__(self, norm: Fraction, alpha: CycElem):
-        self._set(Fraction(norm), alpha)
+    def __init__(self, norm, alpha: CycElem):
+        self._set(_norm_scalar(norm), alpha)
 
 
 class AttainabilityResult(Record):
@@ -619,7 +625,7 @@ class ModelDescriptor(Record):
             raise ValueError(f"model has no {e_p} label")
         if self.labels[self.labels.index(e_p)].dual != e_p:
             raise ValueError(f"the {e_p} label is not self-dual")
-        span = col_hnf(Matrix.from_columns([list(g) for g in self.z_gens], nrows=n))
+        span = col_hnf(Matrix.from_columns(self.z_gens, nrows=n))
         # the realizable span must be stable under Cartier duality
         perm = self.labels.dual_perm()
         for g in self.z_gens:
@@ -633,12 +639,12 @@ class ModelDescriptor(Record):
                 if any(g[i] for g in self.z_gens):
                     raise ValueError(
                         f"self-dual label {lbl.name} without a pairing in the span")
-        pairs = [list(g.coeffs) for g in b_subgroup_gens(self.labels)]
+        pairs = [g.coeffs for g in b_subgroup_gens(self.labels)]
         level2 = []
         for s in self.phi_samples:
             cls = phi_p_part(s.norm, s.alpha, p, self.labels)
             if r_membership(s.alpha, 2, factor):
-                level2.append(list(cls.coeffs))
+                level2.append(cls.coeffs)
         for s in self.s_c:
             if _hnf_coords(span, s) is None:
                 raise ValueError("s_c entry outside the realizable span")
@@ -737,8 +743,10 @@ def _json_value(value, what, *kinds):
 
 
 def _json_field(obj, key, *kinds, default=None):
-    """obj[key] checked by _json_value; a missing key reads as default."""
-    return _json_value(obj.get(key, default), key, *kinds)
+    """obj[key] checked as _json_value checks it; a missing key reads as
+    default."""
+    value = obj.get(key, default)
+    return value if type(value) in kinds else _json_value(value, key, *kinds)
 
 
 def _json_rational(q):
@@ -755,7 +763,7 @@ def _json_entries(arr, key, *kinds):
     """arr, the JSON array at key, if each entry's JSON type is one of kinds,
     which one C-level pass over the entries' types decides; only an array
     that fails it is walked with _json_value, to name its first bad entry."""
-    if not set(map(type, arr)) <= set(kinds):
+    if not set(map(type, arr)).issubset(kinds):
         for x in arr:
             _json_value(x, f"an entry of {key}", *kinds)
     return arr

@@ -503,6 +503,31 @@ def test_hnf_row_properties_random():
         assert h.nrows == sum(1 for d in snf(a).invariant_factors if d != 0)
 
 
+def test_col_hnf_is_the_transposed_row_hnf():
+    # col_hnf eliminates on the columns; it must agree with the definition,
+    # shapes included, on empty shapes, zero columns and entries past 2^62
+    rng = random.Random(41)
+    inputs = list(_hnf_inputs(rng))
+    inputs += [Matrix.zero(0, 3), Matrix.zero(3, 0), Matrix.zero(0, 0),
+               Matrix([[0, 2, 0], [0, 4, 0]]), Matrix([[0], [0]])]
+    for _ in range(20):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice([0, rng.randint(-2 ** 70, 2 ** 70)]) for _ in range(n)]
+                for _ in range(m)]
+        zero = rng.randrange(n)
+        for r in rows:
+            r[zero] = 0
+        inputs.append(Matrix(rows))
+    for a in inputs:
+        h = col_hnf(a)
+        want = hnf_row(a.transpose()).transpose()
+        assert h == want and h.shape == want.shape == (a.nrows, want.ncols)
+    big = Matrix([[2 ** 63, 2 ** 62], [3, -(2 ** 64)]])
+    assert col_hnf(big) == hnf_row(big.transpose()).transpose()
+    with pytest.raises(TypeError):
+        col_hnf(Matrix([[Fraction(1, 2)]]))
+
+
 def test_col_lattice_membership():
     basis = Matrix.from_columns([(2, 0, 1), (0, 3, 1)])
     assert col_lattice_contains(basis, (2, 0, 1))

@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 import operator
 import random
@@ -423,6 +424,22 @@ def test_phi_p_part_certificates():
     assert got == phi_p_part(norm_to_Q(alpha), alpha, 5)
 
 
+def test_norms_are_exact_scalars():
+    # Fraction() once read 0.1 as 3602879701896397/36028797018963968 and
+    # True as 1; a norm is now an exact scalar, an int when integral
+    one = CycElem.one(5)
+    for bad in (0.1, 1.0, True, "1"):
+        with pytest.raises(TypeError):
+            PhiSample(bad, one)
+        with pytest.raises(TypeError):
+            phi_p_part(bad, one, 5)
+    three = PhiSample(Fraction(3), one)
+    assert type(three.norm) is int
+    assert PhiSample(3, one) == three and hash(PhiSample(3, one)) == hash(three)
+    assert PhiSample(Fraction(1, 3), one).norm == Fraction(1, 3)
+    assert phi_p_part(Fraction(1), one, 5) == phi_p_part(1, one, 5)
+
+
 def test_model_validation_takes_one_norm_per_sample(monkeypatch):
     import polobstruct.kergroup as kg
 
@@ -814,6 +831,36 @@ def test_model_load_takes_one_power_sum_pass_per_sample(monkeypatch):
     for s in m.phi_samples:
         assert nrd_dagger_status(s.alpha, m.algebra.factors[0]) == "yes"
     assert len(passes) == 9
+
+
+def test_model_load_tests_each_sample_for_conjugation_once(monkeypatch):
+    # the norm, the symmetry test and the positivity of a sample share one
+    # conjugation test: nine samples, at most nine is_conj_fixed calls and
+    # nine tests, where each of the three made its own before
+    import polobstruct.cyclotomic as cyc
+
+    text = twist_model(13).to_json()
+    calls, tests = [], []
+    is_conj_fixed = cyc.CycElem.is_conj_fixed
+    monkeypatch.setattr(cyc.CycElem, "is_conj_fixed",
+                        lambda self: calls.append(self) or is_conj_fixed(self))
+    fixed = vars(cyc.CycElem)["_fixed"]
+    monkeypatch.setattr(fixed, "func", lambda self, f=fixed.func: tests.append(self) or f(self))
+    m = ModelDescriptor.from_json(text)
+    assert len(m.phi_samples) == 9
+    assert len(calls) <= 9 and len(tests) == 9
+    # every integral norm is loaded as an int
+    assert all(type(s.norm) is int for s in m.phi_samples)
+
+
+def test_model_files_are_pinned():
+    # the bytes of the models the benchmark writes, at the default seed
+    digests = {p: hashlib.sha256(twist_model(p).to_json().encode()).hexdigest()
+               for p in (13, 19)}
+    assert digests == {
+        13: "1a6bad2fce587e0c16f7d8fdfaebf48995dc7bc6a68816ead914366893da1827",
+        19: "2ede360322c494298406f78fe17535af39f0d8f8aef73bb67f4d0355d5d72eff",
+    }
 
 
 def test_model_relations_hold_level_two_classes_only():

@@ -10,6 +10,7 @@ import types
 
 import polobstruct
 from polobstruct import cli
+from polobstruct.cyclotomic import CycElem, format_element
 from polobstruct.intlinalg import Record
 from polobstruct.kergroup import twist_model
 
@@ -118,8 +119,10 @@ def test_no_command_leaves_module_state_behind(tmp_path, capsys):
     model = tmp_path / "model13.json"
     model.write_text(twist_model(13).to_json())
     before = _module_state()
+    x = CycElem(13, (3, 0, -1, 2, 0, 0, 1, 0, 0, 5, 0, -2))
     for argv in (["verify", "-p", "43"], ["norm", "13; 3, 0, -1, 2, 0, 0, 1, 0, 0, 5, 0, -2"],
-                 ["attainable", "--model", str(model), "--class", "1"]):
+                 ["attainable", "--model", str(model), "--class", "1"],
+                 ["bgroup", "--model", str(model)], ["tp", format_element(x * x.conj())]):
         assert cli.main(argv) == 0
     capsys.readouterr()
     after = _module_state()
