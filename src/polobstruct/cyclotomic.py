@@ -40,7 +40,7 @@ import struct
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 from .intlinalg import (
@@ -48,8 +48,10 @@ from .intlinalg import (
     Matrix,
     Record,
     cached,
+    _cleared,
     _norm_row,
     _norm_scalar,
+    _plain_ints,
     _power,
     parse_int,
 )
@@ -148,7 +150,8 @@ class _FieldElem(Record):
 
     @classmethod
     def from_rational(cls, q, p):
-        return cls(p, (Fraction(q),) + (0,) * (cls._dim(p) - 1))
+        """The rational element q, an exact scalar (see _norm_scalar)."""
+        return cls(p, (q,) + (0,) * (cls._dim(p) - 1))
 
     # -- predicates --------------------------------------------------------
 
@@ -156,7 +159,7 @@ class _FieldElem(Record):
         return not any(self.coords)
 
     def is_integral(self):
-        return set(map(type, self.coords)) <= {int}
+        return _plain_ints(self.coords)
 
     def is_rational(self):
         return not any(self.coords[1:])
@@ -187,7 +190,7 @@ class _FieldElem(Record):
         return (-self) + other
 
     def _scale(self, c):
-        c = _norm_scalar(Fraction(c))
+        c = _norm_scalar(c)
         return type(self)(self.p, tuple(c * x for x in self.coords))
 
     def __pow__(self, k):
@@ -198,8 +201,9 @@ class _FieldElem(Record):
     # -- comparison: Record's, widened to ints and Fractions ----------------
 
     def __eq__(self, other):
+        # read off the coordinates, so == never builds (or rejects) an element
         if isinstance(other, (int, Fraction)):
-            other = self.from_rational(other, self.p)
+            return self.is_rational() and self.coords[0] == other
         return super().__eq__(other)
 
     def __hash__(self):
@@ -437,11 +441,7 @@ def _real_elementary(x: CycElem):
     """
     p = x.p
     m = (p - 1) // 2
-    if x.is_integral():
-        d, c = 1, [*x.coords, 0]
-    else:
-        d = lcm(*(c.denominator for c in x.coords))
-        c = [int(v * d) for v in x.coords] + [0]
+    d, c = _cleared(x.coords + (0,))
     shift = -min(c)  # >= 0 because of the padded c_(p-1) = 0
     a = [v + shift for v in c]
     total = sum(a)
@@ -481,14 +481,7 @@ def _real_elementary(x: CycElem):
         if r:
             raise AssertionError(f"inexact division by {k}")
         e.append(q)
-    if d == 1:
-        return tuple(e)
-    out, scale = [], 1
-    for v in e:
-        q, r = divmod(v, scale)
-        out.append(Fraction(v, scale) if r else q)
-        scale *= d
-    return tuple(out)
+    return tuple(e) if d == 1 else _norm_row(Fraction(v, d ** k) for k, v in enumerate(e))
 
 
 def _digit_bytes(nbits):
@@ -610,8 +603,7 @@ def _crt_norm(a: CycElem):
     moves: the product of the conjugates mod each prime, lifted by the
     Chinese remainder theorem until the bound proves the lift exact."""
     p, n = a.p, a.p - 1
-    d = lcm(*(c.denominator for c in a.coords))
-    c = [int(v * d) for v in a.coords]
+    d, c = _cleared(a.coords)
     big_q = p * sum(v * v for v in c) - sum(c) ** 2
     need, scale = 4 * big_q ** n, n ** n
     x, mod = 0, 1
@@ -625,8 +617,7 @@ def _crt_norm(a: CycElem):
         mod *= ell
     if 2 * x > mod:
         x -= mod
-    q, r = divmod(x, d ** n)
-    return Fraction(x, d ** n) if r else q
+    return _norm_scalar(Fraction(x, d ** n))
 
 
 def is_totally_positive(a) -> bool:

@@ -45,10 +45,17 @@ cocycle matrix zeta (a foreign zeta, and the commutant's reference route;
 the constructed zeta multiplies by a shift, see twist) have the sparse
 zeta or its transpose as a factor, so this beats a dense product.
 Int and Fraction entries share one exact loop: Python ints are exact at
-every size, so there is no fixed-width path and no overflow guard. A
-matrix (or vector) whose entries are all of type exactly int, which one
-C-level pass over the entries' types decides, is taken as it is; any
-other is coerced entry by entry, which rejects floats and bools.
+every size, so there is no fixed-width path and no overflow guard.
+
+This module alone decides what may enter a value, for the whole package. An
+exact scalar is an int or a Fraction: _norm_scalar makes an integral one a
+plain int and raises TypeError for a float, a bool, a str or anything else.
+An exact integer is an integral exact scalar. A plain-int row has entries
+all of type exactly int, which _plain_ints decides in one C-level pass over
+their types; _norm_row (exact scalars) and _int_row (exact integers, so a
+non-integral Fraction raises TypeError too) keep such a row as it is, and
+_cleared turns any row into d and the ints d * row, d the lcm of the
+denominators, with d = 1 and no lcm for a plain-int row.
 """
 
 from __future__ import annotations
@@ -66,21 +73,9 @@ def _norm_scalar(x):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not an exact scalar")
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
+    if isinstance(x, (int, Fraction)):
+        return x.numerator if x.denominator == 1 else x  # an int subclass's is an int
     raise TypeError(f"exact scalars are int or Fraction, got {type(x).__name__}")
-
-
-def _norm_int(x):
-    """An exact scalar that is an integer, as an int: an integral Fraction
-    is accepted, while a float, bool, str or non-integral Fraction raises
-    TypeError instead of being truncated."""
-    x = _norm_scalar(x)
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x}")
-    return x
 
 
 _INT = re.compile(r"[+-]?[0-9]+")
@@ -96,11 +91,36 @@ def parse_int(text) -> int:
     return int(text)
 
 
+def _plain_ints(xs) -> bool:
+    """Is every entry of xs of type exactly int? The package's one spelling."""
+    return set(map(type, xs)) <= {int}
+
+
 def _norm_row(r):
-    """A sequence of exact scalars as a tuple; a row whose entries are all
-    of type exactly int is already normal and is kept as it is."""
+    """A sequence of exact scalars as a tuple; a plain-int row is already
+    normal and is kept as it is."""
     r = tuple(r)
-    return r if set(map(type, r)) <= {int} else tuple(map(_norm_scalar, r))
+    return r if _plain_ints(r) else tuple(map(_norm_scalar, r))
+
+
+def _int_row(r):
+    """A sequence of exact integers as a tuple of ints, never truncated."""
+    r = tuple(r)
+    if not _plain_ints(r):
+        r = tuple(map(_norm_scalar, r))
+        bad = [x for x in r if type(x) is not int]
+        if bad:
+            raise TypeError(f"expected an integer, got {bad[0]}")
+    return r
+
+
+def _cleared(r):
+    """(d, [d x for x in r]) for a sequence r of exact scalars, d the lcm of
+    their denominators: ints, with d = 1 and no lcm for a plain-int row."""
+    if _plain_ints(r):
+        return 1, list(r)
+    d = lcm(*(x.denominator for x in r))
+    return d, [x.numerator * (d // x.denominator) for x in r]
 
 
 def _power(base, k, one):
@@ -149,13 +169,15 @@ class Record:
         shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
-    def _set(self, *fields, _store=object.__setattr__, **extras):
+    _store = object.__setattr__  # the one writer of attributes, see _set
+
+    def _set(self, *fields, _store=_store, **extras):
         """Store the fields, given in __init__'s order (all of them or
         none; a wrong count raises ValueError), and the attributes that are
-        not fields, given by keyword. object.__setattr__, bound once as the
-        default _store, stores each: on CPython 3.11 reading self.__dict__
-        turns an instance's inline attribute values into a dict, and every
-        later read of the instance took two to three times as long."""
+        not fields, given by keyword. Record._store, bound once as the
+        default, stores each: on CPython 3.11 reading self.__dict__ turns an
+        instance's inline attribute values into a dict, and every later
+        read of the instance took two to three times as long."""
         if fields:
             names = self._fields
             if len(fields) != len(names):
@@ -163,9 +185,8 @@ class Record:
                                  f"got {len(fields)}")
             for name, value in zip(names, fields):
                 _store(self, name, value)
-        if extras:
-            for name, value in extras.items():
-                _store(self, name, value)
+        for name, value in extras.items():
+            _store(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -176,9 +197,9 @@ class Record:
 
 class cached:
     """A Record method read as an attribute, computed on the first read and
-    stored through Record._set, so later reads find the value on the
+    stored through Record._store, so later reads find the value on the
     instance and never call the method again. functools.cached_property
-    would store it through the instance's __dict__ (see _set)."""
+    would store it through the instance's __dict__ (see Record._set)."""
 
     def __init__(self, func):
         self.func, self.__doc__ = func, func.__doc__
@@ -190,7 +211,7 @@ class cached:
         if obj is None:
             return self
         value = self.func(obj)
-        obj._set(**{self.name: value})
+        Record._store(obj, self.name, value)
         return value
 
 
@@ -201,7 +222,7 @@ class Matrix(Record):
 
     def __init__(self, rows, ncols=None):
         rows = tuple(map(tuple, rows))
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        if not _plain_ints(chain.from_iterable(rows)):
             rows = tuple(tuple(map(_norm_scalar, r)) for r in rows)
         m = len(rows)
         n = len(rows[0]) if m else 0 if ncols is None else int(ncols)
@@ -236,16 +257,14 @@ class Matrix(Record):
         if set(map(len, cols)) != {m}:
             raise ValueError("ragged columns" if nrows is None
                              else "nrows disagrees with column length")
-        return cls(zip(*cols))
+        return cls(zip(*cols), ncols=len(cols))
 
     @classmethod
-    def diagonal(cls, diag, m=None, n=None):
-        diag = [_norm_scalar(d) for d in diag]
-        m = len(diag) if m is None else m
-        n = len(diag) if n is None else n
-        rows = [[diag[i] if (i == j and i < len(diag)) else 0 for j in range(n)]
-                for i in range(m)]
-        return cls(rows)
+    def diagonal(cls, diag):
+        diag = _norm_row(diag)
+        n = len(diag)
+        return cls([(0,) * i + (d,) + (0,) * (n - 1 - i) for i, d in enumerate(diag)],
+                   ncols=n)
 
     # -- basic access ------------------------------------------------------
 
@@ -279,7 +298,7 @@ class Matrix(Record):
         return self.nrows == self.ncols
 
     def is_integral(self):
-        return set(map(type, chain.from_iterable(self.rows))) <= {int}
+        return _plain_ints(chain.from_iterable(self.rows))
 
     def is_symmetric(self):
         return self.is_square() and self.rows == tuple(zip(*self.rows))
@@ -367,9 +386,8 @@ def det(a: Matrix):
     n = a.nrows
     if n == 0:
         return 1
-    # an int's denominator is 1, so integer input keeps dens = 1
-    dens = lcm(*(x.denominator for r in a.rows for x in r))
-    rows = [[int(x * dens) for x in r] for r in a.rows]
+    dens, flat = _cleared(tuple(chain.from_iterable(a.rows)))
+    rows = [flat[k:k + n] for k in range(0, n * n, n)]
     swaps, pivots = _bareiss_det(rows)
     if len(pivots) < n:
         return 0
@@ -618,9 +636,7 @@ def _hnf_coords(h: Matrix, v):
     """Integer coordinates of v in the columns of the column HNF h, or None
     if v is outside their lattice. Each later column is zero on an earlier
     column's pivot row, so reducing v pivot by pivot reads the coordinates."""
-    v = list(v)
-    if not set(map(type, v)) <= {int}:
-        v = [_norm_int(x) for x in v]
+    v = _int_row(v)
     if len(v) != h.nrows:
         raise ValueError("vector length mismatch")
     coords = []
@@ -756,13 +772,7 @@ class IntPoly(Record):
     """Polynomial with integer coefficients, stored low-degree first."""
 
     def __init__(self, coeffs):
-        c = []
-        for x in coeffs:
-            x = _norm_scalar(x)
-            if not isinstance(x, int):
-                raise TypeError("IntPoly coefficients must be integers")
-            c.append(x)
-        self._set(tuple(_q_strip(c)))
+        self._set(tuple(_q_strip(_int_row(coeffs))))
 
     @property
     def degree(self):

@@ -41,7 +41,7 @@ from .intlinalg import (
     Matrix,
     Record,
     _hnf_coords,
-    _norm_int,
+    _int_row,
     _norm_scalar,
     col_hnf,
     parse_int,
@@ -126,9 +126,7 @@ class KerClass(Record):
     """Element of the free group on constituent labels."""
 
     def __init__(self, labels: LabelSet, coeffs: tuple):
-        cs = tuple(coeffs)
-        if not set(map(type, cs)) <= {int}:
-            cs = tuple(map(_norm_int, cs))
+        cs = _int_row(coeffs)
         if len(cs) != len(labels.labels):
             raise ValueError("coefficient count must match the label count")
         self._set(labels, cs)
@@ -262,7 +260,8 @@ def _quotient_of_basis(basis: Matrix, rels) -> AbGroupPresentation:
 
 
 def is_square_in_Qp(q, p) -> bool:
-    """Is the nonzero rational q a square in the p-adic field?
+    """Is the nonzero exact scalar q (see _norm_scalar) a square in the
+    p-adic field?
 
     Even valuation plus a unit condition: a quadratic residue mod p for odd
     p, congruent to 1 mod 8 for p = 2. Signs are folded into the unit part,
@@ -270,7 +269,7 @@ def is_square_in_Qp(q, p) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
-    q = Fraction(q)
+    q = _norm_scalar(q)
     if q == 0:
         raise ValueError("zero is not in the unit-times-power-of-p group")
     v = valuation(q, p)
@@ -483,17 +482,18 @@ def parity_hom(c: KerClass, p) -> int:
 class QuaternionAlgebra(Record):
     """(a, b) quaternions over Q: i^2 = a, j^2 = b, ij = -ji = k.
 
-    Elements are 4-tuples of rationals (t, x, y, z) for t + xi + yj + zk.
+    Elements are 4-tuples of exact scalars (t, x, y, z) for t + xi + yj + zk,
+    and a and b are exact scalars too (see _norm_scalar).
     """
 
     def __init__(self, a, b):
-        a, b = Fraction(a), Fraction(b)
+        a, b = _norm_scalar(a), _norm_scalar(b)
         if a == 0 or b == 0:
             raise ValueError("structure constants must be nonzero")
         self._set(a, b)
 
     def element(self, t, x=0, y=0, z=0):
-        return (Fraction(t), Fraction(x), Fraction(y), Fraction(z))
+        return tuple(map(_norm_scalar, (t, x, y, z)))
 
     def scalar(self, t):
         return self.element(t)
@@ -524,7 +524,7 @@ class QuaternionAlgebra(Record):
         return t * t - self.a * x * x - self.b * y * y + self.a * self.b * z * z
 
     def inverse(self, u):
-        n = self.nrd(u)
+        n = Fraction(self.nrd(u))  # so that c / n is a Fraction for an int c
         if n == 0:
             raise ValueError("element is not invertible")
         return tuple(c / n for c in self.conj(u))
@@ -548,8 +548,7 @@ def quaternion_witness_check(D: QuaternionAlgebra, beta, alpha1, b, c1) -> dict:
     """
     beta = D.element(*beta)
     alpha1 = D.element(*alpha1)
-    b = Fraction(b)
-    c1 = Fraction(c1)
+    b, c1 = _norm_scalar(b), _norm_scalar(c1)
     zero = D.scalar(0)
     skew = D.add(beta, D.conj(beta)) == zero
     norm_matches = D.mul(beta, D.conj(beta)) == D.scalar(-b * c1)
@@ -596,8 +595,7 @@ class ModelDescriptor(Record):
 
     def __init__(self, labels: LabelSet, z_gens: tuple, algebra: AlgebraDescriptor,
                  phi_samples: tuple, s_c: tuple):
-        z_gens = tuple(tuple(map(_norm_int, g)) for g in z_gens)
-        s_c = tuple(tuple(map(_norm_int, s)) for s in s_c)
+        z_gens, s_c = tuple(map(_int_row, z_gens)), tuple(map(_int_row, s_c))
         self._set(labels, z_gens, algebra, tuple(phi_samples), s_c)
         self.validate()
 
@@ -795,7 +793,7 @@ def attainable(P, model: ModelDescriptor) -> AttainabilityResult:
             raise ValueError("class lives over different labels")
         vec = list(P.coeffs)
     else:
-        vec = [_norm_int(x) for x in P]
+        vec = _int_row(P)
         if len(vec) != n:
             raise ValueError("class vector has the wrong length")
     if any(x < 0 for x in vec):

@@ -154,6 +154,8 @@ def test_from_columns_rejects_ragged_columns_and_disagreeing_nrows():
     assert Matrix.from_columns([(1, 2), (3, 4)]) == Matrix([[1, 3], [2, 4]])
     assert Matrix.from_columns([(1, 2)], nrows=2) == Matrix([[1], [2]])
     assert Matrix.from_columns([], nrows=3).shape == (3, 0)
+    # k empty columns over no rows once came back 0 x 0
+    assert Matrix.from_columns([(), ()], nrows=0).shape == (0, 2)
     # a short later column once dropped the extra entry of a long one, or
     # raised IndexError; nrows was ignored whenever columns were given
     with pytest.raises(ValueError, match="ragged columns"):

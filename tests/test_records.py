@@ -93,7 +93,7 @@ CASES = [
     (RealElem(5, (1, 2)), ("p", "coords"), "coords", (1, 3),
      "RealElem(p=5, coords=(1, 2))"),
     (QuaternionAlgebra(-1, -3), ("a", "b"), "b", Fraction(-1),
-     "QuaternionAlgebra(a=Fraction(-1, 1), b=Fraction(-3, 1))"),
+     "QuaternionAlgebra(a=-1, b=-3)"),
 ]
 
 

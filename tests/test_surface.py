@@ -86,6 +86,25 @@ def test_only_record_writes_with_object_setattr():
     assert writers == {"intlinalg.Record"}
 
 
+def _is_plain_int_test(node):
+    """Is node the plain-int type test, set(map(type, ...)) <= {int}?"""
+    return (isinstance(node, ast.Compare) and ast.unparse(node.left).startswith("set(map(type,")
+            and any(isinstance(c, ast.Set) and ast.unparse(c) == "{int}"
+                    for c in node.comparators))
+
+
+def test_the_plain_int_test_is_spelled_once():
+    # every other module and function reads intlinalg._plain_ints
+    spellings = []
+    for module, tree in _package_trees():
+        for top in tree.body:
+            inner = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in inner:
+                spellings += [f"{module}.{getattr(node, 'name', '')}"
+                              for n in ast.walk(node) if _is_plain_int_test(n)]
+    assert spellings == ["intlinalg._plain_ints"]
+
+
 def test_every_class_is_a_record():
     # the exception cli raises and the descriptor Record's caches use are
     # the two classes that are not values
