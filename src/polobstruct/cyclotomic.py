@@ -49,6 +49,7 @@ from .intlinalg import (
     Record,
     cached,
     _cleared,
+    _count,
     _norm_row,
     _norm_scalar,
     _plain_ints,
@@ -61,6 +62,13 @@ from .intlinalg import (
 # polynomially in p, and the cap turns an absurd p into a one-line error
 # instead of a hang
 MAX_P = 1000
+
+
+def _cap(p, what):
+    """p, if it is at most MAX_P; read before any primality test."""
+    if p > MAX_P:
+        raise ValueError(f"{what} must be at most {MAX_P}, got {p}")
+    return p
 
 
 # the twelve prime bases of the deterministic Miller-Rabin test, and the
@@ -194,9 +202,7 @@ class _FieldElem(Record):
         return type(self)(self.p, tuple(c * x for x in self.coords))
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return _power(self, k, self.one(self.p))
+        return _power(self, _count(k, 0, "exponent"), self.one(self.p))
 
     # -- comparison: Record's, widened to ints and Fractions ----------------
 
@@ -320,8 +326,9 @@ def norm_to_Q(a: CycElem):
     product M; the lift stops once M^2 (p-1)^(p-1) > 4 Q^(p-1), for
     Q = p sum c_k^2 - (sum c_k)^2 over da's coordinates. By Parseval over
     Z/p, Q = sum_(j=1..p-1) |a(zeta^j)|^2, and AM-GM bounds the product of
-    those p - 1 squares by (Q/(p-1))^(p-1). So |N(da)| < M/2, and the
-    residue in (-M/2, M/2) is N(da) itself.
+    those p - 1 squares by (Q/(p-1))^(p-1). So |N(da)| < M/2, and N(da) is
+    positive, a product of (p - 1)/2 values |sigma(da)|^2 for a nonzero a
+    (zero is fixed): the residue in [0, M) is N(da) itself.
     """
     if a._fixed:
         e = a._elementary[-1]
@@ -615,8 +622,6 @@ def _crt_norm(a: CycElem):
             r = r * v % ell
         x += mod * ((r - x) * pow(mod, -1, ell) % ell)
         mod *= ell
-    if 2 * x > mod:
-        x -= mod
     return _norm_scalar(Fraction(x, d ** n))
 
 
@@ -691,9 +696,7 @@ def parse_element(text) -> CycElem:
         # before CycElem tests p for primality, which is slow for a huge tag
         raise ValueError(f"{len(parts)} coordinates do not fit the field tag "
                          f"p = {p}, which needs p - 1")
-    if p > MAX_P:
-        raise ValueError(f"the field tag p must be at most {MAX_P}, got {p}")
-    return CycElem(p, [parse_rational(t) for t in parts])
+    return CycElem(_cap(p, "the field tag p"), [parse_rational(t) for t in parts])
 
 
 def format_element(a: CycElem) -> str:

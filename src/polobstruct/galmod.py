@@ -28,7 +28,7 @@ E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
 from __future__ import annotations
 
 from .cyclotomic import _require_odd_prime
-from .intlinalg import Matrix, Record, cached
+from .intlinalg import Matrix, Record, _count, cached
 from .twist import build_zeta, companion_times_vector, is_companion
 
 
@@ -43,9 +43,9 @@ class TorsionModule(Record):
     dimension dim = 2(p - 1). The repr leaves the cocycle out."""
 
     def __init__(self, p: int, cocycle: Matrix):
-        n = p - 1
+        _require_odd_prime(p)
         if (not isinstance(cocycle, Matrix)
-                or cocycle.shape != (n, n)
+                or cocycle.shape != (p - 1, p - 1)
                 or not cocycle.is_integral()):
             raise ValueError("X[p] needs an integer Matrix cocycle of size "
                              "p - 1")
@@ -123,9 +123,7 @@ class EpRank(Record):
     """Number of E[p] factors in the p-primary part of a finite kernel."""
 
     def __init__(self, value: int):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError("rank must be a nonnegative integer")
-        self._set(value)
+        self._set(_count(value, 0, "rank"))
 
     @property
     def parity(self):
@@ -137,8 +135,7 @@ def valuation(q, p) -> int:
     zero and a smaller p raise ValueError rather than loop forever."""
     if q == 0:
         raise ValueError("zero has no finite valuation")
-    if p < 2:
-        raise ValueError(f"a valuation needs a base of at least 2, got {p}")
+    _count(p, 2, "a valuation base")
     num, den, v = abs(q.numerator), q.denominator, 0
     while num % p == 0:
         num, v = num // p, v + 1
@@ -154,9 +151,7 @@ def e_rank_of_order(order, p) -> EpRank:
     E[p], each of order p^2, so the valuation must be even.
     """
     _require_odd_prime(p)
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
-        raise ValueError("order must be a positive integer")
-    v = valuation(order, p)
+    v = valuation(_count(order, 1, "order"), p)
     if v % 2:
         raise ValueError(
             f"order has odd p-adic valuation {v}; not a sum of {ep_label(p)} factors")
@@ -172,6 +167,4 @@ def polarization_parity(p, n) -> EpRank:
     by twice the p-part of n, so the parity can never leave 1.
     """
     _require_odd_prime(p)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    return EpRank(1 + 2 * valuation(n, p))
+    return EpRank(1 + 2 * valuation(_count(n, 1, "n"), p))

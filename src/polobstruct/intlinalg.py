@@ -56,6 +56,10 @@ their types; _norm_row (exact scalars) and _int_row (exact integers, so a
 non-integral Fraction raises TypeError too) keep such a row as it is, and
 _cleared turns any row into d and the ints d * row, d the lcm of the
 denominators, with d = 1 and no lcm for a plain-int row.
+
+It alone decides what may be a count too (a size, an exponent, a rank, an
+order, a valuation base or a level): an int, not a bool, a float, a str or
+a Fraction, of at least its site's least value, which _count checks.
 """
 
 from __future__ import annotations
@@ -76,6 +80,15 @@ def _norm_scalar(x):
     if isinstance(x, (int, Fraction)):
         return x.numerator if x.denominator == 1 else x  # an int subclass's is an int
     raise TypeError(f"exact scalars are int or Fraction, got {type(x).__name__}")
+
+
+def _count(x, least, what):
+    """x if it is a count no smaller than least, else ValueError naming what."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+        raise ValueError(f"{what} must be {kind}")
+    return x
 
 
 _INT = re.compile(r"[+-]?[0-9]+")
@@ -225,10 +238,10 @@ class Matrix(Record):
         if not _plain_ints(chain.from_iterable(rows)):
             rows = tuple(tuple(map(_norm_scalar, r)) for r in rows)
         m = len(rows)
-        n = len(rows[0]) if m else 0 if ncols is None else int(ncols)
+        n = len(rows[0]) if m else 0 if ncols is None else ncols
         if m and set(map(len, rows)) != {n}:
             raise ValueError("ragged rows")
-        if ncols is not None and m and int(ncols) != n:
+        if ncols is not None and _count(ncols, 0, "ncols") != n:
             raise ValueError("ncols disagrees with row length")
         self._set(rows, n, nrows=m)
 
@@ -236,14 +249,14 @@ class Matrix(Record):
 
     @classmethod
     def zero(cls, m, n):
-        m, n = int(m), int(n)
+        m, n = _count(m, 0, "nrows"), _count(n, 0, "ncols")
         mat = cls.__new__(cls)
         mat._set(tuple((0,) * n for _ in range(m)), n, nrows=m)
         return mat
 
     @classmethod
     def identity(cls, n):
-        n = int(n)
+        n = _count(n, 0, "size")
         mat = cls.__new__(cls)
         mat._set(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n, nrows=n)
         return mat
@@ -253,7 +266,7 @@ class Matrix(Record):
         cols = list(cols)
         if not cols:
             return cls.zero(0 if nrows is None else nrows, 0)
-        m = len(cols[0]) if nrows is None else nrows
+        m = len(cols[0]) if nrows is None else _count(nrows, 0, "nrows")
         if set(map(len, cols)) != {m}:
             raise ValueError("ragged columns" if nrows is None
                              else "nrows disagrees with column length")
@@ -337,9 +350,7 @@ class Matrix(Record):
     def __pow__(self, k):
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return _power(self, k, Matrix.identity(self.nrows))
+        return _power(self, _count(k, 0, "exponent"), Matrix.identity(self.nrows))
 
     def mul_vector(self, v):
         v = _norm_row(v)

@@ -27,9 +27,9 @@ import random
 from fractions import Fraction
 
 from .cyclotomic import (
-    MAX_P,
     CycElem,
     RealElem,
+    _cap,
     is_odd_prime,
     is_prime,
     is_totally_positive,
@@ -41,6 +41,7 @@ from .intlinalg import (
     Matrix,
     Record,
     _hnf_coords,
+    _count,
     _int_row,
     _norm_scalar,
     col_hnf,
@@ -71,8 +72,7 @@ class SimpleLabel(Record):
     def __init__(self, name: str, rank: int, dual: str, alt_pairing: bool = False):
         if not name:
             raise ValueError("label needs a name")
-        if not isinstance(rank, int) or rank < 2:
-            raise ValueError("rank must be an integer >= 2")
+        _count(rank, 2, "rank")
         if not isinstance(alt_pairing, bool):
             raise ValueError(f"alt_pairing must be a bool, got {alt_pairing!r}")
         if alt_pairing:
@@ -309,9 +309,7 @@ class CenterField(Record):
         if plus:
             text = text[:-1]
         if text.startswith("Q(zeta_") and text.endswith(")"):
-            p = parse_int(text[len("Q(zeta_"):-1])
-            if p > MAX_P:
-                raise ValueError(f"center prime {p} exceeds {MAX_P}")
+            p = _cap(parse_int(text[len("Q(zeta_"):-1]), "center prime")
             return cls("real_cyclotomic" if plus else "cyclotomic", p)
         raise ValueError(f"cannot parse center {text!r}")
 
@@ -333,8 +331,7 @@ class AlgebraFactor(Record):
     def __init__(self, type: str, center: CenterField, n: int = 1, ramified: tuple = ()):
         if type not in ("I", "II", "III", "IV"):
             raise ValueError(f"unknown factor type {type!r}")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError("n must be a positive integer")
+        _count(n, 1, "n")
         ram = tuple(sorted(set(ramified)))
         for ell in ram:
             if not is_prime(ell):
@@ -387,7 +384,7 @@ def r_membership(x, level: int, factor: AlgebraFactor) -> bool:
     positive elements, level 2 the values known to come from polarizations.
     The sets are nested: level 2 implies level 1 implies level 0.
     """
-    if level not in (0, 1, 2):
+    if _count(level, 0, "level") > 2:
         raise ValueError("level must be 0, 1 or 2")
     c = factor.center
     x = _coerce_center_element(x, c)
@@ -691,12 +688,6 @@ class ModelDescriptor(Record):
         test, so an absurd prime cannot stall trial division."""
         data = _json_value(json.loads(text), "the model", dict)
 
-        def ramified(d):
-            ram = tuple(_json_array(d, "ramified", int, default=[]))
-            if any(ell > MAX_P for ell in ram):
-                raise ValueError(f"ramified entries must be at most {MAX_P}")
-            return ram
-
         labels = LabelSet(
             SimpleLabel(_json_field(d, "name", str), _json_field(d, "rank", int),
                         _json_field(d, "dual", str),
@@ -706,7 +697,9 @@ class ModelDescriptor(Record):
         algebra = AlgebraDescriptor(tuple(
             AlgebraFactor(_json_field(d, "type", str),
                           CenterField.parse(_json_field(d, "center", str)),
-                          _json_field(d, "n", int, default=1), ramified(d))
+                          _json_field(d, "n", int, default=1),
+                          tuple(_cap(ell, "ramified entry")
+                                for ell in _json_array(d, "ramified", int, default=[])))
             for d in _json_array(_json_field(data, "algebra", dict), "factors", dict)
         ))
         factor = algebra.cyclotomic_factor()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polobstruct.cyclotomic import is_odd_prime
+from polobstruct.cyclotomic import CycElem, is_odd_prime
 from polobstruct.galmod import (
     EpRank,
     TorsionModule,
@@ -16,6 +16,7 @@ from polobstruct.galmod import (
     valuation,
 )
 from polobstruct.intlinalg import Matrix, snf
+from polobstruct.kergroup import AlgebraFactor, CenterField, SimpleLabel, r_membership
 from polobstruct.twist import build_zeta, companion_times_vector, is_companion
 
 
@@ -257,6 +258,12 @@ def test_torsion_module_needs_dimension_2_p_minus_1():
     for wrong in (Matrix.identity(3), Matrix.identity(8), Matrix.zero(4, 3)):
         with pytest.raises(ValueError):
             TorsionModule(5, wrong)
+    # p must be an odd prime: at p = 2 the certificate would read two
+    # Jordan blocks of size 1, and 5.0 would give the dimension 8.0
+    for p, cocycle in ((4, Matrix.identity(3)), (5.0, Matrix.identity(4)),
+                       (2, Matrix.identity(1)), (True, Matrix.identity(0))):
+        with pytest.raises(ValueError, match="odd prime"):
+            TorsionModule(p, cocycle)
 
 
 class _ArrayLike:
@@ -373,13 +380,47 @@ def test_ep_rank_validation():
     assert EpRank(3).parity == 1
 
 
-def test_a_bool_is_not_a_count():
-    # bool subclasses int, so True once read as 1 in each of these
-    for build in (lambda: EpRank(True), lambda: EpRank(False),
-                  lambda: e_rank_of_order(True, 3),
-                  lambda: polarization_parity(5, True)):
-        with pytest.raises(ValueError):
-            build()
+_Q_FACTOR = AlgebraFactor("I", CenterField("Q"))
+
+# every site that takes a count: (name, call, least allowed value, what)
+_COUNT_SITES = [
+    ("Matrix.ncols", lambda k: Matrix([], ncols=k), 0, "ncols"),
+    ("Matrix.zero.m", lambda k: Matrix.zero(k, 2), 0, "nrows"),
+    ("Matrix.zero.n", lambda k: Matrix.zero(2, k), 0, "ncols"),
+    ("Matrix.identity", Matrix.identity, 0, "size"),
+    ("Matrix.from_columns", lambda k: Matrix.from_columns([()], nrows=k), 0, "nrows"),
+    ("Matrix.pow", lambda k: Matrix.identity(2) ** k, 0, "exponent"),
+    ("CycElem.pow", lambda k: CycElem.zeta(5) ** k, 0, "exponent"),
+    ("EpRank", EpRank, 0, "rank"),
+    ("e_rank_of_order", lambda k: e_rank_of_order(k, 3), 1, "order"),
+    ("polarization_parity", lambda k: polarization_parity(5, k), 1, "n"),
+    ("valuation", lambda k: valuation(5, k), 2, "a valuation base"),
+    ("SimpleLabel", lambda k: SimpleLabel("G", k, "G"), 2, "rank"),
+    ("AlgebraFactor", lambda k: AlgebraFactor("I", CenterField("Q"), k), 1, "n"),
+    ("r_membership", lambda k: r_membership(1, k, _Q_FACTOR), 0, "level"),
+]
+_NO_COUNTS = [("float", float), ("half", lambda least: least + 0.5),
+              ("bool", lambda least: True), ("str", str),
+              ("fraction", Fraction), ("below", lambda least: least - 1)]
+
+
+@pytest.mark.parametrize("bad", _NO_COUNTS, ids=[b[0] for b in _NO_COUNTS])
+@pytest.mark.parametrize("site", _COUNT_SITES, ids=[s[0] for s in _COUNT_SITES])
+def test_a_count_site_refuses_what_is_no_count(site, bad):
+    # a count is an int, not a bool, of at least its site's least value;
+    # int() would read 2.7 as 2 and '3' as 3, and True would pass as 1
+    _, call, least, what = site
+    kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+        least, f"an integer >= {least}")
+    with pytest.raises(ValueError, match=f"^{what} must be {kind}$"):
+        call(bad[1](least))
+    call(least)
+
+
+def test_a_level_is_at_most_2():
+    assert r_membership(1, 2, _Q_FACTOR)
+    with pytest.raises(ValueError, match="level must be 0, 1 or 2"):
+        r_membership(1, 3, _Q_FACTOR)
 
 
 def test_companion_step_matches_the_generic_step_up_to_61(monkeypatch):

@@ -252,6 +252,20 @@ def test_center_field_parse_roundtrip():
         CenterField("cyclotomic", 0)
 
 
+def test_every_p_cap_reads_one_message():
+    # a field tag, a center prime and a ramified entry are capped alike
+    from polobstruct.cyclotomic import parse_element
+
+    with pytest.raises(ValueError, match="^the field tag p must be at most 1000, got 1009$"):
+        parse_element("1009; " + ", ".join(["1"] * 1008))
+    with pytest.raises(ValueError, match="^center prime must be at most 1000, got 1009$"):
+        CenterField.parse("Q(zeta_1009)+")
+    data = json.loads(twist_model(5, samples=3).to_json())
+    data["algebra"]["factors"][0]["ramified"] = [3, 1009]
+    with pytest.raises(ValueError, match="^ramified entry must be at most 1000, got 1009$"):
+        ModelDescriptor.from_json(json.dumps(data))
+
+
 def test_membership_type_I():
     fI_q, fI_r, *_ = _factors()
     from polobstruct.kergroup import r_membership

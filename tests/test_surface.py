@@ -105,6 +105,34 @@ def test_the_plain_int_test_is_spelled_once():
     assert spellings == ["intlinalg._plain_ints"]
 
 
+def _bool_tests(node, site):
+    """(site, call) for each isinstance(..., bool) under node, site its
+    dotted function name; bool in a tuple of types counts as well."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += _bool_tests(child, f"{site}.{child.name}")
+            continue
+        if (isinstance(child, ast.Call) and ast.unparse(child.func) == "isinstance"
+                and len(child.args) == 2
+                and "bool" in {ast.unparse(t) for t in ast.walk(child.args[1])}):
+            found.append((site, ast.unparse(child)))
+        found += _bool_tests(child, site)
+    return found
+
+
+def test_a_count_is_checked_only_by_the_count_rule():
+    # bool subclasses int, so a count check spells isinstance(x, bool); an
+    # inline one fails here: every count reads intlinalg._count, and the
+    # other two tests are of an exact scalar and of a flag
+    found = [hit for module, tree in _package_trees() for hit in _bool_tests(tree, module)]
+    assert sorted(found) == [
+        ("intlinalg._count", "isinstance(x, bool)"),
+        ("intlinalg._norm_scalar", "isinstance(x, bool)"),
+        ("kergroup.SimpleLabel.__init__", "isinstance(alt_pairing, bool)"),
+    ]
+
+
 def test_every_class_is_a_record():
     # the exception cli raises and the descriptor Record's caches use are
     # the two classes that are not values
