@@ -2,9 +2,11 @@
 
 Elements of K = Q(zeta_p) are coordinate vectors over the power basis
 1, zeta, ..., zeta^{p-2}; products are reduced eagerly mod the p-th
-cyclotomic polynomial. The real subfield K+ = Q(eta), eta = zeta + zeta^{-1},
-holds the conjugation-fixed CycElem, which norms and positivity read as it is;
-the Dickson restriction to RealElem's eta-power basis is a reference route.
+cyclotomic polynomial. K+ = Q(eta), eta = zeta + zeta^{-1}, has one
+representation: the CycElem that conjugation fixes, which norms and
+positivity read as it is. The eta-power coordinates of such an element
+(from_eta, restrict_to_real, real_mult_matrix, by Dickson polynomials) are
+a reference route that no command takes.
 
 Norms take one of two routes, chosen by the element and never by the size
 of p, so no size threshold divides them.
@@ -131,35 +133,38 @@ def cyclotomic_poly(p) -> IntPoly:
     return IntPoly([1] * p)
 
 
-class _FieldElem(Record):
-    """A vector of _dim(p) exact coordinates: construction, the additive
-    group, scalar multiples, nonnegative powers and equality, shared by the
-    elements of Q(zeta_p) and of its real subfield. Elements of different
-    classes never compare equal, and arithmetic between them raises
-    TypeError."""
+class CycElem(Record):
+    """Element of Q(zeta_p), p - 1 exact coordinates in the power basis
+    1, zeta, ..., zeta^(p-2). An element fixed by conjugation is an element
+    of K+; there is no second representation of K+. Arithmetic takes a
+    CycElem of the same p, an int or a Fraction, and a rational element
+    equals (and hashes as) its int or Fraction."""
 
     def __init__(self, p, coords):
         _require_odd_prime(p)
         coords = _norm_row(coords)
-        if len(coords) != self._dim(p):
-            raise ValueError(
-                f"need {self._dim(p)} coordinates for p = {p}, got {len(coords)}")
+        if len(coords) != p - 1:
+            raise ValueError(f"need {p - 1} coordinates for p = {p}, got {len(coords)}")
         self._set(p, coords)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p):
-        return cls(p, (0,) * cls._dim(p))
+        return cls(p, (0,) * (p - 1))
 
     @classmethod
     def one(cls, p):
-        return cls(p, (1,) + (0,) * (cls._dim(p) - 1))
+        return cls(p, (1,) + (0,) * (p - 2))
 
     @classmethod
     def from_rational(cls, q, p):
         """The rational element q, an exact scalar (see _norm_scalar)."""
-        return cls(p, (q,) + (0,) * (cls._dim(p) - 1))
+        return cls(p, (q,) + (0,) * (p - 2))
+
+    @classmethod
+    def zeta(cls, p):
+        return cls(p, (0, 1) + (0,) * (p - 3))
 
     # -- predicates --------------------------------------------------------
 
@@ -172,11 +177,11 @@ class _FieldElem(Record):
     def is_rational(self):
         return not any(self.coords[1:])
 
-    # -- the additive group and scalars ------------------------------------
+    # -- field operations --------------------------------------------------
 
     def _same_field(self, other):
-        if not isinstance(other, type(self)):
-            raise TypeError(f"expected a {type(self).__name__}")
+        if not isinstance(other, CycElem):
+            raise TypeError("expected a CycElem")
         if other.p != self.p:
             raise ValueError(f"mixed fields p = {self.p} and p = {other.p}")
 
@@ -184,12 +189,12 @@ class _FieldElem(Record):
         if isinstance(other, (int, Fraction)):
             other = self.from_rational(other, self.p)
         self._same_field(other)
-        return type(self)(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return CycElem(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.p, tuple(-c for c in self.coords))
+        return CycElem(self.p, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
         return self + (-other)
@@ -197,9 +202,22 @@ class _FieldElem(Record):
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scale(self, c):
-        c = _norm_scalar(c)
-        return type(self)(self.p, tuple(c * x for x in self.coords))
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = _norm_scalar(other)
+            return CycElem(self.p, tuple(c * x for x in self.coords))
+        self._same_field(other)
+        p = self.p
+        a, b = self.coords, other.coords
+        conv = [0] * (2 * p - 3)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        return CycElem(p, _reduce_mod_cyclotomic(conv, p))
+
+    __rmul__ = __mul__
 
     def __pow__(self, k):
         return _power(self, _count(k, 0, "exponent"), self.one(self.p))
@@ -216,35 +234,7 @@ class _FieldElem(Record):
         # a rational element equals its int or Fraction, so it hashes as one
         return hash(self.coords[0]) if self.is_rational() else super().__hash__()
 
-
-class CycElem(_FieldElem):
-    """Element of Q(zeta_p) in the power basis 1, zeta, ..., zeta^(p-2)."""
-
-    @staticmethod
-    def _dim(p):
-        return p - 1
-
-    @classmethod
-    def zeta(cls, p):
-        return cls(p, (0, 1) + (0,) * (p - 3))
-
-    # -- field operations --------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        self._same_field(other)
-        p = self.p
-        a, b = self.coords, other.coords
-        conv = [0] * (2 * p - 3)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return CycElem(p, _reduce_mod_cyclotomic(conv, p))
-
-    __rmul__ = __mul__
+    # -- the real subfield -------------------------------------------------
 
     def is_conj_fixed(self):
         """Is the element in K+? The test runs once per element (_fixed)."""
@@ -337,46 +327,31 @@ def norm_to_Q(a: CycElem):
 
 
 # ---------------------------------------------------------------------------
-# the real subfield
+# the Dickson route: K+ in the eta-power basis, the reference the tests
+# compare norms and positivity against
 
 
-class RealElem(_FieldElem):
-    """Element of K+ = Q(eta) in the basis 1, eta, ..., eta^((p-3)/2)."""
-
-    @staticmethod
-    def _dim(p):
-        return (p - 1) // 2
-
-    def lift(self) -> CycElem:
-        """The same element viewed inside Q(zeta_p): each eta^k expands as
-        (zeta + zeta^(-1))^k = sum_j C(k, j) zeta^(k - 2j), so the exponents
-        are collected mod p and reduced once."""
-        p = self.p
-        acc = [0] * p
-        for k, c in enumerate(self.coords):
-            if c:
-                for j in range(k + 1):
-                    acc[(k - 2 * j) % p] += comb(k, j) * c
-        return CycElem(p, _reduce_mod_cyclotomic(acc, p))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        self._same_field(other)
-        return restrict_to_real(self.lift() * other.lift())
-
-    __rmul__ = __mul__
+def from_eta(p, coords) -> CycElem:
+    """The conjugation-fixed element sum_k coords[k] eta^k, eta =
+    zeta + zeta^(-1), for (p-1)/2 exact coordinates: each eta^k expands as
+    (zeta + zeta^(-1))^k = sum_j C(k, j) zeta^(k - 2j), so the exponents
+    are collected mod p and reduced once."""
+    _require_odd_prime(p)
+    coords = _norm_row(coords)
+    m = (p - 1) // 2
+    if len(coords) != m:
+        raise ValueError(f"need {m} coordinates for p = {p}, got {len(coords)}")
+    acc = [0] * p
+    for k, c in enumerate(coords):
+        if c:
+            for j in range(k + 1):
+                acc[(k - 2 * j) % p] += comb(k, j) * c
+    return CycElem(p, _reduce_mod_cyclotomic(acc, p))
 
 
-def eta(p) -> CycElem:
-    """zeta + zeta^(-1), the generator of the real subfield."""
-    z = CycElem.zeta(p)
-    return z + z.conj()
-
-
-def restrict_to_real(a: CycElem) -> RealElem:
-    """Express a conjugation-fixed element in the eta-power basis, the
-    reference route into K+ that norms and positivity do not take.
+def restrict_to_real(a: CycElem) -> tuple:
+    """The eta-power coordinates of a conjugation-fixed a, the inverse of
+    from_eta.
 
     A fixed a is c_0 + sum_(k=1..m) c_k D_k with m = (p-1)/2 and
     D_k = zeta^k + zeta^(-k). Eliminating D_m by 1 + D_1 + ... + D_m = 0
@@ -399,26 +374,20 @@ def restrict_to_real(a: CycElem) -> RealElem:
         for i, x in enumerate(prev):
             nxt[i] -= x
         prev, cur = cur, nxt
-    return RealElem(p, out)
+    return _norm_row(out)
 
 
-def real_mult_matrix(a: RealElem) -> Matrix:
-    """Matrix of multiplication by a on the eta-power basis."""
+def real_mult_matrix(a: CycElem) -> Matrix:
+    """Matrix of multiplication by a conjugation-fixed a on the eta-power
+    basis; its determinant is N_(K+/Q)(a)."""
     p = a.p
-    m = (p - 1) // 2
-    lifted = a.lift()
-    e = eta(p)
+    z = CycElem.zeta(p)
+    eta = z + z.conj()
     cols = []
-    cur = lifted
-    for _ in range(m):
-        cols.append(restrict_to_real(cur).coords)
-        cur = cur * e
+    for _ in range((p - 1) // 2):
+        cols.append(restrict_to_real(a))
+        a = a * eta
     return Matrix.from_columns(cols)
-
-
-def norm_real_to_Q(a: RealElem):
-    """Field norm from the real subfield down to Q."""
-    return a.lift()._elementary[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +596,8 @@ def _crt_norm(a: CycElem):
 
 def is_totally_positive(a) -> bool:
     """Is every real embedding of a strictly positive? a is a
-    conjugation-fixed CycElem, or a RealElem, lifted once. Zero and a
-    CycElem that conjugation moves raise ValueError, other types TypeError.
+    conjugation-fixed CycElem. Zero and a CycElem that conjugation moves
+    raise ValueError, other types TypeError.
 
     Decided exactly from the elementary symmetric functions e_k of the
     embeddings a_1, ..., a_m, which are real because K+ is totally real
@@ -637,11 +606,9 @@ def is_totally_positive(a) -> bool:
     prod (x - a_i) = sum_k (-1)^k e_k x^(m-k) has the sign (-1)^m and the
     constant term is nonzero, so no a_i is <= 0.
     """
-    if isinstance(a, RealElem):
-        a = a.lift()
-    elif not isinstance(a, CycElem):
-        raise TypeError("is_totally_positive expects a CycElem or a RealElem")
-    elif not a._fixed:
+    if not isinstance(a, CycElem):
+        raise TypeError("is_totally_positive expects a CycElem")
+    if not a._fixed:
         raise ValueError("element is not fixed by conjugation; positivity "
                          "is asked of symmetric elements")
     e = a._elementary

@@ -28,7 +28,7 @@ E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
 from __future__ import annotations
 
 from .cyclotomic import _require_odd_prime
-from .intlinalg import Matrix, Record, _count, cached
+from .intlinalg import Matrix, Record, _count, _norm_scalar, cached
 from .twist import build_zeta, companion_times_vector, is_companion
 
 
@@ -131,8 +131,10 @@ class EpRank(Record):
 
 
 def valuation(q, p) -> int:
-    """The p-adic valuation of a nonzero int or Fraction, for an int p >= 2;
-    zero and a smaller p raise ValueError rather than loop forever."""
+    """The p-adic valuation of a nonzero exact scalar q (see _norm_scalar),
+    for an int p >= 2; zero and a smaller p raise ValueError rather than
+    loop forever."""
+    q = _norm_scalar(q)
     if q == 0:
         raise ValueError("zero has no finite valuation")
     _count(p, 2, "a valuation base")

@@ -160,7 +160,7 @@ class Record:
 
     Every class of the package is a Record but cli.BadInput and cached.
     A class may print its own repr (Matrix's is multi-line, CycElem's is
-    its element text). The one widening of == is cyclotomic's _FieldElem:
+    its element text). The one widening of == is cyclotomic's CycElem:
     a rational element equals its int or Fraction, and hashes as it.
     """
 

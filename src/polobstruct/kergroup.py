@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from .cyclotomic import (
     CycElem,
-    RealElem,
     _cap,
     is_odd_prime,
     is_prime,
@@ -70,8 +69,9 @@ class SimpleLabel(Record):
     """
 
     def __init__(self, name: str, rank: int, dual: str, alt_pairing: bool = False):
-        if not name:
-            raise ValueError("label needs a name")
+        for what, text in (("name", name), ("dual", dual)):
+            if not isinstance(text, str) or not text:
+                raise ValueError(f"label {what} must be a nonempty string, got {text!r}")
         _count(rank, 2, "rank")
         if not isinstance(alt_pairing, bool):
             raise ValueError(f"alt_pairing must be a bool, got {alt_pairing!r}")
@@ -292,7 +292,7 @@ class CenterField(Record):
         if kind not in self._KINDS:
             raise ValueError(f"unknown center kind {kind!r}")
         if kind == "Q":
-            if p:
+            if _count(p, 0, "p"):
                 raise ValueError("the rational center takes no prime")
         elif not is_odd_prime(p):
             raise ValueError("cyclotomic centers need an odd prime")
@@ -364,16 +364,16 @@ class AlgebraDescriptor(Record):
 
 
 def _coerce_center_element(x, center: CenterField):
+    """x as an element of the center: an exact rational for Q, else a
+    CycElem of the center's p, which a Q(zeta_p)+ center asks to be fixed
+    by conjugation."""
     if center.kind == "Q":
-        if isinstance(x, (CycElem, RealElem)):
+        if isinstance(x, CycElem):
             raise TypeError("rational center takes exact rational elements")
         return _norm_scalar(x)
-    if center.kind == "cyclotomic":
-        if not isinstance(x, CycElem) or x.p != center.p:
-            raise TypeError(f"expected an element of Q(zeta_{center.p})")
-        return x
-    if not isinstance(x, RealElem) or x.p != center.p:
-        raise TypeError(f"expected an element of Q(zeta_{center.p})+")
+    if (not isinstance(x, CycElem) or x.p != center.p
+            or center.is_totally_real and not x.is_conj_fixed()):
+        raise TypeError(f"expected an element of {center}")
     return x
 
 

@@ -300,7 +300,7 @@ def _commutator_columns(zeta: Matrix):
     return cols
 
 
-def centralizer_basis(p, method="kernel"):
+def centralizer_basis(p):
     """Basis of the lattice of integer matrices commuting with the cocycle.
 
     Returned as a list of p - 1 matrices, the column-HNF-canonical basis of
@@ -308,10 +308,8 @@ def centralizer_basis(p, method="kernel"):
     integer-kernel engine. This lattice is the image of Z[zeta_p]; every
     returned matrix is re-checked to commute. It is the independent
     reference for the orbit certificate that the checks and the sweep read
-    (see CONSTRUCTION_CHECKS); "kernel" is the only method.
+    (see CONSTRUCTION_CHECKS).
     """
-    if method != "kernel":
-        raise ValueError(f"unknown method {method!r}")
     zeta = build_zeta(p)
     n = p - 1
     canon = _sparse_kernel(_commutator_columns(zeta), n * n)

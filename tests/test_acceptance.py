@@ -14,9 +14,9 @@ import mpmath
 
 from polobstruct.cyclotomic import (
     CycElem,
-    RealElem,
     complex_conj,
     cyclotomic_poly,
+    from_eta,
     is_odd_prime,
     is_totally_positive,
     norm_to_Q,
@@ -90,7 +90,7 @@ def test_criterion_1_construction_identities(capsys):
 def test_criterion_2_centralizer_is_power_lattice(capsys):
     failures = []
     for p in _odd_primes(31):
-        cent = centralizer_basis(p, method="kernel")
+        cent = centralizer_basis(p)
         if len(cent) != p - 1:
             failures.append((p, "rank"))
         if not col_lattice_eq(flatten_matrices(cent),
@@ -196,14 +196,14 @@ def _square_oracle(q, p, cache={}):
     return m % p ** 6 in cache[p]
 
 
-def _real_embeddings(a: RealElem):
+def _real_embeddings(p, coords):
+    """The real embeddings of sum coords[k] eta^k, at eta = 2 cos(2 pi j / p)."""
     mpmath.mp.dps = 60
-    p = a.p
     vals = []
     for j in range(1, (p - 1) // 2 + 1):
         e = 2 * mpmath.cos(2 * mpmath.pi * j / p)
         acc = mpmath.mpf(0)
-        for k, c in enumerate(a.coords):
+        for k, c in enumerate(coords):
             acc += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * e ** k
         vals.append(acc)
     return vals
@@ -239,7 +239,7 @@ def test_criterion_7_membership_machinery(capsys):
         if q > 0 and not nested(q, fIII):
             failures.append(("nest-III", q))
         rc = tuple(rng.randint(-3, 3) for _ in range(2))
-        if any(rc) and not nested(RealElem(5, rc), fI_r):
+        if any(rc) and not nested(from_eta(5, rc), fI_r):
             failures.append(("nest-I-real", rc))
         cc = tuple(rng.randint(-3, 3) for _ in range(4))
         x = CycElem(5, cc)
@@ -253,8 +253,8 @@ def test_criterion_7_membership_machinery(capsys):
             coords = tuple(Fraction(rng.randint(-6, 6)) for _ in range((p - 1) // 2))
             if not any(coords):
                 continue
-            a = RealElem(p, coords)
-            vals = _real_embeddings(a)
+            a = from_eta(p, coords)
+            vals = _real_embeddings(p, coords)
             if min(abs(v) for v in vals) < mpmath.mpf("1e-30"):
                 continue
             checked += 1

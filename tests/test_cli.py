@@ -163,34 +163,31 @@ def test_torsion_certificate_on_the_production_path(capsys, monkeypatch):
 
 def test_no_command_takes_the_dickson_route(capsys, monkeypatch, tmp_path):
     # norms and positivity read a conjugation-fixed CycElem as it is: no
-    # command builds a RealElem (restrict_to_real builds one) or lifts one
-    from polobstruct.cyclotomic import RealElem, _FieldElem
+    # command moves an element to its eta-power coordinates or back
+    import polobstruct.cyclotomic as cyclotomic
 
     path = tmp_path / "model-13.json"
     path.write_text(twist_model(13).to_json())
     rng = random.Random(5)
     x = CycElem(13, [rng.randint(-3, 3) for _ in range(12)])
     a = x * complex_conj(x)
-    built, lifts = [], []
-    init, lift = _FieldElem.__init__, RealElem.lift
+    calls = []
 
-    def counted_init(self, *args):
-        init(self, *args)
-        if type(self) is RealElem:
-            built.append(self)
+    def spy(name):
+        real = getattr(cyclotomic, name)
 
-    def counted_lift(self):
-        lifts.append(self)
-        return lift(self)
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(cyclotomic, name, counted)
 
-    monkeypatch.setattr(_FieldElem, "__init__", counted_init)
-    monkeypatch.setattr(RealElem, "lift", counted_lift)
+    spy("from_eta")
+    spy("restrict_to_real")
 
-    # the instruments see a RealElem built directly and lifted
-    RealElem(13, [1] * 6).lift()
-    assert len(built) == 1 and len(lifts) == 1
-    built.clear()
-    lifts.clear()
+    # the spies see each direction called directly
+    cyclotomic.restrict_to_real(cyclotomic.from_eta(13, [1] * 6))
+    assert calls == ["from_eta", "restrict_to_real"]
+    calls.clear()
 
     for elem, rc in ((a, 0), (-a, 0), (x, 2), (CycElem.zero(13), 2)):
         assert _run(capsys, ["tp", format_element(elem)])[0] == rc
@@ -200,7 +197,11 @@ def test_no_command_takes_the_dickson_route(capsys, monkeypatch, tmp_path):
     assert _run(capsys, ["verify", "-p", "43"])[0] == 0
     rc, out, _ = _run(capsys, ["sweep", "--pmax", "31", "--jobs", "1"])
     assert rc == 0 and out.count("\n") == 11  # header and 10 primes
-    assert built == [] and lifts == []
+    assert calls == []
+    # no other module holds a reference of its own that the spies would miss
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polobstruct.") and module is not cyclotomic:
+            assert not {"from_eta", "restrict_to_real"} & set(vars(module)), name
 
 
 def test_degree_check_rests_on_the_orbit_certificate(monkeypatch):

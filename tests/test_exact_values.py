@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from polobstruct.cyclotomic import CycElem, RealElem
+from polobstruct.cyclotomic import CycElem, from_eta
+from polobstruct.galmod import valuation
 from polobstruct.intlinalg import IntPoly, Matrix
 from polobstruct.kergroup import (
     KerClass,
@@ -34,9 +35,7 @@ ENTRIES = {
     "CycElem.from_rational": (lambda v: CycElem.from_rational(v, 5), False),
     "CycElem +": (lambda v: CycElem.one(5) + v, False),
     "CycElem *": (lambda v: CycElem.one(5) * v, False),
-    "RealElem": (lambda v: RealElem(5, (v, 0)), False),
-    "RealElem.from_rational": (lambda v: RealElem.from_rational(v, 5), False),
-    "RealElem *": (lambda v: v * RealElem.one(5), False),
+    "from_eta": (lambda v: from_eta(5, (v, 0)), False),
     "KerClass": (lambda v: KerClass(twist_labels(5), (v,)), True),
     "attainable": (lambda v: attainable([v], MODEL), True),
     "ModelDescriptor z_gens": (lambda v: ModelDescriptor(
@@ -48,6 +47,7 @@ ENTRIES = {
     "quaternion_witness_check c1": (
         lambda v: quaternion_witness_check(D, BETA, ALPHA1, -1, v), False),
     "is_square_in_Qp": (lambda v: is_square_in_Qp(v, 3), False),
+    "valuation": (lambda v: valuation(v, 5), False),
 }
 BAD = {"float": 0.25, "bool": True, "str": "4"}
 CASES = [(entry, kind) for entry, (_, wants_int) in ENTRIES.items()
@@ -65,21 +65,22 @@ def test_an_integral_fraction_is_its_int():
     two = Fraction(6, 3)
     values = [Matrix([[two]]).rows[0][0], Matrix.diagonal([two]).rows[0][0],
               IntPoly([two]).coeffs[0], CycElem.from_rational(two, 5).coords[0],
-              RealElem(5, (two, 0)).coords[0], KerClass(twist_labels(5), (two,)).coeffs[0],
+              from_eta(5, (two, 0)).coords[0], KerClass(twist_labels(5), (two,)).coeffs[0],
               QuaternionAlgebra(two, -1).a, D.element(two)[0],
               (CycElem.one(5) * two).coords[0]]
     assert values == [2] * len(values)
     assert {type(v) for v in values} == {int}
     assert attainable([Fraction(2, 2)], MODEL) == attainable([1], MODEL)
     assert is_square_in_Qp(Fraction(4, 1), 3) and is_square_in_Qp(Fraction(1, 4), 3)
+    assert valuation(Fraction(50, 2), 5) == 2
 
 
 def test_field_element_equality_never_raises():
     one = CycElem.one(5)
     assert one == 1 and one == Fraction(2, 2) and one == True  # noqa: E712
     assert one != 1.0 and one != "a" and one != 2 and CycElem.zeta(5) != 0
-    assert RealElem.from_rational(Fraction(1, 3), 5) == Fraction(1, 3)
-    assert hash(one) == hash(1) and hash(RealElem.one(5)) == hash(Fraction(1))
+    assert from_eta(5, (Fraction(1, 3), 0)) == Fraction(1, 3)
+    assert hash(one) == hash(1) and hash(from_eta(5, (1, 0))) == hash(Fraction(1))
 
 
 def test_quaternion_inverse_stays_exact():

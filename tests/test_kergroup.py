@@ -12,8 +12,8 @@ import sympy
 
 from polobstruct.cyclotomic import (
     CycElem,
-    RealElem,
     complex_conj,
+    from_eta,
     norm_to_Q,
 )
 from polobstruct.intlinalg import Matrix
@@ -113,6 +113,13 @@ def test_is_square_in_qp_against_mod_p6_oracle():
 def test_simple_label_validation():
     with pytest.raises(ValueError):
         SimpleLabel("", 4, "")
+    # a label is looked up by name, so name and dual are nonempty strings
+    for name, dual, what in (("", "G", "name"), (5, "G", "name"), (None, "G", "name"),
+                             ("G", "", "dual"), ("G", 5, "dual"), ("G", b"G", "dual")):
+        with pytest.raises(ValueError, match=f"^label {what} must be a nonempty string, got "):
+            SimpleLabel(name, 4, dual)
+    with pytest.raises(ValueError, match="^label name must be"):
+        SimpleLabel(5, 4, 5, True)
     with pytest.raises(ValueError):
         SimpleLabel("G", 1, "G")
     with pytest.raises(ValueError):
@@ -252,6 +259,20 @@ def test_center_field_parse_roundtrip():
         CenterField("cyclotomic", 0)
 
 
+def test_the_rational_center_has_p_0():
+    # p is the int 0, so every spelling of the rational center is one value
+    assert CenterField("Q", 0) == CenterField("Q") == CenterField.parse("Q")
+    assert repr(CenterField("Q")) == "CenterField(kind='Q', p=0)"
+    for bad in (0.0, False, None, "", -1, Fraction(0)):
+        with pytest.raises(ValueError, match="^p must be a nonnegative integer$"):
+            CenterField("Q", bad)
+    with pytest.raises(ValueError, match="^the rational center takes no prime$"):
+        CenterField("Q", 5)
+    for bad in (5.0, True, "5", 9):
+        with pytest.raises(ValueError, match="^cyclotomic centers need an odd prime$"):
+            CenterField("real_cyclotomic", bad)
+
+
 def test_every_p_cap_reads_one_message():
     # a field tag, a center prime and a ramified entry are capped alike
     from polobstruct.cyclotomic import parse_element
@@ -272,10 +293,27 @@ def test_membership_type_I():
     assert r_membership(5, 0, fI_q) and r_membership(5, 1, fI_q)
     assert r_membership(-5, 0, fI_q) and not r_membership(-5, 1, fI_q)
     assert not r_membership(0, 0, fI_q)
-    two_plus = RealElem.from_rational(2, 5) + RealElem(5, (0, 1))
-    assert r_membership(two_plus, 2, fI_r)
-    assert r_membership(RealElem(5, (0, 1)), 0, fI_r)
-    assert not r_membership(RealElem(5, (0, 1)), 1, fI_r)  # eta has a negative conjugate
+    eta = from_eta(5, (0, 1))
+    assert r_membership(eta + 2, 2, fI_r)
+    assert r_membership(eta, 0, fI_r)
+    assert not r_membership(eta, 1, fI_r)  # eta has a negative conjugate
+
+
+def test_a_real_cyclotomic_center_takes_a_fixed_cyc_elem():
+    # Q(zeta_5)+ is the conjugation-fixed CycElem of p = 5, and no other value
+    fI_r = _factors()[1]
+    from polobstruct.kergroup import r_membership
+    z = CycElem.zeta(5)
+    for fixed in (z + complex_conj(z) + 2, CycElem.from_rational(3, 5)):
+        assert all(r_membership(fixed, level, fI_r) for level in (0, 1, 2))
+    assert not r_membership(CycElem.zero(5), 0, fI_r)
+    moved = (z, z * 2 + 1, CycElem.zeta(5) ** 4 * Fraction(3, 2))
+    other = (CycElem.from_rational(3, 7), from_eta(7, (3, 0, 0)), 3, Fraction(1, 2),
+             (3, 0), 0.5)
+    for x in moved + other:
+        for level in (0, 1, 2):
+            with pytest.raises(TypeError, match=r"^expected an element of Q\(zeta_5\)\+$"):
+                r_membership(x, level, fI_r)
 
 
 def test_membership_type_II():
@@ -286,7 +324,7 @@ def test_membership_type_II():
     assert r_membership(9, 2, fII)  # square at both 2 and 7
     assert not r_membership(-1, 1, fII)
     with pytest.raises(ValueError):
-        r_membership(RealElem.from_rational(2, 5), 1,
+        r_membership(CycElem.from_rational(2, 5), 1,
                      AlgebraFactor("II", CenterField("real_cyclotomic", 5)))
 
 
@@ -298,7 +336,7 @@ def test_membership_type_III():
     assert r_membership(2, 0, fIII) and not r_membership(2, 1, fIII)
     assert not r_membership(-4, 0, fIII)
     with pytest.raises(ValueError):
-        r_membership(RealElem.from_rational(2, 5), 1,
+        r_membership(CycElem.from_rational(2, 5), 1,
                      AlgebraFactor("III", CenterField("real_cyclotomic", 5)))
 
 
@@ -347,7 +385,7 @@ def test_membership_levels_nest():
             check(q, fIII)
         coords = tuple(rng.randint(-2, 2) for _ in range(2))
         if any(coords):
-            check(RealElem(5, coords), fI_r)
+            check(from_eta(5, coords), fI_r)
         ccoords = tuple(rng.randint(-2, 2) for _ in range(4))
         x = CycElem(5, ccoords)
         if not x.is_zero():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from polobstruct.cli import VerifyReport
-from polobstruct.cyclotomic import CycElem, RealElem
+from polobstruct.cyclotomic import CycElem, from_eta
 from polobstruct.galmod import build_ptorsion, e_rank_of_order
 from polobstruct.intlinalg import IntPoly, Matrix, cached, snf
 from polobstruct.kergroup import (
@@ -90,8 +90,9 @@ CASES = [
     (Matrix.zero(0, 3), ("rows", "ncols"), "ncols", 2, "Matrix.zero(0, 3)"),
     (CycElem(5, (3, 0, 1, 1)), ("p", "coords"), "coords", (3, 0, 2, 2),
      "CycElem('5; 3, 0, 1, 1')"),
-    (RealElem(5, (1, 2)), ("p", "coords"), "coords", (1, 3),
-     "RealElem(p=5, coords=(1, 2))"),
+    # a conjugation-fixed element, built from its eta-power coordinates
+    pytest.param(from_eta(5, (1, 2)), ("p", "coords"), "coords", (1, 0, 2, 2),
+                 "CycElem('5; -1, 0, -2, -2')", id="from_eta"),
     (QuaternionAlgebra(-1, -3), ("a", "b"), "b", Fraction(-1),
      "QuaternionAlgebra(a=-1, b=-3)"),
 ]

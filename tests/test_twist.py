@@ -388,13 +388,6 @@ def test_centralizer_rank_and_commutation():
             assert z * m == m * z
 
 
-def test_centralizer_rejects_unknown_methods():
-    # the kernel route is the only one; the structural route is gone
-    for bad in ("magic", "auto", "structural"):
-        with pytest.raises(ValueError, match="unknown method"):
-            centralizer_basis(5, method=bad)
-
-
 def test_cyclic_vector_certificate_matches_kernel_lattice():
     # the certificate: X in the commutant is sum c_k zeta^k with
     # c = T^(-1) X e1, and c is integral because T = [e1, zeta e1, ...]
@@ -405,7 +398,7 @@ def test_cyclic_vector_certificate_matches_kernel_lattice():
         assert _holds("centralizer_equals_zeta_powers", t)
         tr = power_basis_transform(p)
         powers = zeta_power_lattice(p)
-        basis = centralizer_basis(p, method="kernel")
+        basis = centralizer_basis(p)
         assert len(basis) == p - 1
         for x in basis:
             c = solve_exact(tr, Matrix.from_columns([x.column(0)])).column(0)
