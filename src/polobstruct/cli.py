@@ -52,7 +52,7 @@ from .cyclotomic import (
     norm_to_Q,
     parse_element,
 )
-from .galmod import TorsionModule, e_rank_of_order, filtration_dims, polarization_parity
+from .galmod import e_rank_of_order, filtration_dims, polarization_parity
 from .intlinalg import Matrix, Record, matrix_to_json, parse_int
 from .kergroup import (
     DEFAULT_SEED,
@@ -156,10 +156,8 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
         rejected = rejected and not endo_descends(m, t)
     checks.append(("noncommuting_rejected", rejected and found == samples))
 
-    # one certificate on the zeta the checks above judged decides the
-    # filtration and its factors (see galmod)
-    two_blocks = TorsionModule(p, z).two_jordan_blocks
-    checks += [("filtration_dims", two_blocks), ("composition_factors", two_blocks)]
+    # two Jordan blocks of size p - 1 on X[p] imply the filtration dims
+    checks.append(("composition_factors", t.two_jordan_blocks))
 
     # the E[p]-rank of a kernel of order deg(b) n^4, read off that order,
     # must be the closed form 1 + 2 v_p(n), and odd
@@ -302,7 +300,7 @@ def _sweep_row(p, seed):
         t.b_minors[-1],
         t.polarization_degree,
         p - 1,
-        len(filtration_dims(TorsionModule(p, t.zeta))),
+        len(filtration_dims(t)),
         parity_hom(KerClass(model.labels, model.s_c[0]), p),
     )
 

@@ -7,19 +7,8 @@ factor). The filtration by images of (zeta - 1)^i drops by 2 each step and
 exhibits p - 1 composition factors, each a copy of E[p] with trivial
 induced action.
 
-One certificate on the cocycle decides all of it. With n = p - 1,
-N_A = cocycle - 1 mod p and e_0 the first unit vector, v = N_A^(n-1) e_0 is
-nonzero and N_A v = 0. Then e_0, N_A e_0, ..., N_A^(n-1) e_0 are
-independent (apply N_A^(n-1-i) to a dependency at its smallest i), so
-N_A ~ J_n and N = action - 1 = N_A (x) 1 ~ J_n + J_n: each step has
-dimension 2 and trivial action, and (1 + N)^p = 1 + N^p = 1.
-
-The cocycle is an integer matrix, for verify and sweep TwistData's own
-zeta, and the certificate runs on Python ints in n dimensions: N_A u is
-cocycle u - u reduced mod p. When the cocycle has zeta's companion shape
-(twist.is_companion), cocycle u is the shift (-sum u, u_0, ..., u_(n-2));
-any other cocycle is applied by cocycle.mul_vector. The 2n x 2n action is
-built only when something asks for it.
+TwistData.two_jordan_blocks certifies all of it without building the
+action, and filtration_dims and composition_factors read it.
 
 Kernel sizes of isogenies between powers of E are measured by their
 E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
@@ -28,8 +17,8 @@ E[p]-rank: an order with p-adic valuation 2r contributes r copies of E[p].
 from __future__ import annotations
 
 from .cyclotomic import _require_odd_prime
-from .intlinalg import Matrix, Record, _count, _norm_scalar, cached
-from .twist import build_zeta, companion_times_vector, is_companion
+from .intlinalg import Record, _count, _norm_scalar
+from .twist import TwistData
 
 
 def ep_label(p) -> str:
@@ -37,78 +26,24 @@ def ep_label(p) -> str:
     return f"E[{p}]"
 
 
-class TorsionModule(Record):
-    """X[p] with the twist acting through its cocycle, an integer Matrix of
-    size n = p - 1; the action on X[p] is kron(cocycle mod p, I_2), of
-    dimension dim = 2(p - 1). The repr leaves the cocycle out."""
-
-    def __init__(self, p: int, cocycle: Matrix):
-        _require_odd_prime(p)
-        if (not isinstance(cocycle, Matrix)
-                or cocycle.shape != (p - 1, p - 1)
-                or not cocycle.is_integral()):
-            raise ValueError("X[p] needs an integer Matrix cocycle of size "
-                             "p - 1")
-        self._set(p, cocycle)
-
-    def __repr__(self):
-        return f"TorsionModule(p={self.p!r})"
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.p - 1)
-
-    @cached
-    def action(self) -> Matrix:
-        """The 2n x 2n action kron(cocycle mod p, I_2) on X[p], built on
-        first use; the certificate never reads it."""
-        p, rows = self.p, []
-        for r in self.cocycle.rows:
-            reduced = [x % p for x in r]
-            for f in (0, 1):
-                rows.append([x if g == f else 0 for x in reduced for g in (0, 1)])
-        return Matrix(rows)
-
-    @cached
-    def two_jordan_blocks(self) -> bool:
-        """Is action - 1 mod p two Jordan blocks of size p - 1, by the module
-        docstring's certificate? N_A = cocycle - 1 mod p is applied p - 2
-        times to e_0; the certificate holds iff the result v is nonzero and
-        N_A v = 0. Sufficient, and met by build_ptorsion's module: det T = 1
-        (T is unit upper triangular, see twist) keeps zeta's cyclic e_1
-        cyclic mod p."""
-        p = self.p
-        times = (companion_times_vector if is_companion(self.cocycle)
-                 else self.cocycle.mul_vector)
-
-        def apply(u):
-            return [(y - x) % p for y, x in zip(times(u), u)]
-
-        v = [0] * (p - 1)
-        v[0] = 1
-        for _ in range(p - 2):
-            v = apply(v)
-        return any(v) and not any(apply(v))
+def build_ptorsion(p) -> TwistData:
+    """The twist on X[p] through its cocycle zeta: TwistData.for_prime(p)."""
+    return TwistData.for_prime(p)
 
 
-def build_ptorsion(p) -> TorsionModule:
-    """The twist on X[p] through its cocycle zeta, of size p - 1."""
-    return TorsionModule(p, build_zeta(p))
-
-
-def filtration_dims(m: TorsionModule):
+def filtration_dims(t: TwistData):
     """Dimensions of (zeta - 1)^i X[p] for i = 0 .. p-1.
 
     Starts at 2(p-1), ends at 0, and drops by exactly 2 at each step. Raises
     AssertionError when the certificate fails (a construction bug).
     """
-    if not m.two_jordan_blocks:
+    if not t.two_jordan_blocks:
         raise AssertionError(
-            f"twist action on X[{m.p}] is not two Jordan blocks of size {m.p - 1}")
-    return list(range(m.dim, -2, -2))
+            f"twist action on X[{t.p}] is not two Jordan blocks of size {t.p - 1}")
+    return list(range(2 * (t.p - 1), -2, -2))
 
 
-def composition_factors(m: TorsionModule):
+def composition_factors(t: TwistData):
     """Labels of the filtration factors, validating the structure on the way.
 
     zeta - 1 maps (zeta - 1)^i X[p] onto (zeta - 1)^(i+1) X[p], so the twist
@@ -116,7 +51,7 @@ def composition_factors(m: TorsionModule):
     piece 2-dimensional: the label "E[p]" records one elliptic-curve torsion
     factor per step. Raises AssertionError when the certificate fails.
     """
-    return [ep_label(m.p)] * (len(filtration_dims(m)) - 1)
+    return [ep_label(t.p)] * (len(filtration_dims(t)) - 1)
 
 
 class EpRank(Record):

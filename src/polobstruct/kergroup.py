@@ -767,7 +767,15 @@ def b1_group(model: ModelDescriptor) -> AbGroupPresentation:
 
 
 def b2_group(model: ModelDescriptor) -> AbGroupPresentation:
-    """Realizable span modulo dual pairs and central norm classes."""
+    """Realizable span modulo dual pairs and central norm classes.
+
+    From sampled relations alone the true B2 is a quotient of this group.
+    For a type IV factor with center K = Q(zeta_p) it is exact. Lemma:
+    N_(K/Q)(gamma) = N_(K+/Q)(gamma)^2 for gamma in K+, since conjugation
+    generates Gal(K/K+) and fixes gamma. A level-2 relation's E[p]
+    coefficient is v_p(N_(K/Q)(gamma)) for a gamma in K+ (phi_p_part), so
+    it is even, and the relation lies in the dual pair's span 2 [E[p]].
+    """
     return _quotient_of_basis(model.span, model.relation_hnf.columns())
 
 

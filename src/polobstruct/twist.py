@@ -14,19 +14,20 @@ zeta^0 .. zeta^(p-2), the image of the ring of integers of Q(zeta_p),
 exactly when T = [e_1, zeta e_1, ..., zeta^(p-2) e_1] is unimodular; for
 the cocycle T is unit upper triangular, so det T = 1.
 
-CONSTRUCTION_CHECKS lists every identity of the construction once; both
-TwistData.check and the verify suite run that list. The four questions about
-zeta itself (its minimal polynomial, its order and its commutant) are read
-off one certificate, the orbit e_1, zeta e_1, ..., zeta^(p-1) e_1 that
-TwistData.orbit computes once per instance.
+CONSTRUCTION_CHECKS lists every identity of the construction once, one
+check for each computation; both TwistData.check and the verify suite run
+it. The minimal polynomial of zeta (which implies its order) and its
+commutant are read off one certificate, the orbit e_1, zeta e_1, ...,
+zeta^(p-1) e_1 that TwistData.orbit computes once per instance.
+TwistData.two_jordan_blocks certifies the twist's action on p-torsion.
 
-zeta is a companion matrix, and is_companion decides that shape, for
-TwistData and for galmod's torsion certificate alike. For a companion zeta
-every product with zeta is a shift of plain rows, with no matrix product:
-zeta X moves X's rows down under minus its column sums, X zeta subtracts
-X's first column from the others, and zeta^t X its first row from the
-others. TwistData's zeta_times and times_zeta iterate over such rows, and
-over the generic product's rows for any other zeta; the descent checks stop
+zeta is a companion matrix, and is_companion decides that shape. For a
+companion zeta every product with zeta is a shift of plain rows, with no
+matrix product: zeta v is (-sum v, v_0, ..., v_(n-2)), zeta X moves X's
+rows down under minus its column sums, X zeta subtracts X's first column
+from the others, and zeta^t X its first row from the others.
+TwistData's zeta_times_vector, zeta_times and times_zeta make such rows,
+and take the generic product for any other zeta; the descent checks stop
 at the first row that differs.
 """
 
@@ -75,11 +76,6 @@ def is_companion(m: Matrix) -> bool:
                     for i, r in enumerate(rest, 1)))
 
 
-def companion_times_vector(v) -> tuple:
-    """zeta v for the companion zeta: (-sum v, v_0, ..., v_(n-2))."""
-    return (-sum(v), *v[:-1])
-
-
 def _check_factors(a, b):
     """The ValueError of a generic product, for shapes a and b that do not
     chain."""
@@ -123,14 +119,15 @@ Orbit = namedtuple("Orbit", "vectors unit_triangular")
 
 
 class TwistData(Record):
-    """A prime p together with its cocycle matrix and polarization form."""
+    """A prime p with its cocycle zeta and polarization form b, Matrix values."""
 
     def __init__(self, p: int, zeta: Matrix, b: Matrix):
         # the orbit certificate reads 1 + x + ... + x^(p-1) as Phi_p
         _require_odd_prime(p)
         n = p - 1
-        if zeta.shape != (n, n) or b.shape != (n, n):
-            raise ValueError(f"expected {n} by {n} matrices for p = {p}")
+        if not (isinstance(zeta, Matrix) and isinstance(b, Matrix)
+                and zeta.shape == b.shape == (n, n)):
+            raise ValueError(f"zeta and b must be Matrix values of size p - 1 = {n}")
         self._set(p, zeta, b)
 
     @classmethod
@@ -158,13 +155,13 @@ class TwistData(Record):
         return ((*[y - r[0] for y in r[1:]], -r[0]) for r in x.rows)
 
     def zeta_times_vector(self, v) -> tuple:
-        """zeta v, by companion_times_vector for the companion zeta."""
+        """zeta v: for the companion zeta the shift (-sum v, v_0, ..., v_(n-2))."""
         if not self.zeta_is_companion:
             return self.zeta.mul_vector(v)
         v = _norm_row(v)
         if len(v) != self.p - 1:
             raise ValueError("vector length mismatch")
-        return companion_times_vector(v)
+        return (-sum(v), *v[:-1])
 
     @cached
     def orbit(self) -> Orbit:
@@ -176,6 +173,27 @@ class TwistData(Record):
             vecs.append(self.zeta_times_vector(vecs[-1]))
         return Orbit(tuple(vecs), all(v[k] == 1 and not any(v[k + 1:])
                                for k, v in enumerate(vecs[:n])))
+
+    @cached
+    def two_jordan_blocks(self) -> bool:
+        """Is action - 1 mod p two Jordan blocks of size n = p - 1, for the
+        twist's action zeta (x) 1 on X[p] = E[p]^n? With N_A = zeta - 1 mod
+        p, iff v = N_A^(n-1) e_1 != 0 and N_A v = 0: then e_1, ...,
+        N_A^(n-1) e_1 are independent (apply N_A^(n-1-i) to a dependency at
+        its smallest i), so N_A ~ J_n, N_A (x) 1 ~ J_n + J_n, and each step
+        of the filtration has dimension 2 and trivial action. A zeta that
+        is not an integer matrix answers False."""
+        p = self.p
+        if not self.zeta.is_integral():
+            return False
+
+        def step(u):
+            return [(y - x) % p for y, x in zip(self.zeta_times_vector(u), u)]
+
+        v = [1] + [0] * (p - 2)
+        for _ in range(p - 2):
+            v = step(v)
+        return any(v) and not any(step(v))
 
     @cached
     def phi_p_annihilates_zeta(self) -> bool:
@@ -364,8 +382,9 @@ def power_basis_transform(p) -> Matrix:
 # Each predicate names the module functions it calls at call time, so a
 # wrapper installed on one of them (a tracer, a test double) sees the call.
 #
-# Four checks read TwistData.orbit. If X commutes with zeta then
-# X zeta^k e1 = zeta^k X e1, so X is determined by X e1 once
+# Each check names one computation, and a claim that another implies has
+# no name of its own. Two checks read TwistData.orbit. If X commutes with
+# zeta then X zeta^k e1 = zeta^k X e1, so X is determined by X e1 once
 # T = [e1, zeta e1, ...] is invertible. The orbit certificate asks T to be
 # unit upper triangular, so det T = 1: T is invertible, which bounds the
 # commutant's rank by p - 1, which the powers of zeta attain, and
@@ -383,8 +402,8 @@ def power_basis_transform(p) -> Matrix:
 
 
 CONSTRUCTION_CHECKS = (
+    # minpoly = Phi_p, which implies that zeta has order p
     ("zeta_minpoly_is_cyclotomic", lambda t: t.phi_p_annihilates_zeta),
-    ("zeta_order_p", lambda t: t.phi_p_annihilates_zeta),
     ("shift_reduction_matches", lambda t: reduce_shift(t.p) == t.zeta),
     ("b_determinant_is_p", lambda t: t.b_minors[-1] == t.p),
     ("b_positive_definite",
@@ -393,6 +412,6 @@ CONSTRUCTION_CHECKS = (
     ("polarization_degree_p_squared", lambda t: t.polarization_degree == t.p ** 2),
     ("rosati_inverts_zeta", lambda t: t.b_is_i_plus_j
      and all(map(eq, t.times_zeta(rosati(t.zeta, t)), Matrix.identity(t.p - 1).rows))),
-    ("centralizer_rank", lambda t: t.orbit.unit_triangular),
+    # the commutant is the span of zeta^0 .. zeta^(p-2), so it has rank p - 1
     ("centralizer_equals_zeta_powers", lambda t: t.orbit.unit_triangular),
 )

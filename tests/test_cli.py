@@ -29,18 +29,15 @@ def _run(capsys, argv):
 
 EXPECTED_CHECKS = [
     "zeta_minpoly_is_cyclotomic",
-    "zeta_order_p",
     "shift_reduction_matches",
     "b_determinant_is_p",
     "b_positive_definite",
     "polarization_descends",
     "polarization_degree_p_squared",
     "rosati_inverts_zeta",
-    "centralizer_rank",
     "centralizer_equals_zeta_powers",
     "degree_equals_norm_squared",
     "noncommuting_rejected",
-    "filtration_dims",
     "composition_factors",
     "parity_odd",
 ]
@@ -58,7 +55,7 @@ def test_verify_p3_all_pass(capsys):
 
 
 def test_construction_catalogue_leads_the_verify_report():
-    assert [name for name, _ in CONSTRUCTION_CHECKS] == EXPECTED_CHECKS[:10]
+    assert [name for name, _ in CONSTRUCTION_CHECKS] == EXPECTED_CHECKS[:8]
 
 
 def test_verify_rejects_bad_prime(capsys):
@@ -86,7 +83,6 @@ def test_generic_eliminations_on_the_production_path(monkeypatch):
     # (the sampled degrees are resultants, b's minors come from the
     # determinant lemma) nor twist_model
     import polobstruct.intlinalg as intlinalg
-    from polobstruct.galmod import build_ptorsion
     from polobstruct.twist import TwistData
 
     sizes = []
@@ -98,8 +94,8 @@ def test_generic_eliminations_on_the_production_path(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_bareiss_det", counted)
     for p in (5, 43):
-        assert TwistData.for_prime(p).orbit.unit_triangular
-        assert build_ptorsion(p).two_jordan_blocks
+        t = TwistData.for_prime(p)
+        assert t.orbit.unit_triangular and t.two_jordan_blocks
     assert sizes == []
     assert cli.run_verify_suite(43).ok
     twist_model(13)
@@ -108,15 +104,12 @@ def test_generic_eliminations_on_the_production_path(monkeypatch):
 
 def test_torsion_certificate_on_the_production_path(capsys, monkeypatch):
     # verify and sweep walk the (p - 1) x (p - 1) cocycle: neither builds a
-    # 2(p - 1) x 2(p - 1) Matrix, the size of kron(zeta mod p, I_2), nor
-    # reads TorsionModule.action
-    from polobstruct.galmod import TorsionModule
+    # 2(p - 1) x 2(p - 1) Matrix, the size of kron(zeta mod p, I_2)
     from polobstruct.intlinalg import Matrix
 
-    built, reads, at = [], [], {"p": 5}
+    built, at = [], {"p": 5}
     init = Matrix.__init__
     identity, zero = Matrix.identity.__func__, Matrix.zero.__func__
-    action = TorsionModule.action.func
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -129,10 +122,6 @@ def test_torsion_certificate_on_the_production_path(capsys, monkeypatch):
             return mat
         return classmethod(wrapped)
 
-    def counted_action(mod):
-        reads.append(mod.p)
-        return action(mod)
-
     def sweep_row(p, seed, row=cli._sweep_row):
         at["p"] = p
         return row(p, seed)
@@ -140,25 +129,23 @@ def test_torsion_certificate_on_the_production_path(capsys, monkeypatch):
     monkeypatch.setattr(Matrix, "__init__", counted_init)
     monkeypatch.setattr(Matrix, "identity", counted(identity))
     monkeypatch.setattr(Matrix, "zero", counted(zero))
-    monkeypatch.setattr(TorsionModule, "action", property(counted_action))
     monkeypatch.setattr(cli, "_sweep_row", sweep_row)
 
     def kron_sized():
         return [(p, shape) for p, shape in built
                 if shape == (2 * (p - 1), 2 * (p - 1))]
 
-    # the instruments see the action when it is read
-    assert TorsionModule(5, build_zeta(5)).action.shape == (8, 8)
-    assert reads == [5] and kron_sized() == [(5, (8, 8))]
+    # the instruments see a Matrix of the action's size when one is built
+    Matrix([[0] * 8] * 8)
+    assert kron_sized() == [(5, (8, 8))]
     built.clear()
-    reads.clear()
 
     at["p"] = 43
     assert cli.run_verify_suite(43).ok
     assert cli.main(["sweep", "--pmax", "61", "--jobs", "1"]) == 0
     assert capsys.readouterr().out.count("\n") == 18  # header and 17 primes
     assert at["p"] == 61 and built
-    assert kron_sized() == [] and reads == []
+    assert kron_sized() == []
 
 
 def test_no_command_takes_the_dickson_route(capsys, monkeypatch, tmp_path):
@@ -231,24 +218,21 @@ def test_foreign_zeta_keeps_its_verdicts_on_the_generic_route(monkeypatch):
     matmul = il._matmul
     monkeypatch.setattr(il, "_matmul", lambda a, b: calls.append(1) or matmul(a, b))
     failed = [name for name, ok in cli.run_verify_suite(5).checks if not ok]
-    assert failed == ["zeta_minpoly_is_cyclotomic", "zeta_order_p",
+    assert failed == ["zeta_minpoly_is_cyclotomic",
                       "shift_reduction_matches", "polarization_descends",
                       "rosati_inverts_zeta", "degree_equals_norm_squared",
-                      "filtration_dims", "composition_factors"]
+                      "composition_factors"]
     # pol_descends two, the rosati check one, endo_descends two per sample
     assert len(calls) == 2 + 1 + 2 * 10
 
 
 def test_verify_builds_zeta_once(monkeypatch):
-    # the torsion certificate reads TwistData's own zeta: no second build,
-    # through twist or through galmod's build_ptorsion
-    import polobstruct.galmod as galmod
+    # the torsion certificate reads TwistData's own zeta: no second build
     import polobstruct.twist as twist
 
     calls = []
-    for module in (twist, galmod):
-        monkeypatch.setattr(module, "build_zeta",
-                            lambda p: calls.append(p) or build_zeta(p))
+    monkeypatch.setattr(twist, "build_zeta",
+                        lambda p: calls.append(p) or build_zeta(p))
     assert cli.run_verify_suite(43).ok
     assert calls == [43]
 
@@ -940,21 +924,23 @@ def test_stdout_is_the_same_under_any_hash_seed(tmp_path):
 
 
 def test_verify_reports_broken_torsion_without_traceback(capsys, monkeypatch):
-    # both torsion checks read one certificate; a module that fails it
-    # turns both false and verify exits 1 with a report, not a traceback
-    from polobstruct.galmod import TorsionModule
+    # the torsion check reads the certificate on X[p]; a module that fails
+    # it, the identity cocycle's, turns the check false and verify exits 1
+    # with a report, not a traceback
     from polobstruct.intlinalg import Matrix
+    from polobstruct.twist import TwistData
 
-    def broken_module(p, cocycle):
-        return TorsionModule(p, Matrix.identity(p - 1))
+    certificate = TwistData.two_jordan_blocks.func
 
-    monkeypatch.setattr(cli, "TorsionModule", broken_module)
+    def broken_module(t):
+        return certificate(TwistData(t.p, Matrix.identity(t.p - 1), t.b))
+
+    monkeypatch.setattr(TwistData, "two_jordan_blocks", property(broken_module))
     rc, out, err = _run(capsys, ["verify", "-p", "7"])
     assert rc == 1 and err == ""
     passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
-    assert not passed["filtration_dims"] and not passed["composition_factors"]
-    assert all(v for k, v in passed.items()
-               if k not in ("filtration_dims", "composition_factors"))
+    assert not passed["composition_factors"]
+    assert all(v for k, v in passed.items() if k != "composition_factors")
 
 
 def test_verify_reports_noncommuting_accepted(capsys, monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from polobstruct.cyclotomic import CycElem, is_odd_prime
 from polobstruct.galmod import (
     EpRank,
-    TorsionModule,
     build_ptorsion,
     composition_factors,
     e_rank_of_order,
@@ -17,7 +16,7 @@ from polobstruct.galmod import (
 )
 from polobstruct.intlinalg import Matrix, snf
 from polobstruct.kergroup import AlgebraFactor, CenterField, SimpleLabel, r_membership
-from polobstruct.twist import build_zeta, companion_times_vector, is_companion
+from polobstruct.twist import TwistData, build_b, build_zeta, is_companion
 
 
 def _rank_mod_p_oracle(mat, p):
@@ -37,21 +36,35 @@ def _kron(a, b):
                    for ra in a.rows for rb in b.rows])
 
 
+def _module(p, cocycle):
+    """X[p] with the twist acting through a cocycle of the test's choice."""
+    return TwistData(p, cocycle, build_b(p))
+
+
+def _action(t):
+    """The 2(p - 1) x 2(p - 1) action kron(zeta mod p, I_2) on X[p]."""
+    return _kron(_mod(t.zeta, t.p), Matrix.identity(2))
+
+
 def test_build_ptorsion_p3():
-    mod = build_ptorsion(3)
-    assert mod.p == 3 and mod.dim == 4
-    assert mod.cocycle == Matrix([[-1, -1], [1, 0]])  # zeta itself, unreduced
-    assert mod.action == Matrix([[2, 0, 2, 0], [0, 2, 0, 2],
+    t = build_ptorsion(3)
+    assert t.p == 3
+    assert t.zeta == Matrix([[-1, -1], [1, 0]])  # zeta itself, unreduced
+    assert _action(t) == Matrix([[2, 0, 2, 0], [0, 2, 0, 2],
                                  [1, 0, 0, 0], [0, 1, 0, 0]])
 
 
 def test_build_ptorsion_is_kron_of_zeta_mod_p():
+    # the X[p] action has entry zeta_ij mod p at (2i + f, 2j + f) and zero
+    # off the matching fiber coordinates
     for p in (3, 5, 7, 11):
-        zp = _mod(build_zeta(p), p)
-        mod = build_ptorsion(p)
-        assert mod.cocycle == build_zeta(p)
-        assert mod.action == _kron(zp, Matrix.identity(2))
-        assert mod.action is mod.action  # built once, on first use
+        t = build_ptorsion(p)
+        assert t == TwistData.for_prime(p) and t.zeta == build_zeta(p)
+        action = _action(t)
+        assert action.shape == (2 * (p - 1), 2 * (p - 1))
+        assert all(action.rows[r][c]
+                   == (t.zeta.rows[r // 2][c // 2] % p if r % 2 == c % 2 else 0)
+                   for r in range(2 * (p - 1)) for c in range(2 * (p - 1)))
 
 
 def test_build_ptorsion_rejects_bad_p():
@@ -62,11 +75,11 @@ def test_build_ptorsion_rejects_bad_p():
 
 def test_action_has_order_p():
     for p in (3, 5, 7):
-        mod = build_ptorsion(p)
-        power = Matrix.identity(mod.dim)
+        action = _action(build_ptorsion(p))
+        power = Matrix.identity(action.nrows)
         for _ in range(p):
-            power = _mod(power * mod.action, p)
-        assert power == Matrix.identity(mod.dim)
+            power = _mod(power * action, p)
+        assert power == Matrix.identity(action.nrows)
 
 
 def test_filtration_dims_frozen():
@@ -88,16 +101,23 @@ def _powers_mod(nil, p):
         power = _mod(nil * power, p)
 
 
-def _dual(mod):
+def _oracle_dims(t):
+    """The SNF ranks mod p of (action - 1)^0 .. (action - 1)^(p-1)."""
+    action = _action(t)
+    nil = _mod(action - Matrix.identity(action.nrows), t.p)
+    return [_rank_mod_p_oracle(pw, t.p) for pw in _powers_mod(nil, t.p)]
+
+
+def _dual(t):
     # Cartier duality sends the action to its inverse transpose, which is
     # kron of the cocycle's inverse transpose with I_2; the inverse of an
     # order-p cocycle is its (p-1)-st power
-    n = mod.p - 1
+    n = t.p - 1
     inv = Matrix.identity(n)
-    for _ in range(mod.p - 1):
-        inv = _mod(inv * mod.cocycle, mod.p)
-    assert _mod(inv * mod.cocycle, mod.p) == Matrix.identity(n)
-    return TorsionModule(mod.p, inv.transpose())
+    for _ in range(t.p - 1):
+        inv = _mod(inv * t.zeta, t.p)
+    assert _mod(inv * t.zeta, t.p) == Matrix.identity(n)
+    return _module(t.p, inv.transpose())
 
 
 def test_filtration_matches_integer_snf_oracle():
@@ -116,10 +136,7 @@ def test_filtration_matches_integer_snf_oracle():
             assert dims[i] == 2 * rank
             power = nil * power
         for m in (mod, _dual(mod)):
-            eye = Matrix.identity(m.dim)
-            ranks = [_rank_mod_p_oracle(pw, p)
-                     for pw in _powers_mod(_mod(m.action - eye, p), p)]
-            assert filtration_dims(m) == ranks == dims
+            assert filtration_dims(m) == _oracle_dims(m) == dims
 
 
 def test_composition_factors():
@@ -159,11 +176,9 @@ def _tail_not_killed(p):
     _tail_not_killed,
 ], ids=["identity", "chain_too_short", "scalar_two", "tail_not_killed"])
 def test_certificate_rejects_wrong_structure(p, broken):
-    mod = TorsionModule(p, broken(p))
-    eye = Matrix.identity(mod.dim)
-    ranks = [_rank_mod_p_oracle(pw, p)
-             for pw in _powers_mod(_mod(mod.action - eye, p), p)]
-    assert ranks != list(range(mod.dim, -2, -2))  # the oracle agrees it is broken
+    mod = _module(p, broken(p))
+    # the oracle agrees it is broken
+    assert _oracle_dims(mod) != list(range(2 * (p - 1), -2, -2))
     assert not mod.two_jordan_blocks
     with pytest.raises(AssertionError):
         filtration_dims(mod)
@@ -175,12 +190,12 @@ def _walk_2n(mod):
     """The reference certificate on the 2n x 2n action: N = action - 1
     mod p walks e_0 and e_1 p - 2 times; the two results must be
     independent mod p (a 2 x 2 minor test) and both killed by N."""
-    p, action = mod.p, mod.action
+    p, action = mod.p, _action(mod)
 
     def apply(u):
         return [(y - x) % p for y, x in zip(action.mul_vector(u), u)]
 
-    u, w = [0] * mod.dim, [0] * mod.dim
+    u, w = [0] * action.nrows, [0] * action.nrows
     u[0] = w[1] = 1
     for _ in range(p - 2):
         u, w = apply(u), apply(w)
@@ -220,14 +235,11 @@ def test_certificate_is_sound_on_foreign_cocycles():
     for k in range(200):
         p = (3, 5, 7)[k % 3]
         draw = _redrawn_zeta if k % 2 else _relabelled_unipotent
-        mod = TorsionModule(p, draw(rng, p))
+        mod = _module(p, draw(rng, p))
         holds = mod.two_jordan_blocks
         assert holds == _walk_2n(mod)
         if holds:
-            eye = Matrix.identity(mod.dim)
-            ranks = [_rank_mod_p_oracle(pw, p)
-                     for pw in _powers_mod(_mod(mod.action - eye, p), p)]
-            assert ranks == list(range(mod.dim, -2, -2))
+            assert _oracle_dims(mod) == list(range(2 * (p - 1), -2, -2))
         verdicts.append((draw, holds))
     # both verdicts occur in both halves, so neither branch goes unexercised
     for draw in (_redrawn_zeta, _relabelled_unipotent):
@@ -240,13 +252,13 @@ def test_certificate_agrees_with_the_2n_walk_up_to_61():
         mod = build_ptorsion(p)
         assert mod.two_jordan_blocks and _walk_2n(mod)
         for draw in (_redrawn_zeta, _redrawn_zeta, _relabelled_unipotent):
-            other = TorsionModule(p, draw(rng, p))
+            other = _module(p, draw(rng, p))
             assert other.two_jordan_blocks == _walk_2n(other)
 
 
 def test_composition_factors_rejects_wrong_steps():
     # identity action: (A - 1) is zero, first step drops by the full dimension
-    broken = TorsionModule(3, Matrix.identity(2))
+    broken = _module(3, Matrix.identity(2))
     with pytest.raises(AssertionError):
         composition_factors(broken)
 
@@ -254,16 +266,16 @@ def test_composition_factors_rejects_wrong_steps():
 def test_torsion_module_needs_dimension_2_p_minus_1():
     # the cocycle has size p - 1, so X[p] has dimension 2(p - 1); the
     # 2(p - 1) x 2(p - 1) action itself is not a cocycle
-    assert TorsionModule(5, Matrix.identity(4)).dim == 8
+    assert filtration_dims(_module(5, build_zeta(5)))[0] == 8
     for wrong in (Matrix.identity(3), Matrix.identity(8), Matrix.zero(4, 3)):
-        with pytest.raises(ValueError):
-            TorsionModule(5, wrong)
+        with pytest.raises(ValueError, match="Matrix values of size p - 1 = 4"):
+            _module(5, wrong)
     # p must be an odd prime: at p = 2 the certificate would read two
     # Jordan blocks of size 1, and 5.0 would give the dimension 8.0
     for p, cocycle in ((4, Matrix.identity(3)), (5.0, Matrix.identity(4)),
                        (2, Matrix.identity(1)), (True, Matrix.identity(0))):
         with pytest.raises(ValueError, match="odd prime"):
-            TorsionModule(p, cocycle)
+            TwistData(p, cocycle, cocycle)
 
 
 class _ArrayLike:
@@ -274,8 +286,10 @@ class _ArrayLike:
 
 
 def _with_fraction_entry():
-    rows = Matrix.identity(4).to_lists()
-    rows[0][1] = Fraction(1, 2)
+    # 1 + N for N: e_0 -> e_1 -> e_2 -> e_3 / 2 -> 0; read over the
+    # rationals, the walk from e_0 ends nonzero and one more step kills it
+    rows = _chain(4, 4)
+    rows[3][2] = Fraction(1, 2)
     return Matrix(rows)
 
 
@@ -285,14 +299,28 @@ def _with_fraction_entry():
     _with_fraction_entry(),
 ], ids=["list", "array_like", "fraction_entry"])
 def test_torsion_module_needs_an_integer_matrix(cocycle):
-    with pytest.raises(ValueError):
-        TorsionModule(5, cocycle)
+    # a value that is no Matrix is refused, as zeta and as b; a Matrix
+    # with a non-integral entry builds, and its certificate answers False
+    if isinstance(cocycle, Matrix):
+        mod = _module(5, cocycle)
+        assert not mod.two_jordan_blocks
+        with pytest.raises(AssertionError):
+            filtration_dims(mod)
+        return
+    with pytest.raises(ValueError, match="Matrix values"):
+        _module(5, cocycle)
+    with pytest.raises(ValueError, match="Matrix values"):
+        TwistData(5, build_zeta(5), cocycle)
 
 
 def test_torsion_module_rejects_a_numpy_array():
+    # a numpy array has a shape but no rows: refused at construction, not
+    # by an AttributeError from check()
     np = pytest.importorskip("numpy")
-    with pytest.raises(ValueError):
-        TorsionModule(5, np.eye(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="Matrix values"):
+        _module(5, np.eye(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="Matrix values"):
+        TwistData(5, build_zeta(5), np.eye(4, dtype=np.int64))
 
 
 def test_dual_module_has_same_filtration():
@@ -426,16 +454,16 @@ def test_a_level_is_at_most_2():
 def test_companion_step_matches_the_generic_step_up_to_61(monkeypatch):
     # (zeta - 1) u mod p by the shift equals the cocycle's listed product,
     # and the certificate reads the same on either route
-    import polobstruct.galmod as galmod
+    import polobstruct.twist as twist
 
     rng = random.Random(25)
     for p in filter(is_odd_prime, range(3, 62)):
-        cocycle = build_ptorsion(p).cocycle
-        assert is_companion(cocycle)
+        t = build_ptorsion(p)
+        assert is_companion(t.zeta) and t.zeta_is_companion
         for _ in range(5):
             u = [rng.randrange(p) for _ in range(p - 1)]
-            assert [(y - x) % p for y, x in zip(companion_times_vector(u), u)] \
-                == [(y - x) % p for y, x in zip(cocycle.mul_vector(u), u)]
+            assert [(y - x) % p for y, x in zip(t.zeta_times_vector(u), u)] \
+                == [(y - x) % p for y, x in zip(t.zeta.mul_vector(u), u)]
     calls = []
     mul_vector = Matrix.mul_vector
     monkeypatch.setattr(Matrix, "mul_vector",
@@ -443,7 +471,7 @@ def test_companion_step_matches_the_generic_step_up_to_61(monkeypatch):
     for p in filter(is_odd_prime, range(3, 62)):
         assert build_ptorsion(p).two_jordan_blocks
     assert calls == []
-    monkeypatch.setattr(galmod, "is_companion", lambda m: False)
+    monkeypatch.setattr(twist, "is_companion", lambda m: False)
     for p in filter(is_odd_prime, range(3, 62)):
         calls.clear()
         assert build_ptorsion(p).two_jordan_blocks
@@ -468,7 +496,7 @@ def test_foreign_cocycles_take_the_generic_step(monkeypatch):
         rows = build_zeta(p).to_lists()
         rows[0][rng.randrange(p - 1)] = 0
         for other in (Matrix(rows), _relabelled_unipotent(rng, p)):
-            mod = TorsionModule(p, other)
+            mod = _module(p, other)
             assert not is_companion(other)
             # p - 2 steps, and one more when the walk ends nonzero
             steps = p - 2 + any(_walk_from_e0(other, p))

@@ -2,6 +2,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import operator
 import random
 import re
@@ -12,8 +13,11 @@ import sympy
 
 from polobstruct.cyclotomic import (
     CycElem,
+    _crt_norm,
     complex_conj,
     from_eta,
+    is_odd_prime,
+    is_totally_positive,
     norm_to_Q,
 )
 from polobstruct.intlinalg import Matrix
@@ -708,6 +712,34 @@ def test_b_groups_are_z2():
             assert grp.invariant_factors == (2,)
             assert grp.free_rank == 0
             assert str(grp) == "Z/2"
+
+
+def test_b2_is_exact_by_the_norm_square_lemma():
+    # N_(K/Q)(gamma) = N_(K+/Q)(gamma)^2 for gamma in K+ (see b2_group),
+    # by a route that does not assume it: _crt_norm multiplies all p - 1
+    # conjugates mod primes l = 1 (mod p) and lifts by CRT, while
+    # norm_to_Q squares e_m, the product of the real embeddings. The
+    # gammas are (1 - zeta)(1 - conj zeta), seeded x conj(x), and fixed
+    # elements that are not totally positive, so of no form x conj(x)
+    rng = random.Random(36)
+    for p in filter(is_odd_prime, range(3, 62)):
+        one_minus_zeta = CycElem.one(p) - CycElem.zeta(p)
+        gammas = [one_minus_zeta * complex_conj(one_minus_zeta)]
+        while len(gammas) < 3:
+            x = CycElem(p, [rng.randint(-3, 3) for _ in range(p - 1)])
+            if not x.is_zero():
+                gammas.append(x * complex_conj(x))
+        while len(gammas) < 6:
+            g = from_eta(p, [rng.randint(-3, 3) for _ in range((p - 1) // 2)])
+            if not g.is_zero() and not is_totally_positive(g):
+                gammas.append(g)
+        for g in gammas:
+            assert g == complex_conj(g)
+            n = _crt_norm(g)
+            root = math.isqrt(n)
+            assert root * root == n == norm_to_Q(g)
+            assert root == abs(g._elementary[-1])
+        assert _crt_norm(gammas[0]) == p * p
 
 
 def test_attainable_frozen():

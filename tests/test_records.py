@@ -13,7 +13,7 @@ import pytest
 
 from polobstruct.cli import VerifyReport
 from polobstruct.cyclotomic import CycElem, from_eta
-from polobstruct.galmod import build_ptorsion, e_rank_of_order
+from polobstruct.galmod import e_rank_of_order
 from polobstruct.intlinalg import IntPoly, Matrix, cached, snf
 from polobstruct.kergroup import (
     AlgebraFactor,
@@ -72,8 +72,6 @@ CASES = [
      "TwistData(p=5, zeta=Matrix(\n [-1, -1, -1, -1]\n [1, 0, 0, 0]\n [0, 1, 0, 0]\n"
      " [0, 0, 1, 0]\n), b=Matrix(\n [2, 1, 1, 1]\n [1, 2, 1, 1]\n [1, 1, 2, 1]\n"
      " [1, 1, 1, 2]\n))"),
-    (build_ptorsion(5), ("p", "cocycle"), "cocycle", Matrix.identity(4),
-     "TorsionModule(p=5)"),
     (snf(Matrix([[2, 4], [6, 8]])), ("U", "D", "V"), "U", Matrix.identity(2),
      "SnfResult(U=Matrix(\n [1, 0]\n [3, -1]\n), D=Matrix(\n [2, 0]\n [0, 4]\n), "
      "V=Matrix(\n [1, -2]\n [0, 1]\n))"),
@@ -141,11 +139,10 @@ def test_set_takes_every_field_or_none():
     assert label.cache == 1 and label == SimpleLabel("G", 9, "G")
 
 
-@pytest.mark.parametrize("make, count", [(lambda: TwistData.for_prime(7), 6),
-                                         (lambda: build_ptorsion(7), 2),
+@pytest.mark.parametrize("make, count", [(lambda: TwistData.for_prime(7), 7),
                                          (lambda: Matrix([[1, 0], [2, 3]]), 1),
                                          (lambda: CycElem(5, (3, 0, 1, 1)), 2)],
-                         ids=["TwistData", "TorsionModule", "Matrix", "CycElem"])
+                         ids=["TwistData", "Matrix", "CycElem"])
 def test_cached_values_are_computed_once_and_stay_frozen(monkeypatch, make, count):
     obj = make()
     names = [k for k, v in vars(type(obj)).items() if isinstance(v, cached)]

@@ -1,10 +1,13 @@
 """The CLI's one exit for bad input, what it counts as bad input, the
 package root's four names, the one value protocol and the one way it stores
-fields, and the module state a command may leave behind: none."""
+fields, the exact-value rule as the source spells it, the Python floor that
+pyproject.toml declares, and the module state a command may leave behind:
+none."""
 
 import ast
 import importlib
 import os
+import re
 import sys
 import types
 
@@ -131,6 +134,53 @@ def test_a_count_is_checked_only_by_the_count_rule():
         ("intlinalg._norm_scalar", "isinstance(x, bool)"),
         ("kergroup.SimpleLabel.__init__", "isinstance(alt_pairing, bool)"),
     ]
+
+
+def _floats_and_divisions(node, site):
+    """(site, what) for each float literal, float(...) call and true
+    division under node, site its dotted function name."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += _floats_and_divisions(child, f"{site}.{child.name}")
+            continue
+        if isinstance(child, ast.Constant) and isinstance(child.value, (float, complex)):
+            found.append((site, "float literal"))
+        elif isinstance(child, ast.Call) and ast.unparse(child.func) == "float":
+            found.append((site, "float()"))
+        elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+            found.append((site, "/"))
+        found += _floats_and_divisions(child, site)
+    return found
+
+
+def test_no_float_enters_the_package_source():
+    # floating point appears only inside test oracles: the package has no
+    # float literal and no float() call, and true division only where the
+    # divisor is a Fraction, so that no quotient is a float
+    found = [hit for module, tree in _package_trees()
+             for hit in _floats_and_divisions(tree, module)]
+    assert sorted(found) == [
+        ("intlinalg._hessenberg", "/"),
+        ("intlinalg._vector_minpoly", "/"),
+        ("intlinalg.solve_exact", "/"),
+        ("kergroup.QuaternionAlgebra.inverse", "/"),
+        ("kergroup.is_square_in_Qp", "/"),
+    ]
+
+
+def test_the_source_parses_at_the_declared_python_floor():
+    # ast.parse with a feature_version refuses syntax newer than it, such
+    # as except*, which the installed interpreter would accept
+    root = os.path.dirname(polobstruct.__file__)
+    with open(os.path.join(root, "..", "..", "pyproject.toml")) as fh:
+        floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', fh.read(), re.M)
+    version = tuple(map(int, floor.groups()))
+    names = sorted(n for n in os.listdir(root) if n.endswith(".py"))
+    assert "cli.py" in names
+    for name in names:
+        with open(os.path.join(root, name)) as fh:
+            ast.parse(fh.read(), filename=name, feature_version=version)
 
 
 def test_every_class_is_a_record():
