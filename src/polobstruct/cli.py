@@ -113,14 +113,15 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     construction checks read the closed forms that TwistData decides once
     each (see CONSTRUCTION_CHECKS). degree_equals_norm_squared compares two
     independent computations for each nonzero sampled a = sum c_k zeta^k:
-    its degree central_degree(a) = Res(Phi_p, a)^2, by the sub-resultant
-    algorithm, and the square of the norm N(a), the product of a's
-    conjugates mod primes l = 1 (mod p) lifted by the Chinese remainder
-    theorem (or a's power-sum pass, for the rare a that conjugation fixes),
-    so a remainder sequence is compared with an evaluation at roots, and a
-    zero norm fails it. Res(Phi_p, a) is det a(zeta) because the orbit certificate
-    proves chi_zeta = Phi_p, so the degree check fails whenever that
-    certificate does.
+    its degree central_degree(a) = Res(psi_p, g)^2, by the sub-resultant
+    algorithm over K+ on g = a conj(a) in eta-powers, and the square of the
+    norm N(a), the product of a's conjugates mod primes l = 1 (mod p)
+    lifted by the Chinese remainder theorem (or a's power-sum pass, for the
+    rare a that conjugation fixes), so a remainder sequence is compared
+    with an evaluation at roots, and a zero norm fails it. det a(zeta) is
+    the product of a(theta) over the roots theta of chi_zeta = Phi_p, which
+    the orbit certificate proves; pairing theta with theta^(-1) makes it
+    Res(psi_p, g). So the degree check fails whenever that certificate does.
     """
     rng = random.Random(seed)
     n = p - 1

@@ -6,7 +6,8 @@ cyclotomic polynomial. K+ = Q(eta), eta = zeta + zeta^{-1}, has one
 representation: the CycElem that conjugation fixes, which norms and
 positivity read as it is. The eta-power coordinates of such an element
 (from_eta, restrict_to_real, real_mult_matrix, by Dickson polynomials) are
-a reference route that no command takes.
+a reference route that no command takes; only their Dickson elimination,
+_dickson_to_eta, is on one, in twist.central_degree.
 
 Norms take one of two routes, chosen by the element and never by the size
 of p, so no size threshold divides them.
@@ -131,6 +132,16 @@ def cyclotomic_poly(p) -> IntPoly:
     """1 + x + ... + x^(p-1), the minimal polynomial of a primitive p-th root."""
     _require_odd_prime(p)
     return IntPoly([1] * p)
+
+
+@lru_cache(maxsize=64)
+def real_cyclotomic_poly(p) -> IntPoly:
+    """psi_p, the monic minimal polynomial of eta, of degree m = (p-1)/2:
+    x^m psi_p(x + 1/x) = Phi_p(x), by its binomial closed form."""
+    _require_odd_prime(p)
+    m = (p - 1) // 2
+    return IntPoly([(-1) ** (k // 2) * comb(m - (k + 1) // 2, k // 2)
+                    for k in range(m, -1, -1)])
 
 
 class CycElem(Record):
@@ -361,8 +372,12 @@ def restrict_to_real(a: CycElem) -> tuple:
     """
     if not a.is_conj_fixed():
         raise ValueError("element is not fixed by conjugation")
-    p, c = a.p, a.coords
-    m = (p - 1) // 2
+    return _norm_row(_dickson_to_eta(a.coords, (a.p - 1) // 2))
+
+
+def _dickson_to_eta(c, m):
+    """The eta-power coordinates of c_0 + sum_(k=1..m) c_k D_k, as
+    restrict_to_real says, reduced mod psi_p = 1 + D_1 + ... + D_m."""
     out = [c[0] - c[m]] + [0] * (m - 1)
     prev, cur = [2], [0, 1]  # D_0 and D_1 in the eta-power basis
     for k in range(1, m):
@@ -374,7 +389,7 @@ def restrict_to_real(a: CycElem) -> tuple:
         for i, x in enumerate(prev):
             nxt[i] -= x
         prev, cur = cur, nxt
-    return _norm_row(out)
+    return out
 
 
 def real_mult_matrix(a: CycElem) -> Matrix:

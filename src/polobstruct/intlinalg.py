@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -300,7 +300,8 @@ class Matrix(Record):
 
     @cached
     def _nonzeros(self):
-        return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.rows)
+        cols = range(self.ncols)  # compress and filter list a row in C
+        return tuple([tuple(zip(compress(cols, r), filter(None, r))) for r in self.rows])
 
     def row_nonzeros(self):
         """Each row's nonzero entries as (column, entry) pairs, listed on
@@ -827,9 +828,10 @@ def resultant(f, g):
     Algebraic Number Theory, Alg. 3.3.7): each division in it is exact, so
     it runs in the integers with coefficients polynomially bounded, and it
     takes no determinant. A normal step (deg a = deg b + 1, as every step
-    of Res(Phi_p, a) for a generic a) is one pass: with lb = lc(b),
-    q1 = lc(a) and q2 = lb a[-2] - q1 b[-2], the pseudo-remainder is
-    lb^2 a - lb q1 x b - q2 b, divided by lg h as it is made.
+    of twist.central_degree's Res(psi_p, g) for a generic g) is one pass:
+    with lb = lc(b), q1 = lc(a) and q2 = lb a[-2] - q1 b[-2], the
+    pseudo-remainder is lb^2 a - lb q1 x b - q2 b, divided by lg h as it
+    is made.
     """
     a, b = IntPoly(f).coeffs, IntPoly(g).coeffs
     if not a or not b:

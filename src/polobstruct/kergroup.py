@@ -817,9 +817,10 @@ def twist_model(p, seed=DEFAULT_SEED, samples=8) -> ModelDescriptor:
     whose degree pins its E[p] multiplicity.
 
     Each claimed norm N(x conj(x)) = N(x)^2 is taken as the degree
-    central_degree(x) = Res(Phi_p, x)^2, and N(1 - zeta) = Phi_p(1) = p, so
-    the model's validation, which computes each norm by power sums, checks
-    it against an independent computation.
+    central_degree(x) = Res(psi_p, g)^2, g = x conj(x) formed without
+    CycElem.__mul__, and N(1 - zeta) = Phi_p(1) = p, so the model's
+    validation, which computes each norm by power sums, checks it against
+    an independent computation.
     """
     labels = twist_labels(p)
     rng = random.Random(seed)

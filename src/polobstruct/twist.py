@@ -35,12 +35,19 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import eq, neg, sub
+from operator import eq, mul, neg, sub
 
-from .cyclotomic import CycElem, _require_odd_prime, cyclotomic_poly, regular_rep
+from .cyclotomic import (
+    CycElem,
+    _dickson_to_eta,
+    _require_odd_prime,
+    real_cyclotomic_poly,
+    regular_rep,
+)
 from .intlinalg import (
     Matrix,
     Record,
+    _int_row,
     _norm_row,
     _sparse_kernel,
     cached,
@@ -265,10 +272,20 @@ def endo_degree(alpha: Matrix):
 
 
 def central_degree(a: CycElem):
-    """Degree det a(zeta)^2 of a(zeta) = sum c_k zeta^k for integers c_k, as
-    Res(Phi_p, a)^2, which is det a(M)^2 for every M whose characteristic
-    polynomial is Phi_p; endo_degree(regular_rep(a)) is its reference."""
-    return resultant(cyclotomic_poly(a.p).coeffs, a.coords) ** 2
+    """Degree det a(zeta)^2 of a(zeta) = sum c_k zeta^k for integers c_k
+    (TypeError otherwise), as Res(psi_p, g)^2, psi_p = real_cyclotomic_poly(p)
+    and g = a conj(a) in eta-powers mod psi_p; endo_degree(regular_rep(a))
+    is its reference. det a(zeta) is the product of a(theta) over the roots
+    of chi_zeta = Phi_p, which the orbit certificate proves; pairing theta
+    with theta^(-1) makes it the product of g over the roots of the monic
+    psi_p, Res(psi_p, g). Padded with c_(p-1) = 0, a conj(a) is
+    r_0 + sum_(k=1..m) r_k (zeta^k + zeta^(-k)), r_j = sum_i c_i c_((i+j) mod p),
+    so neither CycElem.__mul__ nor the power sums are read, and the
+    remainder sequence has degree m = (p-1)/2, not p - 1."""
+    c = _int_row(a.coords) + (0,)
+    m = (a.p - 1) // 2
+    r = [sum(map(mul, c, c[j:] + c[:j])) for j in range(m + 1)]
+    return resultant(real_cyclotomic_poly(a.p).coeffs, _dickson_to_eta(r, m)) ** 2
 
 
 def rosati(x: Matrix, t: TwistData) -> Matrix:

@@ -191,9 +191,25 @@ def test_no_command_takes_the_dickson_route(capsys, monkeypatch, tmp_path):
             assert not {"from_eta", "restrict_to_real"} & set(vars(module)), name
 
 
+def test_degree_check_fails_when_a_conjugate_is_dropped(monkeypatch):
+    # the degree and the norm are two computations: a CRT norm that misses
+    # one conjugate fails degree_equals_norm_squared and nothing else
+    import polobstruct.cyclotomic as cyclotomic
+
+    supply = cyclotomic.conjugates_mod_primes
+
+    def short(a):
+        for ell, conj in supply(a):
+            yield ell, conj[1:]
+
+    monkeypatch.setattr(cyclotomic, "conjugates_mod_primes", short)
+    checks = dict(cli.run_verify_suite(43).checks)
+    assert [k for k, v in checks.items() if not v] == ["degree_equals_norm_squared"]
+
+
 def test_degree_check_rests_on_the_orbit_certificate(monkeypatch):
-    # Res(Phi_p, a) is det a(zeta) only when chi_zeta = Phi_p, which the
-    # orbit certificate proves; a zeta it rejects fails the degree check
+    # central_degree(a) is det a(zeta)^2 only when chi_zeta = Phi_p, which
+    # the orbit certificate proves; a zeta it rejects fails the degree check
     import polobstruct.twist as twist
 
     assert dict(cli.run_verify_suite(5).checks)["degree_equals_norm_squared"]

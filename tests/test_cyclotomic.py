@@ -43,6 +43,7 @@ from polobstruct.cyclotomic import (
     norm_to_Q,
     parse_element,
     parse_rational,
+    real_cyclotomic_poly,
     real_mult_matrix,
     regular_rep,
     restrict_to_real,
@@ -765,6 +766,24 @@ def test_resultant_is_the_determinant_and_the_norm():
         phi_p = cyclotomic_poly(p).coeffs
         for a in (_rand_elem(rng, p, bound=3), _rand_elem(rng, p, bound=1)):
             assert resultant(phi_p, a.coords) == det(regular_rep(a)) == norm_to_Q(a)
+
+
+def test_real_cyclotomic_poly_is_phi_p_over_the_real_subfield():
+    # x^m psi_p(x + 1/x) = Phi_p(x), expanding x^m (x + 1/x)^k as
+    # sum_j C(k, j) x^(m + k - 2j)
+    for p in [q for q in range(3, 102) if is_odd_prime(q)]:
+        psi, m = real_cyclotomic_poly(p).coeffs, (p - 1) // 2
+        assert len(psi) == m + 1 and psi[-1] == 1
+        out = [0] * (2 * m + 1)
+        for k, c in enumerate(psi):
+            for j in range(k + 1):
+                out[m + k - 2 * j] += c * comb(k, j)
+        assert IntPoly(out) == cyclotomic_poly(p)
+    assert real_cyclotomic_poly(5) == IntPoly([-1, 1, 1])
+    assert real_cyclotomic_poly(13) is real_cyclotomic_poly(13)
+    for bad in (2, 9, 1, 3.0, True):
+        with pytest.raises(ValueError):
+            real_cyclotomic_poly(bad)
 
 
 # ---------------------------------------------------------------------------

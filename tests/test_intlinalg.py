@@ -34,6 +34,7 @@ from polobstruct.intlinalg import (
     _hnf_coords,
     _matmul,
 )
+from polobstruct.cyclotomic import real_cyclotomic_poly
 from polobstruct.twist import build_zeta
 
 
@@ -254,6 +255,21 @@ def _check_listing_and_mul_vector(a, v):
     got = a.mul_vector(v)
     assert got == naive == by_generator
     assert [type(y) for y in got] == [type(y) for y in by_generator]
+
+
+def test_row_nonzeros_matches_a_listing_by_enumerate():
+    # the C-level listing against a generator over each row: sparse, dense,
+    # Fraction-valued and empty matrices
+    rng = random.Random(42)
+    sparse = [[0] * 42 for _ in range(42)]
+    for r in sparse:
+        r[rng.randrange(42)] = rng.choice((-2, -1, 1, 2))
+    dense = [[rng.randint(-3, 3) for _ in range(9)] for _ in range(7)]
+    halves = [[Fraction(rng.randint(-2, 2), 2) for _ in range(5)] for _ in range(6)]
+    for a in (Matrix(sparse), Matrix(dense), Matrix(halves), Matrix([]),
+              Matrix.zero(0, 3), Matrix.zero(3, 0), Matrix.zero(2, 2)):
+        want = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in a.rows)
+        assert a.row_nonzeros() == want
 
 
 def test_row_nonzeros_is_listed_once_and_ignored_by_comparison():
@@ -953,6 +969,11 @@ def test_resultant_of_phi_p_takes_only_normal_steps(monkeypatch):
             a_zeta = sum(((build_zeta(p) ** k).scale(c) for k, c in enumerate(a)),
                          Matrix.zero(p - 1, p - 1))
             assert want == det(a_zeta)
+    # so does central_degree's Res(psi_p, g) for a generic g of degree m - 1
+    for p in (13, 43):
+        psi, m = real_cyclotomic_poly(p).coeffs, (p - 1) // 2
+        g = [rng.randint(-30, 30) for _ in range(m - 1)] + [rng.choice([-7, 5, 11])]
+        assert resultant(psi, g) == _sympy_resultant(psi, g)
     assert gaps == []
 
 

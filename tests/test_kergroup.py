@@ -714,6 +714,29 @@ def test_b_groups_are_z2():
             assert str(grp) == "Z/2"
 
 
+def test_claimed_norms_do_not_come_from_the_certificate_product(monkeypatch):
+    # central_degree forms x conj(x) by autocorrelation, not by
+    # CycElem.__mul__, so a product that is off in one coordinate makes the
+    # model refuse its sampled certificates; (1 - zeta)(1 - conj zeta) is
+    # left exact, so only the sampled pairs can fail
+    import polobstruct.kergroup as kergroup
+
+    product = CycElem.__mul__
+
+    def perturbed(self, other):
+        out = product(self, other)
+        if isinstance(other, CycElem) and sum(map(bool, self.coords)) > 2:
+            return CycElem(out.p, (out.coords[0] + 1,) + out.coords[1:])
+        return out
+
+    monkeypatch.setattr(CycElem, "__mul__", perturbed)
+    with pytest.raises(ValueError, match="certificate does not have the claimed norm"):
+        twist_model(13)
+    # the control: a claimed norm formed through the same product passes
+    monkeypatch.setattr(kergroup, "central_degree", lambda x: norm_to_Q(x * x.conj()))
+    twist_model(13)
+
+
 def test_b2_is_exact_by_the_norm_square_lemma():
     # N_(K/Q)(gamma) = N_(K+/Q)(gamma)^2 for gamma in K+ (see b2_group),
     # by a route that does not assume it: _crt_norm multiplies all p - 1

@@ -13,6 +13,7 @@ from polobstruct.intlinalg import (
     det,
     leading_principal_minors,
     minpoly,
+    resultant,
     solve_exact,
 )
 from polobstruct.twist import (
@@ -318,6 +319,44 @@ def test_degree_is_squared_norm():
             if n == 0:
                 continue
             assert endo_degree(regular_rep(a)) == central_degree(a) == n * n
+
+
+def _central_samples(rng, p):
+    # moved, conjugation-fixed, rational and unit elements, and 1 - zeta
+    z = CycElem.zeta(p)
+    x = CycElem(p, [rng.randint(-3, 3) for _ in range(p - 1)])
+    y = CycElem(p, [rng.randint(-1, 1) for _ in range(p - 1)])
+    rational = CycElem.from_rational(rng.choice((-5, -2, 3, 7)), p)
+    return [x, y, x + x.conj(), x * x.conj(), rational, -(z ** rng.randrange(1, p)), 1 + z, 1 - z]
+
+
+def test_central_degree_is_the_resultant_over_the_real_subfield():
+    # Res(psi_p, a conj(a))^2 against Res(Phi_p, a)^2 and Bareiss on a's
+    # regular representation
+    rng = random.Random(61)
+    for p in PRIMES_TO_61:
+        phi_p = cyclotomic_poly(p).coeffs
+        for a in _central_samples(rng, p):
+            want = resultant(phi_p, a.coords) ** 2
+            assert central_degree(a) == want == endo_degree(regular_rep(a))
+        assert central_degree(1 - CycElem.zeta(p)) == p * p
+        assert central_degree(1 + CycElem.zeta(p)) == 1
+        assert central_degree(CycElem.zero(p)) == 0 == resultant(phi_p, (0,) * (p - 1))
+    phi_p = cyclotomic_poly(101).coeffs
+    for a in _central_samples(rng, 101):
+        assert central_degree(a) == resultant(phi_p, a.coords) ** 2
+
+
+def test_central_degree_refuses_a_non_integral_element():
+    # alpha = 1 + zeta + zeta^2 + zeta^4 = (1 + sqrt(-7))/2 has alpha conj(alpha) = 2,
+    # so a = alpha^2 / 2 is not integral but a conj(a) = 1 is
+    z = CycElem.zeta(7)
+    alpha = 1 + z + z ** 2 + z ** 4
+    a = alpha * alpha * Fraction(1, 2)
+    assert not a.is_integral() and a * a.conj() == 1
+    for bad in (a, CycElem.from_rational(Fraction(1, 2), 5)):
+        with pytest.raises(TypeError):
+            central_degree(bad)
 
 
 # ---------------------------------------------------------------------------
