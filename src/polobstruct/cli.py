@@ -261,6 +261,9 @@ def _load_model(path):
 
 
 def _cmd_bgroup(args) -> int:
+    """B1, B2 and the known class's parity. B2 is exact for a type IV factor
+    with center Q(zeta_p), as twist_model's, by b2_group's norm-square
+    lemma; for any other model the true B2 is a quotient of the printed one."""
     model = _load_model(args.model)
     b1 = b1_group(model)
     b2 = b2_group(model)

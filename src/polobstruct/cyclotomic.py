@@ -314,7 +314,8 @@ def regular_rep(a: CycElem) -> Matrix:
 
 
 def norm_to_Q(a: CycElem):
-    """Field norm from Q(zeta_p) down to Q.
+    """Field norm from Q(zeta_p) down to Q of a CycElem a (TypeError
+    for any other type).
 
     A conjugation-fixed a lies in K+, and [K : K+] = 2 gives
     N_(K/Q)(a) = N_(K+/Q)(a)^2, the square of the last elementary symmetric
@@ -331,6 +332,8 @@ def norm_to_Q(a: CycElem):
     positive, a product of (p - 1)/2 values |sigma(da)|^2 for a nonzero a
     (zero is fixed): the residue in [0, M) is N(da) itself.
     """
+    if not isinstance(a, CycElem):
+        raise TypeError("norm_to_Q expects a CycElem")
     if a._fixed:
         e = a._elementary[-1]
         return e * e

@@ -15,11 +15,11 @@ The main operations:
                    matrix M with characteristic polynomial f, with no
                    elimination.
   * snf            Smith normal form with unimodular transforms U, V such
-                   that U*A*V = D.  Pivot rule: smallest absolute nonzero
-                   value, ties broken by lowest row then lowest column.
+                   that U*A*V = D, as alternating row and column passes of
+                   the HNF elimination, with U and V carried beside A.
   * hnf_row        canonical row Hermite normal form (positive pivots,
                    entries above a pivot reduced into [0, pivot)), by one
-                   bigint row elimination.
+                   bigint row elimination, the one that snf alternates.
   * col_hnf        column HNF, the canonical form used for column lattices,
                    by the same elimination run on the columns.
   * int_kernel     basis of the integer kernel {x : A x = 0}, saturated,
@@ -396,33 +396,24 @@ def det(a: Matrix):
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = a.nrows
-    if n == 0:
-        return 1
     dens, flat = _cleared(tuple(chain.from_iterable(a.rows)))
-    rows = [flat[k:k + n] for k in range(0, n * n, n)]
-    swaps, pivots = _bareiss_det(rows)
-    if len(pivots) < n:
-        return 0
-    return _norm_scalar(Fraction((-1) ** len(swaps) * pivots[-1], dens ** n))
+    rows = [flat[k * n:k * n + n] for k in range(n)]
+    return _norm_scalar(Fraction(_bareiss_det(rows), dens ** n))
 
 
 def _bareiss_det(m):
-    """Bareiss elimination in place on a list-of-lists of ints; all
-    divisions are exact. Returns the steps at which a row swap came in and
-    the pivots, stopping early when a column has no pivot (then det = 0).
-    The last of n pivots is +-det, and each pivot before the first swap is
-    the leading principal minor of its size."""
+    """The determinant of a list-of-lists of ints by Bareiss elimination in
+    place; all divisions are exact, and the last pivot is +-det."""
     n = len(m)
-    swaps, pivots, prev = [], [], 1
+    sign, prev = 1, 1
     for k in range(n):
         if m[k][k] == 0:
             r = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if r is None:
-                return swaps, pivots
+                return 0
             m[k], m[r] = m[r], m[k]
-            swaps.append(k)
+            sign = -sign
         pivot = m[k][k]
-        pivots.append(pivot)
         for i in range(k + 1, n):
             mik = m[i][k]
             row_i, row_k = m[i], m[k]
@@ -430,27 +421,14 @@ def _bareiss_det(m):
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return swaps, pivots
+    return sign * prev
 
 
 def leading_principal_minors(a: Matrix):
-    """det of the k-by-k top left blocks, k = 1..n.
-
-    For an integer matrix the Bareiss pivots without row swaps are exactly
-    the minors, up to the first one that vanishes; only the minors after it
-    take a determinant each. A rational matrix takes one per minor.
-    """
+    """det of the k-by-k top left blocks, k = 1..n, one det each."""
     if not a.is_square():
         raise ValueError("principal minors of a non-square matrix")
-    n = a.nrows
-    minors = []
-    if a.is_integral():
-        swaps, pivots = _bareiss_det([list(r) for r in a.rows])
-        # the first swap or stop met a zero at (z, z): minor z + 1 vanishes
-        z = swaps[0] if swaps else len(pivots)
-        minors = pivots[:z] if z == n else pivots[:z] + [0]
-    return minors + [det(Matrix([r[:k] for r in a.rows[:k]]))
-                     for k in range(len(minors) + 1, n + 1)]
+    return [det(Matrix([r[:k] for r in a.rows[:k]])) for k in range(1, a.nrows + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -470,99 +448,44 @@ class SnfResult(Record):
 
 
 def snf(a: Matrix) -> SnfResult:
-    """Smith normal form with transforms.
-
-    Pivot selection: smallest absolute nonzero entry of the working
-    submatrix, ties broken by lowest row index then lowest column index.
-    """
+    """Smith normal form with transforms, the limit of alternating Hermite
+    forms (Cohen, A Course in Computational Algebraic Number Theory, 2.4):
+    row HNFs of [A | U] and column HNFs of A over V^t until A is diagonal.
+    U and V keep every vector nonzero, so none is dropped, and the HNF's
+    positive pivots and zeros-last order give D's signs and zero order.
+    Where d_i does not divide d_(i+1), column i + 1 is added into column i
+    and the passes resume."""
     if not a.is_integral():
         raise TypeError("snf requires an integer matrix")
     m, n = a.shape
-    M = [list(r) for r in a.rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        Md, Ms = M[dst], M[src]
-        for j in range(n):
-            Md[j] += q * Ms[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(m):
-            Ud[j] += q * Us[j]
-
-    def add_col(dst, src, q):
-        for row in M:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = M[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(M[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-
-        while True:
-            # clear column t with row operations
-            for i in range(t + 1, m):
-                if M[i][t] != 0:
-                    add_row(i, t, -(M[i][t] // M[t][t]))
-            dirty_rows = [i for i in range(t + 1, m) if M[i][t] != 0]
-            if dirty_rows:
-                # a remainder survived; it is smaller than the pivot, promote it
-                swap_rows(t, dirty_rows[0])
+    A = [list(r) for r in a.rows]
+    U, Vt = ([[int(i == j) for j in range(k)] for i in range(k)] for k in (m, n))
+    while True:
+        A, U = _hnf_beside(A, U, n)
+        if not _is_diagonal(A):
+            At, Vt = _hnf_beside([list(c) for c in zip(*A)], Vt, m)
+            A = [list(r) for r in zip(*At)]
+            if not _is_diagonal(A):
                 continue
-            for j in range(t + 1, n):
-                if M[t][j] != 0:
-                    add_col(j, t, -(M[t][j] // M[t][t]))
-            dirty_cols = [j for j in range(t + 1, n) if M[t][j] != 0]
-            if dirty_cols:
-                swap_cols(t, dirty_cols[0])
-                continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if M[i][j] % M[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            # fold the offending row in so the pivot can shrink to a divisor
-            add_row(t, bad, 1)
-        if M[t][t] < 0:
-            for j in range(n):
-                M[t][j] = -M[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
-        t += 1
+        i = next((i for i in range(min(m, n) - 1)
+                  if A[i][i] and A[i + 1][i + 1] % A[i][i]), None)
+        if i is None:
+            return SnfResult(Matrix(U, ncols=m), Matrix(A, ncols=n),
+                             Matrix(zip(*Vt), ncols=n))
+        for r in A:
+            r[i] += r[i + 1]
+        Vt[i] = [x + y for x, y in zip(Vt[i], Vt[i + 1])]
 
-    D = Matrix.zero(m, n).to_lists()
-    for i in range(min(m, n)):
-        D[i][i] = M[i][i]
-    return SnfResult(Matrix(U, ncols=m), Matrix(D, ncols=n), Matrix(V, ncols=n))
+
+def _hnf_beside(a, t, n):
+    """The row HNF of [a | t], split back into its first n columns and the
+    rest, for int rows a of length n and the rows of an invertible t."""
+    rows = _hnf_vectors([r + s for r, s in zip(a, t)], n + len(t))
+    return [r[:n] for r in rows], [r[n:] for r in rows]
+
+
+def _is_diagonal(a):
+    return all(x == 0 for i, r in enumerate(a) for j, x in enumerate(r) if i != j)
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +641,7 @@ def _sparse_kernel(cols, m) -> Matrix:
 
     for i in range(m):
         while True:
-            here = rowmap.get(i)
-            if not here:
-                break
-            live = sorted(c for c in here if c in active)
+            live = sorted(c for c in rowmap.get(i, ()) if c in active)
             if len(live) <= 1:
                 break
             cp = min(live, key=lambda c: (abs(work[c][i]), len(work[c]) + len(v[c]), c))
@@ -732,11 +652,7 @@ def _sparse_kernel(cols, m) -> Matrix:
                 q = work[c][i] // p
                 if q:
                     axpy(c, cp, -q)
-        here = rowmap.get(i)
-        if here:
-            live = sorted(c for c in here if c in active)
-            if live:
-                active.discard(live[0])
+        active.difference_update(live)  # the pivot column of row i, if any
     kernel = [tuple(v[c].get(j, 0) for j in range(n)) for c in sorted(active)]
     return col_hnf(Matrix.from_columns(kernel)) if kernel else Matrix.zero(n, 0)
 
@@ -755,7 +671,6 @@ def solve_exact(a: Matrix, b: Matrix):
            for row_a, row_b in zip(a.rows, b.rows)]
     width = n + b.ncols
     r = 0
-    pivots = []
     for j in range(n):
         pr = next((i for i in range(r, m) if aug[i][j] != 0), None)
         if pr is None:
@@ -767,7 +682,6 @@ def solve_exact(a: Matrix, b: Matrix):
             if i != r and aug[i][j] != 0:
                 f = aug[i][j]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(j)
         r += 1
     for i in range(r, m):
         if any(aug[i][j] != 0 for j in range(n, width)):
@@ -954,12 +868,9 @@ def charpoly(a: Matrix) -> IntPoly:
     if not a.is_integral():
         raise TypeError("charpoly requires an integer matrix")
     coeffs = _charpoly_coeffs(a.to_lists())
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError("integer matrix produced a fractional charpoly")
-        out.append(int(c))
-    return IntPoly(out)
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("integer matrix produced a fractional charpoly")
+    return IntPoly([int(c) for c in coeffs])
 
 
 def _vector_minpoly(a: Matrix, w):

@@ -822,6 +822,7 @@ def twist_model(p, seed=DEFAULT_SEED, samples=8) -> ModelDescriptor:
     validation, which computes each norm by power sums, checks it against
     an independent computation.
     """
+    samples = _count(samples, 0, "samples")
     labels = twist_labels(p)
     rng = random.Random(seed)
     one = CycElem.one(p)

@@ -272,8 +272,8 @@ def endo_degree(alpha: Matrix):
 
 
 def central_degree(a: CycElem):
-    """Degree det a(zeta)^2 of a(zeta) = sum c_k zeta^k for integers c_k
-    (TypeError otherwise), as Res(psi_p, g)^2, psi_p = real_cyclotomic_poly(p)
+    """Degree det a(zeta)^2 of a(zeta) = sum c_k zeta^k for a CycElem a with
+    integers c_k (TypeError otherwise), as Res(psi_p, g)^2, psi_p = real_cyclotomic_poly(p)
     and g = a conj(a) in eta-powers mod psi_p; endo_degree(regular_rep(a))
     is its reference. det a(zeta) is the product of a(theta) over the roots
     of chi_zeta = Phi_p, which the orbit certificate proves; pairing theta
@@ -282,6 +282,8 @@ def central_degree(a: CycElem):
     r_0 + sum_(k=1..m) r_k (zeta^k + zeta^(-k)), r_j = sum_i c_i c_((i+j) mod p),
     so neither CycElem.__mul__ nor the power sums are read, and the
     remainder sequence has degree m = (p-1)/2, not p - 1."""
+    if not isinstance(a, CycElem):
+        raise TypeError("central_degree expects a CycElem")
     c = _int_row(a.coords) + (0,)
     m = (a.p - 1) // 2
     r = [sum(map(mul, c, c[j:] + c[:j])) for j in range(m + 1)]

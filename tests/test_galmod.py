@@ -15,7 +15,13 @@ from polobstruct.galmod import (
     valuation,
 )
 from polobstruct.intlinalg import Matrix, snf
-from polobstruct.kergroup import AlgebraFactor, CenterField, SimpleLabel, r_membership
+from polobstruct.kergroup import (
+    AlgebraFactor,
+    CenterField,
+    SimpleLabel,
+    r_membership,
+    twist_model,
+)
 from polobstruct.twist import TwistData, build_b, build_zeta, is_companion
 
 
@@ -426,6 +432,7 @@ _COUNT_SITES = [
     ("SimpleLabel", lambda k: SimpleLabel("G", k, "G"), 2, "rank"),
     ("AlgebraFactor", lambda k: AlgebraFactor("I", CenterField("Q"), k), 1, "n"),
     ("r_membership", lambda k: r_membership(1, k, _Q_FACTOR), 0, "level"),
+    ("twist_model", lambda k: twist_model(3, samples=k), 0, "samples"),
 ]
 _NO_COUNTS = [("float", float), ("half", lambda least: least + 0.5),
               ("bool", lambda least: True), ("str", str),

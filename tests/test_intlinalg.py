@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from polobstruct.intlinalg import (
     IntPoly,
     Matrix,
+    SnfResult,
     charpoly,
     col_hnf,
     col_lattice_contains,
@@ -310,6 +311,7 @@ def test_pow_binary():
 def test_det_small_frozen():
     assert det(Matrix([[2, 1], [1, 2]])) == 3
     assert det(Matrix.identity(5)) == 1
+    assert det(Matrix.zero(0, 0)) == 1
     assert det(Matrix([[2, 4], [6, 8]])) == -8
     assert det(Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])) == Fraction(1, 6)
     with pytest.raises(ValueError):
@@ -333,37 +335,26 @@ def test_det_multiplicative():
         assert det(a * b) == det(a) * det(b)
 
 
+def _block_minors(m):
+    return [_cofactor_det([list(r[:k]) for r in m.rows[:k]]) for k in range(1, m.nrows + 1)]
+
+
 def test_leading_principal_minors():
     a = Matrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
     assert leading_principal_minors(a) == [2, 3, 4]
-    # zero pivot forces the fallback path
     b = Matrix([[0, 1], [1, 0]])
     assert leading_principal_minors(b) == [0, -1]
     rng = random.Random(13)
     for _ in range(10):
         n = rng.randint(1, 5)
         m = _random_matrix(rng, n, n, bound=6)
-        expected = [det(Matrix([r[:k] for r in m.rows[:k]])) for k in range(1, n + 1)]
-        assert leading_principal_minors(m) == expected
-
-
-def _block_minors(m):
-    return [_cofactor_det([list(r[:k]) for r in m.rows[:k]]) for k in range(1, m.nrows + 1)]
-
-
-def test_leading_minors_keep_the_pivots_before_a_vanishing_minor(monkeypatch):
-    import polobstruct.intlinalg as il
-
-    calls, real = [], il.det
-    monkeypatch.setattr(il, "det", lambda a: calls.append(a.nrows) or real(a))
+        assert leading_principal_minors(m) == _block_minors(m)
     for k in range(5):
         # [[0, 1], [1, 0]] + I_k: minors 0, -1, -1, ...
         rows = [[0, 1] + [0] * k, [1, 0] + [0] * k]
         rows += [[1 if j == i else 0 for j in range(k + 2)] for i in range(2, k + 2)]
         m = Matrix(rows)
-        calls.clear()
         assert leading_principal_minors(m) == _block_minors(m) == [0] + [-1] * (k + 1)
-        assert calls == list(range(2, k + 3))
     rng = random.Random(71)
     for _ in range(30):
         n = rng.randint(2, 7)
@@ -373,12 +364,8 @@ def test_leading_minors_keep_the_pivots_before_a_vanishing_minor(monkeypatch):
         rows[j - 1][:j] = [0] * j
         m = Matrix(rows)
         expected = _block_minors(m)
-        first_zero = expected.index(0) + 1
-        assert first_zero <= j
-        calls.clear()
+        assert 0 in expected[:j]
         assert leading_principal_minors(m) == expected
-        # the minors up to the first vanishing one come off the pivots
-        assert calls == list(range(first_zero + 1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +397,27 @@ def test_snf_frozen_cases():
     assert _check_snf(Matrix([[2, 4], [6, 8]])) == [2, 4]
     assert _check_snf(Matrix.zero(2, 3)) == [0, 0]
     assert _check_snf(Matrix([[1, 0], [0, 6], [0, 0]])) == [1, 6]
+    # diagonal already, but d_i does not divide d_(i+1)
+    assert _check_snf(Matrix.diagonal([2, 3])) == [1, 6]
+    assert _check_snf(Matrix.diagonal([6, 10, 15])) == [1, 30, 30]
+    # a zero before a nonzero entry moves last
+    assert _check_snf(Matrix([[0, 0], [0, 5]])) == [5, 0]
+    for m, n in ((0, 3), (2, 0)):
+        res = snf(Matrix.zero(m, n))
+        assert res == SnfResult(Matrix.identity(m), Matrix.zero(m, n), Matrix.identity(n))
+
+
+def test_snf_is_alternating_hermite_passes(monkeypatch):
+    import polobstruct.intlinalg as il
+
+    calls, real = [], il._hnf_vectors
+    monkeypatch.setattr(il, "_hnf_vectors", lambda vecs, n: calls.append(n) or real(vecs, n))
+    a = Matrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    d = snf(a).D
+    # a row pass alone leaves this A upper triangular, not diagonal
+    assert len(calls) >= 2
+    monkeypatch.undo()
+    assert d == snf(a).D == Matrix.diagonal([2, 6, 12])
 
 
 def test_snf_minor_gcd_oracle():

@@ -73,8 +73,8 @@ CASES = [
      " [0, 0, 1, 0]\n), b=Matrix(\n [2, 1, 1, 1]\n [1, 2, 1, 1]\n [1, 1, 2, 1]\n"
      " [1, 1, 1, 2]\n))"),
     (snf(Matrix([[2, 4], [6, 8]])), ("U", "D", "V"), "U", Matrix.identity(2),
-     "SnfResult(U=Matrix(\n [1, 0]\n [3, -1]\n), D=Matrix(\n [2, 0]\n [0, 4]\n), "
-     "V=Matrix(\n [1, -2]\n [0, 1]\n))"),
+     "SnfResult(U=Matrix(\n [-2, 1]\n [3, -1]\n), D=Matrix(\n [2, 0]\n [0, 4]\n), "
+     "V=Matrix(\n [1, 0]\n [0, 1]\n))"),
     (e_rank_of_order(9, 3), ("value",), "value", 2, "EpRank(value=1)"),
     (quotient_group([[1, 0], [0, 1]], [[2, 0]]), ("invariant_factors", "free_rank"),
      "free_rank", 0, "AbGroupPresentation(invariant_factors=(2,), free_rank=1)"),

@@ -153,7 +153,7 @@ def test_b_minors_by_the_determinant_lemma(monkeypatch):
 
 def test_b_minors_fall_back_to_elimination_off_the_lemma(monkeypatch):
     # one off-diagonal pair of b changed: still symmetric, but b - I is no
-    # longer 11^t, so the minors come from the elimination
+    # longer 11^t, so the minors come from one elimination per leading block
     p = 7
     rows = [list(r) for r in build_b(p).rows]
     rows[1][3] = rows[3][1] = 0
@@ -163,7 +163,7 @@ def test_b_minors_fall_back_to_elimination_off_the_lemma(monkeypatch):
     t = TwistData(p, build_zeta(p), Matrix(rows))
     assert t.b.is_symmetric()
     assert t.b_minors == expected
-    assert sizes == [p - 1]
+    assert sizes == list(range(1, p))
 
 
 def _foreign_twists(p):
@@ -357,6 +357,14 @@ def test_central_degree_refuses_a_non_integral_element():
     for bad in (a, CycElem.from_rational(Fraction(1, 2), 5)):
         with pytest.raises(TypeError):
             central_degree(bad)
+
+
+@pytest.mark.parametrize("f", [norm_to_Q, central_degree])
+def test_norm_and_degree_refuse_what_is_no_cyclotomic_element(f):
+    # the coordinates of a CycElem are read only after its type is checked
+    for other in (5, Fraction(5), [1, 2]):
+        with pytest.raises(TypeError, match=f"^{f.__name__} expects a CycElem$"):
+            f(other)
 
 
 # ---------------------------------------------------------------------------
