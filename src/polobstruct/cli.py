@@ -132,7 +132,7 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     samples = 10 if p <= 13 else 3
     good = t.phi_p_annihilates_zeta
     for _ in range(samples):
-        a = CycElem(p, [rng.randint(-3, 3) for _ in range(n)])
+        a = CycElem(p, rng.choices(range(-3, 4), k=n))
         if a.is_zero():
             continue
         good = good and central_degree(a) == norm_to_Q(a) ** 2
@@ -144,10 +144,8 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     while found < samples and draws < 10 * samples:
         draws += 1
         # sparse draws: one entry of {-2, -1, 1, 2} per row, at a seeded column
-        rows = [[0] * n for _ in range(n)]
-        for r in rows:
-            r[rng.randrange(n)] = rng.choice((-2, -1, 1, 2))
-        m = Matrix(rows)
+        cols, vals = rng.choices(range(n), k=n), rng.choices((-2, -1, 1, 2), k=n)
+        m = Matrix([(0,) * j + (v,) + (0,) * (n - 1 - j) for j, v in zip(cols, vals)])
         # the generic product, not endo_descends' shift, so the check
         # compares two computations
         if all(z.mul_vector(m.column(j)) == m.mul_vector(z.column(j))

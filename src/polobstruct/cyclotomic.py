@@ -25,13 +25,16 @@ memoized on its element (CycElem._elementary), as is the conjugation test
 both, and no module-level cache holds either; the codec of the packed
 integers is kept per digit count and width in an lru_cache.
 
-Any other a takes the multimodular route: for primes l = 1 (mod p) below
+Any other a takes the multimodular route: for moduli l = 1 (mod p) below
 2^31, conjugates_mod_primes gives the p - 1 conjugates of a mod l, one
-packed-integer product per prime by Rader's permutation, and the norm is
+packed-integer product per modulus by Rader's permutation, and the norm is
 their product mod each l, lifted by the Chinese remainder theorem (Cohen,
-A Course in Computational Algebraic Number Theory, 1.3). The number of
-primes is proven, not tuned; see norm_to_Q. The supply of primes and their
-tables is memoized only in module-level lru_caches.
+A Course in Computational Algebraic Number Theory, 1.3). A modulus is
+certified by an omega = 2^((l-1)/p) of order p modulo each of its prime
+factors, not by a primality test, so it may be composite; see
+_order_p_root. The number of moduli is proven, not tuned; see norm_to_Q.
+The supply of moduli and their tables is memoized only in module-level
+lru_caches.
 
 No matrix and no floating point enters either route.
 """
@@ -43,7 +46,7 @@ import struct
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 from .intlinalg import (
@@ -324,8 +327,14 @@ def norm_to_Q(a: CycElem):
 
     Any other a has N(a) = N(da) / d^(p-1), d the lcm of its denominators,
     and N(da), the product of the p - 1 conjugates of da, is lifted by the
-    Chinese remainder theorem from its residues mod primes l_1, l_2, ... of
-    product M; the lift stops once M^2 (p-1)^(p-1) > 4 Q^(p-1), for
+    Chinese remainder theorem from its residues mod pairwise coprime
+    moduli l_1, l_2, ... = 1 (mod p) of product M. A modulus need not be
+    prime. omega = 2^((l-1)/p) mod l with omega^p = 1 and
+    gcd(omega - 1, l) = 1 has order p modulo every prime factor q of l, so
+    the omega^j, j = 0..p-1, differ pairwise by units mod l; then
+    Phi_p = prod_(j=1..p-1) (x - omega^j) over Z/l, and the product of the
+    conjugates a(omega^j) is Res(Phi_p, a) = N(a) mod l (_order_p_root
+    gives the steps). The lift stops once M^2 (p-1)^(p-1) > 4 Q^(p-1), for
     Q = p sum c_k^2 - (sum c_k)^2 over da's coordinates. By Parseval over
     Z/p, Q = sum_(j=1..p-1) |a(zeta^j)|^2, and AM-GM bounds the product of
     those p - 1 squares by (Q/(p-1))^(p-1). So |N(da)| < M/2, and N(da) is
@@ -517,8 +526,11 @@ def _codec(count, nbytes):
 # remainder theorem
 
 
-# the prime supply: l = kp + 1 below 2^31, the largest first
+# the supply of moduli: l = kp + 1 below 2^31, the largest first
 _L_TOP = 1 << 31
+# the odd primes 3 to 37 multiplied: an l with a proper factor among them
+# is passed over before any power is taken
+_SCREEN = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
 
 
 @lru_cache(maxsize=None)
@@ -533,22 +545,44 @@ def _generator_powers(p):
             return tuple(powers)
 
 
+def _order_p_root(p, ell):
+    """omega = 2^((l-1)/p) mod l for l = 1 (mod p), if it certifies l as a
+    modulus of the norm: omega^p = 1 and gcd(omega - 1, l) = 1; else None.
+
+    l need not be prime. For each prime factor q of l, omega^p = 1 and
+    omega != 1 (mod q) give omega the order p mod q, so for 0 <= j < i < p,
+    omega^i - omega^j = omega^j (omega^(i-j) - 1) is a unit mod q, hence mod
+    l. Each omega^j is a root of x^p - 1 over Z/l; dividing out x - omega^j
+    one root at a time leaves the next a root of the quotient, because the
+    differences are units, so x^p - 1 = prod_(j=0..p-1) (x - omega^j), and
+    cancelling the monic x - 1, Phi_p = prod_(j=1..p-1) (x - omega^j) over
+    Z/l. The resultant is a polynomial in the coefficients, so for an
+    integral a, prod_(j=1..p-1) a(omega^j) = Res(Phi_p, a) = N(a) (mod l).
+    Without the gcd, omega = 1 modulo some factor q, and the product is
+    a(1)^(p-1) there, not N(a)."""
+    omega = pow(2, (ell - 1) // p, ell)
+    if pow(omega, p, ell) == 1 and gcd(omega - 1, ell) == 1:
+        return omega
+    return None
+
+
 # a table is p - 1 words, so 1024 of them take at most 8 MB for p <= MAX_P
 @lru_cache(maxsize=1024)
-def _prime_below(p, top):
-    """The largest prime l = kp + 1 below top, and the values
-    w_r = omega^(g^r) mod l, r = 0..p-2, of an omega of order p in F_l,
-    packed as 64-bit digits. When no such l remains, ArithmeticError."""
+def _modulus_below(p, top):
+    """The largest l = kp + 1 below top, k even, with no proper factor from
+    3 to 37, that _order_p_root certifies, and the values
+    w_r = omega^(g^r) mod l, r = 0..p-2, of its omega, packed as 64-bit
+    digits. l may be composite: the certificate, not primality, makes the
+    product of the conjugates mod l the norm mod l. When no such l
+    remains, ArithmeticError."""
     k = (top - 2) // p
     for k in range(k - k % 2, 0, -2):  # kp + 1 is odd for even k
         ell = k * p + 1
-        if is_prime(ell):
+        if not 1 < gcd(ell, _SCREEN) < ell and (omega := _order_p_root(p, ell)):
             break
     else:
-        raise ArithmeticError(f"no prime l = 1 (mod {p}) is left below {top}")
-    x = 2
-    while (omega := pow(x, k, ell)) == 1:  # x^((l-1)/p), of order p unless 1
-        x += 1
+        raise ArithmeticError(
+            f"no modulus l = 1 (mod {p}) with an omega of order {p} is left below {top}")
     powers = [1]
     for _ in range(p - 1):
         powers.append(powers[-1] * omega % ell)
@@ -556,10 +590,11 @@ def _prime_below(p, top):
 
 
 def conjugates_mod_primes(a: CycElem):
-    """For an integral a, the pairs (l, conjugates) for l = 1 (mod p) in
-    the supply's order, the largest prime below 2^31 first: conjugates
-    holds a(omega^j) mod l for j = g^s, s = 0..p-2, which is each j from 1
-    to p - 1 once. An endless generator; a supply that runs out raises.
+    """For an integral a, the pairs (l, conjugates) for the moduli
+    l = 1 (mod p) of _modulus_below, the largest below 2^31 first:
+    conjugates holds a(omega^j) mod l for j = g^s, s = 0..p-2, which is
+    each j from 1 to p - 1 once, for the omega of order p that certifies l.
+    An endless generator; a supply that runs out raises.
 
     Padded with c_(p-1) = 0 and shifted by o (1 + zeta + ... + zeta^(p-1))
     = 0 to digits a_k >= 0, a(omega^j) = a_0 + sum_t a_(g^t) omega^(j g^t).
@@ -584,7 +619,7 @@ def conjugates_mod_primes(a: CycElem):
     u = pack(digits) if top < _L_TOP else None
     ell = _L_TOP
     while True:
-        ell, w = _prime_below(p, ell)
+        ell, w = _modulus_below(p, ell)
         if nbytes > 8:
             w = pack(_codec(n, 8)[1](w))
         prod = (pack([v % ell for v in digits]) if u is None else u) * w
@@ -594,16 +629,20 @@ def conjugates_mod_primes(a: CycElem):
 
 def _crt_norm(a: CycElem):
     """N(a) for any a, as norm_to_Q takes it for an a that conjugation
-    moves: the product of the conjugates mod each prime, lifted by the
-    Chinese remainder theorem until the bound proves the lift exact."""
+    moves: the product of the conjugates mod each modulus, lifted by the
+    Chinese remainder theorem until the bound proves the lift exact. A
+    modulus may be composite, so one that shares a factor with the product
+    so far is passed over."""
     p, n = a.p, a.p - 1
     d, c = _cleared(a.coords)
     big_q = p * sum(v * v for v in c) - sum(c) ** 2
     need, scale = 4 * big_q ** n, n ** n
     x, mod = 0, 1
-    primes = conjugates_mod_primes(CycElem(p, c) if d > 1 else a)
+    moduli = conjugates_mod_primes(CycElem(p, c) if d > 1 else a)
     while mod * mod * scale <= need:  # then |N(da)| < mod/2, see norm_to_Q
-        ell, conj = next(primes)
+        ell, conj = next(moduli)
+        if gcd(mod, ell) > 1:
+            continue
         r = 1
         for v in conj:
             r = r * v % ell

@@ -450,9 +450,11 @@ class SnfResult(Record):
 def snf(a: Matrix) -> SnfResult:
     """Smith normal form with transforms, the limit of alternating Hermite
     forms (Cohen, A Course in Computational Algebraic Number Theory, 2.4):
-    row HNFs of [A | U] and column HNFs of A over V^t until A is diagonal.
-    U and V keep every vector nonzero, so none is dropped, and the HNF's
-    positive pivots and zeros-last order give D's signs and zero order.
+    row HNFs of A with U's rows beside it and column HNFs of A with V^t's
+    rows beside it, until A is diagonal. Each pass eliminates A's columns
+    alone and keeps A's zero rows with their rows of U or V^t, so none is
+    dropped, and the HNF's positive pivots and zeros-last order give D's
+    signs and zero order.
     Where d_i does not divide d_(i+1), column i + 1 is added into column i
     and the passes resume."""
     if not a.is_integral():
@@ -478,9 +480,13 @@ def snf(a: Matrix) -> SnfResult:
 
 
 def _hnf_beside(a, t, n):
-    """The row HNF of [a | t], split back into its first n columns and the
-    rest, for int rows a of length n and the rows of an invertible t."""
-    rows = _hnf_vectors([r + s for r, s in zip(a, t)], n + len(t))
+    """The row HNF of a, for int rows a of length n, with the rows of t
+    carried beside it through the same row operations; split back into a's
+    n columns and the rest. Only a's columns are eliminated, and every row
+    is read back from the list _hnf_vectors overwrote, so a's zero rows
+    keep their rows of t, which stay independent for an invertible t."""
+    rows = [r + s for r, s in zip(a, t)]
+    _hnf_vectors(rows, n)
     return [r[:n] for r in rows], [r[n:] for r in rows]
 
 

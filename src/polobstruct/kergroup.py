@@ -643,8 +643,9 @@ class ModelDescriptor(Record):
         for s in self.s_c:
             if _hnf_coords(span, s) is None:
                 raise ValueError("s_c entry outside the realizable span")
-        # the obstruction groups are quotients of the span by the relations
-        relation_hnf = col_hnf(Matrix.from_columns(pairs + level2, nrows=n))
+        # the obstruction groups are quotients of the span by the relations,
+        # whose HNF each distinct column enters once
+        relation_hnf = col_hnf(Matrix.from_columns(dict.fromkeys(pairs + level2), nrows=n))
         for rel in relation_hnf.columns():
             if _hnf_coords(span, rel) is None:
                 raise ValueError("relation outside the realizable span")

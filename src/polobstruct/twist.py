@@ -65,10 +65,8 @@ def build_zeta(p) -> Matrix:
     """
     _require_odd_prime(p)
     n = p - 1
-    rows = [[-1] * n]
-    for i in range(1, n):
-        rows.append([1 if j == i - 1 else 0 for j in range(n)])
-    return Matrix(rows)
+    return Matrix([(-1,) * n,
+                   *((0,) * (i - 1) + (1,) + (0,) * (n - i) for i in range(1, n))])
 
 
 def is_companion(m: Matrix) -> bool:
@@ -119,7 +117,7 @@ def build_b(p) -> Matrix:
     """The symmetric positive definite form: 2 on the diagonal, 1 elsewhere."""
     _require_odd_prime(p)
     n = p - 1
-    return Matrix([[2 if i == j else 1 for j in range(n)] for i in range(n)])
+    return Matrix([(1,) * i + (2,) + (1,) * (n - 1 - i) for i in range(n)])
 
 
 Orbit = namedtuple("Orbit", "vectors unit_triangular")

@@ -309,6 +309,32 @@ def test_noncommuting_samples_are_sparse(monkeypatch):
                 assert len(nonzero) == 1 and nonzero[0] in (-2, -1, 1, 2)
 
 
+def test_seeded_draws_cover_their_ranges_exactly(monkeypatch):
+    # the bulk draws take whole ranges: an off-by-one in a choices range
+    # would drop or add an end value or a column
+    coords, values, columns = set(), set(), set()
+
+    def degree(a):
+        coords.update(a.coords)
+        return central_degree(a)
+
+    def judged(m, t):
+        for row in m.rows:
+            (j, v), = [(j, v) for j, v in enumerate(row) if v]
+            columns.add(j)
+            values.add(v)
+        return False
+
+    central_degree = cli.central_degree
+    monkeypatch.setattr(cli, "central_degree", degree)
+    monkeypatch.setattr(cli, "endo_descends", judged)
+    for seed in range(1, 21):
+        assert all(dict(cli.run_verify_suite(43, seed).checks).values())
+    assert coords == set(range(-3, 4))
+    assert values == {-2, -1, 1, 2}
+    assert columns == set(range(42))
+
+
 def test_verify_returns_on_a_zeta_that_commutes_with_every_draw():
     # every draw commutes with the identity, so the non-commuting samples
     # never come; the draws are capped and the check fails instead of hanging
@@ -530,7 +556,9 @@ def test_bgroup_command(capsys, model_file):
 
 def test_bgroup_takes_no_column_hnf_after_the_load(capsys, monkeypatch, tmp_path):
     # the load keeps the column HNFs of z_gens (the model's span) and of the
-    # relations, and both obstruction groups are read off them
+    # relations, and both obstruction groups are read off them; the ten
+    # relation columns, the dual pair (2,) and nine level-2 classes (0,) or
+    # (2,), enter the HNF once each as the two distinct columns
     import polobstruct.kergroup as kg
 
     path = tmp_path / "model-13.json"
@@ -540,7 +568,7 @@ def test_bgroup_takes_no_column_hnf_after_the_load(capsys, monkeypatch, tmp_path
     monkeypatch.setattr(kg, "col_hnf", lambda a: calls.append(a.shape) or col_hnf(a))
     rc, out, _ = _run(capsys, ["bgroup", "--model", str(path)])
     assert rc == 0 and json.loads(out)["b2"] == "Z/2"
-    assert calls == [(1, 1), (1, 10)]
+    assert calls == [(1, 1), (1, 2)]
 
 
 def test_bgroup_missing_model(capsys, tmp_path):

@@ -11,7 +11,7 @@ positivity with high-precision numeric embeddings via mpmath.
 import operator
 import random
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, gcd, isqrt
 
 import mpmath
 import pytest
@@ -31,6 +31,8 @@ from polobstruct.cyclotomic import (
     CycElem,
     _crt_norm,
     _generator_powers,
+    _modulus_below,
+    _order_p_root,
     _real_elementary,
     complex_conj,
     conjugates_mod_primes,
@@ -880,14 +882,121 @@ def test_conjugates_are_the_values_at_the_powers_of_an_order_p_root():
                             for j in order]
 
 
-def test_a_prime_supply_that_runs_out_raises(monkeypatch):
+def test_a_modulus_supply_that_runs_out_raises(monkeypatch):
     import polobstruct.cyclotomic as cyc
 
-    # below 60, the primes l = 1 (mod 3) are 43, 37, 31, 19, 13 and 7
+    # below 60, the l = 1 (mod 3) that 2^((l-1)/3) certifies are 37, 19, 13
+    # and 7: it is 1 mod 43 and mod 31, 14 mod 55 has no order 3, and 49
+    # and 25 have a proper factor of at most 37
     monkeypatch.setattr(cyc, "_L_TOP", 60)
     assert _crt_norm(CycElem(3, [2, 1])) == 3
-    with pytest.raises(ArithmeticError, match="no prime"):
+    with pytest.raises(ArithmeticError, match="^no modulus l = 1 "):
         _crt_norm(CycElem(3, [10 ** 9, 1]))
+
+
+def _conjugate_product(a, omega, ell):
+    """prod_(j=1..p-1) a(omega^j) mod l, evaluated term by term."""
+    r = 1
+    for j in range(1, a.p):
+        r = r * sum(v * pow(omega, j * k, ell) for k, v in enumerate(a.coords)) % ell
+    return r
+
+
+def test_a_composite_modulus_with_an_order_p_root_gives_the_norm():
+    # 341 = 11 * 31 is a base-2 pseudoprime; omega = 2^68 has order 5 mod 11
+    # and mod 31, so the product of the conjugates is N(a) mod 341
+    assert _order_p_root(5, 341) == 256 == pow(2, 68, 341)
+    rng = random.Random(341)
+    for _ in range(200):
+        a = _rand_elem(rng, 5, bound=9)
+        assert _conjugate_product(a, 256, 341) == _norm_oracle(a) % 341
+
+
+def test_a_modulus_with_omega_one_modulo_a_factor_is_refused():
+    # 561 = 3 * 11 * 17: omega = 2^112 has omega^5 = 1 mod 561 but is 1 mod
+    # 3 and mod 17, where the product is a(1)^4, not N(a)
+    omega = pow(2, 112, 561)
+    assert pow(omega, 5, 561) == 1 and gcd(omega - 1, 561) == 51
+    assert _order_p_root(5, 561) is None
+    rng = random.Random(561)
+    wrong = sum(_conjugate_product(a, omega, 561) != _norm_oracle(a) % 561
+                for a in (_rand_elem(rng, 5, bound=9) for _ in range(200)))
+    assert wrong > 150
+
+
+def test_the_lift_passes_over_the_factors_of_a_composite_modulus(monkeypatch):
+    import polobstruct.cyclotomic as cyc
+
+    # below 342, p = 5 takes 341 = 11 * 31 first; 31 and 11 come last and
+    # share a factor with it, so the lift passes over them: 341 and the
+    # moduli from 331 to 41 bound it, and a norm past them runs out
+    monkeypatch.setattr(cyc, "_L_TOP", 342)
+    assert _modulus_below(5, 342)[0] == 341
+    a = CycElem(5, [10 ** 5, 3, -7, 1])
+    assert _crt_norm(a) == _norm_oracle(a)
+    with pytest.raises(ArithmeticError, match="^no modulus l = 1 "):
+        _crt_norm(CycElem(5, [10 ** 9, 3, -7, 1]))
+
+
+def test_the_lift_passes_over_a_modulus_that_shares_a_factor(monkeypatch):
+    # every modulus comes twice; the second shares all its factors with the
+    # product so far and must not enter the lift
+    import polobstruct.cyclotomic as cyc
+
+    supply = cyc.conjugates_mod_primes
+
+    def twice(a):
+        for pair in supply(a):
+            yield pair
+            yield pair
+
+    rng = random.Random(2)
+    expected = {p: [_crt_norm(a) for a in _crt_samples(rng, p)[:7]] for p in (5, 43)}
+    monkeypatch.setattr(cyc, "conjugates_mod_primes", twice)
+    rng = random.Random(2)
+    for p in (5, 43):
+        assert [_crt_norm(a) for a in _crt_samples(rng, p)[:7]] == expected[p]
+
+
+def test_a_composite_modulus_at_p_79_keeps_the_norm_exact(monkeypatch):
+    # at p = 79 the 28th modulus below 2^31 is 2147429509 = 3319 * 647011
+    # (the 28th prime l = 1 (mod 79) is 2147429351); a norm whose lift
+    # reaches it must still be the square root of the sub-resultant degree
+    import polobstruct.cyclotomic as cyc
+    from polobstruct.twist import central_degree
+
+    ell, moduli = cyc._L_TOP, []
+    for _ in range(28):
+        ell = _modulus_below(79, ell)[0]
+        moduli.append(ell)
+    assert moduli[-1] == 2147429509 == 3319 * 647011
+    assert not _prime_by_trial_division(moduli[-1])
+    assert all(map(_prime_by_trial_division, moduli[:-1]))
+    supply, seen = cyc.conjugates_mod_primes, []
+
+    def spy(a):
+        for ell, conj in supply(a):
+            seen.append(ell)
+            yield ell, conj
+
+    monkeypatch.setattr(cyc, "conjugates_mod_primes", spy)
+    rng = random.Random(79)
+    a = CycElem(79, [rng.randint(-1000, 1000) for _ in range(78)])
+    norm = _crt_norm(a)
+    assert seen[:28] == moduli and len(seen) > 28
+    assert norm > 0 and norm * norm == central_degree(a)
+
+
+def test_the_norm_takes_no_primality_test(monkeypatch):
+    import polobstruct.cyclotomic as cyc
+
+    a = _rand_elem(random.Random(43), 43, bound=3)
+    assert a != a.conj()
+    expected, calls = _power_sum_norm(a), []
+    monkeypatch.setattr(cyc, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    _modulus_below.cache_clear()
+    assert _crt_norm(a) == expected
+    assert calls == []
 
 
 def test_norms_and_positivity_use_no_determinant_or_charpoly(monkeypatch):
