@@ -26,7 +26,7 @@ both, and no module-level cache holds either; the codec of the packed
 integers is kept per digit count and width in an lru_cache.
 
 Any other a takes the multimodular route: for moduli l = 1 (mod p) below
-2^31, conjugates_mod_primes gives the p - 1 conjugates of a mod l, one
+2^31, conjugates_by_modulus gives the p - 1 conjugates of a mod l, one
 packed-integer product per modulus by Rader's permutation, and the norm is
 their product mod each l, lifted by the Chinese remainder theorem (Cohen,
 A Course in Computational Algebraic Number Theory, 1.3). A modulus is
@@ -389,19 +389,38 @@ def restrict_to_real(a: CycElem) -> tuple:
 
 def _dickson_to_eta(c, m):
     """The eta-power coordinates of c_0 + sum_(k=1..m) c_k D_k, as
-    restrict_to_real says, reduced mod psi_p = 1 + D_1 + ... + D_m."""
-    out = [c[0] - c[m]] + [0] * (m - 1)
-    prev, cur = [2], [0, 1]  # D_0 and D_1 in the eta-power basis
+    restrict_to_real says, reduced mod psi_p = 1 + D_1 + ... + D_m: those
+    of d_0 + sum_(k=1..m-1) d_k D_k, d_k = c_k - c_m. Rational c are
+    scaled by the lcm of their denominators first (_cleared), and the
+    result divided by it.
+
+    The D_k are packed integers D_k(2^w): D_(k+1) = eta D_k - D_(k-1) is a
+    shift by w bits and a subtraction, and the sum takes one scalar
+    product d_k D_k(2^w) per k. The sum has signed digits; adding 2^(w-1)
+    to each makes them digits in [0, 2^w), which _codec reads once,
+    provided every output digit lies in [-2^(w-1), 2^(w-1)). It does for
+    w = b + m, b the bit length of sum |d_k|: the coefficient of
+    eta^(k-2j) in D_k has the sign (-1)^j, so the terms of eta D_k and
+    -D_(k-1) agree in sign, the absolute coefficients of D_k sum to the
+    Lucas number L_k (L_0 = 2, L_1 = 1, L_(k+1) = L_k + L_(k-1)), and
+    L_k <= 2^k <= 2^(m-1) for 1 <= k <= m - 1, a bound d_0's coefficient 1
+    meets too. So every output digit is at most
+    2^(m-1) sum |d_k| < 2^(b+m-1) in absolute value. w is rounded up to
+    whole bytes, at least a word (_digit_bytes)."""
+    den, c = _cleared(c[:m + 1])
+    d = [v - c[m] for v in c[:m]]
+    nbytes = _digit_bytes(sum(map(abs, d)).bit_length() + m)
+    w = 8 * nbytes
+    pack, read = _codec(m, nbytes)
+    half = 1 << (w - 1)
+    acc = d[0] + pack((half,) * m)
+    prev, cur = 2, 1 << w  # D_0 and D_1 packed
     for k in range(1, m):
-        d = c[k] - c[m]
-        if d:
-            for i, x in enumerate(cur):
-                out[i] += d * x
-        nxt = [0] + cur
-        for i, x in enumerate(prev):
-            nxt[i] -= x
-        prev, cur = cur, nxt
-    return out
+        if d[k]:
+            acc += d[k] * cur
+        prev, cur = cur, (cur << w) - prev
+    out = [v - half for v in read(acc)]
+    return out if den == 1 else [Fraction(v, den) for v in out]
 
 
 def real_mult_matrix(a: CycElem) -> Matrix:
@@ -589,7 +608,7 @@ def _modulus_below(p, top):
     return ell, _codec(p - 1, 8)[0]([powers[e] for e in _generator_powers(p)])
 
 
-def conjugates_mod_primes(a: CycElem):
+def conjugates_by_modulus(a: CycElem):
     """For an integral a, the pairs (l, conjugates) for the moduli
     l = 1 (mod p) of _modulus_below, the largest below 2^31 first:
     conjugates holds a(omega^j) mod l for j = g^s, s = 0..p-2, which is
@@ -638,7 +657,7 @@ def _crt_norm(a: CycElem):
     big_q = p * sum(v * v for v in c) - sum(c) ** 2
     need, scale = 4 * big_q ** n, n ** n
     x, mod = 0, 1
-    moduli = conjugates_mod_primes(CycElem(p, c) if d > 1 else a)
+    moduli = conjugates_by_modulus(CycElem(p, c) if d > 1 else a)
     while mod * mod * scale <= need:  # then |N(da)| < mod/2, see norm_to_Q
         ell, conj = next(moduli)
         if gcd(mod, ell) > 1:

@@ -230,20 +230,24 @@ class cached:
 
 class Matrix(Record):
     """Immutable exact matrix. Entries are int or Fraction. The fields are
-    the rows and the column count, which an empty matrix needs; nrows is
-    kept beside them."""
+    the rows and the column count, which an empty matrix needs; nrows and
+    whether every entry is a plain int, which is_integral reads, are kept
+    beside them."""
 
     def __init__(self, rows, ncols=None):
         rows = tuple(map(tuple, rows))
-        if not _plain_ints(chain.from_iterable(rows)):
+        integral = _plain_ints(chain.from_iterable(rows))
+        if not integral:
+            # normalizing can make a row plain: Fraction(4, 2) becomes 2
             rows = tuple(tuple(map(_norm_scalar, r)) for r in rows)
+            integral = _plain_ints(chain.from_iterable(rows))
         m = len(rows)
         n = len(rows[0]) if m else 0 if ncols is None else ncols
         if m and set(map(len, rows)) != {n}:
             raise ValueError("ragged rows")
         if ncols is not None and _count(ncols, 0, "ncols") != n:
             raise ValueError("ncols disagrees with row length")
-        self._set(rows, n, nrows=m)
+        self._set(rows, n, nrows=m, _integral=integral)
 
     # -- constructors ------------------------------------------------------
 
@@ -251,14 +255,15 @@ class Matrix(Record):
     def zero(cls, m, n):
         m, n = _count(m, 0, "nrows"), _count(n, 0, "ncols")
         mat = cls.__new__(cls)
-        mat._set(tuple((0,) * n for _ in range(m)), n, nrows=m)
+        mat._set(tuple((0,) * n for _ in range(m)), n, nrows=m, _integral=True)
         return mat
 
     @classmethod
     def identity(cls, n):
         n = _count(n, 0, "size")
         mat = cls.__new__(cls)
-        mat._set(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n, nrows=n)
+        mat._set(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n,
+                 nrows=n, _integral=True)
         return mat
 
     @classmethod
@@ -312,7 +317,8 @@ class Matrix(Record):
         return self.nrows == self.ncols
 
     def is_integral(self):
-        return _plain_ints(chain.from_iterable(self.rows))
+        """Is every entry a plain int? Decided once, when the matrix is built."""
+        return self._integral
 
     def is_symmetric(self):
         return self.is_square() and self.rows == tuple(zip(*self.rows))

@@ -28,18 +28,22 @@ rows down under minus its column sums, X zeta subtracts X's first column
 from the others, and zeta^t X its first row from the others.
 TwistData's zeta_times_vector, zeta_times and times_zeta make such rows,
 and take the generic product for any other zeta; the descent checks stop
-at the first row that differs.
+at the first row that differs. The orbit and the torsion walk choose
+their step once, the shift or mul_vector, and apply it to vectors they
+built from ints themselves, which zeta_times_vector would validate again.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import eq, mul, neg, sub
+from operator import eq, neg, sub
 
 from .cyclotomic import (
     CycElem,
+    _codec,
     _dickson_to_eta,
+    _digit_bytes,
     _require_odd_prime,
     real_cyclotomic_poly,
     regular_rep,
@@ -67,6 +71,11 @@ def build_zeta(p) -> Matrix:
     n = p - 1
     return Matrix([(-1,) * n,
                    *((0,) * (i - 1) + (1,) + (0,) * (n - i) for i in range(1, n))])
+
+
+def _shift(v):
+    """The companion zeta times v: (-sum v, v_0, ..., v_(n-2))."""
+    return (-sum(v), *v[:-1])
 
 
 def is_companion(m: Matrix) -> bool:
@@ -166,16 +175,23 @@ class TwistData(Record):
         v = _norm_row(v)
         if len(v) != self.p - 1:
             raise ValueError("vector length mismatch")
-        return (-sum(v), *v[:-1])
+        return _shift(v)
+
+    def _walk_step(self):
+        """zeta v for the walks, the dispatch zeta_times_vector makes
+        without its checks of v: each walk starts from a literal and builds
+        every later vector from ints by sum, slicing, - and % p."""
+        return _shift if self.zeta_is_companion else self.zeta.mul_vector
 
     @cached
     def orbit(self) -> Orbit:
         """The orbit e1, zeta e1, ..., zeta^(p-1) e1 of the cyclic vector,
         and whether T (its first p - 1 vectors) is unit upper triangular."""
         n = self.p - 1
-        vecs = [tuple(1 if i == 0 else 0 for i in range(n))]
+        step = self._walk_step()
+        vecs = [(1,) + (0,) * (n - 1)]
         for _ in range(n):
-            vecs.append(self.zeta_times_vector(vecs[-1]))
+            vecs.append(step(vecs[-1]))
         return Orbit(tuple(vecs), all(v[k] == 1 and not any(v[k + 1:])
                                for k, v in enumerate(vecs[:n])))
 
@@ -191,9 +207,10 @@ class TwistData(Record):
         p = self.p
         if not self.zeta.is_integral():
             return False
+        zeta = self._walk_step()
 
         def step(u):
-            return [(y - x) % p for y, x in zip(self.zeta_times_vector(u), u)]
+            return [(y - x) % p for y, x in zip(zeta(u), u)]
 
         v = [1] + [0] * (p - 2)
         for _ in range(p - 2):
@@ -279,13 +296,30 @@ def central_degree(a: CycElem):
     psi_p, Res(psi_p, g). Padded with c_(p-1) = 0, a conj(a) is
     r_0 + sum_(k=1..m) r_k (zeta^k + zeta^(-k)), r_j = sum_i c_i c_((i+j) mod p),
     so neither CycElem.__mul__ nor the power sums are read, and the
-    remainder sequence has degree m = (p-1)/2, not p - 1."""
+    remainder sequence has degree m = (p-1)/2, not p - 1.
+
+    The r_j are one Kronecker product. Shifted by s = -min c >= 0 to digits
+    d_i = c_i + s, d and d reversed are packed as integers with digits of
+    width W; their product, folded mod X^p - 1 (its high p - 1 digits
+    added to its low p), holds at position p - 1 - j the cyclic correlation
+    sum_i d_i d_((i+j) mod p) = r_j + 2 s sum c + p s^2. Every digit, before
+    and after the fold, sums at most p products of two digits at most
+    max d, so a W with 2^W > p (max d)^2 never carries."""
     if not isinstance(a, CycElem):
         raise TypeError("central_degree expects a CycElem")
     c = _int_row(a.coords) + (0,)
-    m = (a.p - 1) // 2
-    r = [sum(map(mul, c, c[j:] + c[:j])) for j in range(m + 1)]
-    return resultant(real_cyclotomic_poly(a.p).coeffs, _dickson_to_eta(r, m)) ** 2
+    p, m = a.p, (a.p - 1) // 2
+    s = -min(c)
+    d = [v + s for v in c]
+    top = max(d)
+    nbytes = _digit_bytes((p * top * top).bit_length())
+    pack, read = _codec(p, nbytes)
+    nbits = 8 * nbytes * p
+    prod = pack(d) * pack(d[::-1])
+    folded = read((prod & ((1 << nbits) - 1)) + (prod >> nbits))
+    offset = 2 * s * sum(c) + p * s * s
+    r = [folded[p - 1 - j] - offset for j in range(m + 1)]
+    return resultant(real_cyclotomic_poly(p).coeffs, _dickson_to_eta(r, m)) ** 2
 
 
 def rosati(x: Matrix, t: TwistData) -> Matrix:

@@ -196,13 +196,13 @@ def test_degree_check_fails_when_a_conjugate_is_dropped(monkeypatch):
     # one conjugate fails degree_equals_norm_squared and nothing else
     import polobstruct.cyclotomic as cyclotomic
 
-    supply = cyclotomic.conjugates_mod_primes
+    supply = cyclotomic.conjugates_by_modulus
 
     def short(a):
         for ell, conj in supply(a):
             yield ell, conj[1:]
 
-    monkeypatch.setattr(cyclotomic, "conjugates_mod_primes", short)
+    monkeypatch.setattr(cyclotomic, "conjugates_by_modulus", short)
     checks = dict(cli.run_verify_suite(43).checks)
     assert [k for k, v in checks.items() if not v] == ["degree_equals_norm_squared"]
 

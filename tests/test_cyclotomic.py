@@ -30,12 +30,13 @@ from polobstruct.intlinalg import (
 from polobstruct.cyclotomic import (
     CycElem,
     _crt_norm,
+    _dickson_to_eta,
     _generator_powers,
     _modulus_below,
     _order_p_root,
     _real_elementary,
     complex_conj,
-    conjugates_mod_primes,
+    conjugates_by_modulus,
     cyclotomic_poly,
     format_element,
     from_eta,
@@ -397,6 +398,42 @@ def test_restrict_closed_form_matches_generic_solve():
             if x.conj() != x:
                 with pytest.raises(ValueError):
                     restrict_to_real(x)
+
+
+def _dickson_reference(c, m):
+    """c_0 + sum_(k=1..m) c_k D_k in eta-powers mod psi_p, by the Dickson
+    recurrence on coefficient lists: the reference for _dickson_to_eta."""
+    out = [c[0] - c[m]] + [0] * (m - 1)
+    prev, cur = [2], [0, 1]  # D_0 and D_1
+    for k in range(1, m):
+        d = c[k] - c[m]
+        for i, x in enumerate(cur):
+            out[i] += d * x
+        nxt = [0] + cur
+        for i, x in enumerate(prev):
+            nxt[i] -= x
+        prev, cur = cur, nxt
+    return out
+
+
+def test_dickson_to_eta_is_the_list_recurrence():
+    rng = random.Random(60)
+    for m in range(1, 61):
+        for bound in (1, 10 ** 3, 10 ** 30):
+            c = [rng.randint(-bound, bound) for _ in range(m + 1)]
+            assert _dickson_to_eta(c, m) == _dickson_reference(c, m)
+        assert _dickson_to_eta([0] * (m + 1), m) == [0] * m
+    # at m = 1 the width b + m is tight: 2^63 and -2^63 - 1 take a ninth byte
+    for c0 in (2 ** 63, -2 ** 63 - 1, 2 ** 64 - 1, -2 ** 63):
+        assert _dickson_to_eta([c0, 0], 1) == _dickson_reference([c0, 0], 1) == [c0]
+    # rationals clear their denominators first, and an integral one is an int
+    for p in (3, 5, 13, 43):
+        m = (p - 1) // 2
+        coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m - 1)]
+        x = from_eta(p, coords + [Fraction(4, 2)])
+        r = restrict_to_real(x)
+        assert r == tuple(_dickson_reference(x.coords, m)) == tuple(coords) + (2,)
+        assert type(r[-1]) is int
 
 
 def test_eta_relation_p5():
@@ -866,20 +903,25 @@ def test_gauss_sum_attains_the_prime_count_bound():
 
 
 def test_conjugates_are_the_values_at_the_powers_of_an_order_p_root():
+    # what the supply promises, and nothing more: each l = 1 (mod p) lies
+    # below the last, has no proper factor from 3 to 37, and is certified
+    # by omega = 2^((l-1)/p) of order p; the conjugates are a(omega^(g^s))
     rng = random.Random(5)
     for p in (3, 5, 13, 43):
         a = _rand_elem(rng, p, bound=3)
         c = a.coords + (0,)
         order = _generator_powers(p)
         assert sorted(order) == list(range(1, p))
-        primes = conjugates_mod_primes(a)
+        supply, last = conjugates_by_modulus(a), 1 << 31
         for _ in range(3):
-            ell, conj = next(primes)
-            assert ell % p == 1 and ell < 1 << 31 and _prime_by_trial_division(ell)
-            roots = [x for x in range(2, 200) if pow(x, (ell - 1) // p, ell) != 1]
-            omega = pow(roots[0], (ell - 1) // p, ell)
+            ell, conj = next(supply)
+            assert ell % p == 1 and ell < last
+            assert all(ell % q or ell == q for q in range(3, 38))
+            omega = pow(2, (ell - 1) // p, ell)
+            assert pow(omega, p, ell) == 1 and gcd(omega - 1, ell) == 1
             assert conj == [sum(v * pow(omega, j * k, ell) for k, v in enumerate(c)) % ell
                             for j in order]
+            last = ell
 
 
 def test_a_modulus_supply_that_runs_out_raises(monkeypatch):
@@ -943,7 +985,7 @@ def test_the_lift_passes_over_a_modulus_that_shares_a_factor(monkeypatch):
     # product so far and must not enter the lift
     import polobstruct.cyclotomic as cyc
 
-    supply = cyc.conjugates_mod_primes
+    supply = cyc.conjugates_by_modulus
 
     def twice(a):
         for pair in supply(a):
@@ -952,7 +994,7 @@ def test_the_lift_passes_over_a_modulus_that_shares_a_factor(monkeypatch):
 
     rng = random.Random(2)
     expected = {p: [_crt_norm(a) for a in _crt_samples(rng, p)[:7]] for p in (5, 43)}
-    monkeypatch.setattr(cyc, "conjugates_mod_primes", twice)
+    monkeypatch.setattr(cyc, "conjugates_by_modulus", twice)
     rng = random.Random(2)
     for p in (5, 43):
         assert [_crt_norm(a) for a in _crt_samples(rng, p)[:7]] == expected[p]
@@ -972,14 +1014,14 @@ def test_a_composite_modulus_at_p_79_keeps_the_norm_exact(monkeypatch):
     assert moduli[-1] == 2147429509 == 3319 * 647011
     assert not _prime_by_trial_division(moduli[-1])
     assert all(map(_prime_by_trial_division, moduli[:-1]))
-    supply, seen = cyc.conjugates_mod_primes, []
+    supply, seen = cyc.conjugates_by_modulus, []
 
     def spy(a):
         for ell, conj in supply(a):
             seen.append(ell)
             yield ell, conj
 
-    monkeypatch.setattr(cyc, "conjugates_mod_primes", spy)
+    monkeypatch.setattr(cyc, "conjugates_by_modulus", spy)
     rng = random.Random(79)
     a = CycElem(79, [rng.randint(-1000, 1000) for _ in range(78)])
     norm = _crt_norm(a)

@@ -124,6 +124,34 @@ def test_entry_normalization_and_float_rejection():
         Matrix([[True]])
 
 
+def test_is_integral_is_a_fresh_scan():
+    # is_integral reads what construction decided; it must agree with a
+    # scan of the stored entries, also after Fraction(4, 2) became 2
+    def scan(a):
+        return all(type(x) is int for r in a.rows for x in r)
+
+    class Int(int):
+        pass
+
+    rng = random.Random(31)
+    half = Matrix([[Fraction(1, 2), 1], [0, 3]])
+    mats = [_random_matrix(rng, 3, 4), Matrix([[Fraction(4, 2), 1], [0, 3]]),
+            Matrix([[Int(5), 1]]), half,
+            Matrix.zero(0, 3), Matrix.zero(2, 3), Matrix.identity(4), Matrix.identity(0),
+            Matrix.from_columns([(1, Fraction(6, 3)), (Fraction(1, 3), 2)]),
+            Matrix.from_columns([(1, Fraction(6, 3)), (4, 2)]),
+            half.transpose(), _random_matrix(rng, 2, 2).transpose(),
+            _matmul(half, Matrix([[2, 0], [0, 1]])), _matmul(half, half),
+            Matrix([[Fraction(3)]], ncols=1)]
+    for a in mats:
+        assert a.is_integral() is scan(a), a
+    assert [a.is_integral() for a in mats[:4]] == [True, True, True, False]
+    assert _matmul(half, Matrix([[2, 0], [0, 1]])).is_integral()
+    # the kept answer takes no part in ==, hash or repr
+    a, b = Matrix([[Fraction(4, 2)]]), Matrix([[2]])
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 def test_int_rows_skip_coercion_and_keep_every_check():
     # a row of plain ints is kept as it is; every other row is coerced
     # entry by entry, in Matrix(...) and in mul_vector alike

@@ -108,6 +108,35 @@ def test_the_plain_int_test_is_spelled_once():
     assert spellings == ["intlinalg._plain_ints"]
 
 
+def _byte_sites(node, site):
+    """The dotted function names under node that spell int.from_bytes,
+    .to_bytes or struct, once for each spelling."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += _byte_sites(child, f"{site}.{child.name}")
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr in ("from_bytes", "to_bytes")
+                or isinstance(child, ast.Name) and child.id == "struct"):
+            found.append(site)
+        found += _byte_sites(child, site)
+    return found
+
+
+def test_integers_are_packed_and_read_by_one_codec():
+    # the power sums, the Rader evaluation, the autocorrelation and the
+    # Dickson read share cyclotomic._codec's Kronecker codec; struct is
+    # imported once, for it
+    sites, imports = set(), []
+    for module, tree in _package_trees():
+        sites.update(".".join(s.split(".")[:2]) for s in _byte_sites(tree, module))
+        imports += [module for n in ast.walk(tree)
+                    if isinstance(n, ast.Import) and "struct" in {a.name for a in n.names}
+                    or isinstance(n, ast.ImportFrom) and n.module == "struct"]
+    assert sites == {"cyclotomic._codec"}
+    assert imports == ["cyclotomic"]
+
+
 def _bool_tests(node, site):
     """(site, call) for each isinstance(..., bool) under node, site its
     dotted function name; bool in a tuple of types counts as well."""

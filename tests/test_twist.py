@@ -3,6 +3,7 @@ commutant lattice, cross-checked between two independent computations."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -345,6 +346,24 @@ def test_central_degree_is_the_resultant_over_the_real_subfield():
     phi_p = cyclotomic_poly(101).coeffs
     for a in _central_samples(rng, 101):
         assert central_degree(a) == resultant(phi_p, a.coords) ** 2
+    # coordinates around +-10^12 pack digits wider than a word; all-positive
+    # elements have no shift, all-negative ones a shift past every coordinate
+    big = 10 ** 12
+    for p in (3, 5, 43, 101):
+        phi_p = cyclotomic_poly(p).coeffs
+        for a in (CycElem(p, [rng.choice((-1, 1)) * (big + rng.randint(-9, 9))
+                              for _ in range(p - 1)]),
+                  CycElem(p, [rng.randint(1, big) for _ in range(p - 1)]),
+                  CycElem(p, [-rng.randint(1, big) for _ in range(p - 1)]),
+                  CycElem(p, [rng.randint(1, 9) for _ in range(p - 1)]),
+                  CycElem(p, [-rng.randint(1, 9) for _ in range(p - 1)])):
+            assert central_degree(a) == resultant(phi_p, a.coords) ** 2
+        # k (1 + ... + zeta^(p-2)) = -k zeta^(-1) has degree k^(2(p-1)); its
+        # correlation at 0 is (p - 1) k^2 >= 2^64 > p k^2 / 2, so a digit
+        # one bit narrower than p (max d)^2 needs carries
+        k = isqrt((2 ** 64 - 1) // (p - 1)) + 1
+        assert (p - 1) * k * k >= 2 ** 64 > p * k * k // 2
+        assert central_degree(CycElem(p, [k] * (p - 1))) == k ** (2 * (p - 1))
 
 
 def test_central_degree_refuses_a_non_integral_element():
@@ -562,6 +581,23 @@ def test_zeta_shifts_are_the_generic_products(p, fractions):
         t.zeta_times_vector([1] * (n + 1))
     with pytest.raises(TypeError):
         t.zeta_times_vector([0.5] * n)
+
+
+def test_the_walks_validate_no_vector_they_built(monkeypatch):
+    # the orbit and the torsion walk step by the shift on vectors they made
+    # from ints; an outside vector is still normalized and measured
+    import polobstruct.intlinalg as il
+
+    t = TwistData.for_prime(43)
+    calls, plain = [], il._plain_ints
+    monkeypatch.setattr(il, "_plain_ints", lambda xs: calls.append(1) or plain(xs))
+    assert t.orbit.unit_triangular and t.two_jordan_blocks
+    assert calls == []
+    v = t.zeta_times_vector([Fraction(4, 2), Fraction(1, 2)] + [0] * 40)
+    assert v == (Fraction(-5, 2), 2, Fraction(1, 2)) + (0,) * 39 and type(v[1]) is int
+    assert calls
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        t.zeta_times_vector([1] * 41)
 
 
 def test_zeta_shifts_keep_empty_shapes():
