@@ -115,9 +115,10 @@ def run_verify_suite(p, seed=DEFAULT_SEED) -> VerifyReport:
     independent computations for each nonzero sampled a = sum c_k zeta^k:
     its degree central_degree(a) = Res(psi_p, g)^2, by the sub-resultant
     algorithm over K+ on g = a conj(a) in eta-powers, and the square of the
-    norm N(a), the product of a's conjugates mod primes l = 1 (mod p)
-    lifted by the Chinese remainder theorem (or a's power-sum pass, for the
-    rare a that conjugation fixes), so a remainder sequence is compared
+    norm N(a), the product of a's conjugates mod moduli l = 1 (mod p),
+    certified by omega's order and possibly composite, lifted by the
+    Chinese remainder theorem (or a's power-sum pass, for the rare a that
+    conjugation fixes), so a remainder sequence is compared
     with an evaluation at roots, and a zero norm fails it. det a(zeta) is
     the product of a(theta) over the roots theta of chi_zeta = Phi_p, which
     the orbit certificate proves; pairing theta with theta^(-1) makes it

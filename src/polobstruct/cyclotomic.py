@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import re
 import struct
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -77,48 +76,25 @@ def _cap(p, what):
     return p
 
 
-# the twelve prime bases of the deterministic Miller-Rabin test, and the
-# least composite that is a strong pseudoprime to each of the first k of
-# them, k = 1..12 (OEIS A014233; Sorenson and Webster, Math. Comp. 86, 2017):
-# below _PSI[k - 1], the first k bases decide primality
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-        341550071728321, 341550071728321, 3825123056546413051,
-        3825123056546413051, 3825123056546413051, 318665857834031151167461)
-_ODD_TRIAL = tuple((q, q * q) for q in _BASES[1:])
+# is_prime answers below this bound, with at most 2^15 trial divisions
+_PRIME_BOUND = 1 << 32
 
 
 def is_prime(n) -> bool:
     """2 counts, and anything but an int is not a prime. Trial division by
-    the twelve primes 2 to 37, up to the square root, decides every
-    n < 41^2. A larger n takes the strong probable-prime test to the first
-    k of them, k as _PSI gives it, which is exact below _PSI[-1], about
-    3.18e23; past it, an n with no factor up to 37 raises ValueError."""
+    2, then by odd d while d^2 <= n, decides every n below _PRIME_BOUND;
+    from it on, is_prime raises ValueError."""
     if not isinstance(n, int) or n < 2:
         return False
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"primality of {n} is not decided from {_PRIME_BOUND} on")
     if n % 2 == 0:
         return n == 2
-    for q, square in _ODD_TRIAL:
-        if square > n:
-            return True
-        if n % q == 0:
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
             return False
-    if n < 41 * 41:
-        return True
-    if n >= _PSI[-1]:
-        raise ValueError(f"primality of {n} is not decided past {_PSI[-1]}")
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
-    d = (n - 1) >> s
-    for q in _BASES[:1 + bisect_right(_PSI, n)]:
-        x = pow(q, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        d += 2
     return True
 
 
@@ -541,8 +517,8 @@ def _codec(count, nbytes):
 
 
 # ---------------------------------------------------------------------------
-# conjugates modulo primes l = 1 (mod p), and the norm by the Chinese
-# remainder theorem
+# conjugates modulo certified moduli l = 1 (mod p), prime or not, and the
+# norm by the Chinese remainder theorem
 
 
 # the supply of moduli: l = kp + 1 below 2^31, the largest first

@@ -26,11 +26,11 @@ companion zeta every product with zeta is a shift of plain rows, with no
 matrix product: zeta v is (-sum v, v_0, ..., v_(n-2)), zeta X moves X's
 rows down under minus its column sums, X zeta subtracts X's first column
 from the others, and zeta^t X its first row from the others.
-TwistData's zeta_times_vector, zeta_times and times_zeta make such rows,
-and take the generic product for any other zeta; the descent checks stop
-at the first row that differs. The orbit and the torsion walk choose
-their step once, the shift or mul_vector, and apply it to vectors they
-built from ints themselves, which zeta_times_vector would validate again.
+TwistData's zeta_times and times_zeta make such rows, and take the generic
+product for any other zeta; the descent checks stop at the first row that
+differs. The orbit and the torsion walk take zeta v from _walk_step, the
+one place the step is chosen (the shift or mul_vector), and apply it to
+vectors they built from ints themselves.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .intlinalg import (
     Matrix,
     Record,
     _int_row,
-    _norm_row,
     _sparse_kernel,
     cached,
     det,
@@ -115,9 +114,6 @@ def reduce_shift(p) -> Matrix:
     shifted = [[0] * n for _ in range(p)]
     for i in range(p):
         shifted[(i + 1) % p] = embed[i]
-    for col in zip(*shifted):
-        if sum(col) != 0:
-            raise AssertionError("shift left the trace-zero sublattice")
     # the first p-1 coordinates recover the S-basis coefficients
     return Matrix(shifted[:n])
 
@@ -168,19 +164,11 @@ class TwistData(Record):
         _check_factors(x.shape, self.zeta.shape)
         return ((*[y - r[0] for y in r[1:]], -r[0]) for r in x.rows)
 
-    def zeta_times_vector(self, v) -> tuple:
-        """zeta v: for the companion zeta the shift (-sum v, v_0, ..., v_(n-2))."""
-        if not self.zeta_is_companion:
-            return self.zeta.mul_vector(v)
-        v = _norm_row(v)
-        if len(v) != self.p - 1:
-            raise ValueError("vector length mismatch")
-        return _shift(v)
-
     def _walk_step(self):
-        """zeta v for the walks, the dispatch zeta_times_vector makes
-        without its checks of v: each walk starts from a literal and builds
-        every later vector from ints by sum, slicing, - and % p."""
+        """zeta v for the walks: the shift (-sum v, v_0, ..., v_(n-2)) for
+        the companion zeta, else mul_vector. It checks no v: each walk
+        starts from a literal and builds every later vector from ints by
+        sum, slicing, - and % p."""
         return _shift if self.zeta_is_companion else self.zeta.mul_vector
 
     @cached

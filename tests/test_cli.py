@@ -1053,6 +1053,8 @@ MALFORMED_MODELS = {
     "no_cyclotomic_factor": ((), _model_json_with(
         phi_samples=[], algebra={"factors": [{"type": "I", "center": "Q"}]}),
         ValueError),
+    "phi_samples_without_cyclotomic_factor": ((), _model_json_with(
+        algebra={"factors": [{"type": "I", "center": "Q"}]}), ValueError),
     "e_p_label_not_self_dual": ((), _model_json_with(
         phi_samples=[], z_gens=[[1, 1]], s_c=[[1, 1]],
         labels=[{"name": "E[5]", "rank": 25, "dual": "F"},
@@ -1086,6 +1088,7 @@ MESSAGES = {
     "empty_s_c": "need at least one s_c entry",
     "no_e_p_label": "model has no E[5] label",
     "no_cyclotomic_factor": "model has no cyclotomic factor",
+    "phi_samples_without_cyclotomic_factor": "phi samples need a cyclotomic factor",
     "e_p_label_not_self_dual": "the E[5] label is not self-dual",
     "relation_outside_the_span": "relation outside the realizable span",
 }
@@ -1136,9 +1139,11 @@ def test_malformed_model_is_rejected_in_one_line(capsys, tmp_path, command, case
     ["norm", "-5; 1, 2, 3, 4"],
     ["norm", "0; 1"],
     ["norm", "1; 5"],
+    ["norm", "5;"],
 ], ids=["exponent", "tp_exponent", "decimal", "underscore", "zero_denominator",
         "too_many_digits", "norm_too_long_to_print", "tag_underscore",
-        "tag_arabic_indic", "tag_negative", "tag_zero", "tag_one"])
+        "tag_arabic_indic", "tag_negative", "tag_zero", "tag_one",
+        "no_coordinates"])
 def test_bad_element_is_rejected_at_once(capsys, argv):
     start = time.monotonic()
     rc, out, err = _run(capsys, argv)

@@ -469,7 +469,7 @@ def test_companion_step_matches_the_generic_step_up_to_61(monkeypatch):
         assert is_companion(t.zeta) and t.zeta_is_companion
         for _ in range(5):
             u = [rng.randrange(p) for _ in range(p - 1)]
-            assert [(y - x) % p for y, x in zip(t.zeta_times_vector(u), u)] \
+            assert [(y - x) % p for y, x in zip(t._walk_step()(u), u)] \
                 == [(y - x) % p for y, x in zip(t.zeta.mul_vector(u), u)]
     calls = []
     mul_vector = Matrix.mul_vector

@@ -267,6 +267,45 @@ def test_matmul_matches_naive_and_big_entries():
     assert type(_matmul(half, Matrix([[2]]))[0, 0]) is int
 
 
+
+def _near(magnitude):
+    """Small entries, or entries within 3 of +-magnitude."""
+    return (st.integers(-3, 3)
+            | st.integers(magnitude - 3, magnitude + 3)
+            | st.integers(-magnitude - 3, -magnitude + 3))
+
+
+def _grid(draw, m, n, entries):
+    return [[draw(entries) for _ in range(n)] for _ in range(m)]
+
+
+@st.composite
+def _factor_pair(draw):
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    ea = draw(st.sampled_from([30, 31, 32]) | st.integers(1, 61))
+    # b's magnitude puts max|A| * max|B| * k within a factor 4 of 2^62
+    eb = max(0, 62 - ea - k.bit_length() + draw(st.integers(-1, 2)))
+    return _grid(draw, m, k, _near(2 ** ea)), _grid(draw, k, n, _near(2 ** eb))
+
+
+def _bigint_product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_factor_pair())
+@example(([[2 ** 31]], [[2 ** 31 - 1]]))  # a product just under 2^62
+@example(([[2 ** 31, 2 ** 31]], [[2 ** 31 - 1], [2 ** 31 - 1]]))  # a sum past it
+@example(([[-(2 ** 31), 2 ** 31 - 1]], [[-(2 ** 30)], [-(2 ** 30)]]))
+def test_matmul_matches_bigint_products_around_2_to_the_62_and_63(pair):
+    """_matmul agrees exactly with plain bigint products whose entries and
+    accumulators straddle 2^62 and 2^63, where a fixed-width product would
+    overflow."""
+    a, b = pair
+    assert _matmul(Matrix(a), Matrix(b)).rows == _bigint_product(a, b)
+
+
 def _check_listing_and_mul_vector(a, v):
     # the listing holds exactly the nonzero entries, by increasing column
     listed = {}
